@@ -21,13 +21,13 @@ Keeping the raw integration constants instead introduces a secular
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import PhysicalConstants
+from .tables import write_csv
 
 PARITY_LABELS = {
     1: ("P-odd", "t-even"),
@@ -624,13 +624,9 @@ def cauchy_riemann_residual(field, z, t, constants: PhysicalConstants) -> float:
     return float(np.max(np.abs(f_dz + f_dt / c)))
 
 
-def _gauss_legendre(a, b, n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
 def field_hamiltonian(model: CavityModel, state: ModeState, t, n_quad: int = None) -> complex:
     """Field energy (1/2) integral (eps0 E^2 + mu0 H^2) dV with bilinear squares."""
+    from .currents import _gauss_legendre  # currents imports this module
     n_quad = n_quad or max(32, 4 * model.n_modes)
     zq, wq = _gauss_legendre(0.0, model.length, n_quad)
     sol = FirstSolution(model, state)
@@ -657,21 +653,12 @@ def dump_field_csv(field, z, t, path, parity=None):
     """Field samples as CSV: z, t, Re/Im of all six components per row."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    e = field.e(z, t)
-    h = field.h(z, t)
-    with open(path, "w", newline="") as fh:
-        if parity:
-            fh.write(f"# parity: {parity[0]}, {parity[1]}\n")
-        writer = csv.writer(fh)
-        names = ["z", "t"]
-        for comp in ("ex", "ey", "ez", "hx", "hy", "hz"):
-            names += [f"re_{comp}", f"im_{comp}"]
-        writer.writerow(names)
-        for i, zi in enumerate(z):
-            for j, tj in enumerate(t):
-                row = [f"{zi:.17g}", f"{tj:.17g}"]
-                for vec in (e, h):
-                    for comp in range(3):
-                        val = complex(vec[comp, i, j])
-                        row += [f"{val.real:.17g}", f"{val.imag:.17g}"]
-                writer.writerow(row)
+    names = ["z", "t"]
+    columns = [np.repeat(z, t.size), np.tile(t, z.size)]
+    for label, vec in (("e", field.e(z, t)), ("h", field.h(z, t))):
+        for comp, axis in enumerate("xyz"):
+            val = np.asarray(vec[comp], dtype=complex).ravel()
+            names += [f"re_{label}{axis}", f"im_{label}{axis}"]
+            columns += [val.real, val.imag]
+    preamble = f"# parity: {parity[0]}, {parity[1]}\n" if parity else ""
+    write_csv(path, names, columns, preamble)

@@ -30,18 +30,13 @@ from . import resonance as res
 from . import sshliquid as ssh
 from .constants import PhysicalConstants
 from .elliptic import elliptic_E, elliptic_K
+from .tables import write_csv as _write_csv  # the name bench/tracing.py wraps
 
 log = logging.getLogger("duplexem")
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x) -> str:
-    if isinstance(x, complex):
-        return f"{x.real:.17g}"
-    return f"{float(x):.17g}"
 
 
 def _load_config(path, defaults: dict, required=()) -> dict:
@@ -74,15 +69,6 @@ def _outdir(args) -> Path:
     except OSError as exc:
         raise ConfigError(f"output directory not writable: {exc}") from exc
     return out
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell)
-                             for cell in row])
 
 
 def _write_json(path, payload):
@@ -134,7 +120,7 @@ def cmd_dual_invariants(args) -> int:
         rows.append([i, theta, k_ref, k_rot, drift])
     _write_csv(out / "dual_invariants.csv",
                ["index", "theta", "k_reference", "k_rotated", "relative_drift"],
-               rows)
+               np.array(rows, dtype=float).reshape(-1, 5).T)
     _write_json(out / "summary.json", {
         "quantity": "mixing-angle invariant drift",
         "formula": "K = I1'^2 + I2'^2",
@@ -239,18 +225,16 @@ def cmd_currents(args) -> int:
     fieldset = cur.FieldFunctionSet.from_cavity(model, state)
     z = np.linspace(0.0, model.length, int(cfg["nz"]))
     t = np.linspace(0.0, model.period, int(cfg["nt"]))
-    rows = []
-    for tj in t:
-        charge = cur.noether_charge(fieldset, tj)
-        spin = cur.spirality(fieldset, tj)
-        for zi in z:
-            j3 = complex(current.j3(zi, tj, 1) + 1j * current.j3(zi, tj, 2))
-            j4 = complex(current.j4(zi, tj, 1) + 1j * current.j4(zi, tj, 2))
-            rows.append([zi, tj, j3.real, j3.imag, j4.real, j4.imag,
-                         charge.q1, charge.q2, spin.s4_3])
+    charges = [cur.noether_charge(fieldset, tj) for tj in t]
+    per_t = [[c.q1 for c in charges], [c.q2 for c in charges],
+             [cur.spirality(fieldset, tj).s4_3 for tj in t]]
+    # rows are t-major: transpose the (z, t) grids before flattening
+    j3 = (current.j3(z, t, 1) + 1j * current.j3(z, t, 2)).T.ravel()
+    j4 = (current.j4(z, t, 1) + 1j * current.j4(z, t, 2)).T.ravel()
     _write_csv(out / "currents.csv",
                ["z", "t", "re_j3", "im_j3", "re_j4", "im_j4", "q1", "q2", "spirality"],
-               rows)
+               [np.tile(z, t.size), np.repeat(t, z.size), j3.real, j3.imag,
+                j4.real, j4.imag, *(np.repeat(col, z.size) for col in per_t)])
     cont = cur.continuity_residual(current, z, t)
     drift = cur.charge_drift(fieldset, t)
     worst = max(cont, *drift)
@@ -283,7 +267,7 @@ def cmd_resonance_fit(args) -> int:
         raise ConfigError("resonance-fit needs 'input' CSV or 'n'/'nu' arrays")
     nu0, a_param, residuals = res.fit_dispersion(ns, nus)
     _write_csv(out / "dispersion_fit.csv", ["n", "nu_n", "residual"],
-               [[n, nu, r] for n, nu, r in zip(ns, nus, residuals)])
+               [np.asarray(ns, dtype=float), np.asarray(nus, dtype=float), residuals])
     _write_json(out / "summary.json", {
         "quantity": "dispersion fit",
         "formula": "nu_n = nu0 - A n^2",
@@ -322,19 +306,14 @@ def cmd_ssh_solve(args) -> int:
     except ssh.GapSolverError as exc:
         _write_json(out / "summary.json", {"error": str(exc)})
         return 1
-    rows = []
-    for i, k in enumerate(sol.k_grid):
-        row = [k, sol.coeffs.alpha_k[i], sol.coeffs.beta_k[i]]
-        for branch in (ssh.BRANCH_NEAR_EQ, ssh.BRANCH_SSH):
-            row.append(sol.energies[branch][0][i])
-        for branch in (ssh.BRANCH_NEAR_EQ, ssh.BRANCH_SSH):
-            conds = sol.stable[branch]
-            row.append(int(conds[0][i]) * 100 + int(conds[1][i]) * 10 + int(conds[2][i]))
-        rows.append(row)
+    branches = (ssh.BRANCH_NEAR_EQ, ssh.BRANCH_SSH)
+    codes = [100 * c1 + 10 * c2 + c3
+             for c1, c2, c3 in (sol.stable[branch] for branch in branches)]
     _write_csv(out / "gap_solution.csv",
                ["k", "alpha_k", "beta_k", "E_c_near_equilibrium", "E_c_ssh_like",
                 "stability_near_equilibrium", "stability_ssh_like"],
-               rows)
+               [sol.k_grid, sol.coeffs.alpha_k, sol.coeffs.beta_k,
+                *(sol.energies[branch][0] for branch in branches), *codes])
     if cfg["u_scan"]:
         lo, hi, steps = cfg["u_scan"]
         u_grid = np.linspace(float(lo), float(hi), int(steps))
@@ -385,7 +364,8 @@ def cmd_ssh_sweep(args) -> int:
     else:
         results = [_sweep_point(p) for p in payloads]
     _write_csv(out / "ground_state.csv",
-               ["u", "E0_quadrature", "E0_elliptic", "E0_smallz"], results)
+               ["u", "E0_quadrature", "E0_elliptic", "E0_smallz"],
+               np.array(results, dtype=float).reshape(-1, 4).T)
     curve = ssh.ground_state_energy(params, sol.q, u_grid) \
         if abs(u_grid[0] + u_grid[-1]) < 1e-12 else None
     summary = {
@@ -542,9 +522,9 @@ def _verify_checks(seed: int):
 def cmd_verify_all(args) -> int:
     out = _outdir(args)
     checks = _verify_checks(args.seed)
-    rows = [[name, value, bound, "pass" if ok else "FAIL"]
-            for name, value, bound, ok in checks]
-    _write_csv(out / "verify.csv", ["check", "value", "bound", "status"], rows)
+    names, values, bounds, oks = zip(*checks)
+    _write_csv(out / "verify.csv", ["check", "value", "bound", "status"],
+               [names, values, bounds, ["pass" if ok else "FAIL" for ok in oks]])
     _write_json(out / "summary.json", {
         "seed": args.seed,
         "checks": {name: {"value": value, "bound": bound, "passed": bool(ok)}
@@ -572,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--tol", type=float, default=None,
                        help="override the default tolerance")
 

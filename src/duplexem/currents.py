@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,8 +22,17 @@ from .cavity import CavityModel, ModeState, _expand
 _TWO_PI = 2.0 * math.pi
 
 
-def _gauss_legendre(a, b, n):
+@lru_cache(maxsize=8)
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(a, b, n):
+    x, w = _leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

@@ -219,29 +219,35 @@ class OperatorField:
     """Hermitian operator-valued E and H fields for one quantization scheme.
 
     Per-mode matrices; modes are independent (delta_ab commutators), so no
-    cross-mode tensor products are formed.
+    cross-mode tensor products are formed.  The ladder pairs of all modes
+    are built once per (z, t) and reused until another point is asked for.
     """
 
     def __init__(self, model: CavityModel, scheme: QuantizationScheme, dim: int):
         self.model = model
         self.scheme = scheme
         self.dim = dim
+        self._point, self._pairs_at_point = None, None
 
-    def _pair(self, alpha_idx: int, z: float, t: float):
-        kind = self.scheme.kind
-        if kind is SchemeKind.TIME_LOCAL:
-            return time_local_operators(self.model, self.dim, t)[alpha_idx]
-        if kind is SchemeKind.SPACE_LOCAL:
-            return space_local_operators(self.model, self.dim, z)[alpha_idx]
-        ops = spacetime_local_operators(self.model, self.dim, z, t,
-                                        self.scheme.hbar, self.scheme.lambda0)
-        return ops[alpha_idx]["a"], ops[alpha_idx]["adag"]
+    def _pairs(self, z: float, t: float):
+        if self._point != (z, t):
+            kind = self.scheme.kind
+            if kind is SchemeKind.TIME_LOCAL:
+                pairs = time_local_operators(self.model, self.dim, t)
+            elif kind is SchemeKind.SPACE_LOCAL:
+                pairs = space_local_operators(self.model, self.dim, z)
+            else:
+                ops = spacetime_local_operators(self.model, self.dim, z, t,
+                                                self.scheme.hbar, self.scheme.lambda0)
+                pairs = [(op["a"], op["adag"]) for op in ops]
+            self._point, self._pairs_at_point = (z, t), pairs
+        return self._pairs_at_point
 
     def e_matrix(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
         md = self.model
         w = md.omegas[alpha_idx]
         k = md.wavenumbers[alpha_idx]
-        a, ad = self._pair(alpha_idx, z, t)
+        a, ad = self._pairs(z, t)[alpha_idx]
         kind = self.scheme.kind
         if kind is SchemeKind.TIME_LOCAL:
             coef = math.sqrt(self.scheme.hbar * w / (md.volume * md.constants.eps0))
@@ -258,7 +264,7 @@ class OperatorField:
         md = self.model
         w = md.omegas[alpha_idx]
         k = md.wavenumbers[alpha_idx]
-        a, ad = self._pair(alpha_idx, z, t)
+        a, ad = self._pairs(z, t)[alpha_idx]
         kind = self.scheme.kind
         if kind is SchemeKind.TIME_LOCAL:
             coef = math.sqrt(self.scheme.hbar * w / (md.volume * md.constants.mu0))
@@ -311,12 +317,11 @@ def heisenberg_residual(model: CavityModel, dim: int, alpha_idx: int,
 
 def dump_operator_json(matrix: np.ndarray, scheme: SchemeKind, mode: int, fh):
     """Serialize one operator: dim, scheme, mode, row-major (re, im) pairs."""
-    flat = []
-    for val in np.asarray(matrix, dtype=complex).ravel():
-        flat.append([val.real, val.imag])
-    json.dump({
+    pairs = np.ascontiguousarray(matrix, dtype=complex).view(float).reshape(-1, 2)
+    # one json.dumps call: json.dump(fh) always takes the pure-Python encoder
+    fh.write(json.dumps({
         "dim": int(matrix.shape[0]),
         "scheme": scheme.value,
         "mode": int(mode),
-        "entries": flat,
-    }, fh, indent=None, separators=(",", ":"), sort_keys=True)
+        "entries": pairs.tolist(),
+    }, separators=(",", ":"), sort_keys=True))

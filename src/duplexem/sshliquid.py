@@ -541,13 +541,16 @@ def ground_state_energy(p: SshParams, q: float, u_grid,
     A flat curve (minimum at u = 0) is reported with double_well = False.
     """
     u_grid = np.asarray(u_grid, dtype=float)
-    if np.max(np.abs(u_grid + u_grid[::-1])) > 1e-12 * max(1.0, np.max(np.abs(u_grid))):
+    tol = 1e-12 * max(1.0, np.max(np.abs(u_grid)))
+    if np.max(np.abs(u_grid + u_grid[::-1])) > tol:
         raise ValueError("u grid must be symmetric about 0")
     e_ell = np.array([ground_energy(p, q, u, "elliptic") for u in u_grid])
     e_quad = np.array([ground_energy(p, q, u, "quadrature") for u in u_grid])
     e_small = np.array([ground_energy_smallz(p, q, u) for u in u_grid])
 
-    pos = u_grid >= 0.0
+    # np.linspace(-U, U, n) can leave its centre at -4e-16; keeping it gives
+    # a minimum at the first positive point a bracket to refine in
+    pos = u_grid >= -tol
     u_pos = u_grid[pos]
     e_pos = e_ell[pos]
     i_min = int(np.argmin(e_pos))

@@ -1,8 +1,13 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from duplexem.cavity import CavityModel, ModeState
 from duplexem.cli import main
+from duplexem.constants import PhysicalConstants
+from duplexem.currents import ClassicalFourCurrent
 
 
 def test_verify_all_deterministic(tmp_path, capsys):
@@ -97,3 +102,56 @@ def test_cavity_field_and_quantize_and_currents(tmp_path, capsys):
         assert main([cmd, "--out", str(out)]) == 0
         assert (out / "summary.json").exists()
     capsys.readouterr()
+
+
+SMALL_CONFIGS = {
+    "dual-invariants": None,
+    "cavity-field": {"nz": 16, "nt": 16},
+    "quantize": {"scheme": "spacetime_local", "dim": 4, "n_modes": 2},
+    "currents": {"nz": 16, "nt": 4},
+    "resonance-fit": {"n": [0, 1, 2, 3], "nu": [5.0, 4.99, 4.96, 4.91]},
+    "ssh-solve": {"u_scan": [-0.2, 0.2, 9]},
+    "ssh-sweep": {"u_scan": [-0.2, 0.2, 9]},
+    "verify-all": None,
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+def test_same_seed_gives_identical_files(tmp_path, capsys, command):
+    argv = [command, "--seed", "11"]
+    if SMALL_CONFIGS[command] is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CONFIGS[command]))
+        argv += ["--config", str(cfg)]
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    capsys.readouterr()
+    assert len(runs[0]) >= 2
+    assert runs[0] == runs[1]
+
+
+def test_currents_columns_match_pointwise_evaluation(tmp_path, capsys):
+    c1 = [[0.4, 0.1], [0.2, 0.0], [0.1, -0.2]]
+    c2 = [[0.3, -0.2], [0.0, 0.25], [-0.1, 0.1]]
+    cfg = tmp_path / "cur.json"
+    cfg.write_text(json.dumps({"c1": c1, "c2": c2, "coupling": 1.5, "nz": 24, "nt": 6}))
+    assert main(["currents", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = np.loadtxt(tmp_path / "currents.csv", delimiter=",", skiprows=1)
+    assert data.shape == (24 * 6, 9)
+    model = CavityModel(math.pi, 3, PhysicalConstants.symmetric())
+    state = ModeState([complex(*c) for c in c1], [complex(*c) for c in c2])
+    current = ClassicalFourCurrent(model, state, coupling=1.5)
+    expect = np.array([
+        [complex(current.j3(z, t, 1) + 1j * current.j3(z, t, 2)),
+         complex(current.j4(z, t, 1) + 1j * current.j4(z, t, 2))]
+        for z, t in data[:, :2]])
+    got = np.stack([data[:, 2] + 1j * data[:, 3], data[:, 4] + 1j * data[:, 5]], axis=1)
+    assert np.all(np.max(np.abs(got - expect), axis=0)
+                  <= 1e-13 * np.max(np.abs(expect), axis=0))
+    # rows are t-major: z runs fastest
+    assert np.array_equal(data[:24, 0], np.linspace(0.0, math.pi, 24))
+    assert np.all(data[:24, 1] == 0.0)

@@ -12,6 +12,7 @@ from duplexem.currents import (ClassicalFourCurrent, FieldFunction,
                                lagrange_residual, noether_charge,
                                phase_gauge_longitudinal, quantized_current,
                                spirality, x4_continued_charge)
+from duplexem.currents import _gauss_legendre, _leggauss
 
 CST = PhysicalConstants.symmetric()
 
@@ -27,6 +28,18 @@ def random_state(rng, n_modes=4, scale=0.4):
 
 GRID_Z = np.linspace(0.0, math.pi, 48)
 GRID_T = np.linspace(0.0, math.pi, 8)
+
+
+def test_gauss_legendre_nodes_cached_read_only():
+    z1, w1 = _gauss_legendre(0.0, 2.0, 24)
+    x, w = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(z1, x + 1.0) and np.array_equal(w1, w)
+    nodes, weights = _leggauss(24)
+    assert _leggauss(24)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
 
 
 def test_classical_continuity():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import duplexem.fockquant as fq
 from duplexem.cavity import CavityModel
 from duplexem.constants import PhysicalConstants
 from duplexem.fockquant import (QuantizationScheme, SchemeKind,
@@ -208,4 +209,38 @@ def test_operator_json_dump(tmp_path):
     data = json.loads(path.read_text())
     assert data["dim"] == 4 and data["scheme"] == "space_local" and data["mode"] == 1
     rebuilt = np.array([complex(re, im) for re, im in data["entries"]]).reshape(4, 4)
-    assert np.allclose(rebuilt, mat, atol=0.0)
+    assert np.array_equal(rebuilt.view(np.int64), mat.view(np.int64))
+
+
+def test_operator_json_round_trips_every_bit(tmp_path):
+    mat = np.array([[-0.0, 5e-324 - 1j / 3], [1e308 + 0.1j, complex(2.0, -0.0)]]).T
+    path = tmp_path / "op.json"
+    with open(path, "w") as fh:
+        dump_operator_json(mat, SchemeKind.TIME_LOCAL, 2, fh)
+    text = path.read_text()
+    assert "\n" not in text and " " not in text
+    data = json.loads(text)
+    rebuilt = np.array([complex(re, im) for re, im in data["entries"]]).reshape(2, 2)
+    assert np.array_equal(rebuilt.view(np.int64), np.ascontiguousarray(mat).view(np.int64))
+
+
+def test_operator_field_builds_all_modes_once_per_point(monkeypatch):
+    calls = []
+    build = fq.spacetime_local_operators
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fq, "spacetime_local_operators", counted)
+    model = make_model(3)
+    scheme = QuantizationScheme(SchemeKind.SPACETIME_LOCAL, CST.hbar, CST.lambda0)
+    field = assemble_field_operators(model, scheme, 4)
+    field.hermiticity_defect(0.3, 0.2)
+    for idx in range(3):
+        field.e_matrix(idx, 0.3, 0.2)
+    assert calls == [(0.3, 0.2)]
+    moved = field.h_matrix(1, 0.4, 0.2)
+    assert calls == [(0.3, 0.2), (0.4, 0.2)]
+    fresh = assemble_field_operators(model, scheme, 4).h_matrix(1, 0.4, 0.2)
+    assert np.array_equal(moved, fresh)

@@ -340,6 +340,20 @@ def test_double_well_detected():
     assert ground_energy(p, 1.0, curve.u0) < ground_energy(p, 1.0, 0.0)
 
 
+def test_minimum_next_to_inexact_grid_centre_is_refined():
+    # np.linspace leaves this grid's centre at -4.4e-16; the grid argmin is
+    # the first positive point, and the refined minimum lies below it
+    p = base_params(t0=0.94011, alpha1=1.07618, alpha2=0.25285, u=-0.023257,
+                    k_spring=1.71428, n_sites=58)
+    q = solve_gap(p, Occupation.inverted()).q
+    grid = np.linspace(-3.7697658239079703, 3.7697658239079703, 41)
+    assert -1e-15 < grid[20] < 0.0
+    curve = ground_state_energy(p, q, grid)
+    assert curve.double_well
+    assert curve.u0 == pytest.approx(0.186834, abs=1e-6)
+    assert curve.u0 != pytest.approx(grid[21], abs=1e-4)
+
+
 def test_flat_curve_reports_no_well():
     # a stiff lattice keeps the minimum at u = 0
     p = base_params(k_spring=500.0)
