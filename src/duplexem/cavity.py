@@ -17,6 +17,21 @@ convention q' = -dq/dt / w and q'' = -q, so the second family is the
 sign-flipped first family and satisfies both curl equations exactly.
 Keeping the raw integration constants instead introduces a secular
 (linear-in-t) term whenever C1 != C2, which is reported as a warning.
+
+Every field here is a finite mode sum.  :class:`SpectralField` holds it as
+one complex array ``coeffs[field, axis, profile, basis, mode]``:
+
+    field    0: E, 1: H
+    axis     0: x, 1: y          (z components vanish in the 1D cavity)
+    profile  0: sin(k_a z), 1: cos(k_a z)
+    basis    0: exp(i w_a t), 1: exp(-i w_a t), 2: 1, 3: w_a t
+
+so that, e.g., E_x = sum over profile p, basis b and mode a of
+coeffs[0, 0, p, b, a] Z_p(k_a z) T_b(w_a t).  The bases 1 and w t carry
+the raw integration constants and the secular term of the second family
+with ``keep_constants=True``.  Derivatives, dual rotation, scaling,
+reflection z -> L - z and linear combinations are exact maps on this
+array; only evaluation touches the (z, t) grid.
 """
 
 from __future__ import annotations
@@ -123,43 +138,62 @@ def _expand(vec, ndim):
     return np.asarray(vec).reshape((-1,) + (1,) * ndim)
 
 
+def _d_dz(coeffs, k):
+    """d/dz on coefficients [..., profile, basis, mode]: sin -> k cos, cos -> -k sin."""
+    return np.stack([-k * coeffs[..., 1, :, :], k * coeffs[..., 0, :, :]], axis=-3)
+
+
+def _d_dt(coeffs, w):
+    """d/dt on coefficients [..., basis, mode]: e^{+-iwt} -> +-iw, 1 -> 0, wt -> w."""
+    return np.stack([1j * w * coeffs[..., 0, :], -1j * w * coeffs[..., 1, :],
+                     w * coeffs[..., 3, :], np.zeros_like(coeffs[..., 3, :])], axis=-2)
+
+
+def _time_coeffs(model: CavityModel, state: ModeState, integrals: int = 0,
+                 raw: bool = False) -> np.ndarray:
+    """q_a (integrals=0), q'_a (1) or q''_a (2) as time-basis coefficients, (4, n_modes).
+
+    q' = w int_0^t q and q'' = w int_0^t q'.  With raw=False their
+    integration constants are dropped, so q' = -dq/dt / w and q'' = -q;
+    raw=True keeps them, and with them the secular term of q''.
+    """
+    if state.n_modes != model.n_modes:
+        raise ValueError("state and model disagree on the number of modes")
+    c1, c2, zero = state.c1, state.c2, np.zeros(model.n_modes)
+    if integrals == 0:
+        return np.array([c1, c2, zero, zero])
+    rows = [[-1j * c1, 1j * c2, 1j * (c1 - c2), zero],
+            [-c1, -c2, c1 + c2, 1j * (c1 - c2)]][integrals - 1]
+    if not raw:
+        rows[2:] = [zero, zero]
+    return np.array(rows)
+
+
+def _time_sum(omegas, coeffs, t) -> np.ndarray:
+    """sum_b coeffs[b] T_b(w t) over the time bases; shape (n_modes,) + shape(t)."""
+    t = np.asarray(t, dtype=float)
+    wt = _expand(omegas, t.ndim) * t
+    c = coeffs.reshape(coeffs.shape + (1,) * t.ndim)
+    phase = np.exp(1j * wt)  # its conjugate is exp(-i w t) bit for bit
+    return c[0] * phase + c[1] * phase.conj() + c[2] + c[3] * wt
+
+
 def mode_q(model: CavityModel, state: ModeState, t, deriv: int = 0) -> np.ndarray:
     """q_a(t) or its time derivatives; shape (n_modes,) + shape(t)."""
-    t = np.asarray(t, dtype=float)
-    om = _expand(model.omegas, t.ndim)
-    c1 = _expand(state.c1, t.ndim)
-    c2 = _expand(state.c2, t.ndim)
-    return ((1j * om) ** deriv * c1 * np.exp(1j * om * t)
-            + (-1j * om) ** deriv * c2 * np.exp(-1j * om * t))
+    coeffs = _time_coeffs(model, state)
+    for _ in range(deriv):
+        coeffs = _d_dt(coeffs, model.omegas)
+    return _time_sum(model.omegas, coeffs, t)
 
 
 def mode_qprime(model, state, t, raw: bool = False) -> np.ndarray:
     """q'_a = w int_0^t q; with raw=False the integration constant is dropped."""
-    t = np.asarray(t, dtype=float)
-    om = _expand(model.omegas, t.ndim)
-    c1 = _expand(state.c1, t.ndim)
-    c2 = _expand(state.c2, t.ndim)
-    val = -1j * (c1 * np.exp(1j * om * t) - c2 * np.exp(-1j * om * t))
-    if raw:
-        val = val + 1j * (c1 - c2)
-    return val
+    return _time_sum(model.omegas, _time_coeffs(model, state, 1, raw), t)
 
 
 def mode_qsecond(model, state, t, raw: bool = False) -> np.ndarray:
     """q''_a = w int_0^t q'; raw=True keeps constants and the secular term."""
-    t = np.asarray(t, dtype=float)
-    om = _expand(model.omegas, t.ndim)
-    c1 = _expand(state.c1, t.ndim)
-    c2 = _expand(state.c2, t.ndim)
-    val = -(c1 * np.exp(1j * om * t) + c2 * np.exp(-1j * om * t))
-    if raw:
-        val = val + (c1 + c2) + 1j * om * t * (c1 - c2)
-    return val
-
-
-def _mode_sum(zpart, tpart):
-    # contract the mode axis of (M, *Z) against (M, *T) -> (*Z, *T)
-    return np.tensordot(zpart, tpart, axes=(0, 0))
+    return _time_sum(model.omegas, _time_coeffs(model, state, 2, raw), t)
 
 
 class FieldOnSegment:
@@ -190,74 +224,133 @@ class FieldOnSegment:
         raise NotImplementedError
 
 
-def _vec_x(component):
-    zeros = np.zeros_like(component)
-    return np.stack([component, zeros, zeros])
+class SpectralField(FieldOnSegment):
+    """A cavity field held as mode-sum coefficients (layout in the module docstring).
 
+    ``coeffs`` has shape (2, 2, 2, 4, n_modes); ``wavenumbers`` and ``omegas``
+    hold k_a and w_a.  ``length`` is None only for a field without modes.
+    """
 
-def _vec_y(component):
-    zeros = np.zeros_like(component)
-    return np.stack([zeros, component, zeros])
+    def __init__(self, length, wavenumbers, omegas, coeffs):
+        self.length = length
+        self.wavenumbers = np.asarray(wavenumbers, dtype=float)
+        self.omegas = np.asarray(omegas, dtype=float)
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+        n_modes = self.wavenumbers.size
+        if self.omegas.shape != (n_modes,) or self.coeffs.shape != (2, 2, 2, 4, n_modes):
+            raise ValueError("need one k, one omega and (2, 2, 2, 4) coefficients per mode")
+        # mode numbers a = k_a L / pi set the shortest wavelength and the reflection signs
+        self._alphas = np.rint(self.wavenumbers * length / np.pi) if n_modes else np.zeros(0)
+        self.max_alpha = int(self._alphas.max()) if n_modes else None
 
+    def _with(self, coeffs):
+        return SpectralField(self.length, self.wavenumbers, self.omegas, coeffs)
 
-class _CavitySolutionBase(FieldOnSegment):
-    def __init__(self, model: CavityModel, state: ModeState):
-        if state.n_modes != model.n_modes:
-            raise ValueError("state and model disagree on the number of modes")
-        self.model = model
-        self.state = state
-        self.length = model.length
-        self.max_alpha = model.n_modes
+    def d_dz(self) -> "SpectralField":
+        return self._with(_d_dz(self.coeffs, self.wavenumbers))
 
-    def _check_z(self, z):
+    def d_dt(self) -> "SpectralField":
+        return self._with(_d_dt(self.coeffs, self.omegas))
+
+    def rotated(self, theta: float) -> "SpectralField":
+        """Circular dual mix E' = cos E + sin H, H' = cos H - sin E."""
+        c, s = np.cos(theta), np.sin(theta)
+        e, h = self.coeffs
+        return self._with(np.stack([c * e + s * h, c * h - s * e]))
+
+    def scaled(self, e_factor=1.0, h_factor=1.0) -> "SpectralField":
+        """Complex rescale of e and/or h."""
+        factors = np.array([e_factor, h_factor], dtype=complex).reshape(2, 1, 1, 1, 1)
+        return self._with(factors * self.coeffs)
+
+    def reflected(self) -> "SpectralField":
+        """Midpoint reflection z -> L - z.
+
+        sin(k_a (L - z)) = -(-1)^a sin(k_a z) and cos(k_a (L - z)) = (-1)^a cos(k_a z).
+        """
+        parity = (-1.0) ** self._alphas
+        return self._with(self.coeffs * np.stack([-parity, parity])[:, None, :])
+
+    def __add__(self, other: "SpectralField") -> "SpectralField":
+        """The sum, with the modes of both fields side by side."""
+        lengths = {f.length for f in (self, other) if f.length is not None}
+        if len(lengths) > 1:
+            raise ValueError("mismatched domains in field combination")
+        return SpectralField(lengths.pop() if lengths else None,
+                             np.concatenate([self.wavenumbers, other.wavenumbers]),
+                             np.concatenate([self.omegas, other.omegas]),
+                             np.concatenate([self.coeffs, other.coeffs], axis=-1))
+
+    def modes(self) -> list:
+        """The single-mode fields whose sum is this field."""
+        return [SpectralField(self.length, self.wavenumbers[a:a + 1], self.omegas[a:a + 1],
+                              self.coeffs[..., a:a + 1])
+                for a in range(self.wavenumbers.size)]
+
+    def component(self, coeffs, z, t) -> np.ndarray:
+        """One Cartesian component from its coefficients [profile, basis, mode].
+
+        Returns sum_pba coeffs[p, b, a] Z_p(k_a z) T_b(w_a t) on the outer (z, t) grid.
+        """
         z = np.asarray(z, dtype=float)
-        if np.any(z < -1e-12) or np.any(z > self.length * (1 + 1e-12)):
+        t = np.asarray(t, dtype=float)
+        if self.length is not None and z.size and (
+                z.min() < -1e-12 or z.max() > self.length * (1 + 1e-12)):
             raise ValueError("z outside the cavity [0, L]")
-        return z
+        # all-zero profiles are skipped: an unrotated field has one per component
+        live = [p for p, used in enumerate(coeffs.any(axis=(1, 2))) if used]
+        if not live:
+            return np.zeros(z.shape + t.shape, dtype=complex)
+        kz = _expand(self.wavenumbers, z.ndim) * z
+        zpart = np.concatenate([(np.sin, np.cos)[p](kz) for p in live])
+        tpart = np.concatenate([_time_sum(self.omegas, coeffs[p], t) for p in live])
+        # the mode sum as one matrix product over the stacked (profile, mode) axis
+        grid = zpart.reshape(len(zpart), -1).T @ tpart.reshape(len(tpart), -1)
+        return grid.reshape(z.shape + t.shape)
 
-    def _zparts(self, z, which: str, deriv: int):
-        z = self._check_z(z)
-        k = _expand(self.model.wavenumbers, z.ndim)
-        kz = k * z
-        if which == "sin":
-            fn = np.sin(kz) if deriv == 0 else k * np.cos(kz)
-        else:
-            fn = np.cos(kz) if deriv == 0 else -k * np.sin(kz)
-        return fn
-
-
-class FirstSolution(_CavitySolutionBase):
-    """E_x = sum A^E_a q_a sin(k_a z); H_y = sum A^E_a (eps0/k_a) dq_a/dt cos(k_a z)."""
-
-    def _ex(self, z, t, dz=0, dt=0):
-        zp = self._zparts(z, "sin", dz) * _expand(self.model.amp_e, np.asarray(z).ndim)
-        return _mode_sum(zp, mode_q(self.model, self.state, t, deriv=dt))
-
-    def _hy(self, z, t, dz=0, dt=0):
-        coef = self.model.amp_e * self.model.constants.eps0 / self.model.wavenumbers
-        zp = self._zparts(z, "cos", dz) * _expand(coef, np.asarray(z).ndim)
-        return _mode_sum(zp, mode_q(self.model, self.state, t, deriv=1 + dt))
+    def _eval(self, coeffs, z, t):
+        """Vector field of one field's coefficients [axis, profile, basis, mode]."""
+        out = np.zeros((3,) + np.shape(z) + np.shape(t), dtype=complex)
+        for axis in range(2):
+            out[axis] = self.component(coeffs[axis], z, t)
+        return out
 
     def e(self, z, t):
-        return _vec_x(self._ex(z, t))
+        return self._eval(self.coeffs[0], z, t)
 
     def h(self, z, t):
-        return _vec_y(self._hy(z, t))
+        return self._eval(self.coeffs[1], z, t)
 
     def de_dz(self, z, t):
-        return _vec_x(self._ex(z, t, dz=1))
+        return self._eval(_d_dz(self.coeffs[0], self.wavenumbers), z, t)
 
     def de_dt(self, z, t):
-        return _vec_x(self._ex(z, t, dt=1))
+        return self._eval(_d_dt(self.coeffs[0], self.omegas), z, t)
 
     def dh_dz(self, z, t):
-        return _vec_y(self._hy(z, t, dz=1))
+        return self._eval(_d_dz(self.coeffs[1], self.wavenumbers), z, t)
 
     def dh_dt(self, z, t):
-        return _vec_y(self._hy(z, t, dt=1))
+        return self._eval(_d_dt(self.coeffs[1], self.omegas), z, t)
 
 
-class SecondSolution(_CavitySolutionBase):
+def _cavity_field(model: CavityModel, ex, hy) -> SpectralField:
+    """E_x = sum_b ex[b] T_b sin(k z), H_y = sum_b hy[b] T_b cos(k z); ex, hy: (4, M)."""
+    coeffs = np.zeros((2, 2, 2, 4, model.n_modes), dtype=complex)
+    coeffs[0, 0, 0] = ex
+    coeffs[1, 1, 1] = hy
+    return SpectralField(model.length, model.wavenumbers, model.omegas, coeffs)
+
+
+def FirstSolution(model: CavityModel, state: ModeState) -> SpectralField:
+    """E_x = sum A^E_a q_a sin(k_a z); H_y = sum A^E_a (eps0/k_a) dq_a/dt cos(k_a z)."""
+    q = _time_coeffs(model, state)
+    amp_h = model.amp_e * model.constants.eps0 / model.wavenumbers
+    return _cavity_field(model, model.amp_e * q, amp_h * _d_dt(q, model.omegas))
+
+
+def SecondSolution(model: CavityModel, state: ModeState,
+                   keep_constants: bool = False) -> SpectralField:
     """E_x = sum A^E_a q''_a sin(k_a z); H_y = sum A^H_a q'_a cos(k_a z).
 
     Built with integration constants dropped, so q'' = -q and the electric
@@ -265,208 +358,24 @@ class SecondSolution(_CavitySolutionBase):
     magnetic term is fixed by the curl-H equation (a flipped sign would
     violate it for every oscillatory mode).
     """
-
-    def __init__(self, model, state, keep_constants: bool = False):
-        super().__init__(model, state)
-        self.keep_constants = keep_constants
-        if keep_constants and np.any(np.abs(state.c1 - state.c2) > 0):
-            warnings.warn(
-                "raw mode integrals contain a secular (linear-in-t) term for "
-                "C1 != C2; the constant-dropping convention removes it",
-                stacklevel=2,
-            )
-
-    def _ex(self, z, t, dz=0, dt=0):
-        amp = self.model.amp_e
-        zp = self._zparts(z, "sin", dz) * _expand(amp, np.asarray(z).ndim)
-        if self.keep_constants:
-            if dt == 0:
-                tp = mode_qsecond(self.model, self.state, t, raw=True)
-            else:
-                tp = _d_raw_qsecond(self.model, self.state, t, dt)
-        else:
-            tp = -mode_q(self.model, self.state, t, deriv=dt)
-        return _mode_sum(zp, tp)
-
-    def _hy(self, z, t, dz=0, dt=0):
-        zp = self._zparts(z, "cos", dz) * _expand(self.model.amp_h, np.asarray(z).ndim)
-        om = _expand(self.model.omegas, np.asarray(t).ndim)
-        if dt == 0:
-            tp = mode_qprime(self.model, self.state, t, raw=self.keep_constants)
-        else:
-            # the integration constant drops under d/dt; dq'/dt = w q either way
-            tp = om * mode_q(self.model, self.state, t, deriv=dt - 1)
-        return _mode_sum(zp, tp)
-
-    def e(self, z, t):
-        return _vec_x(self._ex(z, t))
-
-    def h(self, z, t):
-        return _vec_y(self._hy(z, t))
-
-    def de_dz(self, z, t):
-        return _vec_x(self._ex(z, t, dz=1))
-
-    def de_dt(self, z, t):
-        return _vec_x(self._ex(z, t, dt=1))
-
-    def dh_dz(self, z, t):
-        return _vec_y(self._hy(z, t, dz=1))
-
-    def dh_dt(self, z, t):
-        return _vec_y(self._hy(z, t, dt=1))
+    if keep_constants and np.any(np.abs(state.c1 - state.c2) > 0):
+        warnings.warn(
+            "raw mode integrals contain a secular (linear-in-t) term for "
+            "C1 != C2; the constant-dropping convention removes it",
+            stacklevel=2,
+        )
+    return _cavity_field(model, model.amp_e * _time_coeffs(model, state, 2, keep_constants),
+                         model.amp_h * _time_coeffs(model, state, 1, keep_constants))
 
 
-def _d_raw_qsecond(model, state, t, dt):
-    # d/dt of raw q'': -dq/dt + i w (c1 - c2); higher derivatives lose the constant
-    t = np.asarray(t, dtype=float)
-    om = _expand(model.omegas, t.ndim)
-    val = -mode_q(model, state, t, deriv=dt)
-    if dt == 1:
-        val = val + 1j * om * (_expand(state.c1, t.ndim) - _expand(state.c2, t.ndim))
-    return val
+# RotatedSolution(base, theta) is base.rotated(theta), and so on
+RotatedSolution = SpectralField.rotated
+ScaledSolution = SpectralField.scaled
+ReflectedSolution = SpectralField.reflected
 
 
-class RotatedSolution(FieldOnSegment):
-    """Circular dual mix of an existing solution by a fixed angle."""
-
-    def __init__(self, base: FieldOnSegment, theta: float):
-        self.base = base
-        self.theta = theta
-        self.length = base.length
-        self.max_alpha = base.max_alpha
-
-    def _mix(self, fe, fh, z, t):
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        return c * fe(z, t) + s * fh(z, t)
-
-    def e(self, z, t):
-        return self._mix(self.base.e, self.base.h, z, t)
-
-    def h(self, z, t):
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        return c * self.base.h(z, t) - s * self.base.e(z, t)
-
-    def de_dz(self, z, t):
-        return self._mix(self.base.de_dz, self.base.dh_dz, z, t)
-
-    def de_dt(self, z, t):
-        return self._mix(self.base.de_dt, self.base.dh_dt, z, t)
-
-    def dh_dz(self, z, t):
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        return c * self.base.dh_dz(z, t) - s * self.base.de_dz(z, t)
-
-    def dh_dt(self, z, t):
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        return c * self.base.dh_dt(z, t) - s * self.base.de_dt(z, t)
-
-
-class ScaledSolution(FieldOnSegment):
-    """Complex rescale of e and/or h; also covers perturbed-field checks."""
-
-    def __init__(self, base: FieldOnSegment, e_factor=1.0, h_factor=1.0):
-        self.base = base
-        self.e_factor = e_factor
-        self.h_factor = h_factor
-        self.length = base.length
-        self.max_alpha = base.max_alpha
-
-    def e(self, z, t):
-        return self.e_factor * self.base.e(z, t)
-
-    def h(self, z, t):
-        return self.h_factor * self.base.h(z, t)
-
-    def de_dz(self, z, t):
-        return self.e_factor * self.base.de_dz(z, t)
-
-    def de_dt(self, z, t):
-        return self.e_factor * self.base.de_dt(z, t)
-
-    def dh_dz(self, z, t):
-        return self.h_factor * self.base.dh_dz(z, t)
-
-    def dh_dt(self, z, t):
-        return self.h_factor * self.base.dh_dt(z, t)
-
-
-class ReflectedSolution(FieldOnSegment):
-    """Midpoint reflection z -> L - z of an existing solution."""
-
-    def __init__(self, base: FieldOnSegment):
-        if base.length is None:
-            raise ValueError("base field needs a defined segment length")
-        self.base = base
-        self.length = base.length
-        self.max_alpha = base.max_alpha
-
-    def _flip(self, z):
-        return self.length - np.asarray(z, dtype=float)
-
-    def e(self, z, t):
-        return self.base.e(self._flip(z), t)
-
-    def h(self, z, t):
-        return self.base.h(self._flip(z), t)
-
-    def de_dz(self, z, t):
-        return -self.base.de_dz(self._flip(z), t)
-
-    def de_dt(self, z, t):
-        return self.base.de_dt(self._flip(z), t)
-
-    def dh_dz(self, z, t):
-        return -self.base.dh_dz(self._flip(z), t)
-
-    def dh_dt(self, z, t):
-        return self.base.dh_dt(self._flip(z), t)
-
-
-class ZeroField(FieldOnSegment):
-    def __init__(self, length=None):
-        self.length = length
-        self.max_alpha = None
-
-    def _zero(self, z, t):
-        shape = (3,) + np.shape(z) + np.shape(t)
-        return np.zeros(shape, dtype=complex)
-
-    e = h = de_dz = de_dt = dh_dz = dh_dt = _zero
-
-
-class ComboField(FieldOnSegment):
-    """Fixed complex linear combination of fields on the same segment."""
-
-    def __init__(self, terms):
-        self.terms = [(complex(c), f) for c, f in terms]
-        lengths = {f.length for _, f in self.terms if f.length is not None}
-        if len(lengths) > 1:
-            raise ValueError("mismatched domains in field combination")
-        self.length = lengths.pop() if lengths else None
-        alphas = [f.max_alpha for _, f in self.terms if f.max_alpha]
-        self.max_alpha = max(alphas) if alphas else None
-
-    def _sum(self, name, z, t):
-        return sum(c * getattr(f, name)(z, t) for c, f in self.terms)
-
-    def e(self, z, t):
-        return self._sum("e", z, t)
-
-    def h(self, z, t):
-        return self._sum("h", z, t)
-
-    def de_dz(self, z, t):
-        return self._sum("de_dz", z, t)
-
-    def de_dt(self, z, t):
-        return self._sum("de_dt", z, t)
-
-    def dh_dz(self, z, t):
-        return self._sum("dh_dz", z, t)
-
-    def dh_dt(self, z, t):
-        return self._sum("dh_dt", z, t)
+def ZeroField(length=None) -> SpectralField:
+    return SpectralField(length, [], [], np.zeros((2, 2, 2, 4, 0)))
 
 
 class AnalyticField(FieldOnSegment):
@@ -513,13 +422,10 @@ class QuaternionField:
             raise ValueError("mismatched domains across sectors")
         self.length = lengths.pop() if lengths else None
 
-    def parity(self, index: int):
-        return PARITY_LABELS[index]
-
     def component_fields(self):
         """The two complex combinations: the 'e' part and the 'j' part."""
-        ce = ComboField([(1.0, self.sectors[1]), (-1j, self.sectors[2])])
-        cj = ComboField([(1.0, self.sectors[3]), (-1j, self.sectors[4])])
+        ce = self.sectors[1] + self.sectors[2].scaled(-1j, -1j)
+        cj = self.sectors[3] + self.sectors[4].scaled(-1j, -1j)
         return ce, cj
 
 
@@ -527,10 +433,10 @@ def assemble_quaternion_field(sector1, sector2, sector3, sector4) -> QuaternionF
     return QuaternionField({1: sector1, 2: sector2, 3: sector3, 4: sector4})
 
 
-def quaternion_field_from_rotation(base: FieldOnSegment, theta: float) -> QuaternionField:
+def quaternion_field_from_rotation(base: SpectralField, theta: float) -> QuaternionField:
     """Split a classical solution into the cos/sin sectors of a dual rotation."""
-    cos_part = ScaledSolution(base, np.cos(theta), np.cos(theta))
-    sin_part = ScaledSolution(base, np.sin(theta), np.sin(theta))
+    cos_part = base.scaled(np.cos(theta), np.cos(theta))
+    sin_part = base.scaled(np.sin(theta), np.sin(theta))
     zero = ZeroField(base.length)
     return assemble_quaternion_field(cos_part, sin_part, zero, zero)
 
@@ -543,71 +449,70 @@ def _curl_z_only(f_dz):
     return out
 
 
+def _check_sampling(grid, shortest: float, axis: str):
+    """ValueError unless the grid has at least 4 points per `shortest` of its span."""
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    span = float(grid.max() - grid.min())
+    if span > 0 and grid.size * shortest / span < 4.0:
+        raise ValueError(f"{axis} grid too coarse: fewer than 4 points per shortest "
+                         f"oscillation ({shortest:.3g})")
+
+
 def _grid_ok(field, z, t, constants):
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
     if field.max_alpha:
         lam_min = 2.0 * field.length / field.max_alpha
-        z_span = float(z.max() - z.min())
-        if z_span > 0 and z.size * lam_min / z_span < 4.0:
-            raise ValueError("z grid too coarse: fewer than 4 points per "
-                             "shortest wavelength")
-        t_span = float(t.max() - t.min())
-        period_min = lam_min / constants.c
-        if t_span > 0 and t.size * period_min / t_span < 4.0:
-            raise ValueError("t grid too coarse: fewer than 4 points per "
-                             "shortest period")
+        _check_sampling(z, lam_min, "z")
+        _check_sampling(t, lam_min / constants.c, "t")
 
 
-class FieldSources:
-    """Current/charge densities entering the generalized equations."""
+class MaxwellResidual(tuple):
+    """(r_curl_e, r_curl_h, r_div_e, r_div_h), with the scale of each equation.
 
-    def __init__(self, j_e=None, j_g=None, rho_e=None, rho_g=None):
-        self.j_e = j_e
-        self.j_g = j_g
-        self.rho_e = rho_e
-        self.rho_g = rho_g
+    ``scales`` holds, per equation, the largest term that it cancels, so a
+    residual can be judged relative to the field's own size.
+    """
 
-    def eval(self, name, z, t, vec):
-        fn = getattr(self, name)
-        if fn is None:
-            shape = ((3,) if vec else ()) + np.shape(z) + np.shape(t)
-            return np.zeros(shape, dtype=complex)
-        return fn(z, t)
+    def __new__(cls, residuals, scales):
+        self = super().__new__(cls, residuals)
+        self.scales = tuple(scales)
+        return self
 
 
-def maxwell_residual(field, z, t, constants: PhysicalConstants,
-                     sources: FieldSources = None, check_grid: bool = True):
-    """Max-norm residuals of the four generalized equations on a (z, t) grid.
+def _peak(values) -> float:
+    return float(np.max(np.abs(values)))
+
+
+def maxwell_residual(field, z, t, constants: PhysicalConstants) -> MaxwellResidual:
+    """Max-norm residuals of the four field equations on a (z, t) grid.
 
     Returns (r_curl_e, r_curl_h, r_div_e, r_div_h) where the residuals are
 
-        curl E + mu0 dH/dt + j_g,
-        curl H - eps0 dE/dt - j_e,
-        div E - rho_e,
-        div H - rho_g.
+        curl E + mu0 dH/dt,
+        curl H - eps0 dE/dt,
+        div E,
+        div H,
 
-    Quaternion-packed fields are checked component-wise (the 'e' and 'j'
-    complex parts separately) and the worst case is returned.
+    with ``scales`` max(|dE/dz|, |mu0 dH/dt|), max(|dH/dz|, |eps0 dE/dt|),
+    |dE/dz| and |dH/dz|.  Quaternion-packed fields are checked component-wise
+    (the 'e' and 'j' complex parts separately) and the worst case is returned.
     """
     if isinstance(field, QuaternionField):
-        parts = field.component_fields()
-        res = [maxwell_residual(p, z, t, constants, sources, check_grid)
-               for p in parts]
-        return tuple(max(r[i] for r in res) for i in range(4))
+        parts = [maxwell_residual(p, z, t, constants) for p in field.component_fields()]
+        return MaxwellResidual(map(max, zip(*parts)),
+                               map(max, zip(*(p.scales for p in parts))))
 
-    if check_grid:
-        _grid_ok(field, z, t, constants)
-    src = sources or FieldSources()
-
-    r1 = _curl_z_only(field.de_dz(z, t)) + constants.mu0 * field.dh_dt(z, t) \
-        + src.eval("j_g", z, t, vec=True)
-    r2 = _curl_z_only(field.dh_dz(z, t)) - constants.eps0 * field.de_dt(z, t) \
-        - src.eval("j_e", z, t, vec=True)
-    r3 = field.de_dz(z, t)[2] - src.eval("rho_e", z, t, vec=False)
-    r4 = field.dh_dz(z, t)[2] - src.eval("rho_g", z, t, vec=False)
-    return (float(np.max(np.abs(r1))), float(np.max(np.abs(r2))),
-            float(np.max(np.abs(r3))), float(np.max(np.abs(r4))))
+    _grid_ok(field, z, t, constants)
+    curl, div, curl_scale, div_scale = [], [], [], []
+    # one equation pair at a time, so that few grid-sized arrays are alive at once
+    for f_dz, g_dt, coef in ((field.de_dz, field.dh_dt, constants.mu0),
+                             (field.dh_dz, field.de_dt, -constants.eps0)):
+        df_dz = f_dz(z, t)
+        dg_dt = coef * g_dt(z, t)
+        div.append(_peak(df_dz[2]))
+        div_scale.append(_peak(df_dz))
+        curl_scale.append(max(div_scale[-1], _peak(dg_dt)))
+        curl.append(_peak(_curl_z_only(df_dz) + dg_dt))
+    return MaxwellResidual(curl + div, curl_scale + div_scale)
 
 
 def cauchy_riemann_residual(field, z, t, constants: PhysicalConstants) -> float:
@@ -630,8 +535,8 @@ def field_hamiltonian(model: CavityModel, state: ModeState, t, n_quad: int = Non
     n_quad = n_quad or max(32, 4 * model.n_modes)
     zq, wq = _gauss_legendre(0.0, model.length, n_quad)
     sol = FirstSolution(model, state)
-    ex = sol._ex(zq, t)
-    hy = sol._hy(zq, t)
+    ex = sol.e(zq, t)[0]
+    hy = sol.h(zq, t)[1]
     dens = 0.5 * (model.constants.eps0 * ex**2 + model.constants.mu0 * hy**2)
     w_shape = wq.reshape((-1,) + (1,) * (dens.ndim - 1))
     integral = np.sum(w_shape * dens, axis=0)

@@ -140,25 +140,30 @@ def cmd_cavity_field(args) -> int:
         "c1": [[0.5, 0.0]] * 4, "c2": [[0.5, 0.0]] * 4,
         "solution": "first", "theta": 0.0, "nz": 64, "nt": 64,
     })
+    families = {"first": cav.FirstSolution, "second": cav.SecondSolution}
+    if cfg["solution"] not in families:
+        raise ConfigError(f"unknown solution {cfg['solution']!r}; "
+                          f"expected 'first' or 'second'")
     model, state = _model_from_cfg(cfg)
-    tol = args.tol if args.tol is not None else 1e-10
-    sol = cav.FirstSolution(model, state) if cfg["solution"] == "first" \
-        else cav.SecondSolution(model, state)
+    # relative: each residual against the largest term its equation cancels
+    tol = args.tol if args.tol is not None else 1e-12
+    sol = families[cfg["solution"]](model, state)
     if cfg["theta"]:
         sol = cav.RotatedSolution(sol, float(cfg["theta"]))
     z = np.linspace(0.0, model.length, int(cfg["nz"]))
     t = np.linspace(0.0, model.period, int(cfg["nt"]))
     residuals = cav.maxwell_residual(sol, z, t, model.constants)
     cav.dump_field_csv(sol, z, t, out / "field.csv")
-    worst = max(residuals)
+    passed = all(r <= tol * scale for r, scale in zip(residuals, residuals.scales))
     _write_json(out / "summary.json", {
         "quantity": "generalized-equation residuals",
         "formula": "curl E + mu0 dH/dt; curl H - eps0 dE/dt; div E; div H",
         "residuals": list(residuals),
+        "scales": list(residuals.scales),
         "bound": tol,
-        "passed": bool(worst <= tol),
+        "passed": passed,
     })
-    return 0 if worst <= tol else 1
+    return 0 if passed else 1
 
 
 def cmd_quantize(args) -> int:
@@ -225,7 +230,7 @@ def cmd_currents(args) -> int:
     fieldset = cur.FieldFunctionSet.from_cavity(model, state)
     z = np.linspace(0.0, model.length, int(cfg["nz"]))
     t = np.linspace(0.0, model.period, int(cfg["nt"]))
-    charges = [cur.noether_charge(fieldset, tj) for tj in t]
+    charges = [cur.noether_charge(fieldset, tj) for tj in t]  # the table's and the drift's
     per_t = [[c.q1 for c in charges], [c.q2 for c in charges],
              [cur.spirality(fieldset, tj).s4_3 for tj in t]]
     # rows are t-major: transpose the (z, t) grids before flattening
@@ -236,7 +241,7 @@ def cmd_currents(args) -> int:
                [np.tile(z, t.size), np.repeat(t, z.size), j3.real, j3.imag,
                 j4.real, j4.imag, *(np.repeat(col, z.size) for col in per_t)])
     cont = cur.continuity_residual(current, z, t)
-    drift = cur.charge_drift(fieldset, t)
+    drift = cur.relative_drift(charges)
     worst = max(cont, *drift)
     _write_json(out / "summary.json", {
         "quantity": "current checks",

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .cavity import CavityModel, ModeState, _expand
-
-_TWO_PI = 2.0 * math.pi
+from .cavity import CavityModel, FirstSolution, ModeState, _check_sampling, _expand
 
 
 @lru_cache(maxsize=8)
@@ -48,23 +46,17 @@ class ClassicalFourCurrent:
         j4^(1) =  i kappa sum_a m w^3 (|C1|^2 - |C2|^2)    (z, t independent),
         j4^(2) =  i kappa sum_a m w^3 cos(2 k z) (C1 C2* e^{2iwt} - c.c.),
 
-    with kappa = 8 * coupling / (c V).  The ``sign`` choice of the complex
-    pairing drops out of the evaluated forms (kept for interface symmetry).
+    with kappa = 8 * coupling / (c V).
     """
 
-    def __init__(self, model: CavityModel, state: ModeState, sign: int = +1,
-                 coupling: float = 1.0):
+    def __init__(self, model: CavityModel, state: ModeState, coupling: float = 1.0):
         if state.n_modes != model.n_modes:
             raise ValueError("state and model disagree on the number of modes")
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
         self.model = model
         self.state = state
-        self.sign = sign
         self.coupling = coupling
-        c = model.constants.c
-        self.kappa = 8.0 * coupling / (c * model.volume)
-        self.c = c
+        self.c = model.constants.c
+        self.kappa = 8.0 * coupling / (self.c * model.volume)
         self.max_alpha = model.n_modes
         self.length = model.length
 
@@ -116,42 +108,28 @@ class ClassicalFourCurrent:
         dcross = 2j * om * self._cross(t, +1)
         return 1j * self.kappa * np.tensordot(w, dcross, axes=(0, 0))
 
-    # aliases: family 1 is the "real", family 2 the "imaginary" constituent
-    def j3_re(self, z, t):
-        return self.j3(z, t, 1)
-
-    def j3_im(self, z, t):
-        return self.j3(z, t, 2)
-
-    def j4_re(self, z, t):
-        return self.j4(z, t, 1)
-
-    def j4_im(self, z, t):
-        return self.j4(z, t, 2)
-
 
 class PerturbedCurrent:
-    """Wrap a current, adding rate * t to one j4 family (continuity probe)."""
+    """Wrap a current, adding rate * t to one j4 family (continuity probe).
+
+    Everything else, j3 and dj3_dz included, is the base current's.
+    """
 
     def __init__(self, base, rate: float, family: int = 2):
         self.base = base
         self.rate = rate
         self.family = family
-        self.c = base.c
-        self.max_alpha = base.max_alpha
-        self.length = base.length
 
-    def j3(self, z, t, family):
-        return self.base.j3(z, t, family)
+    def __getattr__(self, name):
+        if name == "base":  # not set yet, e.g. on a copy under construction
+            raise AttributeError(name)
+        return getattr(self.base, name)
 
     def j4(self, z, t, family):
         val = self.base.j4(z, t, family)
         if family == self.family:
             val = val + self.rate * np.asarray(t, dtype=float)
         return val
-
-    def dj3_dz(self, z, t, family):
-        return self.base.dj3_dz(z, t, family)
 
     def dj4_dt(self, z, t, family):
         val = self.base.dj4_dt(z, t, family)
@@ -160,16 +138,11 @@ class PerturbedCurrent:
         return val
 
 
-def continuity_residual(current, z, t, check_grid: bool = True) -> float:
+def continuity_residual(current, z, t) -> float:
     """max |d j3/dz + (1/ic) d j4/dt| over the grid, worst family."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if check_grid and getattr(current, "max_alpha", None):
+    if getattr(current, "max_alpha", None):
         # current densities oscillate at 2 k_alpha; need 4 points per half wavelength
-        lam_min = current.length / current.max_alpha
-        span = float(z.max() - z.min())
-        if span > 0 and z.size * lam_min / span < 4.0:
-            raise ValueError("z grid too coarse for the current's oscillations")
+        _check_sampling(z, current.length / current.max_alpha, "z")
     worst = 0.0
     for family in (1, 2):
         res = current.dj3_dz(z, t, family) \
@@ -187,6 +160,18 @@ class FieldFunction:
     du_dz: callable
     d2u_dt2: callable = None
     d2u_dz2: callable = None
+
+
+def _combine(terms):
+    """FieldFunction of sum c f over (c, f) terms; None where a term lacks a derivative."""
+    def combo(name):
+        fns = [(coef, getattr(f, name)) for coef, f in terms]
+        if any(fn is None for _, fn in fns):
+            return None
+        return lambda z, t: sum(coef * fn(z, t) for coef, fn in fns)
+
+    return FieldFunction(*(combo(name) for name in
+                           ("u", "du_dt", "du_dz", "d2u_dt2", "d2u_dz2")))
 
 
 class FieldFunctionSet:
@@ -208,10 +193,7 @@ class FieldFunctionSet:
 
     @property
     def components(self):
-        out = []
-        for u1, u2 in self.pairs:
-            out.extend([u1, u2])
-        return out
+        return [u for pair in self.pairs for u in pair]
 
     @classmethod
     def from_cavity(cls, model: CavityModel, state: ModeState, sign: int = +1):
@@ -221,41 +203,24 @@ class FieldFunctionSet:
         u2_a = sqrt(mu0)  A^H_a cos(k z) (-q'_a + sign * (i/w) dq_a/dt)
 
         with the constant-dropping convention q'' = -q, q' = -dq/dt / w,
-        so the time factors are (1 -/+ i) q and (1 +/- i) dq/dt / w.
+        so the time factors are (1 -/+ i) q and (1 +/- i) dq/dt / w: mode by
+        mode u1 = sqrt(eps0) (1 - i sign) E_x and u2 = sqrt(mu0) (1 + i sign) H_y
+        of the first family, whose H_y carries A^E eps0 / k = A^H / w.
         """
         if sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
         cst = model.constants
+        field = FirstSolution(model, state).scaled(math.sqrt(cst.eps0) * complex(1.0, -sign),
+                                                   math.sqrt(cst.mu0) * complex(1.0, sign))
+        d_dt, d_dz = field.d_dt(), field.d_dz()
+        # u, du/dt, du/dz, d2u/dt2 and d2u/dz2 as exact maps on the coefficients
+        derivatives = (field, d_dt, d_dz, d_dt.d_dt(), d_dz.d_dz())
         pairs = []
-        for idx in range(model.n_modes):
-            w = model.omegas[idx]
-            k = model.wavenumbers[idx]
-            ae = math.sqrt(cst.eps0) * model.amp_e[idx]
-            ah = math.sqrt(cst.mu0) * model.amp_h[idx]
-
-            def q(t, d=0, w=w, c1=complex(state.c1[idx]), c2=complex(state.c2[idx])):
-                t = np.asarray(t, dtype=float)
-                return ((1j * w) ** d * c1 * np.exp(1j * w * t)
-                        + (-1j * w) ** d * c2 * np.exp(-1j * w * t))
-
-            f1 = complex(1.0, -sign)   # q + sign*i*(-q)
-            f2 = complex(1.0, sign)    # dq/w terms
-            pairs.append((
-                FieldFunction(
-                    u=lambda z, t, k=k, ae=ae, f1=f1, q=q: ae * np.sin(k * z) * f1 * q(t),
-                    du_dt=lambda z, t, k=k, ae=ae, f1=f1, q=q: ae * np.sin(k * z) * f1 * q(t, 1),
-                    du_dz=lambda z, t, k=k, ae=ae, f1=f1, q=q: ae * k * np.cos(k * z) * f1 * q(t),
-                    d2u_dt2=lambda z, t, k=k, ae=ae, f1=f1, q=q: ae * np.sin(k * z) * f1 * q(t, 2),
-                    d2u_dz2=lambda z, t, k=k, ae=ae, f1=f1, q=q: -ae * k * k * np.sin(k * z) * f1 * q(t),
-                ),
-                FieldFunction(
-                    u=lambda z, t, k=k, ah=ah, f2=f2, w=w, q=q: ah * np.cos(k * z) * f2 * q(t, 1) / w,
-                    du_dt=lambda z, t, k=k, ah=ah, f2=f2, w=w, q=q: ah * np.cos(k * z) * f2 * q(t, 2) / w,
-                    du_dz=lambda z, t, k=k, ah=ah, f2=f2, w=w, q=q: -ah * k * np.sin(k * z) * f2 * q(t, 1) / w,
-                    d2u_dt2=lambda z, t, k=k, ah=ah, f2=f2, w=w, q=q: ah * np.cos(k * z) * f2 * q(t, 3) / w,
-                    d2u_dz2=lambda z, t, k=k, ah=ah, f2=f2, w=w, q=q: -ah * k * k * np.cos(k * z) * f2 * q(t, 1) / w,
-                ),
-            ))
+        for a, mode in enumerate(field.modes()):
+            # u1 is E_x, coefficients [0, 0]; u2 is H_y, coefficients [1, 1]
+            pairs.append(tuple(
+                FieldFunction(*(partial(mode.component, f.coeffs[i, i, ..., a:a + 1])
+                                for f in derivatives)) for i in (0, 1)))
         return cls(pairs, volume=model.volume, length=model.length, c=cst.c)
 
     @classmethod
@@ -267,6 +232,9 @@ class FieldFunctionSet:
         def u(z, t):
             return amplitude * np.exp(1j * wavenumber * z) * np.exp(-1j * om * t)
 
+        def zero(z, t):
+            return np.zeros(np.broadcast_shapes(np.shape(z), np.shape(t)), dtype=complex)
+
         pair = (
             FieldFunction(
                 u=u,
@@ -275,11 +243,7 @@ class FieldFunctionSet:
                 d2u_dt2=lambda z, t: -om * om * u(z, t),
                 d2u_dz2=lambda z, t: -wavenumber * wavenumber * u(z, t),
             ),
-            FieldFunction(
-                u=lambda z, t: np.zeros(np.broadcast_shapes(np.shape(z), np.shape(t)), dtype=complex),
-                du_dt=lambda z, t: np.zeros(np.broadcast_shapes(np.shape(z), np.shape(t)), dtype=complex),
-                du_dz=lambda z, t: np.zeros(np.broadcast_shapes(np.shape(z), np.shape(t)), dtype=complex),
-            ),
+            FieldFunction(u=zero, du_dt=zero, du_dz=zero),
         )
         return cls([pair], volume=volume, length=length, c=c,
                    energy=energy, hbar=hbar)
@@ -287,47 +251,15 @@ class FieldFunctionSet:
     def rotated(self, theta: float) -> "FieldFunctionSet":
         """Dual rotation applied pairwise in the (u1, u2) functional plane."""
         ct, st = math.cos(theta), math.sin(theta)
-        new_pairs = []
-        for u1, u2 in self.pairs:
-            def mix(f1, f2, a, b):
-                if f1 is None or f2 is None:
-                    return None
-                return lambda z, t, f1=f1, f2=f2, a=a, b=b: a * f1(z, t) + b * f2(z, t)
-
-            r1 = FieldFunction(
-                u=mix(u1.u, u2.u, ct, st),
-                du_dt=mix(u1.du_dt, u2.du_dt, ct, st),
-                du_dz=mix(u1.du_dz, u2.du_dz, ct, st),
-                d2u_dt2=mix(u1.d2u_dt2, u2.d2u_dt2, ct, st),
-                d2u_dz2=mix(u1.d2u_dz2, u2.d2u_dz2, ct, st),
-            )
-            r2 = FieldFunction(
-                u=mix(u2.u, u1.u, ct, -st),
-                du_dt=mix(u2.du_dt, u1.du_dt, ct, -st),
-                du_dz=mix(u2.du_dz, u1.du_dz, ct, -st),
-                d2u_dt2=mix(u2.d2u_dt2, u1.d2u_dt2, ct, -st),
-                d2u_dz2=mix(u2.d2u_dz2, u1.d2u_dz2, ct, -st),
-            )
-            new_pairs.append((r1, r2))
-        return FieldFunctionSet(new_pairs, self.volume, self.length, self.c,
+        pairs = [(_combine([(ct, u1), (st, u2)]), _combine([(ct, u2), (-st, u1)]))
+                 for u1, u2 in self.pairs]
+        return FieldFunctionSet(pairs, self.volume, self.length, self.c,
                                 self.energy, self.hbar)
 
     def scaled(self, factor: complex) -> "FieldFunctionSet":
         """Gauge transform u -> factor * u (factor = beta e^{i alpha})."""
-        new_pairs = []
-        for u1, u2 in self.pairs:
-            def sc(f, factor=factor):
-                if f is None:
-                    return None
-                return lambda z, t, f=f: factor * f(z, t)
-
-            new_pairs.append((
-                FieldFunction(sc(u1.u), sc(u1.du_dt), sc(u1.du_dz),
-                              sc(u1.d2u_dt2), sc(u1.d2u_dz2)),
-                FieldFunction(sc(u2.u), sc(u2.du_dt), sc(u2.du_dz),
-                              sc(u2.d2u_dt2), sc(u2.d2u_dz2)),
-            ))
-        return FieldFunctionSet(new_pairs, self.volume, self.length, self.c,
+        pairs = [(_combine([(factor, u1)]), _combine([(factor, u2)])) for u1, u2 in self.pairs]
+        return FieldFunctionSet(pairs, self.volume, self.length, self.c,
                                 self.energy, self.hbar)
 
 
@@ -349,11 +281,9 @@ class NoetherCharge:
     q1: float
     q2: float
     q: complex
-    gauge_params: tuple = (0.0, 1.0)
 
 
-def noether_charge(fieldset: FieldFunctionSet, t: float, n_quad: int = 96,
-                   gauge_params=(0.0, 1.0)) -> NoetherCharge:
+def noether_charge(fieldset: FieldFunctionSet, t: float, n_quad: int = 96) -> NoetherCharge:
     """Gauge charges by quadrature over z in [0, L].
 
     q1 (phase-gauge charge) integrates 2 Im(du/dt conj(u)) / c; q2 (the
@@ -374,12 +304,16 @@ def noether_charge(fieldset: FieldFunctionSet, t: float, n_quad: int = 96,
         re_sum += float(np.sum(wq * np.real(w_bar)))
     q1 = (2.0 / c) * weight * im_sum
     q2 = -(2.0 / c) * weight * re_sum
-    return NoetherCharge(q1=q1, q2=q2, q=complex(q1, q2), gauge_params=tuple(gauge_params))
+    return NoetherCharge(q1=q1, q2=q2, q=complex(q1, q2))
 
 
 def charge_drift(fieldset: FieldFunctionSet, times, n_quad: int = 96):
     """Max relative drift of (q1, q2) over the given time samples."""
-    charges = [noether_charge(fieldset, t, n_quad) for t in times]
+    return relative_drift([noether_charge(fieldset, t, n_quad) for t in times])
+
+
+def relative_drift(charges) -> tuple:
+    """Max spreads of q1 and q2 over a sequence of NoetherCharge, relative to max |q|."""
     q1s = np.array([c.q1 for c in charges])
     q2s = np.array([c.q2 for c in charges])
 
@@ -477,21 +411,19 @@ class QuantizedFourCurrent:
         self._a0 = a0.entries
         self._ad0 = ad0.entries
 
-    def _sq_pair(self, alpha_idx: int, t: float):
+    def _mode(self, alpha_idx: int, t: float):
+        """(w, k, a^2(t), a+^2(t)) of one mode."""
         w = self.model.omegas[alpha_idx]
         a2 = self._a0 @ self._a0 * np.exp(-2j * w * t)
         ad2 = self._ad0 @ self._ad0 * np.exp(2j * w * t)
-        return a2, ad2
+        return w, self.model.wavenumbers[alpha_idx], a2, ad2
 
     def re_j3(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
         return np.zeros((self.dim, self.dim), dtype=complex)
 
     def im_j3(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        md = self.model
-        w = md.omegas[alpha_idx]
-        k = md.wavenumbers[alpha_idx]
-        a2, ad2 = self._sq_pair(alpha_idx, t)
-        pref = -2j * self.coupling / (self.c * md.volume)
+        w, k, a2, ad2 = self._mode(alpha_idx, t)
+        pref = -2j * self.coupling / (self.c * self.model.volume)
         # a''^2 = a^2 and a''+^2 = a+^2 double the Maxwellian contribution
         return pref * k * w * math.sin(2 * k * z) * 2.0 * (a2 + ad2)
 
@@ -508,11 +440,8 @@ class QuantizedFourCurrent:
         return pref * k * w**2 * (anticommutator(app, adt) - anticommutator(at, adpp))
 
     def im_j4(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        md = self.model
-        w = md.omegas[alpha_idx]
-        k = md.wavenumbers[alpha_idx]
-        a2, ad2 = self._sq_pair(alpha_idx, t)
-        pref = 2j * self.coupling / (self.c**2 * md.volume)
+        w, k, a2, ad2 = self._mode(alpha_idx, t)
+        pref = 2j * self.coupling / (self.c**2 * self.model.volume)
         eye = np.eye(self.dim)
         # oscillating part carries c k w, matching im_j3's k w prefactor so
         # that d j3/dz + d j4/dx4 cancels exactly (as in the classical pair,
@@ -521,19 +450,13 @@ class QuantizedFourCurrent:
                        - 2.0 * w**2 * eye)
 
     def d_im_j3_dz(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        md = self.model
-        w = md.omegas[alpha_idx]
-        k = md.wavenumbers[alpha_idx]
-        a2, ad2 = self._sq_pair(alpha_idx, t)
-        pref = -2j * self.coupling / (self.c * md.volume)
+        w, k, a2, ad2 = self._mode(alpha_idx, t)
+        pref = -2j * self.coupling / (self.c * self.model.volume)
         return pref * k * w * 2.0 * k * math.cos(2 * k * z) * 2.0 * (a2 + ad2)
 
     def d_im_j4_dt(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        md = self.model
-        w = md.omegas[alpha_idx]
-        k = md.wavenumbers[alpha_idx]
-        a2, ad2 = self._sq_pair(alpha_idx, t)
-        pref = 2j * self.coupling / (self.c**2 * md.volume)
+        w, k, a2, ad2 = self._mode(alpha_idx, t)
+        pref = 2j * self.coupling / (self.c**2 * self.model.volume)
         return pref * self.c * k * w * 2.0 * (2j * w) * (ad2 + a2) * math.cos(2 * k * z)
 
     def continuity_residual(self, z: float, t: float) -> float:

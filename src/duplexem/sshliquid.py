@@ -49,7 +49,6 @@ class SshParams:
     k_spring: float = 1.0
     n_sites: int = 100
     a_lattice: float = 1.0
-    m_eff: float = 1.0
 
     def __post_init__(self):
         if self.t0 <= 0:

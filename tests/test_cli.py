@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from duplexem.cavity import CavityModel, ModeState
+from duplexem import currents as cur
+from duplexem.cavity import (CavityModel, FirstSolution, ModeState, ScaledSolution,
+                             maxwell_residual)
 from duplexem.cli import main
 from duplexem.constants import PhysicalConstants
 from duplexem.currents import ClassicalFourCurrent
@@ -155,3 +157,63 @@ def test_currents_columns_match_pointwise_evaluation(tmp_path, capsys):
     # rows are t-major: z runs fastest
     assert np.array_equal(data[:24, 0], np.linspace(0.0, math.pi, 24))
     assert np.all(data[:24, 1] == 0.0)
+
+
+def test_cavity_field_passes_in_si_units(tmp_path, capsys):
+    # the residual bound is relative to the terms each equation cancels,
+    # so a correct field passes whatever the unit system
+    cfg = tmp_path / "si.json"
+    cfg.write_text('{"units": "si"}')
+    assert main(["cavity-field", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["passed"] and summary["bound"] == 1e-12
+    assert summary["scales"][0] > 1e15
+    assert all(r <= 1e-12 * s for r, s in zip(summary["residuals"], summary["scales"]))
+
+
+def test_scaled_field_fails_relative_bound_in_si_units():
+    rng = np.random.default_rng(21)
+    model = CavityModel(1.0, 4, PhysicalConstants.si())
+    state = ModeState(rng.normal(size=4) + 1j * rng.normal(size=4),
+                      rng.normal(size=4) + 1j * rng.normal(size=4))
+    pert = ScaledSolution(FirstSolution(model, state), 1.0, 1.1)
+    z = np.linspace(0.0, model.length, 64)
+    t = np.linspace(0.0, model.period, 64)
+    res = maxwell_residual(pert, z, t, model.constants)
+    # curl E + 1.1 mu0 dH/dt leaves 0.1 / 1.1 of its larger term
+    assert res[0] == pytest.approx(0.1 / 1.1 * res.scales[0], rel=1e-9)
+    assert res[0] > 1e-12 * res.scales[0]
+
+
+def test_cavity_field_rejects_unknown_solution(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text('{"solution": "thrid"}')
+    assert main(["cavity-field", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "thrid" in err and "'first'" in err and "'second'" in err
+    assert not (tmp_path / "field.csv").exists()
+
+
+def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    charge = cur.noether_charge
+
+    def counted(fieldset, t, *args):
+        calls.append(t)
+        return charge(fieldset, t, *args)
+
+    monkeypatch.setattr(cur, "noether_charge", counted)
+    cfg = tmp_path / "cur.json"
+    cfg.write_text(json.dumps({"nz": 16, "nt": 5}))
+    assert main(["currents", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    model = CavityModel(math.pi, 3, PhysicalConstants.symmetric())
+    times = np.linspace(0.0, model.period, 5)
+    assert calls == list(times)
+    # the drift comes from the same charges as the table, and equals a fresh computation
+    state = ModeState([0.4 + 0.1j, 0.2, 0.1 - 0.2j], np.zeros(3))
+    monkeypatch.setattr(cur, "noether_charge", charge)
+    expect = cur.charge_drift(cur.FieldFunctionSet.from_cavity(model, state), times)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["charge_drift"] == list(expect)

@@ -88,19 +88,6 @@ def test_single_rotating_mode():
     assert val == pytest.approx(expected)
 
 
-def test_sign_choice_drops_out():
-    rng = np.random.default_rng(3)
-    model = make_model()
-    state = random_state(rng)
-    plus = ClassicalFourCurrent(model, state, sign=+1)
-    minus = ClassicalFourCurrent(model, state, sign=-1)
-    for family in (1, 2):
-        assert np.array_equal(plus.j3(GRID_Z, GRID_T, family),
-                              minus.j3(GRID_Z, GRID_T, family))
-        assert np.array_equal(plus.j4(GRID_Z, GRID_T, family),
-                              minus.j4(GRID_Z, GRID_T, family))
-
-
 def test_perturbed_current_residual():
     rng = np.random.default_rng(4)
     model = make_model()
