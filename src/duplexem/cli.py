@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -342,15 +341,6 @@ def cmd_ssh_solve(args) -> int:
     return 0 if sol.residual <= tol else 1
 
 
-def _sweep_point(payload):
-    cfg, q, u = payload
-    params = _ssh_params(cfg)
-    return (u,
-            ssh.ground_energy(params, q, u, "quadrature"),
-            ssh.ground_energy(params, q, u, "elliptic"),
-            ssh.ground_energy_smallz(params, q, u))
-
-
 def cmd_ssh_sweep(args) -> int:
     out = _outdir(args)
     cfg = _load_config(args.config, dict(_SSH_DEFAULTS))
@@ -362,24 +352,18 @@ def cmd_ssh_sweep(args) -> int:
     sol = ssh.solve_gap(params, occ, form=cfg["form"])
     lo, hi, steps = cfg["u_scan"]
     u_grid = np.linspace(float(lo), float(hi), int(steps))
-    payloads = [(cfg, sol.q, float(u)) for u in u_grid]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_point, payloads))
-    else:
-        results = [_sweep_point(p) for p in payloads]
+    curve = ssh.GroundStateCurve(params, sol.q, u_grid)
     _write_csv(out / "ground_state.csv",
                ["u", "E0_quadrature", "E0_elliptic", "E0_smallz"],
-               np.array(results, dtype=float).reshape(-1, 4).T)
-    curve = ssh.ground_state_energy(params, sol.q, u_grid) \
-        if abs(u_grid[0] + u_grid[-1]) < 1e-12 else None
+               [u_grid, curve.e0_quadrature, curve.e0, curve.e0_smallz])
     summary = {
         "quantity": "ground-state energy sweep",
         "formula": "E0(u) = band integral + 2 N K u^2",
         "q": sol.q,
-        "points": int(len(results)),
+        "points": len(u_grid),
     }
-    if curve is not None:
+    if abs(u_grid[0] + u_grid[-1]) < 1e-12:
+        curve.locate_minimum()
         summary.update(u0=curve.u0, well_depth=curve.well_depth,
                        double_well=curve.double_well)
     _write_json(out / "summary.json", summary)
@@ -556,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
         p.add_argument("--tol", type=float, default=None,
                        help="override the default tolerance")
 

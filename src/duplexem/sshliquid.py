@@ -33,11 +33,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate, optimize
 
-from .elliptic import elliptic_E, elliptic_K
+from .elliptic import _agm_array, elliptic_E, elliptic_K
 
 
 @dataclass(frozen=True)
@@ -207,6 +208,57 @@ def gap_kernel(zeta: float, method: str = "elliptic") -> float:
     return (elliptic_E(mt) - elliptic_K(mt) / z2) / (za * mt2)
 
 
+def _log(x):
+    """math.log elementwise; np.log can differ from it in the last bit."""
+    x = np.asarray(x, dtype=float)
+    return np.array([math.log(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _agm_by_modulus(k):
+    """(K, E) of modulus k on an array, the complement recomputed as elliptic_K does."""
+    return _agm_array(k, np.sqrt((1.0 - k) * (1.0 + k)))
+
+
+def _gap_kernel_array(zeta):
+    """gap_kernel(zeta, "elliptic") on an array, branch for branch and bit for bit."""
+    zeta = np.asarray(zeta, dtype=float)
+    z2 = zeta * zeta
+    out = np.full(z2.shape, np.nan)
+    out[z2 == 0.0] = math.inf
+    m2 = 1.0 - z2
+    tiny = (z2 > 0.0) & (z2 < 1e-10)
+    near = (z2 >= 1e-10) & (z2 < 1.0) & (m2 < 1e-5)
+    below = (z2 >= 1e-10) & (m2 >= 1e-5)
+    big_l = _log(4.0 / np.abs(zeta[tiny]))
+    out[tiny] = (big_l - 1.0 - 0.25 * z2[tiny] * big_l) / m2[tiny]
+    out[near] = _kernel_series_small_m2(m2[near])
+    k_m, e_m = _agm_by_modulus(np.sqrt(m2[below]))
+    out[below] = (k_m - e_m) / m2[below]
+    out[z2 == 1.0] = 0.25 * math.pi
+    above = z2 > 1.0
+    z2a = z2[above]
+    mt2 = 1.0 - 1.0 / z2a
+    za = np.sqrt(z2a)
+    agm = mt2 >= 1e-5
+    out_above = _kernel_series_big(za, mt2)
+    k_mt, e_mt = _agm_by_modulus(np.sqrt(mt2[agm]))
+    out_above[agm] = (e_mt - k_mt / z2a[agm]) / (za[agm] * mt2[agm])
+    out[above] = out_above
+    return out
+
+
+def _on_grid(kernel, kernel_array, zeta, method):
+    """A kernel over an array of zeta.
+
+    The elliptic route is one whole-array call; any other route makes one
+    scalar call per point, so the quadrature route stays an independent
+    oracle of the elliptic one.
+    """
+    if method == "elliptic":
+        return kernel_array(zeta)
+    return np.array([kernel(z, method) for z in zeta.ravel().tolist()]).reshape(zeta.shape)
+
+
 def _coupling_coefficient(p: SshParams, occ: Occupation) -> float:
     """delta_occ * 2 N u alpha2 / (pi t0): the continuum prefactor of Q I(zeta)."""
     return occ.delta * 2.0 * p.n_sites * p.u * p.alpha2 / (math.pi * p.t0)
@@ -214,13 +266,15 @@ def _coupling_coefficient(p: SshParams, occ: Occupation) -> float:
 
 def gap_residual(p: SshParams, q: float, occ: Occupation = None,
                  method: str = "elliptic", form: str = "full") -> float:
-    """Self-consistency residual at trial Q.
+    """Self-consistency residual at trial Q, a number or an array of them.
 
     form="full":    1 + C * Q * I(zeta(Q)) - Q          (C the coupling coefficient)
     form="reduced": C * I(zeta(Q)) - 1                  (strong-coupling normal form)
     """
     occ = occ or Occupation.ground()
     coef = _coupling_coefficient(p, occ)
+    if np.ndim(q):
+        return _gap_residual_array(p, np.asarray(q, dtype=float), coef, method, form)
     zeta = zeta_of(p, q)
     if form == "full":
         if coef == 0.0 or q == 0.0:
@@ -234,6 +288,26 @@ def gap_residual(p: SshParams, q: float, occ: Occupation = None,
         if coef == 0.0:
             return -1.0
         return coef * gap_kernel(zeta, method) - 1.0
+    raise ValueError(f"unknown form {form!r}")
+
+
+def _gap_residual_array(p: SshParams, q: np.ndarray, coef: float, method: str,
+                        form: str) -> np.ndarray:
+    """gap_residual on an array of Q, element for element."""
+    zeta = zeta_of(p, q)
+    if form == "full":
+        term = 0.0
+        if coef != 0.0:
+            with np.errstate(invalid="ignore"):  # 0 * inf at Q = 0, replaced by 0
+                term = np.where(q == 0.0, 0.0,
+                                coef * q * _on_grid(gap_kernel, _gap_kernel_array, zeta, method))
+        return 1.0 + term - q
+    if form == "reduced":
+        if np.any(q == 0.0):
+            raise ValueError("reduced residual is undefined at Q = 0")
+        if coef == 0.0:
+            return np.full(q.shape, -1.0)
+        return coef * _on_grid(gap_kernel, _gap_kernel_array, zeta, method) - 1.0
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -277,8 +351,8 @@ class GapSolution:
         return len(self.roots) > 1
 
 
-def _scan_roots(fn, grid):
-    vals = np.array([fn(q) for q in grid])
+def _scan_roots(fn, grid, vals):
+    """Roots of fn from the sign changes of its values vals on grid, refined by brentq."""
     roots = []
     for i in range(len(grid) - 1):
         a, b = grid[i], grid[i + 1]
@@ -296,7 +370,7 @@ def _scan_roots(fn, grid):
     for r in sorted(roots):
         if not out or abs(r - out[-1]) > 1e-12 * max(1.0, abs(r)):
             out.append(r)
-    return out, vals
+    return out
 
 
 def _regime(zeta: float) -> str:
@@ -334,7 +408,8 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
         grid = np.concatenate([-mags[::-1], mags])
     else:
         grid = np.linspace(lo, hi, n_scan)
-    roots, vals = _scan_roots(fn, grid)
+    vals = gap_residual(p, grid, occ, method, form)
+    roots = _scan_roots(fn, grid, vals)
     if not roots:
         raise GapSolverError("no root of the gap equation inside the bracket",
                              residual_curve=(grid, vals))
@@ -369,7 +444,8 @@ def solve_gap_discrete(p: SshParams, occ: Occupation = None, n_k: int = 64,
         return gap_residual_discrete(p, q, occ, n_k)
 
     grid = np.linspace(bracket[0], bracket[1], n_scan)
-    roots, vals = _scan_roots(fn, grid)
+    vals = np.array([fn(q) for q in grid])
+    roots = _scan_roots(fn, grid, vals)
     if not roots:
         raise GapSolverError("no discrete-sum root inside the bracket",
                              residual_curve=(grid, vals))
@@ -499,75 +575,121 @@ def _band_kernel(zeta: float, method: str = "elliptic") -> float:
     return (1.0 + z2) * gap_kernel(zeta, "elliptic") - kint
 
 
-def ground_energy(p: SshParams, q: float, u: float, method: str = "elliptic") -> float:
-    """E0(u) of the near-equilibrium branch at fixed Q, plus elastic energy."""
-    pu = p.replace(u=u)
-    zeta = zeta_of(pu, q)
+def _band_kernel_array(zeta):
+    """_band_kernel(zeta, "elliptic") on an array, branch for branch and bit for bit."""
+    zeta = np.asarray(zeta, dtype=float)
+    z2 = zeta * zeta
+    kint = np.full(z2.shape, np.nan)
+    tiny = (z2 > 0.0) & (z2 < 1e-10)
+    big_l = _log(4.0 / np.abs(zeta[tiny]))
+    kint[tiny] = big_l + 0.25 * z2[tiny] * (big_l - 1.0)
+    below = (z2 >= 1e-10) & (z2 < 1.0)
+    kint[below] = _agm_by_modulus(np.sqrt(1.0 - z2[below]))[0]
+    kint[z2 == 1.0] = 0.5 * math.pi
+    above = z2 > 1.0
+    kint[above] = _agm_by_modulus(np.sqrt(1.0 - 1.0 / z2[above]))[0] / np.sqrt(z2[above])
+    with np.errstate(invalid="ignore"):  # inf - kint at zeta = 0, replaced by -1
+        out = (1.0 + z2) * _gap_kernel_array(zeta) - kint
+    out[z2 == 0.0] = -1.0
+    return out
+
+
+def ground_energy(p: SshParams, q: float, u, method: str = "elliptic"):
+    """E0(u) of the near-equilibrium branch at fixed Q, plus elastic energy.
+
+    u may be an array; the elliptic route then evaluates J on the whole
+    array, the quadrature route one adaptive quadrature per point.
+    """
+    array = np.ndim(u) > 0
+    if array:
+        u = np.asarray(u, dtype=float)
+    zeta = 2.0 * p.alpha1 * u * q / p.t0   # zeta_of at dimerization u
+    band = _on_grid(_band_kernel, _band_kernel_array, zeta, method) if array \
+        else _band_kernel(zeta, method)
     elastic = 2.0 * p.n_sites * p.k_spring * u * u
-    return -(4.0 * p.n_sites * p.t0 / math.pi) * _band_kernel(zeta, method) + elastic
+    return -(4.0 * p.n_sites * p.t0 / math.pi) * band + elastic
 
 
-def ground_energy_smallz(p: SshParams, q: float, u: float) -> float:
-    """Small-gap expansion: the -u^2 log u well plus the elastic term."""
-    if u == 0.0:
-        return 4.0 * p.n_sites * p.t0 / math.pi
+def ground_energy_smallz(p: SshParams, q: float, u):
+    """Small-gap expansion: the -u^2 log u well plus the elastic term; u may be an array."""
+    u = np.asarray(u, dtype=float)
     qa = abs(q * p.alpha1)
-    log_term = math.log(2.0 * p.t0 / (qa * abs(u)))
-    quad = 4.0 * qa * qa * u * u / p.t0
-    per_site = (4.0 * p.t0 / math.pi
-                - (6.0 / math.pi) * log_term * quad
-                + 28.0 * qa * qa * u * u / (math.pi * p.t0))
-    return p.n_sites * per_site + 2.0 * p.n_sites * p.k_spring * u * u
+    with np.errstate(divide="ignore", invalid="ignore"):  # u = 0, replaced below
+        log_term = _log(2.0 * p.t0 / (qa * np.abs(u)))
+        quad = 4.0 * qa * qa * u * u / p.t0
+        per_site = (4.0 * p.t0 / math.pi
+                    - (6.0 / math.pi) * log_term * quad
+                    + 28.0 * qa * qa * u * u / (math.pi * p.t0))
+        energy = p.n_sites * per_site + 2.0 * p.n_sites * p.k_spring * u * u
+    energy = np.where(u == 0.0, 4.0 * p.n_sites * p.t0 / math.pi, energy)
+    return energy if energy.ndim else float(energy)
 
 
 @dataclass
 class GroundStateCurve:
+    """E0(u) of the near-equilibrium branch on a u grid at fixed Q.
+
+    Each column is computed once, when first read: `e0` by the elliptic
+    route, `e0_quadrature` by one adaptive quadrature per point (the
+    oracle of the elliptic route), `e0_smallz` by the small-gap expansion.
+    `locate_minimum` sets `u0`, `well_depth` and `double_well`.
+    """
+    params: SshParams
+    q: float
     u_grid: np.ndarray
-    e0: np.ndarray            # elliptic route
-    e0_quadrature: np.ndarray
-    e0_smallz: np.ndarray
-    u0: float
-    well_depth: float
-    double_well: bool
+    u0: float = None
+    well_depth: float = None
+    double_well: bool = None
+
+    @cached_property
+    def e0(self) -> np.ndarray:
+        return ground_energy(self.params, self.q, self.u_grid, "elliptic")
+
+    @cached_property
+    def e0_quadrature(self) -> np.ndarray:
+        return ground_energy(self.params, self.q, self.u_grid, "quadrature")
+
+    @cached_property
+    def e0_smallz(self) -> np.ndarray:
+        return ground_energy_smallz(self.params, self.q, self.u_grid)
+
+    def locate_minimum(self, refine: bool = True) -> "GroundStateCurve":
+        """Find the dimerization minimum +-u0 of a grid symmetric about 0.
+
+        The curve is even in u (u enters through zeta^2 and u^2); the
+        minimum is refined by golden-section search around the grid argmin.
+        A flat curve (minimum at u = 0) is reported with double_well = False.
+        """
+        p, q, u_grid = self.params, self.q, self.u_grid
+        tol = 1e-12 * max(1.0, np.max(np.abs(u_grid)))
+        if np.max(np.abs(u_grid + u_grid[::-1])) > tol:
+            raise ValueError("u grid must be symmetric about 0")
+        # np.linspace(-U, U, n) can leave its centre at -4e-16; keeping it gives
+        # a minimum at the first positive point a bracket to refine in
+        pos = u_grid >= -tol
+        u_pos = u_grid[pos]
+        e_pos = self.e0[pos]
+        i_min = int(np.argmin(e_pos))
+        u0 = float(u_pos[i_min])
+        if refine and 0 < i_min < len(u_pos) - 1:
+            res = optimize.minimize_scalar(
+                lambda u: ground_energy(p, q, u, "elliptic"),
+                bracket=(u_pos[i_min - 1], u_pos[i_min], u_pos[i_min + 1]),
+                method="golden", options={"xtol": 1e-12})
+            u0 = float(abs(res.x))
+        e_at_zero = ground_energy(p, q, 0.0, "elliptic")
+        e_at_min = ground_energy(p, q, u0, "elliptic")
+        well_depth = e_at_zero - e_at_min
+        double = bool(u0 > 1e-9 * max(1.0, np.max(np.abs(u_grid)))
+                      and well_depth > 1e-12 * max(1.0, abs(e_at_zero)))
+        if not double:
+            u0 = 0.0
+            well_depth = 0.0
+        self.u0, self.well_depth, self.double_well = u0, well_depth, double
+        return self
 
 
 def ground_state_energy(p: SshParams, q: float, u_grid,
                         refine: bool = True) -> GroundStateCurve:
-    """E0 over a symmetric u grid with the dimerization minimum refined.
-
-    The curve is even in u (u enters through zeta^2 and u^2); the minimum
-    +-u0 is located by golden-section refinement around the grid argmin.
-    A flat curve (minimum at u = 0) is reported with double_well = False.
-    """
-    u_grid = np.asarray(u_grid, dtype=float)
-    tol = 1e-12 * max(1.0, np.max(np.abs(u_grid)))
-    if np.max(np.abs(u_grid + u_grid[::-1])) > tol:
-        raise ValueError("u grid must be symmetric about 0")
-    e_ell = np.array([ground_energy(p, q, u, "elliptic") for u in u_grid])
-    e_quad = np.array([ground_energy(p, q, u, "quadrature") for u in u_grid])
-    e_small = np.array([ground_energy_smallz(p, q, u) for u in u_grid])
-
-    # np.linspace(-U, U, n) can leave its centre at -4e-16; keeping it gives
-    # a minimum at the first positive point a bracket to refine in
-    pos = u_grid >= -tol
-    u_pos = u_grid[pos]
-    e_pos = e_ell[pos]
-    i_min = int(np.argmin(e_pos))
-    u0 = float(u_pos[i_min])
-    if refine and 0 < i_min < len(u_pos) - 1:
-        res = optimize.minimize_scalar(
-            lambda u: ground_energy(p, q, u, "elliptic"),
-            bracket=(u_pos[i_min - 1], u_pos[i_min], u_pos[i_min + 1]),
-            method="golden", options={"xtol": 1e-12})
-        u0 = float(abs(res.x))
-    e_at_zero = ground_energy(p, q, 0.0, "elliptic")
-    e_at_min = ground_energy(p, q, u0, "elliptic")
-    well_depth = e_at_zero - e_at_min
-    double = bool(u0 > 1e-9 * max(1.0, np.max(np.abs(u_grid)))
-                  and well_depth > 1e-12 * max(1.0, abs(e_at_zero)))
-    if not double:
-        u0 = 0.0
-        well_depth = 0.0
-    return GroundStateCurve(u_grid=u_grid, e0=e_ell, e0_quadrature=e_quad,
-                            e0_smallz=e_small, u0=u0, well_depth=well_depth,
-                            double_well=double)
+    """E0 over a symmetric u grid with the dimerization minimum located."""
+    return GroundStateCurve(p, q, np.asarray(u_grid, dtype=float)).locate_minimum(refine)

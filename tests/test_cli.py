@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from duplexem import currents as cur
+from duplexem import sshliquid as ssh
 from duplexem.cavity import (CavityModel, FirstSolution, ModeState, ScaledSolution,
                              maxwell_residual)
 from duplexem.cli import main
@@ -54,21 +55,63 @@ def test_ssh_solve_happy_path(tmp_path, capsys):
     assert (out / "gap_solution.csv").exists()
 
 
-def test_ssh_sweep_with_workers(tmp_path, capsys):
+def _sweep_columns(tmp_path, u_scan):
     cfg = tmp_path / "params.json"
-    cfg.write_text(json.dumps({
-        "t0": 1.0, "alpha1": 1.0, "alpha2": 0.15, "u": 0.1,
-        "K_spring": 2.0, "N": 100, "a": 1.0,
-        "u_scan": [-0.2, 0.2, 9],
-    }))
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "parallel"
-    assert main(["ssh-sweep", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["ssh-sweep", "--config", str(cfg), "--out", str(out2),
-                 "--jobs", "2"]) == 0
+    cfg.write_text(json.dumps({"t0": 1.0, "alpha1": 1.0, "alpha2": 0.15, "u": 0.1,
+                               "K_spring": 2.0, "N": 100, "a": 1.0, "u_scan": u_scan}))
+    out = tmp_path / "sweep"
+    assert main(["ssh-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    return summary, np.loadtxt(out / "ground_state.csv", delimiter=",", skiprows=1).T
+
+
+@pytest.mark.parametrize("u_scan", [[-0.2, 0.2, 9], [-0.1, 0.5, 13]],
+                         ids=["symmetric", "asymmetric"])
+def test_ssh_sweep_columns_match_pointwise_routes(tmp_path, capsys, u_scan):
+    summary, (u, e_quad, e_ell, e_small) = _sweep_columns(tmp_path, u_scan)
     capsys.readouterr()
-    assert (out1 / "ground_state.csv").read_bytes() == \
-        (out2 / "ground_state.csv").read_bytes()
+    params = ssh.SshParams(t0=1.0, alpha1=1.0, alpha2=0.15, u=0.1, k_spring=2.0,
+                           n_sites=100)
+    q = summary["q"]
+    assert u.tolist() == np.linspace(*u_scan[:2], u_scan[2]).tolist()
+    assert e_quad.tolist() == [ssh.ground_energy(params, q, x, "quadrature") for x in u]
+    assert e_ell.tolist() == [ssh.ground_energy(params, q, x, "elliptic") for x in u]
+    assert e_small.tolist() == [ssh.ground_energy_smallz(params, q, x) for x in u]
+    # the minimum is located on symmetric grids only
+    assert ("u0" in summary) == (u_scan[0] == -u_scan[1])
+
+
+def test_ssh_sweep_has_no_jobs_flag(tmp_path, capsys):
+    assert main(["ssh-sweep", "--jobs", "2", "--out", str(tmp_path)]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def _count_quad_calls(monkeypatch):
+    calls = []
+    quad = ssh.integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(ssh.integrate, "quad", counted)
+    return calls
+
+
+def test_ssh_solve_makes_no_quadrature_call(tmp_path, capsys, monkeypatch):
+    calls = _count_quad_calls(monkeypatch)
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"u_scan": [-0.2, 0.2, 9]}))
+    assert main(["ssh-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_ssh_sweep_makes_one_quadrature_per_point(tmp_path, capsys, monkeypatch):
+    calls = _count_quad_calls(monkeypatch)
+    summary, _ = _sweep_columns(tmp_path, [-0.3, 0.3, 25])
+    capsys.readouterr()
+    assert summary["points"] == 25 and len(calls) == 25
 
 
 def test_resonance_fit_inline_data(tmp_path, capsys):

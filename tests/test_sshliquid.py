@@ -5,12 +5,14 @@ import pytest
 from scipy import integrate
 
 from duplexem.sshliquid import (BRANCH_NEAR_EQ, BRANCH_SSH, GapSolverError,
-                                Occupation, SshParams, band_energies,
-                                bogoliubov_coeffs, gap_approximations,
-                                gap_kernel, gap_residual, gap_residual_discrete,
-                                ground_energy, ground_energy_smallz,
-                                ground_state_energy, solve_gap,
-                                solve_gap_discrete, stability_classify, zeta_of)
+                                Occupation, SshParams, _band_kernel,
+                                _band_kernel_array, _gap_kernel_array,
+                                band_energies, bogoliubov_coeffs,
+                                gap_approximations, gap_kernel, gap_residual,
+                                gap_residual_discrete, ground_energy,
+                                ground_energy_smallz, ground_state_energy,
+                                solve_gap, solve_gap_discrete,
+                                stability_classify, zeta_of)
 
 
 def base_params(**kw):
@@ -74,6 +76,52 @@ def test_kernel_elliptic_matches_adaptive_quadrature():
             gap_kernel(zeta, "quadrature"), rel=1e-11)
 
 
+def _branch_switch_zetas():
+    """zeta on both sides of every branch switch of I and J, and negated."""
+    switches = (math.sqrt(1e-10),             # zeta^2 = 1e-10: complementary series
+                math.sqrt(1.0 - 1e-5),        # m^2 = 1e-5: series below zeta = 1
+                1.0,                          # |zeta| = 1
+                1.0 / math.sqrt(1.0 - 1e-5))  # mt^2 = 1e-5: series above zeta = 1
+    zetas = [0.0, 5e-324, 1e-160, 1e-3, 0.5, 2.0, 1e4, 1e8]
+    for z in switches:
+        zetas += [z * (1.0 + e) for e in (-1e-6, -1e-12, -2.0**-52, 0.0, 2.0**-52, 1e-12, 1e-6)]
+    zetas = np.array(zetas)
+    return np.concatenate([zetas, -zetas])
+
+
+def test_branch_switch_points_cover_both_sides():
+    z2 = _branch_switch_zetas() ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        mt2 = 1.0 - 1.0 / z2
+    for lower, upper in ((z2 > 0) & (z2 < 1e-10), (z2 >= 1e-10) & (z2 < 1e-9)), \
+            ((1 - z2 >= 1e-5) & (z2 > 0.99), (1 - z2 < 1e-5) & (z2 < 1)), \
+            ((z2 > 1) & (mt2 < 1e-5), (z2 < 1.01) & (mt2 >= 1e-5)):
+        assert lower.sum() >= 4 and upper.sum() >= 4
+    assert np.sum(z2 == 1.0) >= 2 and np.sum(z2 == 0.0) >= 4
+
+
+def test_array_kernels_match_scalar_bit_for_bit():
+    zetas = _branch_switch_zetas()
+    assert _gap_kernel_array(zetas).tolist() == [gap_kernel(z) for z in zetas.tolist()]
+    assert _band_kernel_array(zetas).tolist() == [_band_kernel(z) for z in zetas.tolist()]
+
+
+@pytest.mark.parametrize("form, alpha2, grid", [
+    ("full", 0.3, np.linspace(-12.0, 12.0, 49)),            # Q = 0 on the grid
+    ("full", 0.0, np.linspace(-3.0, 3.0, 7)),                # no coupling
+    ("reduced", -0.3, np.geomspace(1e-9, 40.0, 60)),
+    ("reduced", -0.3, -np.geomspace(1e-9, 40.0, 60)),
+])
+def test_array_residual_matches_pointwise(form, alpha2, grid):
+    p = base_params(alpha2=alpha2, u=0.1)
+    for occ in (Occupation.ground(), Occupation.inverted()):
+        assert gap_residual(p, grid, occ, form=form).tolist() == \
+            [gap_residual(p, q, occ, form=form) for q in grid.tolist()]
+        few = grid[np.abs(grid) > 1e-3][::6]   # the quadrature route needs 1 - zeta^2 < 1
+        assert gap_residual(p, few, occ, "quadrature", form).tolist() == \
+            [gap_residual(p, q, occ, "quadrature", form) for q in few.tolist()]
+
+
 def test_kernel_value_at_unity():
     assert gap_kernel(1.0) == pytest.approx(math.pi / 4, abs=1e-15)
 
@@ -127,6 +175,7 @@ def test_reduced_form_reports_missing_root():
         solve_gap(p, form="reduced")
     grid, vals = err.value.residual_curve
     assert len(grid) == len(vals) > 0
+    assert vals.tolist() == [gap_residual(p, q, form="reduced") for q in grid.tolist()]
 
 
 def test_regime_report():
@@ -317,6 +366,20 @@ def test_elliptic_route_matches_quadrature():
         assert abs(zeta_of(p.replace(u=u), q)) < 1.0
         assert abs(ground_energy(p, q, u, "elliptic")
                    - ground_energy(p, q, u, "quadrature")) <= 1e-8
+
+
+def test_array_energies_match_pointwise():
+    # u up to 0.6 puts zeta = 2 u on both sides of 1
+    p = base_params(k_spring=2.0)
+    q = 1.0
+    u = np.concatenate([np.linspace(-0.6, 0.6, 49), [1e-7, -1e-7, 5e-6, 0.5]])
+    assert ground_energy(p, q, u).tolist() == [ground_energy(p, q, x) for x in u.tolist()]
+    few = u[::6]
+    assert ground_energy(p, q, few, "quadrature").tolist() == \
+        [ground_energy(p, q, x, "quadrature") for x in few.tolist()]
+    small = ground_energy_smallz(p, q, u)
+    assert small.tolist() == [ground_energy_smallz(p, q, x) for x in u.tolist()]
+    assert small[24] == 4 * p.n_sites * p.t0 / math.pi      # u = 0
 
 
 def test_small_gap_expansion_accuracy():
