@@ -23,7 +23,16 @@ def elliptic_K(k: float) -> float:
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"elliptic_K needs 0 <= k < 1, got {k!r}")
-    a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
+    return _agm_K(math.sqrt((1.0 - k) * (1.0 + k)))
+
+
+def _agm_K(kc: float) -> float:
+    """K from the complementary modulus kc = sqrt(1 - k^2), 0 < kc <= 1.
+
+    A caller that knows kc exactly passes it here: recomputing it from k
+    near 1 cancels digits that K, log-divergent in kc, cannot recover.
+    """
+    a, b = 1.0, kc
     for _ in range(_MAX_ITER):
         if abs(a - b) <= 4.0 * math.ulp(a):
             break
@@ -40,7 +49,12 @@ def elliptic_E(k: float) -> float:
         raise ValueError(f"elliptic_E needs 0 <= k <= 1, got {k!r}")
     if k == 1.0:
         return 1.0
-    a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
+    return _agm_E(k, math.sqrt((1.0 - k) * (1.0 + k)))
+
+
+def _agm_E(k: float, kc: float) -> float:
+    """E from the moduli k and kc = sqrt(1 - k^2), 0 <= k < 1 (see `_agm_K`)."""
+    a, b = 1.0, kc
     c = k
     csum = 0.5 * c * c  # 2^{n-1} c_n^2 running sum, n = 0 term
     power = 1.0
@@ -57,8 +71,7 @@ def elliptic_E(k: float) -> float:
 def _agm_array(k, kc):
     """K(k) and E(k) on arrays, from the moduli k and kc = sqrt(1 - k^2).
 
-    Every element runs the loops of `elliptic_K` and `elliptic_E` started
-    at b = kc, and freezes at the step where each scalar loop stops
+    Every element runs the loops of `_agm_K` and `_agm_E` and freezes at the step where each scalar loop stops
     (|a - b| <= 4 ulp(a) for K, |c| <= 2 ulp(a) for E), so each result
     equals the scalar one bit for bit.  Needs 0 <= k < 1 elementwise.
     """

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 from scipy import integrate, optimize
 
-from .elliptic import _agm_array, elliptic_E, elliptic_K
+from .elliptic import _agm_array, _agm_E, _agm_K, elliptic_E, elliptic_K
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,10 @@ def gap_kernel(zeta: float, method: str = "elliptic") -> float:
             return (big_l - 1.0 - 0.25 * z2 * big_l) / m2
         if m2 < 1e-5:
             return _kernel_series_small_m2(m2)
-        m = math.sqrt(m2)
-        return (elliptic_K(m) - elliptic_E(m)) / m2
+        # the AGM starts from the complementary modulus |zeta| itself:
+        # recomputed from m it loses ~8 digits of K at zeta ~ 1e-5
+        kc = abs(zeta)
+        return (_agm_K(kc) - _agm_E(math.sqrt(m2), kc)) / m2
     if z2 == 1.0:
         return 0.25 * math.pi
     mt2 = 1.0 - 1.0 / z2
@@ -232,7 +234,7 @@ def _gap_kernel_array(zeta):
     big_l = _log(4.0 / np.abs(zeta[tiny]))
     out[tiny] = (big_l - 1.0 - 0.25 * z2[tiny] * big_l) / m2[tiny]
     out[near] = _kernel_series_small_m2(m2[near])
-    k_m, e_m = _agm_by_modulus(np.sqrt(m2[below]))
+    k_m, e_m = _agm_array(np.sqrt(m2[below]), np.abs(zeta[below]))
     out[below] = (k_m - e_m) / m2[below]
     out[z2 == 1.0] = 0.25 * math.pi
     above = z2 > 1.0
@@ -566,7 +568,7 @@ def _band_kernel(zeta: float, method: str = "elliptic") -> float:
             big_l = math.log(4.0 / abs(zeta))
             kint = big_l + 0.25 * z2 * (big_l - 1.0)
         else:
-            kint = elliptic_K(math.sqrt(1.0 - z2))
+            kint = _agm_K(abs(zeta))
     elif z2 == 1.0:
         kint = 0.5 * math.pi
     else:
@@ -584,7 +586,7 @@ def _band_kernel_array(zeta):
     big_l = _log(4.0 / np.abs(zeta[tiny]))
     kint[tiny] = big_l + 0.25 * z2[tiny] * (big_l - 1.0)
     below = (z2 >= 1e-10) & (z2 < 1.0)
-    kint[below] = _agm_by_modulus(np.sqrt(1.0 - z2[below]))[0]
+    kint[below] = _agm_array(np.sqrt(1.0 - z2[below]), np.abs(zeta[below]))[0]
     kint[z2 == 1.0] = 0.5 * math.pi
     above = z2 > 1.0
     kint[above] = _agm_by_modulus(np.sqrt(1.0 - 1.0 / z2[above]))[0] / np.sqrt(z2[above])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from duplexem.sshliquid import (BRANCH_NEAR_EQ, BRANCH_SSH, GapSolverError,
                                 Occupation, SshParams, _band_kernel,
@@ -104,6 +104,40 @@ def test_array_kernels_match_scalar_bit_for_bit():
     zetas = _branch_switch_zetas()
     assert _gap_kernel_array(zetas).tolist() == [gap_kernel(z) for z in zetas.tolist()]
     assert _band_kernel_array(zetas).tolist() == [_band_kernel(z) for z in zetas.tolist()]
+
+
+def _kernels_scipy(zeta):
+    """I and J from scipy.special: parameter 1 - zeta^2 below |zeta| = 1, 1 - 1/zeta^2 above."""
+    z2 = zeta * zeta
+    below = z2 < 1.0
+    m2 = np.where(below, 1.0 - z2, 1.0 - 1.0 / z2)
+    big_k = np.where(below, special.ellipkm1(z2), special.ellipkm1(1.0 / z2))
+    big_e = special.ellipe(m2)
+    za = np.abs(zeta)
+    kernel_i = np.where(below, (big_k - big_e) / m2, (big_e - big_k / z2) / (za * m2))
+    kint = np.where(below, big_k, big_k / za)
+    return kernel_i, (1.0 + z2) * kernel_i - kint
+
+
+def test_array_kernels_match_scipy_away_from_unity():
+    zetas = np.concatenate([np.geomspace(1e-9, 0.99, 300), np.geomspace(1.1, 1e4, 300)])
+    zetas = np.concatenate([zetas, -zetas])
+    kernel_i, kernel_j = _kernels_scipy(zetas)
+    assert np.max(np.abs(_gap_kernel_array(zetas) - kernel_i) / kernel_i) <= 1e-13
+    assert np.max(np.abs(_band_kernel_array(zetas) - kernel_j) / np.abs(kernel_j)) <= 1e-13
+
+
+@pytest.mark.parametrize("zeta, reference", [
+    # 40-digit mpmath values of (K(m) - E(m)) / m^2, m = sqrt(1 - zeta^2)
+    (1.01e-5, 11.889269496121067),
+    (1e-4, 9.5966348025708345),
+    (1e-3, 7.2940548606441285),
+])
+def test_kernel_precision_at_small_zeta(zeta, reference):
+    # the AGM starts from the complementary modulus zeta, not sqrt(1 - m^2)
+    for value in (gap_kernel(zeta), gap_kernel(-zeta),
+                  *_gap_kernel_array(np.array([zeta, -zeta]))):
+        assert abs(value - reference) <= 1e-15 * reference
 
 
 @pytest.mark.parametrize("form, alpha2, grid", [
