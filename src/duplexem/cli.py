@@ -298,6 +298,15 @@ _SSH_DEFAULTS = {
 }
 
 
+def _ssh_failure(out: Path, exc: RuntimeError) -> int:
+    """Record a failed solve: its message in summary.json and, when the gap
+    scan found no root, the scanned residual curve; exit code 1."""
+    _write_json(out / "summary.json", {"error": str(exc)})
+    if isinstance(exc, ssh.GapSolverError) and exc.residual_curve is not None:
+        _write_csv(out / "residual_curve.csv", ["q", "residual"], list(exc.residual_curve))
+    return 1
+
+
 def cmd_ssh_solve(args) -> int:
     out = _outdir(args)
     cfg = _load_config(args.config, dict(_SSH_DEFAULTS))
@@ -308,8 +317,7 @@ def cmd_ssh_solve(args) -> int:
     try:
         sol = ssh.solve_gap(params, occ, form=cfg["form"])
     except ssh.GapSolverError as exc:
-        _write_json(out / "summary.json", {"error": str(exc)})
-        return 1
+        return _ssh_failure(out, exc)
     branches = (ssh.BRANCH_NEAR_EQ, ssh.BRANCH_SSH)
     codes = [100 * c1 + 10 * c2 + c3
              for c1, c2, c3 in (sol.stable[branch] for branch in branches)]
@@ -324,7 +332,10 @@ def cmd_ssh_solve(args) -> int:
     else:
         span = 4.0 * abs(params.u) if params.u else 0.4
         u_grid = np.linspace(-span, span, 41)
-    curve = ssh.ground_state_energy(params, sol.q, u_grid)
+    try:
+        curve = ssh.ground_state_energy(params, sol.q, u_grid)
+    except ssh.WellEdgeError as exc:
+        return _ssh_failure(out, exc)
     _write_json(out / "summary.json", {
         "quantity": "self-consistent gap factor",
         "formula": "Q = 1 + coupling-sum / sqrt(eps^2 + Q^2 gap^2)",
@@ -349,7 +360,10 @@ def cmd_ssh_sweep(args) -> int:
     params = _ssh_params(cfg)
     occ = ssh.Occupation.ground() if cfg["occupation"] == "ground" \
         else ssh.Occupation.inverted()
-    sol = ssh.solve_gap(params, occ, form=cfg["form"])
+    try:
+        sol = ssh.solve_gap(params, occ, form=cfg["form"])
+    except ssh.GapSolverError as exc:
+        return _ssh_failure(out, exc)
     lo, hi, steps = cfg["u_scan"]
     u_grid = np.linspace(float(lo), float(hi), int(steps))
     curve = ssh.GroundStateCurve(params, sol.q, u_grid)
@@ -363,7 +377,10 @@ def cmd_ssh_sweep(args) -> int:
         "points": len(u_grid),
     }
     if abs(u_grid[0] + u_grid[-1]) < 1e-12:
-        curve.locate_minimum()
+        try:
+            curve.locate_minimum()
+        except ssh.WellEdgeError as exc:
+            return _ssh_failure(out, exc)
         summary.update(u0=curve.u0, well_depth=curve.well_depth,
                        double_well=curve.double_well)
     _write_json(out / "summary.json", summary)
@@ -494,7 +511,7 @@ def _verify_checks(seed: int):
     params = ssh.SshParams(t0=1.0, alpha1=1.0, alpha2=0.1, u=0.1,
                            n_sites=100, k_spring=2.0)
     ug = np.linspace(-0.3, 0.3, 25)
-    curve = ssh.ground_state_energy(params, 1.0, ug, refine=False)
+    curve = ssh.GroundStateCurve(params, 1.0, ug)
     add("ground_state_symmetry", float(np.max(np.abs(curve.e0 - curve.e0[::-1]))),
         1e-12 * float(np.max(np.abs(curve.e0))))
     add("ground_state_route_agreement",

@@ -111,6 +111,10 @@ class GapSolverError(RuntimeError):
         self.residual_curve = residual_curve
 
 
+class WellEdgeError(RuntimeError):
+    """The minimum of E0(u) lies beyond the u grid: E0 still falls at its edge."""
+
+
 BRANCH_SSH = "ssh_like"
 BRANCH_NEAR_EQ = "near_equilibrium"
 
@@ -655,12 +659,13 @@ class GroundStateCurve:
     def e0_smallz(self) -> np.ndarray:
         return ground_energy_smallz(self.params, self.q, self.u_grid)
 
-    def locate_minimum(self, refine: bool = True) -> "GroundStateCurve":
+    def locate_minimum(self) -> "GroundStateCurve":
         """Find the dimerization minimum +-u0 of a grid symmetric about 0.
 
         The curve is even in u (u enters through zeta^2 and u^2); the
         minimum is refined by golden-section search around the grid argmin.
-        A flat curve (minimum at u = 0) is reported with double_well = False.
+        A flat curve (minimum at u = 0) is reported with double_well = False;
+        a grid argmin at the edge raises WellEdgeError.
         """
         p, q, u_grid = self.params, self.q, self.u_grid
         tol = 1e-12 * max(1.0, np.max(np.abs(u_grid)))
@@ -673,7 +678,10 @@ class GroundStateCurve:
         e_pos = self.e0[pos]
         i_min = int(np.argmin(e_pos))
         u0 = float(u_pos[i_min])
-        if refine and 0 < i_min < len(u_pos) - 1:
+        if 0 < i_min == len(u_pos) - 1:
+            raise WellEdgeError(f"E0(u) is still falling at the edge |u| = {u0!r} of the "
+                                f"u grid; widen u_scan past it")
+        if i_min > 0:
             res = optimize.minimize_scalar(
                 lambda u: ground_energy(p, q, u, "elliptic"),
                 bracket=(u_pos[i_min - 1], u_pos[i_min], u_pos[i_min + 1]),
@@ -691,7 +699,6 @@ class GroundStateCurve:
         return self
 
 
-def ground_state_energy(p: SshParams, q: float, u_grid,
-                        refine: bool = True) -> GroundStateCurve:
+def ground_state_energy(p: SshParams, q: float, u_grid) -> GroundStateCurve:
     """E0 over a symmetric u grid with the dimerization minimum located."""
-    return GroundStateCurve(p, q, np.asarray(u_grid, dtype=float)).locate_minimum(refine)
+    return GroundStateCurve(p, q, np.asarray(u_grid, dtype=float)).locate_minimum()

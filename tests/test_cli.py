@@ -114,6 +114,37 @@ def test_ssh_sweep_makes_one_quadrature_per_point(tmp_path, capsys, monkeypatch)
     assert summary["points"] == 25 and len(calls) == 25
 
 
+@pytest.mark.parametrize("command", ["ssh-solve", "ssh-sweep"])
+def test_minimum_beyond_grid_edge_exits_1(tmp_path, capsys, command):
+    cfg = tmp_path / "edge.json"
+    cfg.write_text('{"form": "reduced", "u": -0.1, "u_scan": [-0.4, 0.4, 41]}')
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    capsys.readouterr()
+    error = json.loads((out / "summary.json").read_text())["error"]
+    assert "edge |u| = 0.4 " in error and "widen u_scan" in error
+    if command == "ssh-sweep":   # the curve is written before the minimum is sought
+        data = np.loadtxt(out / "ground_state.csv", delimiter=",", skiprows=1)
+        assert data.shape == (41, 4)
+
+
+@pytest.mark.parametrize("command", ["ssh-solve", "ssh-sweep"])
+def test_failed_gap_solve_keeps_residual_curve(tmp_path, capsys, command):
+    # ground occupation with u * alpha2 > 0: C < 0, so C I(zeta) = 1 has no root
+    cfg = tmp_path / "noroot.json"
+    cfg.write_text('{"form": "reduced", "u": 0.1, "alpha2": 0.2, "u_scan": [-0.2, 0.2, 9]}')
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert "no root" in json.loads((out / "summary.json").read_text())["error"]
+    lines = (out / "residual_curve.csv").read_text().splitlines()
+    assert lines[0] == "q,residual" and len(lines) == 1 + 600
+    q, residual = np.loadtxt(out / "residual_curve.csv", delimiter=",", skiprows=1).T
+    params = ssh.SshParams(t0=1.0, alpha1=1.0, alpha2=0.2, u=0.1)
+    assert residual.tolist() == [ssh.gap_residual(params, x, form="reduced") for x in q]
+    assert np.all(residual < -1.0)
+
+
 def test_resonance_fit_inline_data(tmp_path, capsys):
     cfg = tmp_path / "res.json"
     cfg.write_text(json.dumps({

@@ -5,14 +5,14 @@ import pytest
 from scipy import integrate, special
 
 from duplexem.sshliquid import (BRANCH_NEAR_EQ, BRANCH_SSH, GapSolverError,
-                                Occupation, SshParams, _band_kernel,
+                                GroundStateCurve, Occupation, SshParams, _band_kernel,
                                 _band_kernel_array, _gap_kernel_array,
                                 band_energies, bogoliubov_coeffs,
                                 gap_approximations, gap_kernel, gap_residual,
                                 gap_residual_discrete, ground_energy,
                                 ground_energy_smallz, ground_state_energy,
                                 solve_gap, solve_gap_discrete,
-                                stability_classify, zeta_of)
+                                stability_classify, zeta_of, WellEdgeError)
 
 
 def base_params(**kw):
@@ -389,7 +389,7 @@ def test_energy_at_undimerized_point():
 def test_energy_symmetric_in_u():
     p = base_params(k_spring=2.0)
     grid = np.linspace(-0.3, 0.3, 31)
-    curve = ground_state_energy(p, 1.0, grid, refine=False)
+    curve = GroundStateCurve(p, 1.0, grid)
     assert np.max(np.abs(curve.e0 - curve.e0[::-1])) <= 1e-12 * np.max(np.abs(curve.e0))
 
 
@@ -449,6 +449,18 @@ def test_minimum_next_to_inexact_grid_centre_is_refined():
     assert curve.double_well
     assert curve.u0 == pytest.approx(0.186834, abs=1e-6)
     assert curve.u0 != pytest.approx(grid[21], abs=1e-4)
+
+
+def test_minimum_beyond_grid_edge_is_an_error():
+    # E0 still falls at u = 0.4 = 4 |u|: the edge point is no minimum
+    p = base_params(u=-0.1)
+    q = solve_gap(p, form="reduced").q
+    grid = np.linspace(-0.4, 0.4, 41)
+    with pytest.raises(WellEdgeError, match=r"edge \|u\| = 0\.4 .*widen u_scan"):
+        ground_state_energy(p, q, grid)
+    assert ground_energy(p, q, 0.4 + 1e-4) < ground_energy(p, q, 0.4)
+    wider = ground_state_energy(p, q, np.linspace(-8.0, 8.0, 41))
+    assert wider.double_well and 0.4 < wider.u0 < 7.6
 
 
 def test_flat_curve_reports_no_well():
