@@ -71,9 +71,10 @@ def _agm_E(k: float, kc: float) -> float:
 def _agm_array(k, kc):
     """K(k) and E(k) on arrays, from the moduli k and kc = sqrt(1 - k^2).
 
-    Every element runs the loops of `_agm_K` and `_agm_E` and freezes at the step where each scalar loop stops
-    (|a - b| <= 4 ulp(a) for K, |c| <= 2 ulp(a) for E), so each result
-    equals the scalar one bit for bit.  Needs 0 <= k < 1 elementwise.
+    Every element runs the loops of `_agm_K` and `_agm_E` and freezes at
+    the step where each scalar loop stops (|a - b| <= 4 ulp(a) for K,
+    |c| <= 2 ulp(a) for E), so each result equals the scalar one bit for
+    bit.  Needs 0 <= k < 1 elementwise.
     """
     a, b = np.ones_like(kc), kc
     csum = 0.5 * k * k
