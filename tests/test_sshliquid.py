@@ -12,7 +12,7 @@ from duplexem.sshliquid import (BRANCH_NEAR_EQ, BRANCH_SSH, GapSolverError,
                                 gap_residual_discrete, ground_energy,
                                 ground_energy_smallz, ground_state_energy,
                                 solve_gap, solve_gap_discrete,
-                                stability_classify, zeta_of, WellEdgeError)
+                                stability_classify, WellEdgeError, zeta_of)
 
 
 def base_params(**kw):
