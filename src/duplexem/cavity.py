@@ -138,6 +138,14 @@ def _expand(vec, ndim):
     return np.asarray(vec).reshape((-1,) + (1,) * ndim)
 
 
+def _inside(z, length) -> np.ndarray:
+    """z as a float array; ValueError if a point lies outside [0, L] beyond rounding."""
+    z = np.asarray(z, dtype=float)
+    if length is not None and z.size and (z.min() < -1e-12 or z.max() > length * (1 + 1e-12)):
+        raise ValueError("z outside the cavity [0, L]")
+    return z
+
+
 def _d_dz(coeffs, k):
     """d/dz on coefficients [..., profile, basis, mode]: sin -> k cos, cos -> -k sin."""
     return np.stack([-k * coeffs[..., 1, :, :], k * coeffs[..., 0, :, :]], axis=-3)
@@ -170,10 +178,14 @@ def _time_coeffs(model: CavityModel, state: ModeState, integrals: int = 0,
 
 
 def _time_sum(omegas, coeffs, t) -> np.ndarray:
-    """sum_b coeffs[b] T_b(w t) over the time bases; shape (n_modes,) + shape(t)."""
+    """sum_b coeffs[..., b, a] T_b(w_a t) over the time bases b.
+
+    Returns shape coeffs.shape[:-2] + (n_modes,) + shape(t).
+    """
     t = np.asarray(t, dtype=float)
     wt = _expand(omegas, t.ndim) * t
-    c = coeffs.reshape(coeffs.shape + (1,) * t.ndim)
+    c = np.moveaxis(coeffs, -2, 0)
+    c = c.reshape(c.shape + (1,) * t.ndim)
     phase = np.exp(1j * wt)  # its conjugate is exp(-i w t) bit for bit
     return c[0] * phase + c[1] * phase.conj() + c[2] + c[3] * wt
 
@@ -228,11 +240,13 @@ class SpectralField(FieldOnSegment):
     """A cavity field held as mode-sum coefficients (layout in the module docstring).
 
     ``coeffs`` has shape (2, 2, 2, 4, n_modes); ``wavenumbers`` and ``omegas``
-    hold k_a and w_a.  ``length`` is None only for a field without modes.
+    hold k_a and w_a.  ``length`` and the vacuum impedance ``z0`` of the unit
+    system are None only for a field without modes.
     """
 
-    def __init__(self, length, wavenumbers, omegas, coeffs):
+    def __init__(self, length, wavenumbers, omegas, coeffs, z0=None):
         self.length = length
+        self.z0 = z0
         self.wavenumbers = np.asarray(wavenumbers, dtype=float)
         self.omegas = np.asarray(omegas, dtype=float)
         self.coeffs = np.asarray(coeffs, dtype=complex)
@@ -244,7 +258,7 @@ class SpectralField(FieldOnSegment):
         self.max_alpha = int(self._alphas.max()) if n_modes else None
 
     def _with(self, coeffs):
-        return SpectralField(self.length, self.wavenumbers, self.omegas, coeffs)
+        return SpectralField(self.length, self.wavenumbers, self.omegas, coeffs, self.z0)
 
     def d_dz(self) -> "SpectralField":
         return self._with(_d_dz(self.coeffs, self.wavenumbers))
@@ -253,10 +267,16 @@ class SpectralField(FieldOnSegment):
         return self._with(_d_dt(self.coeffs, self.omegas))
 
     def rotated(self, theta: float) -> "SpectralField":
-        """Circular dual mix E' = cos E + sin H, H' = cos H - sin E."""
+        """Circular dual mix E' = cos E + z0 sin H, H' = cos H - sin E / z0.
+
+        It is the phase F -> exp(-i theta) F of the Riemann-Silberstein vector
+        F = sqrt(eps0) E + i sqrt(mu0) H, so it maps solutions to solutions in
+        any unit system; in symmetric units z0 = 1.
+        """
         c, s = np.cos(theta), np.sin(theta)
+        z0 = 1.0 if self.z0 is None else self.z0  # a field without modes has nothing to mix
         e, h = self.coeffs
-        return self._with(np.stack([c * e + s * h, c * h - s * e]))
+        return self._with(np.stack([c * e + s * z0 * h, c * h - s / z0 * e]))
 
     def scaled(self, e_factor=1.0, h_factor=1.0) -> "SpectralField":
         """Complex rescale of e and/or h."""
@@ -273,30 +293,23 @@ class SpectralField(FieldOnSegment):
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         """The sum, with the modes of both fields side by side."""
-        lengths = {f.length for f in (self, other) if f.length is not None}
-        if len(lengths) > 1:
-            raise ValueError("mismatched domains in field combination")
-        return SpectralField(lengths.pop() if lengths else None,
+        lengths = {f.length for f in (self, other)} - {None}
+        z0s = {f.z0 for f in (self, other)} - {None}
+        if len(lengths) > 1 or len(z0s) > 1:
+            raise ValueError("mismatched domains or unit systems in field combination")
+        return SpectralField(max(lengths, default=None),
                              np.concatenate([self.wavenumbers, other.wavenumbers]),
                              np.concatenate([self.omegas, other.omegas]),
-                             np.concatenate([self.coeffs, other.coeffs], axis=-1))
-
-    def modes(self) -> list:
-        """The single-mode fields whose sum is this field."""
-        return [SpectralField(self.length, self.wavenumbers[a:a + 1], self.omegas[a:a + 1],
-                              self.coeffs[..., a:a + 1])
-                for a in range(self.wavenumbers.size)]
+                             np.concatenate([self.coeffs, other.coeffs], axis=-1),
+                             max(z0s, default=None))
 
     def component(self, coeffs, z, t) -> np.ndarray:
         """One Cartesian component from its coefficients [profile, basis, mode].
 
         Returns sum_pba coeffs[p, b, a] Z_p(k_a z) T_b(w_a t) on the outer (z, t) grid.
         """
-        z = np.asarray(z, dtype=float)
+        z = _inside(z, self.length)
         t = np.asarray(t, dtype=float)
-        if self.length is not None and z.size and (
-                z.min() < -1e-12 or z.max() > self.length * (1 + 1e-12)):
-            raise ValueError("z outside the cavity [0, L]")
         # all-zero profiles are skipped: an unrotated field has one per component
         live = [p for p, used in enumerate(coeffs.any(axis=(1, 2))) if used]
         if not live:
@@ -339,7 +352,8 @@ def _cavity_field(model: CavityModel, ex, hy) -> SpectralField:
     coeffs = np.zeros((2, 2, 2, 4, model.n_modes), dtype=complex)
     coeffs[0, 0, 0] = ex
     coeffs[1, 1, 1] = hy
-    return SpectralField(model.length, model.wavenumbers, model.omegas, coeffs)
+    return SpectralField(model.length, model.wavenumbers, model.omegas, coeffs,
+                         model.constants.z0)
 
 
 def FirstSolution(model: CavityModel, state: ModeState) -> SpectralField:

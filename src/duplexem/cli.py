@@ -101,8 +101,10 @@ def _model_from_cfg(cfg) -> tuple:
 
 
 def cmd_dual_invariants(args) -> int:
-    out = _outdir(args)
     count = args.random
+    if count < 1:
+        raise ConfigError(f"--random must be a positive sample count, got {count}")
+    out = _outdir(args)
     rng = np.random.default_rng(args.seed)
     tol = args.tol if args.tol is not None else 1e-12
     rows = []
@@ -199,8 +201,7 @@ def cmd_quantize(args) -> int:
         "hermiticity_defect": field.hermiticity_defect(z, t),
     }
     if kind is fq.SchemeKind.SPACETIME_LOCAL:
-        ops = fq.spacetime_local_operators(model, dim, z, t, cst.hbar, cst.lambda0)
-        checks["g_symmetrized_deviation"] = max(o["g_deviation"] for o in ops)
+        checks["g_symmetrized_deviation"] = field.g_deviation(z, t)
     for idx in range(model.n_modes):
         with open(out / f"operator_e_mode{idx + 1}.json", "w") as fh:
             fq.dump_operator_json(field.e_matrix(idx, z, t), kind, idx + 1, fh)
@@ -282,13 +283,22 @@ def cmd_resonance_fit(args) -> int:
     return 0
 
 
-def _ssh_params(cfg) -> ssh.SshParams:
-    return ssh.SshParams(
+def _ssh_inputs(cfg) -> tuple:
+    """(SshParams, Occupation) of an ssh config; ConfigError on an unknown
+    occupation or form."""
+    for key, allowed in (("occupation", ("ground", "inverted")), ("form", ("full", "reduced"))):
+        if cfg[key] not in allowed:
+            raise ConfigError(f"unknown {key} {cfg[key]!r}; expected "
+                              f"{allowed[0]!r} or {allowed[1]!r}")
+    params = ssh.SshParams(
         t0=float(cfg["t0"]), alpha1=float(cfg["alpha1"]),
         alpha2=float(cfg["alpha2"]), u=float(cfg["u"]),
         k_spring=float(cfg["K_spring"]), n_sites=int(cfg["N"]),
         a_lattice=float(cfg["a"]),
     )
+    occ = ssh.Occupation.ground() if cfg["occupation"] == "ground" \
+        else ssh.Occupation.inverted()
+    return params, occ
 
 
 _SSH_DEFAULTS = {
@@ -310,9 +320,7 @@ def _ssh_failure(out: Path, exc: RuntimeError) -> int:
 def cmd_ssh_solve(args) -> int:
     out = _outdir(args)
     cfg = _load_config(args.config, dict(_SSH_DEFAULTS))
-    params = _ssh_params(cfg)
-    occ = ssh.Occupation.ground() if cfg["occupation"] == "ground" \
-        else ssh.Occupation.inverted()
+    params, occ = _ssh_inputs(cfg)
     tol = args.tol if args.tol is not None else 1e-10
     try:
         sol = ssh.solve_gap(params, occ, form=cfg["form"])
@@ -343,7 +351,7 @@ def cmd_ssh_solve(args) -> int:
         "roots": list(sol.roots),
         "residual": sol.residual,
         "regime": sol.regime,
-        "z_scale": sol.z_sq,
+        "z_scale": sol.zeta,
         "u0": curve.u0,
         "well_depth": curve.well_depth,
         "double_well": curve.double_well,
@@ -357,9 +365,7 @@ def cmd_ssh_sweep(args) -> int:
     cfg = _load_config(args.config, dict(_SSH_DEFAULTS))
     if not cfg["u_scan"]:
         raise ConfigError("ssh-sweep needs u_scan: [min, max, steps]")
-    params = _ssh_params(cfg)
-    occ = ssh.Occupation.ground() if cfg["occupation"] == "ground" \
-        else ssh.Occupation.inverted()
+    params, occ = _ssh_inputs(cfg)
     try:
         sol = ssh.solve_gap(params, occ, form=cfg["form"])
     except ssh.GapSolverError as exc:
@@ -581,7 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("DUPLEX_EM_LOG", "WARNING"))
+    level = os.environ.get("DUPLEX_EM_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"config error: DUPLEX_EM_LOG={level!r} is not a logging level; expected "
+              "DEBUG, INFO, WARNING, ERROR or CRITICAL", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
-from .cavity import CavityModel, FirstSolution, ModeState, _check_sampling, _expand
+from .cavity import (CavityModel, FirstSolution, ModeState, _check_sampling, _d_dt, _d_dz,
+                     _expand, _inside, _time_sum)
 
 
 @lru_cache(maxsize=8)
@@ -151,49 +152,36 @@ def continuity_residual(current, z, t) -> float:
     return worst
 
 
-@dataclass
-class FieldFunction:
-    """One scalar field component with analytic first and second derivatives."""
-
-    u: callable
-    du_dt: callable
-    du_dz: callable
-    d2u_dt2: callable = None
-    d2u_dz2: callable = None
-
-
-def _combine(terms):
-    """FieldFunction of sum c f over (c, f) terms; None where a term lacks a derivative."""
-    def combo(name):
-        fns = [(coef, getattr(f, name)) for coef, f in terms]
-        if any(fn is None for _, fn in fns):
-            return None
-        return lambda z, t: sum(coef * fn(z, t) for coef, fn in fns)
-
-    return FieldFunction(*(combo(name) for name in
-                           ("u", "du_dt", "du_dz", "d2u_dt2", "d2u_dz2")))
-
-
 class FieldFunctionSet:
     """Mode pairs (u1, u2) entering the Lagrangian-based charges.
 
     u1 collects the sine-profile (electric-type) parts, u2 the cosine-profile
-    (magnetic-type) parts.  ``pairs`` is a list of (u1, u2) FieldFunction
-    pairs; ``components`` flattens it.
+    (magnetic-type) parts.  The set is one complex array
+    ``coeffs[sector, profile, basis, mode]`` (sector 0: u1, 1: u2; profile
+    and time basis as in :mod:`duplexem.cavity`), so that
+
+        u_s,a(z, t) = sum_pb coeffs[s, p, b, a] Z_p(k_a z) T_b(w_a t),
+
+    with k_a = ``wavenumbers[a]`` and w_a = ``omegas[a]``, any (k, w) pair.
     """
 
-    def __init__(self, pairs, volume: float, length: float, c: float,
-                 energy: float = None, hbar: float = None):
-        self.pairs = list(pairs)
+    def __init__(self, coeffs, wavenumbers, omegas, volume: float, length: float,
+                 c: float, energy: float = None, hbar: float = None):
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.wavenumbers = np.asarray(wavenumbers, dtype=float)
+        self.omegas = np.asarray(omegas, dtype=float)
+        n_modes = self.wavenumbers.size
+        if self.omegas.shape != (n_modes,) or self.coeffs.shape != (2, 2, 4, n_modes):
+            raise ValueError("need one k, one omega and (2, 2, 4) coefficients per mode")
         self.volume = volume
         self.length = length
         self.c = c
         self.energy = energy
         self.hbar = hbar
 
-    @property
-    def components(self):
-        return [u for pair in self.pairs for u in pair]
+    def _with(self, coeffs) -> "FieldFunctionSet":
+        return FieldFunctionSet(coeffs, self.wavenumbers, self.omegas, self.volume,
+                                self.length, self.c, self.energy, self.hbar)
 
     @classmethod
     def from_cavity(cls, model: CavityModel, state: ModeState, sign: int = +1):
@@ -212,55 +200,50 @@ class FieldFunctionSet:
         cst = model.constants
         field = FirstSolution(model, state).scaled(math.sqrt(cst.eps0) * complex(1.0, -sign),
                                                    math.sqrt(cst.mu0) * complex(1.0, sign))
-        d_dt, d_dz = field.d_dt(), field.d_dz()
-        # u, du/dt, du/dz, d2u/dt2 and d2u/dz2 as exact maps on the coefficients
-        derivatives = (field, d_dt, d_dz, d_dt.d_dt(), d_dz.d_dz())
-        pairs = []
-        for a, mode in enumerate(field.modes()):
-            # u1 is E_x, coefficients [0, 0]; u2 is H_y, coefficients [1, 1]
-            pairs.append(tuple(
-                FieldFunction(*(partial(mode.component, f.coeffs[i, i, ..., a:a + 1])
-                                for f in derivatives)) for i in (0, 1)))
-        return cls(pairs, volume=model.volume, length=model.length, c=cst.c)
+        # u1 is E_x, coefficients [0, 0]; u2 is H_y, coefficients [1, 1]
+        return cls(np.stack([field.coeffs[0, 0], field.coeffs[1, 1]]), model.wavenumbers,
+                   model.omegas, volume=model.volume, length=model.length, c=cst.c)
 
     @classmethod
     def plane_wave(cls, energy: float, hbar: float, c: float, volume: float,
                    length: float, amplitude: complex = 1.0, wavenumber: float = 0.0):
-        """Single monochromatic component u = amplitude e^{i kappa z} e^{-i E t / hbar}."""
-        om = energy / hbar
-
-        def u(z, t):
-            return amplitude * np.exp(1j * wavenumber * z) * np.exp(-1j * om * t)
-
-        def zero(z, t):
-            return np.zeros(np.broadcast_shapes(np.shape(z), np.shape(t)), dtype=complex)
-
-        pair = (
-            FieldFunction(
-                u=u,
-                du_dt=lambda z, t: -1j * om * u(z, t),
-                du_dz=lambda z, t: 1j * wavenumber * u(z, t),
-                d2u_dt2=lambda z, t: -om * om * u(z, t),
-                d2u_dz2=lambda z, t: -wavenumber * wavenumber * u(z, t),
-            ),
-            FieldFunction(u=zero, du_dt=zero, du_dz=zero),
-        )
-        return cls([pair], volume=volume, length=length, c=c,
-                   energy=energy, hbar=hbar)
+        """Monochromatic u1 = amplitude e^{i kappa z} e^{-i E t / hbar}, with u2 = 0."""
+        coeffs = np.zeros((2, 2, 4, 1), dtype=complex)
+        # amplitude (i sin(kappa z) + cos(kappa z)) on the e^{-i w t} basis
+        coeffs[0, :, 1, 0] = 1j * amplitude, amplitude
+        return cls(coeffs, [wavenumber], [energy / hbar], volume, length, c, energy, hbar)
 
     def rotated(self, theta: float) -> "FieldFunctionSet":
         """Dual rotation applied pairwise in the (u1, u2) functional plane."""
         ct, st = math.cos(theta), math.sin(theta)
-        pairs = [(_combine([(ct, u1), (st, u2)]), _combine([(ct, u2), (-st, u1)]))
-                 for u1, u2 in self.pairs]
-        return FieldFunctionSet(pairs, self.volume, self.length, self.c,
-                                self.energy, self.hbar)
+        u1, u2 = self.coeffs
+        return self._with(np.stack([ct * u1 + st * u2, ct * u2 - st * u1]))
 
     def scaled(self, factor: complex) -> "FieldFunctionSet":
         """Gauge transform u -> factor * u (factor = beta e^{i alpha})."""
-        pairs = [(_combine([(factor, u1)]), _combine([(factor, u2)])) for u1, u2 in self.pairs]
-        return FieldFunctionSet(pairs, self.volume, self.length, self.c,
-                                self.energy, self.hbar)
+        return self._with(factor * self.coeffs)
+
+    def evaluate(self, z, t, *orders) -> np.ndarray:
+        """u and its derivatives per sector and mode on the outer (z, t) grid.
+
+        Each order (n, m) asks for d^n/dz^n d^m/dt^m u.  The result has shape
+        (len(orders), 2, n_modes) + shape(z) + shape(t); modes are not summed.
+        """
+        z = _inside(z, self.length)
+        t = np.asarray(t, dtype=float)
+        coeffs = []
+        for n_z, n_t in orders:
+            c = self.coeffs
+            for _ in range(n_z):
+                c = _d_dz(c, self.wavenumbers)
+            for _ in range(n_t):
+                c = _d_dt(c, self.omegas)
+            coeffs.append(c)
+        kz = _expand(self.wavenumbers, z.ndim) * z
+        kz = kz.reshape(kz.shape + (1,) * t.ndim)
+        tpart = _time_sum(self.omegas, np.array(coeffs), t)  # [order, sector, profile, mode, t]
+        tpart = tpart.reshape(tpart.shape[:4] + (1,) * z.ndim + t.shape)
+        return np.sin(kz) * tpart[:, :, 0] + np.cos(kz) * tpart[:, :, 1]
 
 
 def phase_gauge_longitudinal(fieldset: FieldFunctionSet, z, t):
@@ -270,10 +253,8 @@ def phase_gauge_longitudinal(fieldset: FieldFunctionSet, z, t):
     (real z profile) x (any twice differentiable time factor), since the
     product (du/dz) conj(u) is then |time factor|^2 times a real profile.
     """
-    total = 0.0
-    for comp in fieldset.components:
-        total = total + 2.0 * np.imag(comp.du_dz(z, t) * np.conj(comp.u(z, t)))
-    return total
+    u, du_dz = fieldset.evaluate(z, t, (0, 0), (1, 0))
+    return np.sum(2.0 * np.imag(du_dz * np.conj(u)), axis=(0, 1))
 
 
 @dataclass(frozen=True)
@@ -281,6 +262,11 @@ class NoetherCharge:
     q1: float
     q2: float
     q: complex
+
+
+def _ordered_sum(values):
+    """0 + values[0] + values[1] + ... over the first axis, one addition at a time."""
+    return np.cumsum(np.insert(values, 0, 0.0, axis=0), axis=0)[-1]
 
 
 def noether_charge(fieldset: FieldFunctionSet, t: float, n_quad: int = 96) -> NoetherCharge:
@@ -293,15 +279,14 @@ def noether_charge(fieldset: FieldFunctionSet, t: float, n_quad: int = 96) -> No
     zq, wq = _gauss_legendre(0.0, fieldset.length, n_quad)
     c = fieldset.c
     weight = fieldset.volume / fieldset.length
-    im_sum = 0.0
-    re_sum = 0.0
-    for comp in fieldset.components:
-        with np.errstate(invalid="ignore"):
-            w_bar = comp.du_dt(zq, t) * np.conj(comp.u(zq, t))
-        if not np.all(np.isfinite(w_bar.real)) or not np.all(np.isfinite(w_bar.imag)):
-            raise ValueError("field set is not integrable on [0, L]")
-        im_sum += float(np.sum(wq * np.imag(w_bar)))
-        re_sum += float(np.sum(wq * np.real(w_bar)))
+    with np.errstate(invalid="ignore"):
+        u, du_dt = fieldset.evaluate(zq, t, (0, 0), (0, 1))
+        w_bar = du_dt * np.conj(u)
+    if not np.all(np.isfinite(w_bar)):
+        raise ValueError("field set is not integrable on [0, L]")
+    # one quadrature per component, added in the order u1_0, u2_0, u1_1, u2_1, ...
+    im_sum = float(_ordered_sum(np.sum(wq * w_bar.imag, axis=-1).T.ravel()))
+    re_sum = float(_ordered_sum(np.sum(wq * w_bar.real, axis=-1).T.ravel()))
     q1 = (2.0 / c) * weight * im_sum
     q2 = -(2.0 / c) * weight * re_sum
     return NoetherCharge(q1=q1, q2=q2, q=complex(q1, q2))
@@ -326,14 +311,9 @@ def relative_drift(charges) -> tuple:
 
 def lagrange_residual(fieldset: FieldFunctionSet, z, t, k_factor: float = 0.0) -> float:
     """max |d2u/dz2 - (1/c^2) d2u/dt2 - K u| over components and grid."""
-    worst = 0.0
-    c2 = fieldset.c**2
-    for comp in fieldset.components:
-        if comp.d2u_dz2 is None or comp.d2u_dt2 is None:
-            raise ValueError("second derivatives required for the residual")
-        res = comp.d2u_dz2(z, t) - comp.d2u_dt2(z, t) / c2 - k_factor * comp.u(z, t)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    u, d2u_dz2, d2u_dt2 = fieldset.evaluate(z, t, (0, 0), (2, 0), (0, 2))
+    res = d2u_dz2 - d2u_dt2 / fieldset.c**2 - k_factor * u
+    return float(np.max(np.abs(res), initial=0.0))
 
 
 def x4_continued_charge(fieldset: FieldFunctionSet, t: float = 0.0,
@@ -348,9 +328,7 @@ def x4_continued_charge(fieldset: FieldFunctionSet, t: float = 0.0,
         raise ValueError("x4 continuation needs a monochromatic set with energy data")
     rate = fieldset.energy / (fieldset.hbar * fieldset.c)
     zq, wq = _gauss_legendre(0.0, fieldset.length, n_quad)
-    total = 0.0
-    for comp in fieldset.components:
-        total += float(np.sum(wq * np.abs(comp.u(zq, t)) ** 2))
+    total = float(np.sum(wq * np.abs(fieldset.evaluate(zq, t, (0, 0))) ** 2))
     return -2.0 * rate * total * fieldset.volume / fieldset.length
 
 
@@ -377,12 +355,9 @@ def spirality(fieldset: FieldFunctionSet, t: float, n_quad: int = 96) -> SpinDen
     c = fieldset.c
 
     def density(z):
-        total = 0.0
-        for u1, u2 in fieldset.pairs:
-            x = (np.conj(u1.du_dt(z, t)) * u2.u(z, t)
-                 - np.conj(u2.du_dt(z, t)) * u1.u(z, t))
-            total = total + np.imag(x)
-        return (2.0 / c) * total
+        (u1, u2), (du1_dt, du2_dt) = fieldset.evaluate(z, t, (0, 0), (0, 1))
+        pairs = np.imag(np.conj(du1_dt) * u2 - np.conj(du2_dt) * u1)
+        return (2.0 / c) * _ordered_sum(pairs)
 
     zq, wq = _gauss_legendre(0.0, fieldset.length, n_quad)
     s43 = float(np.sum(wq * density(zq))) * fieldset.volume / fieldset.length

@@ -227,11 +227,12 @@ class OperatorField:
         self.model = model
         self.scheme = scheme
         self.dim = dim
-        self._point, self._pairs_at_point = None, None
+        self._point, self._pairs_at_point, self._ops_at_point = None, None, None
 
     def _pairs(self, z: float, t: float):
         if self._point != (z, t):
             kind = self.scheme.kind
+            ops = None
             if kind is SchemeKind.TIME_LOCAL:
                 pairs = time_local_operators(self.model, self.dim, t)
             elif kind is SchemeKind.SPACE_LOCAL:
@@ -240,8 +241,16 @@ class OperatorField:
                 ops = spacetime_local_operators(self.model, self.dim, z, t,
                                                 self.scheme.hbar, self.scheme.lambda0)
                 pairs = [(op["a"], op["adag"]) for op in ops]
-            self._point, self._pairs_at_point = (z, t), pairs
+            self._point, self._pairs_at_point, self._ops_at_point = (z, t), pairs, ops
         return self._pairs_at_point
+
+    def g_deviation(self, z: float, t: float) -> float:
+        """Space-time scheme: the largest deviation of the symmetrized canonical
+        products from their scalar over the modes, from the build the matrices use."""
+        if self.scheme.kind is not SchemeKind.SPACETIME_LOCAL:
+            raise ValueError("g_deviation needs the space-time scheme")
+        self._pairs(z, t)
+        return max(op["g_deviation"] for op in self._ops_at_point)
 
     def e_matrix(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
         md = self.model

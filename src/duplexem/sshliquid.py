@@ -345,7 +345,7 @@ class GapSolution:
     method: str
     form: str
     regime: str
-    z_sq: float
+    zeta: float
     occupation: Occupation
     k_grid: np.ndarray = None
     coeffs: BogoliubovCoeffs = None
@@ -432,7 +432,7 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
               for b in (BRANCH_NEAR_EQ, BRANCH_SSH)}
     return GapSolution(
         q=primary, roots=tuple(roots), residual=abs(fn(primary)),
-        method=method, form=form, regime=_regime(zeta), z_sq=zeta,
+        method=method, form=form, regime=_regime(zeta), zeta=zeta,
         occupation=occ, k_grid=k_grid,
         coeffs=BogoliubovCoeffs(alpha, beta), energies=energies, stable=stable,
     )

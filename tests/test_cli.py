@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from duplexem import currents as cur
+from duplexem import fockquant as fq
 from duplexem import sshliquid as ssh
 from duplexem.cavity import (CavityModel, FirstSolution, ModeState, ScaledSolution,
                              maxwell_residual)
@@ -291,3 +293,100 @@ def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
     expect = cur.charge_drift(cur.FieldFunctionSet.from_cavity(model, state), times)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["charge_drift"] == list(expect)
+
+
+# SHA-256 of every output file of three deterministic runs: a refactoring that moves
+# any written bit fails here
+PINNED_OUTPUTS = {
+    "verify-all": (["verify-all", "--seed", "42"], None, {
+        "summary.json": "ddc0ba50c0d3c66ebce043b6742667e48680491ca8abfe13fc3e7776dd13a377",
+        "verify.csv": "4567b71e07e0ed50f0ac8fda4009bef2a5024e5606c265f0d72063480ec03011",
+    }),
+    "currents": (["currents"], None, {
+        "currents.csv": "e792ac74d1210e462a40a55d9ed1b19276c738a98b05c0b1d0bcc45c79bb0e5a",
+        "summary.json": "7b664c0702b929560894d18a18cdb2ea29e7e65095077564e241525288e607f3",
+    }),
+    "cavity-field-rotated": (["cavity-field"], {"theta": 0.7}, {
+        "field.csv": "2a2dabfc6de155d69b23e135ec604f760fc3d0caae963ac16e354d8961a4c6d1",
+        "summary.json": "5f9ee504ef251400def23762c709ee759947bd7335be4a76e33a5e5b55f439c4",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_outputs_keep_pinned_digests(tmp_path, capsys, name):
+    argv, cfg, digests = PINNED_OUTPUTS[name]
+    out = tmp_path / "out"
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())} == digests
+
+
+def test_cavity_field_rotated_passes_in_si_units(tmp_path, capsys):
+    columns = {}
+    for theta in (0.0, 0.5):
+        cfg = tmp_path / f"si{theta}.json"
+        cfg.write_text(json.dumps({"units": "si", "theta": theta}))
+        out = tmp_path / f"out{theta}"
+        assert main(["cavity-field", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"]
+        assert all(r <= 1e-12 * s for r, s in zip(summary["residuals"], summary["scales"]))
+        columns[theta] = np.loadtxt(out / "field.csv", delimiter=",", skiprows=1)
+    capsys.readouterr()
+    # columns z t ex ey ez hx hy hz as (re, im): E'_y = z0 sin H_y and H'_x = -sin E_x / z0
+    z0, s = PhysicalConstants.si().z0, math.sin(0.5)
+    base, rot = columns[0.0], columns[0.5]
+    for got, expect in ((rot[:, 4:6], z0 * s * base[:, 10:12]),
+                        (rot[:, 8:10], -s / z0 * base[:, 2:4])):
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+def test_quantize_builds_spacetime_operators_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = fq.spacetime_local_operators
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fq, "spacetime_local_operators", counted)
+    cfg = tmp_path / "st.json"
+    cfg.write_text(json.dumps({"scheme": "spacetime_local", "dim": 6, "z": 0.3, "t": 0.2}))
+    assert main(["quantize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == [(0.3, 0.2)]
+    cst = PhysicalConstants.symmetric()
+    ops = build(CavityModel(1.0, 2, cst), 6, 0.3, 0.2, cst.hbar, cst.lambda0)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["checks"]["g_symmetrized_deviation"] == max(o["g_deviation"] for o in ops)
+
+
+@pytest.mark.parametrize("command", ["ssh-solve", "ssh-sweep"])
+@pytest.mark.parametrize("key, value, allowed", [("occupation", "grond", ("ground", "inverted")),
+                                                 ("form", "reduce", ("full", "reduced"))])
+def test_ssh_rejects_unknown_choice(tmp_path, capsys, command, key, value, allowed):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({key: value, "u_scan": [-0.2, 0.2, 9]}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert repr(value) in err and all(repr(name) in err for name in allowed)
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_dual_invariants_rejects_nonpositive_count(tmp_path, capsys, count):
+    assert main(["dual-invariants", "--random", count, "--out", str(tmp_path)]) == 2
+    assert "--random" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_unknown_log_level_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DUPLEX_EM_LOG", "bogus")
+    assert main(["verify-all", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "DUPLEX_EM_LOG" in err and "'bogus'" in err and "DEBUG" in err

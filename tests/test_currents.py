@@ -5,8 +5,7 @@ import pytest
 
 from duplexem.cavity import CavityModel, ModeState
 from duplexem.constants import PhysicalConstants
-from duplexem.currents import (ClassicalFourCurrent, FieldFunction,
-                               FieldFunctionSet, PerturbedCurrent,
+from duplexem.currents import (ClassicalFourCurrent, FieldFunctionSet, PerturbedCurrent,
                                analyticity_form_charge, charge_drift,
                                charge_ratio_estimate, continuity_residual,
                                lagrange_residual, noether_charge,
@@ -107,40 +106,21 @@ def test_coarse_grid_rejected():
 
 
 def test_longitudinal_phase_current_vanishes_generally():
-    # real z profile times arbitrary (polynomial x trig) time factors
+    # real z profile times arbitrary complex weights on all four time bases
     rng = np.random.default_rng(6)
-
-    def make_comp(k, coeffs, w):
-        def f(t):
-            poly = coeffs[0] + coeffs[1] * t + coeffs[2] * t**2
-            return poly * np.exp(1j * w * t)
-
-        def u(z, t):
-            return np.sin(k * z) * f(t)
-
-        return FieldFunction(
-            u=u,
-            du_dt=lambda z, t: np.sin(k * z) * (
-                (coeffs[1] + 2 * coeffs[2] * t) * np.exp(1j * w * t)
-                + 1j * w * (coeffs[0] + coeffs[1] * t + coeffs[2] * t**2)
-                * np.exp(1j * w * t)),
-            du_dz=lambda z, t: k * np.cos(k * z) * f(t),
-        )
-
-    comps = [(make_comp(float(k), rng.normal(size=3), rng.uniform(1, 3)),
-              make_comp(float(k) + 1, rng.normal(size=3), rng.uniform(1, 3)))
-             for k in range(1, 4)]
-    fieldset = FieldFunctionSet(comps, volume=1.0, length=math.pi, c=1.0)
+    coeffs = np.zeros((2, 2, 4, 3), dtype=complex)
+    coeffs[0, 0] = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))  # u1: sin(k z)
+    coeffs[1, 1] = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))  # u2: cos(k z)
+    fieldset = FieldFunctionSet(coeffs, [1.0, 2.0, 3.0], rng.uniform(1, 3, size=3),
+                                volume=1.0, length=math.pi, c=1.0)
     z = np.linspace(0, math.pi, 21)
     for t in (0.0, 0.4, 1.3):
         assert np.max(np.abs(phase_gauge_longitudinal(fieldset, z, t))) <= 1e-12
 
 
 def test_zero_field_zero_charge():
-    zero = FieldFunction(u=lambda z, t: 0.0 * z * t + 0j,
-                         du_dt=lambda z, t: 0.0 * z * t + 0j,
-                         du_dz=lambda z, t: 0.0 * z * t + 0j)
-    fieldset = FieldFunctionSet([(zero, zero)], volume=1.0, length=1.0, c=1.0)
+    fieldset = FieldFunctionSet(np.zeros((2, 2, 4, 1)), [1.0], [1.0],
+                                volume=1.0, length=1.0, c=1.0)
     charge = noether_charge(fieldset, 0.3)
     assert charge.q1 == 0.0 and charge.q2 == 0.0 and charge.q == 0.0
 
@@ -178,12 +158,26 @@ def test_phase_charge_conserved_for_any_state():
 
 
 def test_non_integrable_set_rejected():
-    bad = FieldFunction(u=lambda z, t: np.where(z > 0, np.inf, 1.0) + 0j,
-                        du_dt=lambda z, t: np.where(z > 0, np.inf, 1.0) + 0j,
-                        du_dz=lambda z, t: 0.0 * z + 0j)
-    fieldset = FieldFunctionSet([(bad, bad)], volume=1.0, length=1.0, c=1.0)
+    coeffs = np.zeros((2, 2, 4, 1), dtype=complex)
+    coeffs[:, :, 0] = np.inf
+    fieldset = FieldFunctionSet(coeffs, [1.0], [1.0], volume=1.0, length=1.0, c=1.0)
     with pytest.raises(ValueError):
         noether_charge(fieldset, 0.0)
+
+
+def test_plane_wave_matches_closed_form():
+    fieldset = FieldFunctionSet.plane_wave(energy=2.5, hbar=1.0, c=1.0, volume=3.0,
+                                           length=1.0, amplitude=0.8 - 0.3j,
+                                           wavenumber=2 * math.pi)
+    z = np.linspace(0.0, 1.0, 9)
+    t = np.array([0.0, 0.3, 1.7])
+    (u1, u2), = fieldset.evaluate(z, t, (0, 0))
+    expect = (0.8 - 0.3j) * np.exp(2j * math.pi * z)[:, None] * np.exp(-2.5j * t)
+    assert np.max(np.abs(u1[0] - expect)) <= 1e-15 and np.all(u2 == 0)
+    # -2 (E / hbar c) |amplitude|^2 L (V / L)
+    assert x4_continued_charge(fieldset) == pytest.approx(-2 * 2.5 * 0.73 * 3.0, rel=1e-12)
+    with pytest.raises(ValueError, match="outside the cavity"):
+        fieldset.evaluate([1.5], 0.0, (0, 0))
 
 
 def test_plane_wave_charge_scaling():
@@ -196,36 +190,25 @@ def test_plane_wave_charge_scaling():
         fieldset.volume * fieldset.energy / (fieldset.hbar * fieldset.c), rel=1e-12)
 
 
-def _custom_pairs(rng):
-    def mk(w, k, amp):
-        def u(z, t):
-            return amp * np.sin(k * z) * np.exp(-1j * w * t)
-
-        return FieldFunction(u=u,
-                             du_dt=lambda z, t: -1j * w * u(z, t),
-                             du_dz=lambda z, t: amp * k * np.cos(k * z)
-                             * np.exp(-1j * w * t))
-
-    return [(mk(2.0, 1.0, 1.0), mk(3.0, 1.0, 0.7)),
-            (mk(5.0, 2.0, 0.4), mk(1.0, 2.0, 1.1))]
+def _custom_set(modes=slice(None)):
+    """Two pairs of free (k, w): u1 = a1 sin(k z) e^{-iwt}, u2 = a2 sin(k z) e^{iwt}."""
+    coeffs = np.zeros((2, 2, 4, 2), dtype=complex)
+    coeffs[0, 0, 1] = [1.0, 0.4]
+    coeffs[1, 0, 0] = [0.7, 1.1]
+    k, w = np.array([1.0, 2.0]), np.array([2.0, 5.0])
+    return FieldFunctionSet(coeffs[..., modes], k[modes], w[modes], 1.0, math.pi, 1.0)
 
 
 def test_spirality_zero_for_single_sector():
-    zero = FieldFunction(u=lambda z, t: 0.0 * z * t + 0j,
-                         du_dt=lambda z, t: 0.0 * z * t + 0j,
-                         du_dz=lambda z, t: 0.0 * z * t + 0j)
-    rng = np.random.default_rng(10)
-    pair = _custom_pairs(rng)[0]
-    fieldset = FieldFunctionSet([(pair[0], zero)], volume=1.0, length=math.pi, c=1.0)
+    fieldset = _custom_set(slice(0, 1))
+    fieldset.coeffs[1] = 0.0
     assert spirality(fieldset, 0.2).s4_3 == 0.0
 
 
 def test_spirality_additive_over_modes():
-    rng = np.random.default_rng(11)
-    pairs = _custom_pairs(rng)
-    both = FieldFunctionSet(pairs, 1.0, math.pi, 1.0)
-    first = FieldFunctionSet(pairs[:1], 1.0, math.pi, 1.0)
-    second = FieldFunctionSet(pairs[1:], 1.0, math.pi, 1.0)
+    both = _custom_set()
+    first = _custom_set(slice(0, 1))
+    second = _custom_set(slice(1, 2))
     total = spirality(both, 0.2).s4_3
     split = spirality(first, 0.2).s4_3 + spirality(second, 0.2).s4_3
     assert abs(total - split) <= 1e-12 * max(1.0, abs(total))
@@ -233,8 +216,7 @@ def test_spirality_additive_over_modes():
 
 
 def test_spirality_invariant_under_dual_rotation():
-    rng = np.random.default_rng(12)
-    fieldset = FieldFunctionSet(_custom_pairs(rng), 1.0, math.pi, 1.0)
+    fieldset = _custom_set()
     s0 = spirality(fieldset, 0.2).s4_3
     for theta in (0.3, 1.1, 2.7):
         s1 = spirality(fieldset.rotated(theta), 0.2).s4_3

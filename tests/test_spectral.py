@@ -53,19 +53,24 @@ def grid_scale(field, model, *names):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_rotation_mixes_pointwise_values(family):
-    model, field = random_field(family, 1)
+@pytest.mark.parametrize("constants", [CST, SI], ids=["symmetric", "si"])
+def test_rotation_mixes_pointwise_values(family, constants):
+    model, field = random_field(family, 1, constants=constants)
     zs, ts = random_points(2, model.length, model.period)
+    z0 = constants.z0  # E' = cos E + z0 sin H, H' = cos H - sin E / z0
     for theta in (0.4, 2.3, -1.1):
         rot = field.rotated(theta)
         c, s = math.cos(theta), math.sin(theta)
         for name_e, name_h in (("e", "h"), ("de_dz", "dh_dz"), ("de_dt", "dh_dt")):
-            tol = 1e-13 * grid_scale(field, model, name_e, name_h)
+            # E and z0 H have one size in any unit system
+            tol = 1e-13 * max(grid_scale(field, model, name_e),
+                              z0 * grid_scale(field, model, name_h))
             for z, t in zip(zs, ts):
                 e = getattr(field, name_e)(z, t)
                 h = getattr(field, name_h)(z, t)
-                assert np.max(np.abs(getattr(rot, name_e)(z, t) - (c * e + s * h))) <= tol
-                assert np.max(np.abs(getattr(rot, name_h)(z, t) - (c * h - s * e))) <= tol
+                assert np.max(np.abs(getattr(rot, name_e)(z, t) - (c * e + s * z0 * h))) <= tol
+                assert np.max(np.abs(getattr(rot, name_h)(z, t) - (c * h - s * e / z0))) \
+                    <= tol / z0
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -104,8 +109,10 @@ def test_sums_match_sums_of_parts(family):
 def test_sum_rejects_mismatched_segments():
     _, a = random_field("first", 7, length=1.0)
     _, b = random_field("first", 8, length=2.0)
-    with pytest.raises(ValueError):
-        a + b
+    _, si = random_field("first", 8, length=1.0, constants=SI)
+    for other in (b, si):
+        with pytest.raises(ValueError):
+            a + other
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -178,13 +185,15 @@ def test_from_cavity_pairs_and_charges_match_mode_sum(sign, constants):
     fieldset = FieldFunctionSet.from_cavity(model, state, sign=sign)
     z = np.linspace(0.0, model.length, 31)
     t = np.linspace(0.0, 1.7 * model.period, 6)
-    u1, u2 = _mode_sum_pairs(model, state, sign, z, t)
-    assert len(fieldset.pairs) == model.n_modes
-    for a, (f1, f2) in enumerate(fieldset.pairs):
-        for fn, ref in ((f1, u1), (f2, u2)):
-            for name, values in ref.items():
-                got = getattr(fn, name)(z, t)
-                assert np.max(np.abs(got - values[a])) <= 1e-13 * np.max(np.abs(values))
+    pairs = _mode_sum_pairs(model, state, sign, z, t)
+    orders = {"u": (0, 0), "du_dt": (0, 1), "du_dz": (1, 0), "d2u_dt2": (0, 2),
+              "d2u_dz2": (2, 0)}
+    got = fieldset.evaluate(z, t, *orders.values())
+    assert got.shape == (5, 2, model.n_modes, z.size, t.size)
+    for values, name in zip(got, orders):
+        for sector, ref in enumerate(pairs):
+            assert np.max(np.abs(values[sector] - ref[name])) \
+                <= 1e-13 * np.max(np.abs(ref[name]))
 
     # charges and spirality by an independent quadrature of the same densities
     x, wq = np.polynomial.legendre.leggauss(128)

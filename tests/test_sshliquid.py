@@ -216,7 +216,7 @@ def test_regime_report():
     p = base_params(alpha2=0.2, u=0.1)
     sol = solve_gap(p)
     assert sol.regime in ("modulus_lt_1", "modulus_gt_1", "exact_case")
-    assert sol.z_sq == pytest.approx(zeta_of(p, sol.q))
+    assert sol.zeta == pytest.approx(zeta_of(p, sol.q))
 
 
 def test_discrete_sum_converges_to_continuum():
