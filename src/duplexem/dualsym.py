@@ -82,6 +82,36 @@ def dual_rotate(f: FieldPair, theta: float) -> FieldPair:
     return FieldPair(c * f.e + s * f.h, c * f.h - s * f.e)
 
 
+def _k_of(e, h):
+    """K = |E^2 - H^2 + 2i E.H|^2 of each row pair of (n, 3) real fields."""
+    re_c = np.sum(e * e, axis=-1) - np.sum(h * h, axis=-1)
+    im_c = 2.0 * np.sum(e * h, axis=-1)
+    return re_c * re_c + im_c * im_c
+
+
+def rotation_drift(e, h, theta):
+    """Circular-invariant drift of n real field pairs, each under its own angle.
+
+    e, h are (n, 3) arrays and theta an (n,) array.  Returns (k_ref, k_rot,
+    drift): K of each pair, K of its dual_rotate image and
+    |k_rot - k_ref| / max(|k_ref|, 1e-300).  Element for element these equal
+    invariants(f).k_inv and invariants(dual_rotate(f, theta)).k_inv of
+    FieldPair(e, h) bit for bit; cos and sin go through math and _snap
+    per angle, as dual_rotate takes them.
+    """
+    e, h, theta = np.asarray(e, float), np.asarray(h, float), np.asarray(theta, float)
+    if e.ndim != 2 or e.shape[1:] != (3,) or h.shape != e.shape or theta.shape != e.shape[:1]:
+        raise ValueError("rotation_drift needs (n, 3) fields and (n,) angles")
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(h))):
+        raise ValueError("FieldPair components must be finite")
+    angles = theta.tolist()
+    c = np.array([_snap(math.cos(x)) for x in angles])[:, None]
+    s = np.array([_snap(math.sin(x)) for x in angles])[:, None]
+    k_ref = _k_of(e, h)
+    k_rot = _k_of(c * e + s * h, c * h - s * e)
+    return k_ref, k_rot, np.abs(k_rot - k_ref) / np.maximum(np.abs(k_ref), 1e-300)
+
+
 def hyperbolic_dual(f: FieldPair, vartheta: float) -> FieldPair:
     """Hyperbolic mix: (E cosh + iH sinh, -iE sinh + H cosh)."""
     ch, sh = math.cosh(vartheta), math.sinh(vartheta)

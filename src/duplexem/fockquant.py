@@ -158,13 +158,13 @@ def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float,
                               hbar: float = None, lambda0: float = None):
     """Per-mode space-time ladder pairs on the (z-factor) x (t-factor) space.
 
-    Returns one dict per mode with the ladder matrices, the four ordered
-    canonical products g1..g4, their average (the scalar -hbar*lambda0 times
-    identity on the safe block), the deviation from that scalar, and the
-    formal ladder commutator obtained by substituting the symmetrized
-    average into the canonical algebra (equal to -i times identity; the
-    literal tensor-product commutator stays operator-valued and is reported
-    too).
+    Returns one dict per mode with the ladder matrices, the ordered
+    canonical products g1, g2 (the index-swapped pair g3, g4 coincides with
+    them), the average of all four (the scalar -hbar*lambda0 times identity
+    on the safe block), the deviation from that scalar, and the formal
+    ladder commutator obtained by substituting the symmetrized average into
+    the canonical algebra (equal to -i times identity; the literal
+    tensor-product commutator of a and adag stays operator-valued).
     """
     if dim < 3:
         raise ValueError("dim < 3 leaves no informative safe block")
@@ -193,9 +193,8 @@ def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float,
 
         g1 = -1j * (hbar * np.kron(pz @ qz, eye) + lambda0 * np.kron(eye, pt @ qt))
         g2 = 1j * (hbar * np.kron(qz @ pz, eye) + lambda0 * np.kron(eye, qt @ pt))
-        # the index-swapped pair coincides with (g1, g2) on the diagonal
-        g3, g4 = g1.copy(), g2.copy()
-        g_avg = 0.25 * (g1 + g2 + g3 + g4)
+        # the index-swapped pair (g3, g4) coincides with (g1, g2) on the diagonal
+        g_avg = 0.25 * (g1 + g2 + g1 + g2)
         target = -hbar * lambda0
         dev_matrix = g_avg - target * np.eye(dim * dim)
         deviation = float(np.max(np.abs(dev_matrix[np.ix_(mask, mask)])))
@@ -205,12 +204,11 @@ def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float,
             "adag": ad_zt,
             "q": qzt,
             "p": pzt,
-            "g1": g1, "g2": g2, "g3": g3, "g4": g4,
+            "g1": g1, "g2": g2,
             "g_avg": g_avg,
             "g_scalar": target,
             "g_deviation": deviation,
             "formal_commutator": formal,
-            "tensor_commutator": commutator(a_zt, ad_zt),
         })
     return out
 

@@ -15,7 +15,10 @@ zeta = 2 alpha1 u Q / t0: the continuum kernel
 evaluates to (K - E)/m^2 with modulus m = sqrt(1 - zeta^2) for |zeta| < 1,
 to pi/4 at |zeta| = 1, and to a complementary-modulus form for |zeta| > 1.
 The solver offers an adaptive-quadrature route and the closed elliptic
-route; both solve the same residual and must agree.
+route; both solve the same residual and must agree.  The solver scans
+for sign changes on the whole-array elliptic route and refines each
+bracket it finds with brentq on the chosen route's own residual, so the
+quadrature route still yields its own roots.
 
 Two quasiparticle branches come out of the extremum conditions:
 "ssh_like" with energies +-sqrt(eps^2 + Q^2 Delta^2) (stable only under
@@ -357,18 +360,34 @@ class GapSolution:
         return len(self.roots) > 1
 
 
-def _scan_roots(fn, grid, vals):
-    """Roots of fn from the sign changes of its values vals on grid, refined by brentq."""
+def _scan_roots(fn, grid, vals, route):
+    """Roots of fn over the brackets where vals, a scan of grid, vanishes or
+    changes sign between finite neighbours, refined by brentq.
+
+    vals may come from another route than fn; a bracket over which fn keeps
+    its sign raises GapSolverError naming the route, the bracket and fn at
+    both ends, with (grid, vals) as its residual curve.
+    """
+    fa, fb = vals[:-1], vals[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite pairs are masked out
+        hits = np.flatnonzero(np.isfinite(fa) & np.isfinite(fb)
+                              & ((fa == 0.0) | (fa * fb < 0.0)))
     roots = []
-    for i in range(len(grid) - 1):
+    for i in hits.tolist():
         a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if not (np.isfinite(fa) and np.isfinite(fb)):
-            continue
-        if fa == 0.0:
+        if vals[i] == 0.0:
             roots.append(a)
-        elif fa * fb < 0.0:
+            continue
+        try:
             roots.append(optimize.brentq(fn, a, b, xtol=1e-14, rtol=8.9e-16))
+        except ValueError:
+            ra, rb = fn(a), fn(b)
+            if not ra * rb > 0.0:  # brentq's own sign test passed: another fault
+                raise
+            raise GapSolverError(
+                f"the {route} residual keeps its sign over the scanned bracket "
+                f"[{float(a)!r}, {float(b)!r}]: {float(ra)!r} and {float(rb)!r} at its ends",
+                residual_curve=(grid, vals)) from None
     if len(grid) and vals[-1] == 0.0:
         roots.append(grid[-1])
     # deduplicate nearby refinements
@@ -391,12 +410,15 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
               n_k_grid: int = 201) -> GapSolution:
     """Solve the self-consistency equation for the enhancement factor Q.
 
-    All sign changes of the residual inside the bracket are refined and
-    returned (the reduced form generically has a +-Q pair).  The primary
-    root is the one closest to the noninteracting value Q = 1 for the full
-    form, and the largest-magnitude root for the reduced form.  Raises
-    :class:`GapSolverError` with the scanned residual curve when no root
-    lies inside the bracket.
+    The residual is scanned on the elliptic route over n_scan points of the
+    bracket; every sign change found there is refined by brentq on the
+    residual of `method`, and all those roots are returned (the reduced form
+    generically has a +-Q pair).  The primary root is the one closest to the
+    noninteracting value Q = 1 for the full form, and the largest-magnitude
+    root for the reduced form; `residual` is |residual| there on `method`.
+    Raises :class:`GapSolverError` with the scanned elliptic residual curve
+    when no root lies inside the bracket, or when the residual of `method`
+    keeps its sign over a bracket of the scan.
     """
     occ = occ or Occupation.ground()
     if bracket is None:
@@ -414,8 +436,8 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
         grid = np.concatenate([-mags[::-1], mags])
     else:
         grid = np.linspace(lo, hi, n_scan)
-    vals = gap_residual(p, grid, occ, method, form)
-    roots = _scan_roots(fn, grid, vals)
+    vals = gap_residual(p, grid, occ, "elliptic", form)
+    roots = _scan_roots(fn, grid, vals, method)
     if not roots:
         raise GapSolverError("no root of the gap equation inside the bracket",
                              residual_curve=(grid, vals))
@@ -451,7 +473,7 @@ def solve_gap_discrete(p: SshParams, occ: Occupation = None, n_k: int = 64,
 
     grid = np.linspace(bracket[0], bracket[1], n_scan)
     vals = np.array([fn(q) for q in grid])
-    roots = _scan_roots(fn, grid, vals)
+    roots = _scan_roots(fn, grid, vals, "discrete-sum")
     if not roots:
         raise GapSolverError("no discrete-sum root inside the bracket",
                              residual_curve=(grid, vals))

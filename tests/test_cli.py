@@ -147,6 +147,14 @@ def test_failed_gap_solve_keeps_residual_curve(tmp_path, capsys, command):
     assert np.all(residual < -1.0)
 
 
+def test_verify_all_refines_quadrature_only_on_elliptic_brackets(tmp_path, capsys, monkeypatch):
+    # a 600-point quadrature scan per gap_method_agreement solve made 3,089 quad calls here
+    calls = _count_quad_calls(monkeypatch)
+    assert main(["verify-all", "--seed", "42", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 100
+
+
 def test_resonance_fit_inline_data(tmp_path, capsys):
     cfg = tmp_path / "res.json"
     cfg.write_text(json.dumps({
@@ -309,6 +317,15 @@ PINNED_OUTPUTS = {
     "cavity-field-rotated": (["cavity-field"], {"theta": 0.7}, {
         "field.csv": "2a2dabfc6de155d69b23e135ec604f760fc3d0caae963ac16e354d8961a4c6d1",
         "summary.json": "5f9ee504ef251400def23762c709ee759947bd7335be4a76e33a5e5b55f439c4",
+    }),
+    "dual-invariants": (["dual-invariants", "--random", "10000", "--seed", "7"], None, {
+        "dual_invariants.csv": "7e5646df451ec31995683bc270f4179894d71bc239d2a92351f3a8c3fb1a48ac",
+        "summary.json": "ab9d5b4ae03855905f4b290c9a97adca2d0ba1aad1de1de1963287c01a4802f5",
+    }),
+    "quantize-spacetime": (["quantize"], {"scheme": "spacetime_local"}, {
+        "operator_e_mode1.json": "bf296d9a35c144e1d0a7969240b5e8fa308a136f402248cff298170ccfc1b636",
+        "operator_e_mode2.json": "d38b883881fbdec8a1205c4215da28fb83f21913c35f5f75b2b6708376093a42",
+        "summary.json": "54d153107a3fa034398148f366104443fe24640ca46c803802396c5d2188c7f4",
     }),
 }
 

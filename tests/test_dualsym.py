@@ -6,7 +6,7 @@ import pytest
 from duplexem.dualsym import (DualAngle, FieldPair, complex_invariant,
                               dual_rotate, hyperbolic_boost_magnitudes,
                               hyperbolic_dual, invariants,
-                              lorentz_boost_fields)
+                              lorentz_boost_fields, rotation_drift)
 
 
 def random_pair(rng):
@@ -194,3 +194,29 @@ def test_field_pair_validation():
         FieldPair(np.ones(2), np.ones(3))
     with pytest.raises(ValueError):
         FieldPair(np.array([np.inf, 0, 0]), np.ones(3))
+
+
+def test_rotation_drift_matches_scalar_route_bit_for_bit():
+    rng = np.random.default_rng(11)
+    e = rng.normal(size=(400, 3)) * rng.uniform(0.1, 10.0, size=(400, 1))
+    h = rng.normal(size=(400, 3))
+    theta = np.concatenate([rng.uniform(0.0, 2 * math.pi, 396),
+                            [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]])
+    k_ref, k_rot, drift = rotation_drift(e, h, theta)
+    for i in range(len(theta)):
+        f = FieldPair(e[i], h[i])
+        k0 = invariants(f).k_inv
+        k1 = invariants(dual_rotate(f, theta[i])).k_inv
+        assert (k_ref[i], k_rot[i]) == (k0, k1)
+        assert drift[i] == abs(k1 - k0) / max(abs(k0), 1e-300)
+    # the snapped quarter turns exchange the fields exactly, so K keeps its bits
+    assert np.array_equal(k_rot[-4:], k_ref[-4:])
+
+
+def test_rotation_drift_validation():
+    with pytest.raises(ValueError):
+        rotation_drift(np.ones((2, 2)), np.ones((2, 2)), np.zeros(2))
+    with pytest.raises(ValueError):
+        rotation_drift(np.ones((2, 3)), np.ones((2, 3)), np.zeros(3))
+    with pytest.raises(ValueError):
+        rotation_drift(np.array([[np.inf, 0, 0]]), np.ones((1, 3)), np.zeros(1))

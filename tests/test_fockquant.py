@@ -127,7 +127,7 @@ def test_spacetime_formal_commutator():
     defect = tensor_safe_block(formal + 1j * np.eye(64), 8)
     assert np.max(np.abs(defect)) <= 1e-12
     # the literal tensor-product commutator stays operator-valued
-    literal = ops[0]["tensor_commutator"]
+    literal = commutator(ops[0]["a"], ops[0]["adag"])
     assert np.max(np.abs(tensor_safe_block(literal + 1j * np.eye(64), 8))) > 0.1
 
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from duplexem import sshliquid
+from duplexem.cli import _verify_checks
 from duplexem.sshliquid import (BRANCH_NEAR_EQ, BRANCH_SSH, GapSolverError,
                                 GroundStateCurve, Occupation, SshParams, _band_kernel,
-                                _band_kernel_array, _gap_kernel_array,
+                                _band_kernel_array, _gap_kernel_array, _scan_roots,
                                 band_energies, bogoliubov_coeffs,
                                 gap_approximations, gap_kernel, gap_residual,
                                 gap_residual_discrete, ground_energy,
@@ -186,6 +188,86 @@ def test_methods_agree_on_random_parameters():
         q_ell = solve_gap(p, method="elliptic").q
         q_quad = solve_gap(p, method="quadrature").q
         assert abs(q_ell - q_quad) <= 1e-8
+
+
+def _full_quadrature_scan_roots(p, occ, form, monkeypatch):
+    """solve_gap(method="quadrature").roots and the roots of a scan of the
+    quadrature residual itself over the same grid.
+
+    The scan leaves out (as non-finite) the points where 1 - zeta^2 rounds
+    to 1, at which the quadrature integrand divides by zero.
+    """
+    grids = []
+    residual = sshliquid.gap_residual
+
+    def recording(p, q, *args, **kwargs):
+        if np.ndim(q):
+            grids.append(q)
+        return residual(p, q, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(sshliquid, "gap_residual", recording)
+        roots = solve_gap(p, occ, method="quadrature", form=form).roots
+    (grid,) = grids
+    defined = (grid == 0.0) | (1.0 - zeta_of(p, grid) ** 2 < 1.0)
+    vals = np.full(grid.shape, np.nan)
+    vals[defined] = gap_residual(p, grid[defined], occ, "quadrature", form)
+    return roots, tuple(_scan_roots(lambda q: gap_residual(p, q, occ, "quadrature", form),
+                                    grid, vals, "quadrature"))
+
+
+def test_elliptic_brackets_give_the_full_quadrature_scan_roots(monkeypatch):
+    # the sets verify-all --seed 42 solves on both routes
+    sets = []
+    solve = sshliquid.solve_gap
+
+    def recording(p, *args, **kwargs):
+        if kwargs.get("method") == "quadrature":
+            sets.append(p)
+        return solve(p, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(sshliquid, "solve_gap", recording)
+        _verify_checks(42)
+    assert len(sets) == 5
+    n_sites, a2 = 100, 0.08
+    cases = [(p, Occupation.ground(), "full") for p in sets] + [
+        (base_params(alpha2=a2, u=-2.0 / (n_sites * a2)), Occupation.ground(), "reduced"),
+        (base_params(alpha2=0.3, u=0.1), Occupation.inverted(), "full"),  # three roots
+    ]
+    for p, occ, form in cases:
+        refined, scanned = _full_quadrature_scan_roots(p, occ, form, monkeypatch)
+        assert refined == scanned and len(refined) >= 1
+
+
+def test_quadrature_bracket_without_sign_change_is_named(monkeypatch):
+    kernel = sshliquid.gap_kernel
+
+    def shifted(zeta, method="elliptic"):
+        return kernel(zeta, method) + (1.0 if method == "quadrature" else 0.0)
+
+    monkeypatch.setattr(sshliquid, "gap_kernel", shifted)
+    n_sites, a2 = 100, 0.08   # the exact case: C I(zeta) = 1 at Q = +-2, C = 1.27
+    p = base_params(alpha2=a2, u=-2.0 / (n_sites * a2))
+    with pytest.raises(GapSolverError) as err:
+        solve_gap(p, method="quadrature", form="reduced")
+    grid, vals = err.value.residual_curve
+    assert vals.tolist() == gap_residual(p, grid, form="reduced").tolist()   # the elliptic scan
+    i = int(np.flatnonzero(vals[:-1] * vals[1:] < 0.0)[0])
+    a, b = grid[i:i + 2].tolist()
+    message = str(err.value)
+    assert "quadrature" in message and f"[{a!r}, {b!r}]" in message
+    for end in (a, b):
+        assert repr(gap_residual(p, end, method="quadrature", form="reduced")) in message
+
+
+def test_reduced_quadrature_solve_skips_the_tiny_gap_kernel():
+    # the reduced scan starts at |Q| = 1e-9 (zeta = 2e-10), where the quadrature
+    # kernel divides by zero; only the elliptic route is evaluated there
+    p = base_params(alpha2=-0.3, u=0.1)
+    q_quad = solve_gap(p, method="quadrature", form="reduced").q
+    q_ell = solve_gap(p, form="reduced").q
+    assert abs(q_quad - q_ell) <= 1e-12 * abs(q_ell)
 
 
 def test_exact_case_factor():
