@@ -404,8 +404,8 @@ def _verify_checks(seed: int):
         checks.append((name, float(value), float(bound), value <= bound))
 
     # circular invariant drift + quarter-turn exactness
-    add("circular_invariant_drift", np.max(ds.rotation_drift(*_draw_rotations(rng, 300))[2]),
-        1e-12)
+    drift = ds.rotation_drift(*_draw_rotations(rng, 300))[2]
+    add("circular_invariant_drift", np.max(drift), 1e-12)
     f = ds.FieldPair(rng.normal(size=3), rng.normal(size=3))
     g = ds.dual_rotate(f, 0.5 * math.pi)
     add("quarter_turn_exchange",

@@ -99,9 +99,10 @@ def rotation_drift(e, h, theta):
     FieldPair(e, h) bit for bit; cos and sin go through math and _snap
     per angle, as dual_rotate takes them.
     """
-    e, h, theta = np.asarray(e, float), np.asarray(h, float), np.asarray(theta, float)
-    if e.ndim != 2 or e.shape[1:] != (3,) or h.shape != e.shape or theta.shape != e.shape[:1]:
-        raise ValueError("rotation_drift needs (n, 3) fields and (n,) angles")
+    e, h, theta = np.asarray(e), np.asarray(h), np.asarray(theta, float)
+    if (e.ndim != 2 or e.shape[1:] != (3,) or h.shape != e.shape
+            or theta.shape != e.shape[:1] or np.iscomplexobj(e) or np.iscomplexobj(h)):
+        raise ValueError("rotation_drift needs real (n, 3) fields and (n,) angles")
     if not (np.all(np.isfinite(e)) and np.all(np.isfinite(h))):
         raise ValueError("FieldPair components must be finite")
     angles = theta.tolist()
