@@ -148,7 +148,7 @@ def test_failed_gap_solve_keeps_residual_curve(tmp_path, capsys, command):
 
 
 def test_verify_all_refines_quadrature_only_on_elliptic_brackets(tmp_path, capsys, monkeypatch):
-    # a 600-point quadrature scan per gap_method_agreement solve made 3,089 quad calls here
+    # scanning 600 points per quadrature solve of gap_method_agreement took 3,089 quad calls
     calls = _count_quad_calls(monkeypatch)
     assert main(["verify-all", "--seed", "42", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
