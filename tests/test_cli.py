@@ -327,6 +327,20 @@ PINNED_OUTPUTS = {
         "operator_e_mode2.json": "d38b883881fbdec8a1205c4215da28fb83f21913c35f5f75b2b6708376093a42",
         "summary.json": "54d153107a3fa034398148f366104443fe24640ca46c803802396c5d2188c7f4",
     }),
+    "ssh-solve": (["ssh-solve"], None, {
+        "gap_solution.csv": "133a11ac6a69f06d93a2166848f72b37aed463aab26e8bc9d1ff4c336f1ffb22",
+        "summary.json": "3d1a0802925890f44532bab80d2ce1f3fdc6fc38ff69e99eb8c4d5acc6a8857a",
+    }),
+    # the exact case u = -2 / (N alpha2) with its double well
+    "ssh-solve-reduced-exact": (["ssh-solve"], {"form": "reduced", "u": -0.25, "alpha2": 0.08,
+                                                "u_scan": [-4, 4, 81]}, {
+        "gap_solution.csv": "57151b8f6f6a30f583255eede9dff13ccce6cf1d447bbb3c70fa1bab9048d0a5",
+        "summary.json": "c2895a0ff4092cc860596d70994fa7485753c089d71c2114e0ae4ad232e434d1",
+    }),
+    "ssh-sweep-inverted": (["ssh-sweep"], {"occupation": "inverted", "u_scan": [-0.4, 0.4, 41]}, {
+        "ground_state.csv": "ddeb5d34e69aaf5e1b5865a827a73b3b26dabacfee014764d398e7687ae46a10",
+        "summary.json": "790e03e36f08ce48e6a9b4e7013055fa1867c69ea2339a9503780d9a06fcdbd9",
+    }),
 }
 
 
