@@ -543,11 +543,10 @@ def cauchy_riemann_residual(field, z, t, constants: PhysicalConstants) -> float:
     return float(np.max(np.abs(f_dz + f_dt / c)))
 
 
-def field_hamiltonian(model: CavityModel, state: ModeState, t, n_quad: int = None) -> complex:
+def field_hamiltonian(model: CavityModel, state: ModeState, t) -> complex:
     """Field energy (1/2) integral (eps0 E^2 + mu0 H^2) dV with bilinear squares."""
     from .currents import _gauss_legendre  # currents imports this module
-    n_quad = n_quad or max(32, 4 * model.n_modes)
-    zq, wq = _gauss_legendre(0.0, model.length, n_quad)
+    zq, wq = _gauss_legendre(0.0, model.length, max(32, 4 * model.n_modes))
     sol = FirstSolution(model, state)
     ex = sol.e(zq, t)[0]
     hy = sol.h(zq, t)[1]

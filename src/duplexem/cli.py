@@ -38,7 +38,23 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path, defaults: dict, required=()) -> dict:
+def _check_type(key: str, value, default) -> None:
+    """ConfigError unless value has the type of default: a number that is not
+    a bool for a float default, an integer for an int, a string for a string
+    and a list for a list.  A null default takes any value."""
+    if isinstance(default, int):
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif isinstance(default, (str, list)):
+        ok, want = isinstance(value, type(default)), f"a {type(default).__name__}"
+    else:
+        return
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
+
+
+def _load_config(path, defaults: dict) -> dict:
     cfg = dict(defaults)
     if path:
         try:
@@ -48,13 +64,12 @@ def _load_config(path, defaults: dict, required=()) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(data) - set(defaults) - set(required)
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            _check_type(key, value, defaults[key])
         cfg.update(data)
-    missing = [key for key in required if cfg.get(key) is None]
-    if missing:
-        raise ConfigError(f"missing required config keys: {missing}")
     return cfg
 
 
@@ -101,14 +116,14 @@ def _model_from_cfg(cfg) -> tuple:
 
 
 def _draw_rotations(rng, count: int) -> tuple:
-    """count random (e, h, theta) samples as (count, 3), (count, 3), (count,)
-    arrays, drawn sample by sample: normal(3), normal(3), uniform(0, 2 pi)."""
+    """count random real field pairs as one FieldPair batch, and an angle for
+    each, drawn sample by sample: normal(3), normal(3), uniform(0, 2 pi)."""
     e, h, theta = np.empty((count, 3)), np.empty((count, 3)), np.empty(count)
     for i in range(count):
         e[i] = rng.normal(size=3)
         h[i] = rng.normal(size=3)
         theta[i] = rng.uniform(0.0, 2 * math.pi)
-    return e, h, theta
+    return ds.FieldPair(e, h), theta
 
 
 def cmd_dual_invariants(args) -> int:
@@ -118,8 +133,10 @@ def cmd_dual_invariants(args) -> int:
     out = _outdir(args)
     rng = np.random.default_rng(args.seed)
     tol = args.tol if args.tol is not None else 1e-12
-    e, h, theta = _draw_rotations(rng, count)
-    k_ref, k_rot, drift = ds.rotation_drift(e, h, theta)
+    pairs, theta = _draw_rotations(rng, count)
+    k_ref = ds.invariants(pairs).k_inv
+    k_rot = ds.invariants(ds.dual_rotate(pairs, theta)).k_inv
+    drift = np.abs(k_rot - k_ref) / np.maximum(np.abs(k_ref), 1e-300)
     worst = float(np.max(drift))
     _write_csv(out / "dual_invariants.csv",
                ["index", "theta", "k_reference", "k_rotated", "relative_drift"],
@@ -173,7 +190,7 @@ def cmd_quantize(args) -> int:
     out = _outdir(args)
     cfg = _load_config(args.config, {
         "length": 1.0, "n_modes": 2, "units": "symmetric",
-        "dim": 8, "scheme": "time_local", "z": 0.25, "t": 0.1,
+        "dim": 8, "scheme": "time_local", "z": 0.25, "t": None,   # t: 0.1 L/c
     })
     cst = _constants(cfg["units"])
     model = cav.CavityModel(float(cfg["length"]), int(cfg["n_modes"]), cst)
@@ -184,8 +201,16 @@ def cmd_quantize(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"unknown scheme {cfg['scheme']!r}") from exc
     scheme = fq.QuantizationScheme(kind, cst.hbar, cst.lambda0)
+    z = float(cfg["z"])
+    t = 0.1 * model.period if cfg["t"] is None else cfg["t"]
+    _check_type("t", t, 0.0)
+    t = float(t)
+    if not 0.0 <= z <= model.length:
+        raise ConfigError(f"config key 'z' = {z!r} lies outside the cavity [0, {model.length!r}]")
+    if kind is fq.SchemeKind.SPACETIME_LOCAL and not 0.0 <= t <= model.period * (1 + 1e-12):
+        raise ConfigError(f"config key 't' = {t!r} lies outside [0, L/c] = "
+                          f"[0, {model.period!r}], where the space-time scheme is defined")
     field = fq.assemble_field_operators(model, scheme, dim)
-    z, t = float(cfg["z"]), float(cfg["t"])
 
     a, ad = fq.make_ladder(dim)
     comm_defect = float(np.max(np.abs(
@@ -285,6 +310,17 @@ def cmd_resonance_fit(args) -> int:
     return 0
 
 
+def _u_grid(scan) -> np.ndarray:
+    """The u grid of a u_scan [min, max, steps]; ConfigError on any other value."""
+    if not (isinstance(scan, list) and len(scan) == 3
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in scan)
+            and isinstance(scan[2], int) and scan[2] >= 1):
+        raise ConfigError(f"u_scan must be [min, max, steps] with a positive integer "
+                          f"steps, got {scan!r}")
+    lo, hi, steps = scan
+    return np.linspace(float(lo), float(hi), steps)
+
+
 def _ssh_inputs(cfg) -> tuple:
     """(SshParams, Occupation) of an ssh config; ConfigError on an unknown
     occupation or form."""
@@ -323,6 +359,11 @@ def cmd_ssh_solve(args) -> int:
     out = _outdir(args)
     cfg = _load_config(args.config, dict(_SSH_DEFAULTS))
     params, occ = _ssh_inputs(cfg)
+    if cfg["u_scan"] is not None:
+        u_grid = _u_grid(cfg["u_scan"])
+    else:
+        span = 4.0 * abs(params.u) if params.u else 0.4
+        u_grid = np.linspace(-span, span, 41)
     tol = args.tol if args.tol is not None else 1e-10
     try:
         sol = ssh.solve_gap(params, occ, form=cfg["form"])
@@ -336,12 +377,6 @@ def cmd_ssh_solve(args) -> int:
                 "stability_near_equilibrium", "stability_ssh_like"],
                [sol.k_grid, sol.coeffs.alpha_k, sol.coeffs.beta_k,
                 *(sol.energies[branch][0] for branch in branches), *codes])
-    if cfg["u_scan"]:
-        lo, hi, steps = cfg["u_scan"]
-        u_grid = np.linspace(float(lo), float(hi), int(steps))
-    else:
-        span = 4.0 * abs(params.u) if params.u else 0.4
-        u_grid = np.linspace(-span, span, 41)
     try:
         curve = ssh.ground_state_energy(params, sol.q, u_grid)
     except ssh.WellEdgeError as exc:
@@ -365,15 +400,14 @@ def cmd_ssh_solve(args) -> int:
 def cmd_ssh_sweep(args) -> int:
     out = _outdir(args)
     cfg = _load_config(args.config, dict(_SSH_DEFAULTS))
-    if not cfg["u_scan"]:
+    if cfg["u_scan"] is None:
         raise ConfigError("ssh-sweep needs u_scan: [min, max, steps]")
     params, occ = _ssh_inputs(cfg)
+    u_grid = _u_grid(cfg["u_scan"])
     try:
         sol = ssh.solve_gap(params, occ, form=cfg["form"])
     except ssh.GapSolverError as exc:
         return _ssh_failure(out, exc)
-    lo, hi, steps = cfg["u_scan"]
-    u_grid = np.linspace(float(lo), float(hi), int(steps))
     curve = ssh.GroundStateCurve(params, sol.q, u_grid)
     _write_csv(out / "ground_state.csv",
                ["u", "E0_quadrature", "E0_elliptic", "E0_smallz"],
@@ -404,8 +438,11 @@ def _verify_checks(seed: int):
         checks.append((name, float(value), float(bound), value <= bound))
 
     # circular invariant drift + quarter-turn exactness
-    drift = ds.rotation_drift(*_draw_rotations(rng, 300))[2]
-    add("circular_invariant_drift", np.max(drift), 1e-12)
+    pairs, theta = _draw_rotations(rng, 300)
+    k_ref = ds.invariants(pairs).k_inv
+    k_rot = ds.invariants(ds.dual_rotate(pairs, theta)).k_inv
+    add("circular_invariant_drift",
+        np.max(np.abs(k_rot - k_ref) / np.maximum(np.abs(k_ref), 1e-300)), 1e-12)
     f = ds.FieldPair(rng.normal(size=3), rng.normal(size=3))
     g = ds.dual_rotate(f, 0.5 * math.pi)
     add("quarter_turn_exchange",

@@ -30,6 +30,9 @@ def _leggauss(n):
     return x, w
 
 
+N_QUAD = 96   # Gauss-Legendre nodes over [0, L] in the charge and spirality integrals
+
+
 def _gauss_legendre(a, b, n):
     x, w = _leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
@@ -269,14 +272,14 @@ def _ordered_sum(values):
     return np.cumsum(np.insert(values, 0, 0.0, axis=0), axis=0)[-1]
 
 
-def noether_charge(fieldset: FieldFunctionSet, t: float, n_quad: int = 96) -> NoetherCharge:
+def noether_charge(fieldset: FieldFunctionSet, t: float) -> NoetherCharge:
     """Gauge charges by quadrature over z in [0, L].
 
     q1 (phase-gauge charge) integrates 2 Im(du/dt conj(u)) / c; q2 (the
     scaling-gauge charge, a purely imaginary quantity i*q2) integrates
     -2 Re(du/dt conj(u)) / c.  Both carry the volume weight V/L.
     """
-    zq, wq = _gauss_legendre(0.0, fieldset.length, n_quad)
+    zq, wq = _gauss_legendre(0.0, fieldset.length, N_QUAD)
     c = fieldset.c
     weight = fieldset.volume / fieldset.length
     with np.errstate(invalid="ignore"):
@@ -292,9 +295,9 @@ def noether_charge(fieldset: FieldFunctionSet, t: float, n_quad: int = 96) -> No
     return NoetherCharge(q1=q1, q2=q2, q=complex(q1, q2))
 
 
-def charge_drift(fieldset: FieldFunctionSet, times, n_quad: int = 96):
+def charge_drift(fieldset: FieldFunctionSet, times):
     """Max relative drift of (q1, q2) over the given time samples."""
-    return relative_drift([noether_charge(fieldset, t, n_quad) for t in times])
+    return relative_drift([noether_charge(fieldset, t) for t in times])
 
 
 def relative_drift(charges) -> tuple:
@@ -309,15 +312,14 @@ def relative_drift(charges) -> tuple:
     return span1, span2
 
 
-def lagrange_residual(fieldset: FieldFunctionSet, z, t, k_factor: float = 0.0) -> float:
-    """max |d2u/dz2 - (1/c^2) d2u/dt2 - K u| over components and grid."""
-    u, d2u_dz2, d2u_dt2 = fieldset.evaluate(z, t, (0, 0), (2, 0), (0, 2))
-    res = d2u_dz2 - d2u_dt2 / fieldset.c**2 - k_factor * u
+def lagrange_residual(fieldset: FieldFunctionSet, z, t) -> float:
+    """max |d2u/dz2 - (1/c^2) d2u/dt2| over components and grid."""
+    d2u_dz2, d2u_dt2 = fieldset.evaluate(z, t, (2, 0), (0, 2))
+    res = d2u_dz2 - d2u_dt2 / fieldset.c**2
     return float(np.max(np.abs(res), initial=0.0))
 
 
-def x4_continued_charge(fieldset: FieldFunctionSet, t: float = 0.0,
-                        n_quad: int = 96) -> float:
+def x4_continued_charge(fieldset: FieldFunctionSet, t: float = 0.0) -> float:
     """Scaling-gauge integrand continued to the imaginary-time coordinate.
 
     For monochromatic u ~ e^{-iEt/hbar} the continuation replaces d/dx4 by
@@ -327,16 +329,15 @@ def x4_continued_charge(fieldset: FieldFunctionSet, t: float = 0.0,
     if fieldset.energy is None or fieldset.hbar is None:
         raise ValueError("x4 continuation needs a monochromatic set with energy data")
     rate = fieldset.energy / (fieldset.hbar * fieldset.c)
-    zq, wq = _gauss_legendre(0.0, fieldset.length, n_quad)
+    zq, wq = _gauss_legendre(0.0, fieldset.length, N_QUAD)
     total = float(np.sum(wq * np.abs(fieldset.evaluate(zq, t, (0, 0))) ** 2))
     return -2.0 * rate * total * fieldset.volume / fieldset.length
 
 
-def analyticity_form_charge(fieldset: FieldFunctionSet, t: float = 0.0,
-                            n_quad: int = 96) -> float:
+def analyticity_form_charge(fieldset: FieldFunctionSet, t: float = 0.0) -> float:
     """The analyticity-derived charge: the continued form times v E/(hbar c)."""
     scale = fieldset.volume * fieldset.energy / (fieldset.hbar * fieldset.c)
-    return scale * x4_continued_charge(fieldset, t, n_quad)
+    return scale * x4_continued_charge(fieldset, t)
 
 
 @dataclass
@@ -345,7 +346,7 @@ class SpinDensity:
     s4_3: float          # volume-integrated spirality
 
 
-def spirality(fieldset: FieldFunctionSet, t: float, n_quad: int = 96) -> SpinDensity:
+def spirality(fieldset: FieldFunctionSet, t: float) -> SpinDensity:
     """Spin density of the dual rotation in the (u1, u2) functional plane.
 
     density(z) = (2/c) Im sum_pairs [conj(du1/dt) u2 - conj(du2/dt) u1];
@@ -359,7 +360,7 @@ def spirality(fieldset: FieldFunctionSet, t: float, n_quad: int = 96) -> SpinDen
         pairs = np.imag(np.conj(du1_dt) * u2 - np.conj(du2_dt) * u1)
         return (2.0 / c) * _ordered_sum(pairs)
 
-    zq, wq = _gauss_legendre(0.0, fieldset.length, n_quad)
+    zq, wq = _gauss_legendre(0.0, fieldset.length, N_QUAD)
     s43 = float(np.sum(wq * density(zq))) * fieldset.volume / fieldset.length
     return SpinDensity(s4_12=density, s4_3=s43)
 

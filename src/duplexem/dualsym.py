@@ -22,7 +22,8 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class FieldPair:
-    """Ordered pair of 3-vectors (e, h), real or complex."""
+    """Ordered pair of 3-vectors (e, h), real or complex, or a batch of n
+    such pairs as two (n, 3) arrays, one pair per row."""
 
     e: np.ndarray
     h: np.ndarray
@@ -30,8 +31,8 @@ class FieldPair:
     def __post_init__(self):
         e = np.atleast_1d(np.asarray(self.e))
         h = np.atleast_1d(np.asarray(self.h))
-        if e.shape != (3,) or h.shape != (3,):
-            raise ValueError("FieldPair components must be 3-vectors")
+        if e.shape != h.shape or e.shape[-1:] != (3,) or e.ndim > 2:
+            raise ValueError("FieldPair components must be 3-vectors or (n, 3) batches of them")
         if not (np.all(np.isfinite(e.real)) and np.all(np.isfinite(h.real))
                 and np.all(np.isfinite(np.imag(e))) and np.all(np.isfinite(np.imag(h)))):
             raise ValueError("FieldPair components must be finite")
@@ -54,17 +55,19 @@ class DualAngle:
 
 @dataclass(frozen=True)
 class InvariantSet:
+    """The invariants of one pair, or arrays of them, one per row of a batch."""
+
     i1p: float
     i2p: float
     k_inv: float
     i1h: float
     i2h: float
-    w: float = None  # None when i2h == 0
+    w: float = None  # None when i2h == 0; in a batch nan there
 
 
 def bilinear_dot(a, b):
-    """Unconjugated scalar product sum_k a_k b_k."""
-    return np.sum(np.asarray(a) * np.asarray(b))
+    """Unconjugated scalar product sum_k a_k b_k, per row of (n, 3) arrays."""
+    return np.sum(np.asarray(a) * np.asarray(b), axis=-1)
 
 
 def _snap(x: float) -> float:
@@ -76,41 +79,19 @@ def _snap(x: float) -> float:
     return x
 
 
-def dual_rotate(f: FieldPair, theta: float) -> FieldPair:
-    """Circular mix: (E cos + H sin, H cos - E sin)."""
-    c, s = _snap(math.cos(theta)), _snap(math.sin(theta))
-    return FieldPair(c * f.e + s * f.h, c * f.h - s * f.e)
+def dual_rotate(f: FieldPair, theta) -> FieldPair:
+    """Circular mix: (E cos + H sin, H cos - E sin).
 
-
-def _k_of(e, h):
-    """K = |E^2 - H^2 + 2i E.H|^2 of each row pair of (n, 3) real fields."""
-    re_c = np.sum(e * e, axis=-1) - np.sum(h * h, axis=-1)
-    im_c = 2.0 * np.sum(e * h, axis=-1)
-    return re_c * re_c + im_c * im_c
-
-
-def rotation_drift(e, h, theta):
-    """Circular-invariant drift of n real field pairs, each under its own angle.
-
-    e, h are (n, 3) arrays and theta an (n,) array.  Returns (k_ref, k_rot,
-    drift): K of each pair, K of its dual_rotate image and
-    |k_rot - k_ref| / max(|k_ref|, 1e-300).  Element for element these equal
-    invariants(f).k_inv and invariants(dual_rotate(f, theta)).k_inv of
-    FieldPair(e, h) bit for bit; cos and sin go through math and _snap
-    per angle, as dual_rotate takes them.
+    theta is one angle, or for a batch an (n,) array of one angle per row;
+    cos and sin of each angle go through math and _snap.
     """
-    e, h, theta = np.asarray(e), np.asarray(h), np.asarray(theta, float)
-    if (e.ndim != 2 or e.shape[1:] != (3,) or h.shape != e.shape
-            or theta.shape != e.shape[:1] or np.iscomplexobj(e) or np.iscomplexobj(h)):
-        raise ValueError("rotation_drift needs real (n, 3) fields and (n,) angles")
-    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(h))):
-        raise ValueError("FieldPair components must be finite")
-    angles = theta.tolist()
-    c = np.array([_snap(math.cos(x)) for x in angles])[:, None]
-    s = np.array([_snap(math.sin(x)) for x in angles])[:, None]
-    k_ref = _k_of(e, h)
-    k_rot = _k_of(c * e + s * h, c * h - s * e)
-    return k_ref, k_rot, np.abs(k_rot - k_ref) / np.maximum(np.abs(k_ref), 1e-300)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim and theta.shape != f.e.shape[:-1]:
+        raise ValueError("dual_rotate takes one angle or one per row of the batch")
+    angles = theta.ravel().tolist()
+    c = np.array([_snap(math.cos(x)) for x in angles]).reshape(theta.shape + (1,))
+    s = np.array([_snap(math.sin(x)) for x in angles]).reshape(theta.shape + (1,))
+    return FieldPair(c * f.e + s * f.h, c * f.h - s * f.e)
 
 
 def hyperbolic_dual(f: FieldPair, vartheta: float) -> FieldPair:
@@ -133,7 +114,7 @@ def invariants(f: FieldPair, theta: float = 0.0, vartheta: float = 0.0) -> Invar
     i1p, i2p rotate into each other with 2*theta and k_inv = i1p^2 + i2p^2
     = |C|^2 is angle-independent.  i1h, i2h carry the hyperbolic weight
     exp(2*vartheta); their ratio w drops every rapidity factor (None when
-    i2h vanishes).
+    i2h vanishes, nan in those rows of a batch).
     """
     c_inv = complex_invariant(f)
     re_c, im_c = c_inv.real, c_inv.imag
@@ -144,14 +125,19 @@ def invariants(f: FieldPair, theta: float = 0.0, vartheta: float = 0.0) -> Invar
     w_e2 = math.exp(2 * vartheta)
     i1h = re_c * w_e2
     i2h = im_c * w_e2
-    w = i1h / i2h if i2h != 0.0 else None
+    if np.ndim(i2h):
+        w = np.divide(i1h, i2h, out=np.full(i2h.shape, np.nan), where=i2h != 0.0)
+    else:
+        w = i1h / i2h if i2h != 0.0 else None
     return InvariantSet(i1p=i1p, i2p=i2p, k_inv=k_inv, i1h=i1h, i2h=i2h, w=w)
 
 
 def complex_invariant(f: FieldPair):
-    """The combination E^2 - H^2 + 2i(E.H), the generator of both invariant sets."""
-    return complex(bilinear_dot(f.e, f.e) - bilinear_dot(f.h, f.h)
-                   + 2j * bilinear_dot(f.e, f.h))
+    """The combination E^2 - H^2 + 2i(E.H), the generator of both invariant sets:
+    a complex number for one pair, a complex array for a batch."""
+    c_inv = (bilinear_dot(f.e, f.e) - bilinear_dot(f.h, f.h)
+             + 2j * bilinear_dot(f.e, f.h))
+    return c_inv if c_inv.ndim else complex(c_inv)
 
 
 def lorentz_boost_fields(f: FieldPair, beta: float, axis=(0.0, 0.0, 1.0)) -> FieldPair:
@@ -169,6 +155,8 @@ def lorentz_boost_fields(f: FieldPair, beta: float, axis=(0.0, 0.0, 1.0)) -> Fie
     """
     if abs(beta) >= 1.0:
         raise ValueError("|beta| must be < 1")
+    if f.e.ndim != 1:   # np.dot below would mix the rows of a batch
+        raise ValueError("lorentz_boost_fields takes one pair, not a batch")
     n = np.asarray(axis, dtype=float)
     n = n / np.linalg.norm(n)
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)

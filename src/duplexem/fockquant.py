@@ -50,10 +50,6 @@ class QuantizationScheme:
 class FockOperator:
     dim: int
     entries: np.ndarray
-    label: str = "custom"
-
-    def adjoint(self) -> "FockOperator":
-        return FockOperator(self.dim, self.entries.conj().T, self.label + "+")
 
 
 def make_ladder(dim: int):
@@ -61,8 +57,7 @@ def make_ladder(dim: int):
     if dim < 2:
         raise ValueError("need dim >= 2")
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
-    return (FockOperator(dim, a, "annihilate"),
-            FockOperator(dim, a.conj().T, "create"))
+    return FockOperator(dim, a), FockOperator(dim, a.conj().T)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -100,13 +100,6 @@ class BogoliubovCoeffs:
     alpha_k: np.ndarray
     beta_k: np.ndarray
 
-    @property
-    def product(self) -> np.ndarray:
-        return self.alpha_k * self.beta_k
-
-    def constraint_defect(self) -> float:
-        return float(np.max(np.abs(self.alpha_k**2 + self.beta_k**2 - 1.0)))
-
 
 class GapSolverError(RuntimeError):
     def __init__(self, message, residual_curve=None):
@@ -257,12 +250,14 @@ def _gap_kernel_array(zeta):
 
 
 def _on_grid(kernel, kernel_array, zeta, method):
-    """A kernel over an array of zeta.
+    """A kernel at a 0-d zeta, as a float, or over an array of zeta.
 
-    The elliptic route is one whole-array call; any other route makes one
-    scalar call per point, so the quadrature route stays an independent
-    oracle of the elliptic one.
+    A 0-d zeta takes the scalar kernel.  On an array the elliptic route is
+    one whole-array call; any other route makes one scalar call per point,
+    so the quadrature route stays an independent oracle of the elliptic one.
     """
+    if zeta.ndim == 0:
+        return kernel(float(zeta), method)
     if method == "elliptic":
         return kernel_array(zeta)
     return np.array([kernel(z, method) for z in zeta.ravel().tolist()]).reshape(zeta.shape)
@@ -273,36 +268,16 @@ def _coupling_coefficient(p: SshParams, occ: Occupation) -> float:
     return occ.delta * 2.0 * p.n_sites * p.u * p.alpha2 / (math.pi * p.t0)
 
 
-def gap_residual(p: SshParams, q: float, occ: Occupation = None,
-                 method: str = "elliptic", form: str = "full") -> float:
-    """Self-consistency residual at trial Q, a number or an array of them.
+def gap_residual(p: SshParams, q, occ: Occupation = None,
+                 method: str = "elliptic", form: str = "full"):
+    """Self-consistency residual at trial Q: a float for a number, an array for an array.
 
     form="full":    1 + C * Q * I(zeta(Q)) - Q          (C the coupling coefficient)
     form="reduced": C * I(zeta(Q)) - 1                  (strong-coupling normal form)
     """
     occ = occ or Occupation.ground()
     coef = _coupling_coefficient(p, occ)
-    if np.ndim(q):
-        return _gap_residual_array(p, np.asarray(q, dtype=float), coef, method, form)
-    zeta = zeta_of(p, q)
-    if form == "full":
-        if coef == 0.0 or q == 0.0:
-            term = 0.0
-        else:
-            term = coef * q * gap_kernel(zeta, method)
-        return 1.0 + term - q
-    if form == "reduced":
-        if q == 0.0:
-            raise ValueError("reduced residual is undefined at Q = 0")
-        if coef == 0.0:
-            return -1.0
-        return coef * gap_kernel(zeta, method) - 1.0
-    raise ValueError(f"unknown form {form!r}")
-
-
-def _gap_residual_array(p: SshParams, q: np.ndarray, coef: float, method: str,
-                        form: str) -> np.ndarray:
-    """gap_residual on an array of Q, element for element."""
+    q = np.asarray(q, dtype=float)[()]   # a number: a numpy scalar, cheaper than 0-d
     zeta = zeta_of(p, q)
     if form == "full":
         term = 0.0
@@ -310,34 +285,38 @@ def _gap_residual_array(p: SshParams, q: np.ndarray, coef: float, method: str,
             with np.errstate(invalid="ignore"):  # 0 * inf at Q = 0, replaced by 0
                 term = np.where(q == 0.0, 0.0,
                                 coef * q * _on_grid(gap_kernel, _gap_kernel_array, zeta, method))
-        return 1.0 + term - q
-    if form == "reduced":
-        if np.any(q == 0.0):
+        res = 1.0 + term - q
+    elif form == "reduced":
+        if (q == 0.0).any():
             raise ValueError("reduced residual is undefined at Q = 0")
         if coef == 0.0:
-            return np.full(q.shape, -1.0)
-        return coef * _on_grid(gap_kernel, _gap_kernel_array, zeta, method) - 1.0
-    raise ValueError(f"unknown form {form!r}")
+            res = np.full(q.shape, -1.0)
+        else:
+            res = coef * _on_grid(gap_kernel, _gap_kernel_array, zeta, method) - 1.0
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    return res if np.ndim(res) else float(res)
 
 
-def gap_residual_discrete(p: SshParams, q: float, occ: Occupation = None,
-                          n_k: int = 64) -> float:
-    """Brillouin-sum residual: trapezoid k-grid on [0, pi/2a], spin factor 2."""
+def gap_residual_discrete(p: SshParams, q, occ: Occupation = None, n_k: int = 64):
+    """Brillouin-sum residual: trapezoid k-grid on [0, pi/2a], spin factor 2.
+
+    q may be an array; a number q gives a float.
+    """
     occ = occ or Occupation.ground()
+    q = np.asarray(q, dtype=float)
     k = np.linspace(0.0, 0.5 * math.pi / p.a_lattice, n_k)
     w = np.full(n_k, k[1] - k[0])
     w[0] *= 0.5
     w[-1] *= 0.5
-    eps = eps_k(p, k)
-    dlt = delta_k(p, k)
-    energy = np.hypot(eps, q * dlt)
-    if np.any(energy == 0.0):
-        integrand = np.zeros_like(k)
-    else:
-        integrand = q * dlt * np.sin(k * p.a_lattice) / energy
-    total = 2.0 * (p.n_sites * p.a_lattice / math.pi) * np.sum(w * integrand)
-    term = (p.alpha2 / (2.0 * p.alpha1)) * occ.delta * total
-    return 1.0 + term - q
+    gap = q[..., None] * delta_k(p, k)    # one row of k per Q
+    energy = np.hypot(eps_k(p, k), gap)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with a zero, replaced by 0
+        integrand = np.where(np.any(energy == 0.0, axis=-1, keepdims=True), 0.0,
+                             gap * np.sin(k * p.a_lattice) / energy)
+    total = 2.0 * (p.n_sites * p.a_lattice / math.pi) * np.sum(w * integrand, axis=-1)
+    res = 1.0 + (p.alpha2 / (2.0 * p.alpha1)) * occ.delta * total - q
+    return res if np.ndim(res) else float(res)
 
 
 @dataclass
@@ -405,37 +384,39 @@ def _regime(zeta: float) -> str:
     return "modulus_lt_1" if az < 1.0 else "modulus_gt_1"
 
 
+def _scan_grid(p: SshParams, form: str) -> np.ndarray:
+    """The 600 trial Q a gap solve scans, within |Q| <= max(10 N |alpha2 / alpha1|, 10).
+
+    The reduced form's kernel diverges at Q = 0, so it scans magnitudes
+    logarithmically, both signs; the full form scans a uniform grid.
+    """
+    qmax = max(10.0 * abs(p.alpha2) * p.n_sites / abs(p.alpha1), 10.0)
+    if form == "reduced":
+        mags = np.geomspace(max(1e-9, 1e-12 * (2.0 * qmax)), qmax, 300)
+        return np.concatenate([-mags[::-1], mags])
+    return np.linspace(-qmax, qmax, 600)
+
+
 def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
-              form: str = "full", bracket: tuple = None, n_scan: int = 600,
-              n_k_grid: int = 201) -> GapSolution:
+              form: str = "full") -> GapSolution:
     """Solve the self-consistency equation for the enhancement factor Q.
 
-    The residual is scanned on the elliptic route over n_scan points of the
-    bracket; every sign change found there is refined by brentq on the
+    The residual is scanned on the elliptic route over the grid of
+    `_scan_grid`; every sign change found there is refined by brentq on the
     residual of `method`, and all those roots are returned (the reduced form
     generically has a +-Q pair).  The primary root is the one closest to the
     noninteracting value Q = 1 for the full form, and the largest-magnitude
     root for the reduced form; `residual` is |residual| there on `method`.
     Raises :class:`GapSolverError` with the scanned elliptic residual curve
-    when no root lies inside the bracket, or when the residual of `method`
+    when no root lies on the scanned range, or when the residual of `method`
     keeps its sign over a bracket of the scan.
     """
     occ = occ or Occupation.ground()
-    if bracket is None:
-        qmax = max(10.0 * abs(p.alpha2) * p.n_sites / abs(p.alpha1), 10.0)
-        bracket = (-qmax, qmax)
-    lo, hi = bracket
 
     def fn(q):
         return gap_residual(p, q, occ, method, form)
 
-    if form == "reduced":
-        # kernel diverges at Q = 0: scan magnitudes logarithmically, both signs
-        mags = np.geomspace(max(1e-9, 1e-12 * (hi - lo)), max(abs(lo), abs(hi)),
-                            n_scan // 2)
-        grid = np.concatenate([-mags[::-1], mags])
-    else:
-        grid = np.linspace(lo, hi, n_scan)
+    grid = _scan_grid(p, form)
     vals = gap_residual(p, grid, occ, "elliptic", form)
     roots = _scan_roots(fn, grid, vals, method)
     if not roots:
@@ -446,7 +427,7 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
     else:
         primary = max(roots, key=abs)
     zeta = zeta_of(p, primary)
-    k_grid = np.linspace(0.0, 0.5 * math.pi / p.a_lattice, n_k_grid)
+    k_grid = np.linspace(0.0, 0.5 * math.pi / p.a_lattice, 201)
     alpha, beta, _ = bogoliubov_coeffs(p, primary, k_grid)
     energies = {b: band_energies(p, primary, k_grid, b)
                 for b in (BRANCH_NEAR_EQ, BRANCH_SSH)}
@@ -460,20 +441,13 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
     )
 
 
-def solve_gap_discrete(p: SshParams, occ: Occupation = None, n_k: int = 64,
-                       bracket: tuple = None, n_scan: int = 600) -> float:
+def solve_gap_discrete(p: SshParams, occ: Occupation = None, n_k: int = 64) -> float:
     """Root of the Brillouin-sum residual (oracle for the continuum solver)."""
     occ = occ or Occupation.ground()
-    if bracket is None:
-        qmax = max(10.0 * abs(p.alpha2) * p.n_sites / abs(p.alpha1), 10.0)
-        bracket = (-qmax, qmax)
-
-    def fn(q):
-        return gap_residual_discrete(p, q, occ, n_k)
-
-    grid = np.linspace(bracket[0], bracket[1], n_scan)
-    vals = np.array([fn(q) for q in grid])
-    roots = _scan_roots(fn, grid, vals, "discrete-sum")
+    grid = _scan_grid(p, "full")
+    vals = gap_residual_discrete(p, grid, occ, n_k)
+    roots = _scan_roots(lambda q: gap_residual_discrete(p, q, occ, n_k), grid, vals,
+                        "discrete-sum")
     if not roots:
         raise GapSolverError("no discrete-sum root inside the bracket",
                              residual_curve=(grid, vals))
@@ -626,16 +600,14 @@ def ground_energy(p: SshParams, q: float, u, method: str = "elliptic"):
     """E0(u) of the near-equilibrium branch at fixed Q, plus elastic energy.
 
     u may be an array; the elliptic route then evaluates J on the whole
-    array, the quadrature route one adaptive quadrature per point.
+    array, the quadrature route one adaptive quadrature per point.  A
+    number u gives a float.
     """
-    array = np.ndim(u) > 0
-    if array:
-        u = np.asarray(u, dtype=float)
+    u = np.asarray(u, dtype=float)[()]   # a number: a numpy scalar, cheaper than 0-d
     zeta = 2.0 * p.alpha1 * u * q / p.t0   # zeta_of at dimerization u
-    band = _on_grid(_band_kernel, _band_kernel_array, zeta, method) if array \
-        else _band_kernel(zeta, method)
-    elastic = 2.0 * p.n_sites * p.k_spring * u * u
-    return -(4.0 * p.n_sites * p.t0 / math.pi) * band + elastic
+    band = _on_grid(_band_kernel, _band_kernel_array, zeta, method)
+    energy = -(4.0 * p.n_sites * p.t0 / math.pi) * band + 2.0 * p.n_sites * p.k_spring * u * u
+    return energy if energy.ndim else float(energy)
 
 
 def ground_energy_smallz(p: SshParams, q: float, u):

@@ -421,3 +421,43 @@ def test_unknown_log_level_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["verify-all", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "DUPLEX_EM_LOG" in err and "'bogus'" in err and "DEBUG" in err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("cavity-field", {"length": None}, "'length'"),
+    ("cavity-field", {"n_modes": "4"}, "'n_modes'"),
+    ("cavity-field", {"nz": True}, "'nz'"),
+    ("cavity-field", {"theta": "x"}, "'theta'"),
+    ("cavity-field", {"c1": "0.5"}, "'c1'"),
+    ("cavity-field", {"solution": 1}, "'solution'"),
+    ("currents", {"coupling": False}, "'coupling'"),
+    ("ssh-solve", {"N": "100"}, "'N'"),
+    ("ssh-solve", {"N": 100.0}, "'N'"),
+    ("ssh-solve", {"u_scan": [0.1]}, "u_scan"),
+    ("ssh-solve", {"u_scan": [-0.1, 0.1, 4.5]}, "u_scan"),
+    ("ssh-sweep", {"u_scan": [-0.1, 0.1, 0]}, "u_scan"),
+    ("ssh-sweep", {"u_scan": "[-0.1, 0.1, 9]"}, "u_scan"),
+    ("ssh-sweep", {"u_scan": [-0.1, "0.1", 9]}, "u_scan"),
+    ("quantize", {"t": "0.1"}, "'t'"),
+    ("quantize", {"z": 5}, "'z'"),
+    ("quantize", {"scheme": "space_local", "z": -0.1}, "'z'"),
+    ("quantize", {"scheme": "spacetime_local", "z": 1.5}, "'z'"),
+    ("quantize", {"scheme": "spacetime_local", "t": 5}, "'t'"),
+    ("quantize", {"scheme": "spacetime_local", "units": "si", "t": 0.1}, "'t'"),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("scheme", ["time_local", "space_local", "spacetime_local"])
+def test_quantize_default_point_lies_inside_si_cavity(tmp_path, capsys, scheme):
+    cfg = tmp_path / "si.json"
+    cfg.write_text(json.dumps({"units": "si", "scheme": scheme}))
+    assert main(["quantize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "summary.json").read_text())["passed"]

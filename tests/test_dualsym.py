@@ -6,7 +6,7 @@ import pytest
 from duplexem.dualsym import (DualAngle, FieldPair, complex_invariant,
                               dual_rotate, hyperbolic_boost_magnitudes,
                               hyperbolic_dual, invariants,
-                              lorentz_boost_fields, rotation_drift)
+                              lorentz_boost_fields)
 
 
 def random_pair(rng):
@@ -196,31 +196,52 @@ def test_field_pair_validation():
         FieldPair(np.array([np.inf, 0, 0]), np.ones(3))
 
 
-def test_rotation_drift_matches_scalar_route_bit_for_bit():
+def test_batch_rotation_matches_single_pairs_bit_for_bit():
     rng = np.random.default_rng(11)
     e = rng.normal(size=(400, 3)) * rng.uniform(0.1, 10.0, size=(400, 1))
     h = rng.normal(size=(400, 3))
+    h[:3] = 0.0   # rows with i2h = 0: w is nan there, None for the single pair
     # 50 pairs at each quarter turn: unsnapped, cos(pi/2) = 6e-17 moves the
     # last bits of K on about half of them
     theta = np.concatenate([rng.uniform(0.0, 2 * math.pi, 200),
                             np.repeat([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi], 50)])
-    k_ref, k_rot, drift = rotation_drift(e, h, theta)
+    pairs = FieldPair(e, h)
+    rotated = dual_rotate(pairs, theta)
+    ref, rot = invariants(pairs, 0.3, 0.2), invariants(rotated)
+    c_inv = complex_invariant(pairs)
     for i in range(len(theta)):
         f = FieldPair(e[i], h[i])
-        k0 = invariants(f).k_inv
-        k1 = invariants(dual_rotate(f, theta[i])).k_inv
-        assert (k_ref[i], k_rot[i]) == (k0, k1)
-        assert drift[i] == abs(k1 - k0) / max(abs(k0), 1e-300)
+        g = dual_rotate(f, theta[i])
+        assert np.array_equal(rotated.e[i], g.e) and np.array_equal(rotated.h[i], g.h)
+        one = invariants(f, 0.3, 0.2)
+        assert [x[i] for x in (ref.i1p, ref.i2p, ref.k_inv, ref.i1h, ref.i2h)] == \
+            [one.i1p, one.i2p, one.k_inv, one.i1h, one.i2h]
+        assert ref.w[i] == one.w if one.w is not None else np.isnan(ref.w[i])
+        assert rot.k_inv[i] == invariants(g).k_inv
+        assert c_inv[i] == complex_invariant(f)
+    assert np.isnan(ref.w[:3]).all() and not np.isnan(ref.w[3:]).any()
     # the snapped quarter turns exchange the fields exactly, so K keeps its bits
-    assert np.array_equal(k_rot[200:], k_ref[200:])
+    assert np.array_equal(rot.k_inv[200:], invariants(pairs).k_inv[200:])
+    # one angle for the whole batch
+    assert np.array_equal(dual_rotate(pairs, 0.7).e,
+                          dual_rotate(pairs, np.full(len(theta), 0.7)).e)
 
 
-def test_rotation_drift_validation():
-    with pytest.raises(ValueError):
-        rotation_drift(np.ones((2, 2)), np.ones((2, 2)), np.zeros(2))
-    with pytest.raises(ValueError):
-        rotation_drift(np.ones((2, 3)), np.ones((2, 3)), np.zeros(3))
-    with pytest.raises(ValueError):
-        rotation_drift(np.ones((1, 3)) * 1j, np.ones((1, 3)), np.zeros(1))
-    with pytest.raises(ValueError):
-        rotation_drift(np.array([[np.inf, 0, 0]]), np.ones((1, 3)), np.zeros(1))
+def test_batch_field_pair_validation():
+    for e, h in ((np.ones((2, 2)), np.ones((2, 2))), (np.ones((2, 3)), np.ones((3, 3))),
+                 (np.ones((2, 3)), np.ones(3)), (np.ones((1, 2, 3)), np.ones((1, 2, 3)))):
+        with pytest.raises(ValueError, match="3-vectors"):
+            FieldPair(e, h)
+    for bad in (np.inf, np.nan, complex(0.0, np.inf)):
+        e = np.ones((4, 3), dtype=complex)
+        e[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FieldPair(e, np.ones((4, 3)))
+    pairs = FieldPair(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="angle"):
+        dual_rotate(pairs, np.zeros(3))
+    with pytest.raises(ValueError, match="angle"):
+        dual_rotate(FieldPair(np.ones(3), np.ones(3)), np.zeros(1))
+    # three rows would broadcast against the boost axis without an error
+    with pytest.raises(ValueError, match="one pair"):
+        lorentz_boost_fields(FieldPair(np.ones((3, 3)), np.ones((3, 3))), 0.5)
