@@ -282,20 +282,20 @@ def gap_residual(p: SshParams, q, occ: Occupation = None,
     if form == "full":
         term = 0.0
         if coef != 0.0:
-            with np.errstate(invalid="ignore"):  # 0 * inf at Q = 0, replaced by 0
-                term = np.where(q == 0.0, 0.0,
-                                coef * q * _on_grid(gap_kernel, _gap_kernel_array, zeta, method))
+            # I(0) is infinite: Q = 0 takes I(1) instead, so that Q * I is 0 there;
+            # any other zeta is left as it is (zeta + 0)
+            term = coef * q * _on_grid(gap_kernel, _gap_kernel_array, zeta + (q == 0.0), method)
         res = 1.0 + term - q
     elif form == "reduced":
         if (q == 0.0).any():
             raise ValueError("reduced residual is undefined at Q = 0")
         if coef == 0.0:
-            res = np.full(q.shape, -1.0)
+            res = np.full(q.shape, -1.0)[()]
         else:
             res = coef * _on_grid(gap_kernel, _gap_kernel_array, zeta, method) - 1.0
     else:
         raise ValueError(f"unknown form {form!r}")
-    return res if np.ndim(res) else float(res)
+    return res if isinstance(res, np.ndarray) else float(res)
 
 
 def gap_residual_discrete(p: SshParams, q, occ: Occupation = None, n_k: int = 64):

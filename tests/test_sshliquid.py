@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,18 @@ def test_array_residual_matches_pointwise(form, alpha2, grid):
         few = grid[np.abs(grid) > 1e-3][::6]   # the quadrature route needs 1 - zeta^2 < 1
         assert gap_residual(p, few, occ, "quadrature", form).tolist() == \
             [gap_residual(p, q, occ, "quadrature", form) for q in few.tolist()]
+
+
+def test_full_residual_is_one_at_q_zero():
+    # Q I(zeta(Q)) -> 0 although I(0) is infinite; no invalid-value warning on the way
+    p = base_params(alpha2=0.3, u=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in ("elliptic", "quadrature"):
+            for q in (0.0, -0.0):
+                value = gap_residual(p, q, method=method)
+                assert type(value) is float and value == 1.0
+            assert gap_residual(p, np.array([-0.0, 0.0]), method=method).tolist() == [1.0, 1.0]
 
 
 def test_kernel_value_at_unity():
