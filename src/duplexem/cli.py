@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,24 +39,81 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_type(key: str, value, default) -> None:
-    """ConfigError unless value has the type of default: a number that is not
-    a bool for a float default, an integer for an int, a string for a string
-    and a list for a list.  A null default takes any value."""
-    if isinstance(default, int):
-        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif isinstance(default, float):
-        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-    elif isinstance(default, (str, list)):
-        ok, want = isinstance(value, type(default)), f"a {type(default).__name__}"
-    else:
-        return
-    if not ok:
-        raise ConfigError(f"config key {key!r} must be {want}, got {value!r}")
+class Key(NamedTuple):
+    """One config key: its default, the words naming the values it takes, a
+    test of its range or choices, and its JSON type when the default is null
+    (otherwise the type is the default's)."""
+
+    default: object
+    words: str = ""
+    test: Callable = None
+    kind: type = None
 
 
-def _load_config(path, defaults: dict) -> dict:
-    cfg = dict(defaults)
+_TYPE_WORDS = {float: "a number", int: "an integer", str: "a string", list: "a list"}
+
+
+def _has_type(value, kind: type) -> bool:
+    """Whether a JSON value has type kind: a float key takes any number, an
+    int key an integer, and neither takes a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float
+                                                      else kind)
+
+
+def _one_of(*names) -> tuple:
+    return " or ".join(map(repr, names)), names.__contains__
+
+
+_POSITIVE = ("a positive number", lambda v: v > 0)
+_COUNT = ("an integer, at least 1", lambda v: _has_type(v, int) and v >= 1)
+_NUMBERS = ("a list of numbers", lambda v: all(_has_type(x, float) for x in v))
+_PAIRS = ("a list of [re, im] number pairs",
+          lambda v: all(isinstance(p, list) and len(p) == 2 and _NUMBERS[1](p) for p in v))
+
+
+def _cavity_keys(length: float, n_modes: int, **keys) -> dict:
+    return {"length": Key(length, *_POSITIVE), "n_modes": Key(n_modes, *_COUNT),
+            "units": Key("symmetric", *_one_of("symmetric", "si")), **keys}
+
+
+_SSH_KEYS = {
+    "t0": Key(1.0, *_POSITIVE), "alpha1": Key(1.0, "a nonzero number", lambda v: v != 0),
+    "alpha2": Key(0.2), "u": Key(0.1), "K_spring": Key(1.0),
+    "N": Key(100, "a positive even integer", lambda v: v > 0 and v % 2 == 0),
+    "a": Key(1.0, *_POSITIVE),
+    "occupation": Key("ground", *_one_of("ground", "inverted")),
+    "u_scan": Key(None, "[min, max, steps] with a positive integer steps",
+                  lambda v: len(v) == 3 and _NUMBERS[1](v[:2]) and _COUNT[1](v[2]), list),
+    "form": Key("full", *_one_of("full", "reduced")),
+}
+
+# every config key of every subcommand that reads a config file
+SCHEMAS = {
+    "cavity-field": _cavity_keys(
+        1.0, 4, c1=Key([[0.5, 0.0]] * 4, *_PAIRS), c2=Key([[0.5, 0.0]] * 4, *_PAIRS),
+        solution=Key("first", *_one_of("first", "second")), theta=Key(0.0),
+        nz=Key(64, *_COUNT), nt=Key(64, *_COUNT)),
+    "quantize": _cavity_keys(
+        1.0, 2, dim=Key(8, "an integer, at least 2", lambda v: v >= 2),
+        scheme=Key("time_local", *_one_of(*(kind.value for kind in fq.SchemeKind))),
+        z=Key(0.25), t=Key(None, kind=float)),   # t: 0.1 L/c
+    "currents": _cavity_keys(
+        math.pi, 3, c1=Key([[0.4, 0.1], [0.2, 0.0], [0.1, -0.2]], *_PAIRS),
+        c2=Key([[0.0, 0.0]] * 3, *_PAIRS), nz=Key(48, *_COUNT), nt=Key(8, *_COUNT),
+        coupling=Key(1.0)),
+    "resonance-fit": {"input": Key(None, kind=str), "n": Key(None, *_NUMBERS, list),
+                      "nu": Key(None, *_NUMBERS, list)},
+    "ssh-solve": _SSH_KEYS,
+    "ssh-sweep": _SSH_KEYS,
+}
+
+
+def _load_config(path, schema: dict) -> dict:
+    """The defaults of schema, overridden by the JSON object at path; a number
+    key comes back as a float.  ConfigError naming the key on an unknown key
+    or on a value of the wrong JSON type or outside the key's range or
+    choices; null is a value only of a key whose default is null."""
+    cfg = {key: spec.default for key, spec in schema.items()}
     if path:
         try:
             with open(path) as fh:
@@ -64,12 +122,18 @@ def _load_config(path, defaults: dict) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(data) - set(defaults)
+        unknown = set(data) - set(schema)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
-            _check_type(key, value, defaults[key])
-        cfg.update(data)
+            spec = schema[key]
+            kind = spec.kind or type(spec.default)
+            if value is None and spec.default is None:
+                continue
+            if not (_has_type(value, kind) and (spec.test is None or spec.test(value))):
+                raise ConfigError(f"config key {key!r} must be "
+                                  f"{spec.words or _TYPE_WORDS[kind]}, got {value!r}")
+            cfg[key] = float(value) if kind is float else value
     return cfg
 
 
@@ -91,39 +155,48 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _constants(units: str) -> PhysicalConstants:
-    if units == "symmetric":
-        return PhysicalConstants.symmetric()
-    if units == "si":
-        return PhysicalConstants.si()
-    raise ConfigError(f"unknown unit system {units!r}")
+def _cavity_model(cfg) -> cav.CavityModel:
+    cst = PhysicalConstants.si() if cfg["units"] == "si" else PhysicalConstants.symmetric()
+    return cav.CavityModel(cfg["length"], cfg["n_modes"], cst)
 
 
 def _model_from_cfg(cfg) -> tuple:
-    cst = _constants(cfg["units"])
-    model = cav.CavityModel(length=float(cfg["length"]),
-                            n_modes=int(cfg["n_modes"]), constants=cst)
+    if not len(cfg["c1"]) == len(cfg["c2"]) == cfg["n_modes"]:
+        raise ConfigError(f"config keys 'c1' and 'c2' must hold n_modes = {cfg['n_modes']} "
+                          f"pairs each, got {len(cfg['c1'])} and {len(cfg['c2'])}")
     c1 = np.array([complex(re, im) for re, im in cfg["c1"]])
     c2 = np.array([complex(re, im) for re, im in cfg["c2"]])
-    state = cav.ModeState(c1, c2)
-    if state.n_modes != model.n_modes:
-        raise ConfigError("c1/c2 length must equal n_modes")
-    return model, state
+    return _cavity_model(cfg), cav.ModeState(c1, c2)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _draw_rotations(rng, count: int) -> tuple:
-    """count random real field pairs as one FieldPair batch, and an angle for
-    each, drawn sample by sample: normal(3), normal(3), uniform(0, 2 pi)."""
+def _rotation_drift(rng, count: int) -> tuple:
+    """(theta, K before, K after, relative drift of K) for count random real
+    field pairs, each dual-rotated by its own angle; drawn sample by sample:
+    normal(3), normal(3), uniform(0, 2 pi)."""
     e, h, theta = np.empty((count, 3)), np.empty((count, 3)), np.empty(count)
     for i in range(count):
         e[i] = rng.normal(size=3)
         h[i] = rng.normal(size=3)
         theta[i] = rng.uniform(0.0, 2 * math.pi)
-    return ds.FieldPair(e, h), theta
+    pairs = ds.FieldPair(e, h)
+    k_ref = ds.invariants(pairs).k_inv
+    k_rot = ds.invariants(ds.dual_rotate(pairs, theta)).k_inv
+    return theta, k_ref, k_rot, np.abs(k_rot - k_ref) / np.maximum(np.abs(k_ref), 1e-300)
+
+
+def _oscillator_defects(dim: int, action: float, omega: float) -> tuple:
+    """(ladder, spectrum) defects of the dim-level truncated oscillator:
+    max |[a, a+] - 1| on the safe block, and the lowest dim - 1 levels of
+    the Hamiltonian against action * omega * (n + 1/2)."""
+    a, ad = fq.make_ladder(dim)
+    comm = np.max(np.abs(fq.safe_block(fq.commutator(a.entries, ad.entries)) - np.eye(dim - 1)))
+    ham = fq.mode_hamiltonian_matrix(dim, action, omega)
+    target = action * omega * (np.arange(dim - 1) + 0.5)
+    return float(comm), float(np.max(np.abs(np.sort(np.diag(ham).real)[:dim - 1] - target)))
 
 
 def cmd_dual_invariants(args) -> int:
@@ -133,10 +206,7 @@ def cmd_dual_invariants(args) -> int:
     out = _outdir(args)
     rng = np.random.default_rng(args.seed)
     tol = args.tol if args.tol is not None else 1e-12
-    pairs, theta = _draw_rotations(rng, count)
-    k_ref = ds.invariants(pairs).k_inv
-    k_rot = ds.invariants(ds.dual_rotate(pairs, theta)).k_inv
-    drift = np.abs(k_rot - k_ref) / np.maximum(np.abs(k_ref), 1e-300)
+    theta, k_ref, k_rot, drift = _rotation_drift(rng, count)
     worst = float(np.max(drift))
     _write_csv(out / "dual_invariants.csv",
                ["index", "theta", "k_reference", "k_rotated", "relative_drift"],
@@ -155,23 +225,16 @@ def cmd_dual_invariants(args) -> int:
 
 def cmd_cavity_field(args) -> int:
     out = _outdir(args)
-    cfg = _load_config(args.config, {
-        "length": 1.0, "n_modes": 4, "units": "symmetric",
-        "c1": [[0.5, 0.0]] * 4, "c2": [[0.5, 0.0]] * 4,
-        "solution": "first", "theta": 0.0, "nz": 64, "nt": 64,
-    })
-    families = {"first": cav.FirstSolution, "second": cav.SecondSolution}
-    if cfg["solution"] not in families:
-        raise ConfigError(f"unknown solution {cfg['solution']!r}; "
-                          f"expected 'first' or 'second'")
+    cfg = _load_config(args.config, SCHEMAS["cavity-field"])
     model, state = _model_from_cfg(cfg)
     # relative: each residual against the largest term its equation cancels
     tol = args.tol if args.tol is not None else 1e-12
-    sol = families[cfg["solution"]](model, state)
+    family = cav.FirstSolution if cfg["solution"] == "first" else cav.SecondSolution
+    sol = family(model, state)
     if cfg["theta"]:
-        sol = cav.RotatedSolution(sol, float(cfg["theta"]))
-    z = np.linspace(0.0, model.length, int(cfg["nz"]))
-    t = np.linspace(0.0, model.period, int(cfg["nt"]))
+        sol = cav.RotatedSolution(sol, cfg["theta"])
+    z = np.linspace(0.0, model.length, cfg["nz"])
+    t = np.linspace(0.0, model.period, cfg["nt"])
     residuals = cav.maxwell_residual(sol, z, t, model.constants)
     cav.dump_field_csv(sol, z, t, out / "field.csv")
     passed = all(r <= tol * scale for r, scale in zip(residuals, residuals.scales))
@@ -188,40 +251,26 @@ def cmd_cavity_field(args) -> int:
 
 def cmd_quantize(args) -> int:
     out = _outdir(args)
-    cfg = _load_config(args.config, {
-        "length": 1.0, "n_modes": 2, "units": "symmetric",
-        "dim": 8, "scheme": "time_local", "z": 0.25, "t": None,   # t: 0.1 L/c
-    })
-    cst = _constants(cfg["units"])
-    model = cav.CavityModel(float(cfg["length"]), int(cfg["n_modes"]), cst)
-    dim = int(cfg["dim"])
+    cfg = _load_config(args.config, SCHEMAS["quantize"])
+    model = _cavity_model(cfg)
+    cst = model.constants
+    dim, z = cfg["dim"], cfg["z"]
     tol = args.tol if args.tol is not None else 1e-12
-    try:
-        kind = fq.SchemeKind(cfg["scheme"])
-    except ValueError as exc:
-        raise ConfigError(f"unknown scheme {cfg['scheme']!r}") from exc
+    kind = fq.SchemeKind(cfg["scheme"])
     scheme = fq.QuantizationScheme(kind, cst.hbar, cst.lambda0)
-    z = float(cfg["z"])
     t = 0.1 * model.period if cfg["t"] is None else cfg["t"]
-    _check_type("t", t, 0.0)
-    t = float(t)
     if not 0.0 <= z <= model.length:
         raise ConfigError(f"config key 'z' = {z!r} lies outside the cavity [0, {model.length!r}]")
-    if kind is fq.SchemeKind.SPACETIME_LOCAL and not 0.0 <= t <= model.period * (1 + 1e-12):
-        raise ConfigError(f"config key 't' = {t!r} lies outside [0, L/c] = "
-                          f"[0, {model.period!r}], where the space-time scheme is defined")
+    if kind is fq.SchemeKind.SPACETIME_LOCAL:
+        if not 0.0 <= t <= model.period * (1 + 1e-12):
+            raise ConfigError(f"config key 't' = {t!r} lies outside [0, L/c] = "
+                              f"[0, {model.period!r}], where the space-time scheme is defined")
+        if dim < 3:
+            raise ConfigError(f"config key 'dim' = {dim!r} must be at least 3 "
+                              f"for the space-time scheme")
     field = fq.assemble_field_operators(model, scheme, dim)
-
-    a, ad = fq.make_ladder(dim)
-    comm_defect = float(np.max(np.abs(
-        fq.safe_block(fq.commutator(a.entries, ad.entries)) - np.eye(dim - 1))))
-    ham = fq.mode_hamiltonian_matrix(dim, scheme.action_constant
-                                     if kind is not fq.SchemeKind.SPACETIME_LOCAL
-                                     else cst.hbar, model.omegas[0])
-    n = np.arange(dim - 1)
-    target = (scheme.action_constant if kind is not fq.SchemeKind.SPACETIME_LOCAL
-              else cst.hbar) * model.omegas[0] * (n + 0.5)
-    spec_defect = float(np.max(np.abs(np.sort(np.diag(ham).real)[:dim - 1] - target)))
+    action = cst.hbar if kind is fq.SchemeKind.SPACETIME_LOCAL else scheme.action_constant
+    comm_defect, spec_defect = _oscillator_defects(dim, action, model.omegas[0])
     checks = {
         "ladder_commutator_defect": comm_defect,
         "spectrum_defect": spec_defect,
@@ -245,18 +294,13 @@ def cmd_quantize(args) -> int:
 
 def cmd_currents(args) -> int:
     out = _outdir(args)
-    cfg = _load_config(args.config, {
-        "length": math.pi, "n_modes": 3, "units": "symmetric",
-        "c1": [[0.4, 0.1], [0.2, 0.0], [0.1, -0.2]],
-        "c2": [[0.0, 0.0]] * 3,
-        "nz": 48, "nt": 8, "coupling": 1.0,
-    })
+    cfg = _load_config(args.config, SCHEMAS["currents"])
     model, state = _model_from_cfg(cfg)
     tol = args.tol if args.tol is not None else 1e-10
-    current = cur.ClassicalFourCurrent(model, state, coupling=float(cfg["coupling"]))
+    current = cur.ClassicalFourCurrent(model, state, coupling=cfg["coupling"])
     fieldset = cur.FieldFunctionSet.from_cavity(model, state)
-    z = np.linspace(0.0, model.length, int(cfg["nz"]))
-    t = np.linspace(0.0, model.period, int(cfg["nt"]))
+    z = np.linspace(0.0, model.length, cfg["nz"])
+    t = np.linspace(0.0, model.period, cfg["nt"])
     charges = [cur.noether_charge(fieldset, tj) for tj in t]  # the table's and the drift's
     per_t = [[c.q1 for c in charges], [c.q2 for c in charges],
              [cur.spirality(fieldset, tj).s4_3 for tj in t]]
@@ -283,7 +327,7 @@ def cmd_currents(args) -> int:
 
 def cmd_resonance_fit(args) -> int:
     out = _outdir(args)
-    cfg = _load_config(args.config, {"input": None, "n": None, "nu": None})
+    cfg = _load_config(args.config, SCHEMAS["resonance-fit"])
     if cfg["input"]:
         ns, nus = [], []
         try:
@@ -293,10 +337,11 @@ def cmd_resonance_fit(args) -> int:
                     nus.append(float(row["nu_n"]))
         except (OSError, KeyError, ValueError) as exc:
             raise ConfigError(f"bad input CSV: {exc}") from exc
-    elif cfg["n"] is not None and cfg["nu"] is not None:
-        ns, nus = cfg["n"], cfg["nu"]
     else:
-        raise ConfigError("resonance-fit needs 'input' CSV or 'n'/'nu' arrays")
+        ns, nus = cfg["n"] or [], cfg["nu"] or []
+    if len(ns) != len(nus) or len(ns) < 2:
+        raise ConfigError(f"resonance-fit needs an 'input' CSV or 'n' and 'nu' lists of "
+                          f"equal length, at least 2; got {len(ns)} and {len(nus)} values")
     nu0, a_param, residuals = res.fit_dispersion(ns, nus)
     _write_csv(out / "dispersion_fit.csv", ["n", "nu_n", "residual"],
                [np.asarray(ns, dtype=float), np.asarray(nus, dtype=float), residuals])
@@ -310,40 +355,15 @@ def cmd_resonance_fit(args) -> int:
     return 0
 
 
-def _u_grid(scan) -> np.ndarray:
-    """The u grid of a u_scan [min, max, steps]; ConfigError on any other value."""
-    if not (isinstance(scan, list) and len(scan) == 3
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in scan)
-            and isinstance(scan[2], int) and scan[2] >= 1):
-        raise ConfigError(f"u_scan must be [min, max, steps] with a positive integer "
-                          f"steps, got {scan!r}")
-    lo, hi, steps = scan
-    return np.linspace(float(lo), float(hi), steps)
-
-
-def _ssh_inputs(cfg) -> tuple:
-    """(SshParams, Occupation) of an ssh config; ConfigError on an unknown
-    occupation or form."""
-    for key, allowed in (("occupation", ("ground", "inverted")), ("form", ("full", "reduced"))):
-        if cfg[key] not in allowed:
-            raise ConfigError(f"unknown {key} {cfg[key]!r}; expected "
-                              f"{allowed[0]!r} or {allowed[1]!r}")
+def _solve_ssh(cfg) -> tuple:
+    """(SshParams, gap solution) of an ssh config; GapSolverError if no root."""
     params = ssh.SshParams(
-        t0=float(cfg["t0"]), alpha1=float(cfg["alpha1"]),
-        alpha2=float(cfg["alpha2"]), u=float(cfg["u"]),
-        k_spring=float(cfg["K_spring"]), n_sites=int(cfg["N"]),
-        a_lattice=float(cfg["a"]),
+        t0=cfg["t0"], alpha1=cfg["alpha1"], alpha2=cfg["alpha2"], u=cfg["u"],
+        k_spring=cfg["K_spring"], n_sites=cfg["N"], a_lattice=cfg["a"],
     )
     occ = ssh.Occupation.ground() if cfg["occupation"] == "ground" \
         else ssh.Occupation.inverted()
-    return params, occ
-
-
-_SSH_DEFAULTS = {
-    "t0": 1.0, "alpha1": 1.0, "alpha2": 0.2, "u": 0.1,
-    "K_spring": 1.0, "N": 100, "a": 1.0,
-    "occupation": "ground", "u_scan": None, "form": "full",
-}
+    return params, ssh.solve_gap(params, occ, form=cfg["form"])
 
 
 def _ssh_failure(out: Path, exc: RuntimeError) -> int:
@@ -357,16 +377,15 @@ def _ssh_failure(out: Path, exc: RuntimeError) -> int:
 
 def cmd_ssh_solve(args) -> int:
     out = _outdir(args)
-    cfg = _load_config(args.config, dict(_SSH_DEFAULTS))
-    params, occ = _ssh_inputs(cfg)
+    cfg = _load_config(args.config, SCHEMAS["ssh-solve"])
     if cfg["u_scan"] is not None:
-        u_grid = _u_grid(cfg["u_scan"])
+        u_grid = np.linspace(*cfg["u_scan"])
     else:
-        span = 4.0 * abs(params.u) if params.u else 0.4
+        span = 4.0 * abs(cfg["u"]) if cfg["u"] else 0.4
         u_grid = np.linspace(-span, span, 41)
     tol = args.tol if args.tol is not None else 1e-10
     try:
-        sol = ssh.solve_gap(params, occ, form=cfg["form"])
+        params, sol = _solve_ssh(cfg)
     except ssh.GapSolverError as exc:
         return _ssh_failure(out, exc)
     branches = (ssh.BRANCH_NEAR_EQ, ssh.BRANCH_SSH)
@@ -399,13 +418,12 @@ def cmd_ssh_solve(args) -> int:
 
 def cmd_ssh_sweep(args) -> int:
     out = _outdir(args)
-    cfg = _load_config(args.config, dict(_SSH_DEFAULTS))
+    cfg = _load_config(args.config, SCHEMAS["ssh-sweep"])
     if cfg["u_scan"] is None:
         raise ConfigError("ssh-sweep needs u_scan: [min, max, steps]")
-    params, occ = _ssh_inputs(cfg)
-    u_grid = _u_grid(cfg["u_scan"])
+    u_grid = np.linspace(*cfg["u_scan"])
     try:
-        sol = ssh.solve_gap(params, occ, form=cfg["form"])
+        params, sol = _solve_ssh(cfg)
     except ssh.GapSolverError as exc:
         return _ssh_failure(out, exc)
     curve = ssh.GroundStateCurve(params, sol.q, u_grid)
@@ -438,11 +456,7 @@ def _verify_checks(seed: int):
         checks.append((name, float(value), float(bound), value <= bound))
 
     # circular invariant drift + quarter-turn exactness
-    pairs, theta = _draw_rotations(rng, 300)
-    k_ref = ds.invariants(pairs).k_inv
-    k_rot = ds.invariants(ds.dual_rotate(pairs, theta)).k_inv
-    add("circular_invariant_drift",
-        np.max(np.abs(k_rot - k_ref) / np.maximum(np.abs(k_ref), 1e-300)), 1e-12)
+    add("circular_invariant_drift", np.max(_rotation_drift(rng, 300)[3]), 1e-12)
     f = ds.FieldPair(rng.normal(size=3), rng.normal(size=3))
     g = ds.dual_rotate(f, 0.5 * math.pi)
     add("quarter_turn_exchange",
@@ -484,13 +498,9 @@ def _verify_checks(seed: int):
             max(cav.maxwell_residual(sol, z, t, cst)), 1e-10)
 
     # quantization
-    a, ad = fq.make_ladder(8)
-    add("ladder_commutator", float(np.max(np.abs(
-        fq.safe_block(fq.commutator(a.entries, ad.entries)) - np.eye(7)))), 1e-14)
-    ham = fq.mode_hamiltonian_matrix(8, cst.hbar, model.omegas[0])
-    target = cst.hbar * model.omegas[0] * (np.arange(7) + 0.5)
-    add("oscillator_spectrum", float(np.max(np.abs(np.diag(ham).real[:7] - target))),
-        1e-12)
+    comm_defect, spec_defect = _oscillator_defects(8, cst.hbar, model.omegas[0])
+    add("ladder_commutator", comm_defect, 1e-14)
+    add("oscillator_spectrum", spec_defect, 1e-12)
     ops = fq.spacetime_local_operators(model, 8, 0.3, 0.2)
     add("symmetrized_g_deviation", max(o["g_deviation"] for o in ops), 1e-12)
     add("trig_ansatz_rejected",

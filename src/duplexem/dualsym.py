@@ -39,9 +39,11 @@ class FieldPair:
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "h", h)
 
-    def six_vector_norm(self) -> float:
-        """Conjugated norm of the stacked (e, h) 6-vector."""
-        return float(np.sqrt(np.sum(np.abs(self.e) ** 2) + np.sum(np.abs(self.h) ** 2)))
+    def six_vector_norm(self):
+        """Conjugated norm of the stacked (e, h) 6-vector: a float for one
+        pair, an (n,) array of one norm per row for a batch."""
+        norm = np.sqrt(np.sum(np.abs(self.e) ** 2, axis=-1) + np.sum(np.abs(self.h) ** 2, axis=-1))
+        return norm if norm.ndim else float(norm)
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,8 @@ def hyperbolic_boost_magnitudes(f: FieldPair, vartheta: float, e_axis, h_axis):
     (Re h'' . h_axis) + (Im h'' . e_axis); those equal
     gamma(|E| + beta |H|) and gamma(|H| - beta |E|) at tanh(vartheta) = beta.
     """
+    if f.e.ndim != 1:   # np.dot below would mix the rows of a batch
+        raise ValueError("hyperbolic_boost_magnitudes takes one pair, not a batch")
     ea = np.asarray(e_axis, dtype=float)
     ha = np.asarray(h_axis, dtype=float)
     ea, ha = ea / np.linalg.norm(ea), ha / np.linalg.norm(ha)

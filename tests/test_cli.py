@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from duplexem import fockquant as fq
 from duplexem import sshliquid as ssh
 from duplexem.cavity import (CavityModel, FirstSolution, ModeState, ScaledSolution,
                              maxwell_residual)
-from duplexem.cli import main
+from duplexem.cli import SCHEMAS, main
 from duplexem.constants import PhysicalConstants
 from duplexem.currents import ClassicalFourCurrent
 
@@ -444,6 +446,24 @@ def test_unknown_log_level_exits_2(tmp_path, capsys, monkeypatch):
     ("quantize", {"scheme": "spacetime_local", "z": 1.5}, "'z'"),
     ("quantize", {"scheme": "spacetime_local", "t": 5}, "'t'"),
     ("quantize", {"scheme": "spacetime_local", "units": "si", "t": 0.1}, "'t'"),
+    # right type, out of range: these exited 1, or crashed, before SCHEMAS
+    ("cavity-field", {"n_modes": 0}, "'n_modes'"),
+    ("cavity-field", {"length": -1.0}, "'length'"),
+    ("cavity-field", {"nz": 0}, "'nz'"),
+    ("cavity-field", {"c1": [[0.5]]}, "'c1'"),
+    ("currents", {"nt": 0}, "'nt'"),
+    ("quantize", {"dim": 1}, "'dim'"),
+    ("quantize", {"dim": 2, "scheme": "spacetime_local"}, "'dim'"),
+    ("quantize", {"n_modes": 0}, "'n_modes'"),
+    ("ssh-solve", {"N": 99}, "'N'"),
+    ("ssh-solve", {"N": 0}, "'N'"),
+    ("ssh-solve", {"t0": 0.0}, "'t0'"),
+    ("ssh-solve", {"alpha1": 0.0}, "'alpha1'"),
+    ("ssh-solve", {"a": -1.0}, "'a'"),
+    ("resonance-fit", {"n": [1, 2], "nu": [1]}, "'nu'"),
+    ("resonance-fit", {"n": [1, 2, 3], "nu": "abc"}, "'nu'"),
+    ("resonance-fit", {"n": [1], "nu": [1.0]}, "'n'"),
+    ("cavity-field", {"c1": [["a", 0]]}, "'c1'"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "bad.json"
@@ -452,6 +472,50 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, key):
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert not (tmp_path / "summary.json").exists()
+
+
+# one value of each JSON type that is not the key's
+WRONG_TYPE = {float: "1.0", int: 2.0, str: 1, list: "[1, 2]"}
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command in sorted(SCHEMAS)
+                                          for key in SCHEMAS[command]])
+def test_wrong_json_type_exits_2(tmp_path, capsys, command, key):
+    spec = SCHEMAS[command][key]
+    kind = spec.kind or type(spec.default)
+    # null stands for the default only where the default is null
+    for value in [WRONG_TYPE[kind], True] + ([None] if spec.default is not None else []):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({key: value}))
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and repr(key) in err
+        assert not (tmp_path / "summary.json").exists()
+
+
+def test_config_docs_name_the_schema_keys():
+    text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    documented = {}
+    for section in text.split("\n## ")[1:]:
+        heading, body = section.split("\n", 1)
+        rows = [line.split("|")[1] for line in body.splitlines() if line.startswith("| `")]
+        keys = {name for cell in rows for name in re.findall(r"`([^`]+)`", cell)
+                if not name.startswith("--")}
+        for command in heading.split(" and "):
+            documented[command] = keys
+    assert set(SCHEMAS) <= set(documented)
+    for command, keys in documented.items():
+        assert keys == set(SCHEMAS.get(command, ())), command
+
+
+def test_null_keeps_a_null_default(tmp_path, capsys):
+    for name, cfg in (("a", {}), ("b", {"t": None})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        assert main(["quantize", "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "a" / "summary.json").read_bytes() == \
+        (tmp_path / "b" / "summary.json").read_bytes()
 
 
 @pytest.mark.parametrize("scheme", ["time_local", "space_local", "spacetime_local"])

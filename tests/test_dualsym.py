@@ -245,3 +245,19 @@ def test_batch_field_pair_validation():
     # three rows would broadcast against the boost axis without an error
     with pytest.raises(ValueError, match="one pair"):
         lorentz_boost_fields(FieldPair(np.ones((3, 3)), np.ones((3, 3))), 0.5)
+    # and float() of the three boosted magnitudes would raise TypeError
+    with pytest.raises(ValueError, match="one pair"):
+        hyperbolic_boost_magnitudes(FieldPair(np.ones((3, 3)), np.ones((3, 3))), 0.5,
+                                    (1, 0, 0), (0, 1, 0))
+
+
+def test_batch_six_vector_norm_is_per_row():
+    assert FieldPair(np.ones((4, 3)), np.zeros((4, 3))).six_vector_norm().tolist() == \
+        [math.sqrt(3.0)] * 4
+    rng = np.random.default_rng(5)
+    e = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
+    h = rng.normal(size=(50, 3))
+    norms = FieldPair(e, h).six_vector_norm()
+    singles = [FieldPair(e[i], h[i]).six_vector_norm() for i in range(50)]
+    assert all(type(n) is float for n in singles)
+    assert norms.shape == (50,) and norms.tolist() == singles
