@@ -36,6 +36,7 @@ array; only evaluation touches the (z, t) grid.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -463,13 +464,30 @@ def _curl_z_only(f_dz):
     return out
 
 
+class SamplingError(ValueError):
+    """A sample grid too coarse for its shortest oscillation; ``minimum`` is the
+    fewest points over the same span that pass."""
+
+    def __init__(self, axis: str, minimum: int, shortest: float):
+        super().__init__(f"{axis} grid too coarse: fewer than 4 points per shortest "
+                         f"oscillation ({shortest:.3g}); it needs at least {minimum} points")
+        self.axis = axis
+        self.minimum = minimum
+
+
 def _check_sampling(grid, shortest: float, axis: str):
-    """ValueError unless the grid has at least 4 points per `shortest` of its span."""
+    """SamplingError unless the grid has at least 4 points per `shortest` of its span."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     span = float(grid.max() - grid.min())
-    if span > 0 and grid.size * shortest / span < 4.0:
-        raise ValueError(f"{axis} grid too coarse: fewer than 4 points per shortest "
-                         f"oscillation ({shortest:.3g})")
+
+    def coarse(points):
+        return points * shortest / span < 4.0
+
+    if span > 0 and coarse(grid.size):
+        minimum = max(1, math.ceil(4.0 * span / shortest) - 1)
+        while coarse(minimum):   # the test above decides, not the rounding of the ratio
+            minimum += 1
+        raise SamplingError(axis, minimum, shortest)
 
 
 def _grid_ok(field, z, t, constants):

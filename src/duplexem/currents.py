@@ -1,8 +1,9 @@
 """Noether charges, 4-current densities and spirality for the cavity field.
 
 The fourth coordinate is x4 = i c t throughout, so d/dx4 = (1/ic) d/dt.
-Current formulas keep the overall charge normalization (the factor e/hbar c
-in front of every density) as a configurable ``coupling`` constant.
+The classical current keeps the overall charge normalization (the factor
+e/hbar c in front of every density) as a configurable ``coupling`` constant;
+the operator-valued one has it at 1.
 
 Mode sets use the constant-dropping convention of :mod:`duplexem.cavity`
 (q'' = -q, q' = -dq/dt / w), under which all mode-pair combinations below
@@ -19,6 +20,7 @@ import numpy as np
 
 from .cavity import (CavityModel, FirstSolution, ModeState, _check_sampling, _d_dt, _d_dz,
                      _expand, _inside, _time_sum)
+from .fockquant import anticommutator, make_ladder, safe_block
 
 
 @lru_cache(maxsize=8)
@@ -370,28 +372,27 @@ class QuantizedFourCurrent:
 
     Per-mode matrices on the truncated basis, built from a(t) = a0 e^{-iwt}
     and the second-family ladder a''(t) = -a(t) (constant-dropping
-    convention).  The gauge-family components vanish identically for the
-    Maxwellian field; the scaling-family ones are quadratic in the ladders
-    and satisfy the operator continuity law exactly.
+    convention), with unit charge normalization (coupling 1).  The
+    gauge-family components vanish identically for the Maxwellian field; the
+    scaling-family ones are quadratic in the ladders and satisfy the operator
+    continuity law exactly.
     """
 
-    def __init__(self, model: CavityModel, dim: int, coupling: float = 1.0):
+    def __init__(self, model: CavityModel, dim: int):
         if dim < 3:
             raise ValueError("dim < 3 leaves no informative safe block")
-        from .fockquant import make_ladder
         self.model = model
         self.dim = dim
-        self.coupling = coupling
         self.c = model.constants.c
-        a0, ad0 = make_ladder(dim)
-        self._a0 = a0.entries
-        self._ad0 = ad0.entries
+        self._a0, self._ad0 = make_ladder(dim)
+        self._a0_sq = self._a0 @ self._a0
+        self._ad0_sq = self._ad0 @ self._ad0
 
     def _mode(self, alpha_idx: int, t: float):
         """(w, k, a^2(t), a+^2(t)) of one mode."""
         w = self.model.omegas[alpha_idx]
-        a2 = self._a0 @ self._a0 * np.exp(-2j * w * t)
-        ad2 = self._ad0 @ self._ad0 * np.exp(2j * w * t)
+        a2 = self._a0_sq * np.exp(-2j * w * t)
+        ad2 = self._ad0_sq * np.exp(2j * w * t)
         return w, self.model.wavenumbers[alpha_idx], a2, ad2
 
     def re_j3(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
@@ -399,25 +400,24 @@ class QuantizedFourCurrent:
 
     def im_j3(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
         w, k, a2, ad2 = self._mode(alpha_idx, t)
-        pref = -2j * self.coupling / (self.c * self.model.volume)
+        pref = -2j / (self.c * self.model.volume)
         # a''^2 = a^2 and a''+^2 = a+^2 double the Maxwellian contribution
         return pref * k * w * math.sin(2 * k * z) * 2.0 * (a2 + ad2)
 
     def re_j4(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
         """Anticommutator combination; exactly zero once a'' = -a."""
-        from .fockquant import anticommutator
         md = self.model
         w = md.omegas[alpha_idx]
         k = md.wavenumbers[alpha_idx]
         at = self._a0 * np.exp(-1j * w * t)
         adt = self._ad0 * np.exp(1j * w * t)
         app, adpp = -at, -adt
-        pref = 2.0 * self.coupling / (self.c**2 * md.volume)
+        pref = 2.0 / (self.c**2 * md.volume)
         return pref * k * w**2 * (anticommutator(app, adt) - anticommutator(at, adpp))
 
     def im_j4(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
         w, k, a2, ad2 = self._mode(alpha_idx, t)
-        pref = 2j * self.coupling / (self.c**2 * self.model.volume)
+        pref = 2j / (self.c**2 * self.model.volume)
         eye = np.eye(self.dim)
         # oscillating part carries c k w, matching im_j3's k w prefactor so
         # that d j3/dz + d j4/dx4 cancels exactly (as in the classical pair,
@@ -427,17 +427,16 @@ class QuantizedFourCurrent:
 
     def d_im_j3_dz(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
         w, k, a2, ad2 = self._mode(alpha_idx, t)
-        pref = -2j * self.coupling / (self.c * self.model.volume)
+        pref = -2j / (self.c * self.model.volume)
         return pref * k * w * 2.0 * k * math.cos(2 * k * z) * 2.0 * (a2 + ad2)
 
     def d_im_j4_dt(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
         w, k, a2, ad2 = self._mode(alpha_idx, t)
-        pref = 2j * self.coupling / (self.c**2 * self.model.volume)
+        pref = 2j / (self.c**2 * self.model.volume)
         return pref * self.c * k * w * 2.0 * (2j * w) * (ad2 + a2) * math.cos(2 * k * z)
 
     def continuity_residual(self, z: float, t: float) -> float:
         """Safe-block max of |d j3/dz + (1/ic) d j4/dt| over modes, both families."""
-        from .fockquant import safe_block
         worst = 0.0
         for idx in range(self.model.n_modes):
             res_im = self.d_im_j3_dz(idx, z, t) \
@@ -453,10 +452,6 @@ class QuantizedFourCurrent:
 
     def vacuum_im_j4(self, z: float, t: float = 0.0) -> complex:
         return sum(self.im_j4(idx, z, t)[0, 0] for idx in range(self.model.n_modes))
-
-
-def quantized_current(model: CavityModel, dim: int, coupling: float = 1.0) -> QuantizedFourCurrent:
-    return QuantizedFourCurrent(model, dim, coupling)
 
 
 def charge_ratio_estimate(j_e: float, j_h: float) -> float:

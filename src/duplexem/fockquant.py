@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,34 +29,21 @@ class SchemeKind(Enum):
     SPACETIME_LOCAL = "spacetime_local"
 
 
-@dataclass(frozen=True)
-class QuantizationScheme:
-    kind: SchemeKind
-    hbar: float
-    lambda0: float
-
-    @property
-    def action_constant(self) -> float:
-        """hbar, lambda0 or their (negated) product, by scheme."""
-        if self.kind is SchemeKind.TIME_LOCAL:
-            return self.hbar
-        if self.kind is SchemeKind.SPACE_LOCAL:
-            return self.lambda0
-        return -self.hbar * self.lambda0
-
-
-@dataclass(frozen=True)
-class FockOperator:
-    dim: int
-    entries: np.ndarray
-
-
 def make_ladder(dim: int):
     """Annihilation and creation matrices; a|n> = sqrt(n)|n-1>."""
     if dim < 2:
         raise ValueError("need dim >= 2")
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
-    return FockOperator(dim, a), FockOperator(dim, a.conj().T)
+    return a, a.conj().T
+
+
+def phased_ladders(rates, x: float, dim: int):
+    """Every mode's (a0 exp(-i r x), a0+ exp(i r x)), stacked as two
+    (modes, dim, dim) arrays: (r, x) = (w, t) gives the time-local ladders,
+    (k, z) the space-local ones."""
+    a0, ad0 = make_ladder(dim)
+    rates = np.asarray(rates, dtype=float)[:, None, None]
+    return a0 * np.exp(-1j * rates * x), ad0 * np.exp(1j * rates * x)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,43 +54,22 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def safe_block(m: np.ndarray, exclude: int = 1) -> np.ndarray:
-    """Drop the top `exclude` number states (rows and columns)."""
-    n = m.shape[0] - exclude
+def safe_block(m: np.ndarray) -> np.ndarray:
+    """Drop the top number state (its row and column)."""
+    n = m.shape[0] - 1
     return m[:n, :n]
 
 
-def tensor_safe_mask(dim: int, exclude: int = 1) -> np.ndarray:
-    """Boolean mask of tensor-basis states safe in both factors."""
-    keep = np.arange(dim) < dim - exclude
-    return np.kron(keep, keep).astype(bool)
-
-
-def tensor_safe_block(m: np.ndarray, dim: int, exclude: int = 1) -> np.ndarray:
-    mask = tensor_safe_mask(dim, exclude)
+def tensor_safe_block(m: np.ndarray, dim: int) -> np.ndarray:
+    """Keep the tensor-basis states safe in both factors (rows and columns)."""
+    keep = np.arange(dim) < dim - 1
+    mask = np.kron(keep, keep).astype(bool)
     return m[np.ix_(mask, mask)]
 
 
-def time_local_operators(model: CavityModel, dim: int, t: float):
-    """Per-mode (a(t), a+(t)) with a(t) = a(0) exp(-i w t)."""
-    a0, ad0 = make_ladder(dim)
-    out = []
-    for w in model.omegas:
-        out.append((a0.entries * np.exp(-1j * w * t),
-                    ad0.entries * np.exp(1j * w * t)))
-    return out
-
-
-def space_local_operators(model: CavityModel, dim: int, z: float):
-    """Per-mode (a''(z), a''+(z)) with a''(z) = a(0) exp(-i k z)."""
+def _check_inside(model: CavityModel, z: float):
     if not 0.0 <= z <= model.length:
         raise ValueError("z outside the cavity")
-    a0, ad0 = make_ladder(dim)
-    out = []
-    for k in model.wavenumbers:
-        out.append((a0.entries * np.exp(-1j * k * z),
-                    ad0.entries * np.exp(1j * k * z)))
-    return out
 
 
 def mode_hamiltonian_matrix(dim: int, action: float, omega: float) -> np.ndarray:
@@ -113,11 +78,13 @@ def mode_hamiltonian_matrix(dim: int, action: float, omega: float) -> np.ndarray
     return np.diag(action * omega * (n + 0.5)).astype(complex)
 
 
-def space_hamiltonian(model: CavityModel, dim: int, z: float, lambda0: float):
+def space_hamiltonian(model: CavityModel, dim: int, z: float):
     """Per-mode position-indexed Hamiltonians lambda0 w (a''+ a'' + 1/2)."""
-    ops = space_local_operators(model, dim, z)
-    return [lambda0 * w * (ad @ a + 0.5 * np.eye(dim))
-            for w, (a, ad) in zip(model.omegas, ops)]
+    _check_inside(model, z)
+    lambda0 = model.constants.lambda0
+    a, ad = phased_ladders(model.wavenumbers, z, dim)
+    return [lambda0 * w * (ad_w @ a_w + 0.5 * np.eye(dim))
+            for w, a_w, ad_w in zip(model.omegas, a, ad)]
 
 
 def trig_ansatz_consistency(dim: int, omega: float, times) -> dict:
@@ -128,7 +95,7 @@ def trig_ansatz_consistency(dim: int, omega: float, times) -> dict:
     two different times exposes the contradiction.
     """
     a0, ad0 = make_ladder(dim)
-    lhs = np.linalg.solve(ad0.entries - a0.entries, ad0.entries + a0.entries)
+    lhs = np.linalg.solve(ad0 - a0, ad0 + a0)
     rhs = [math.tan(omega * t) for t in times]
     mismatch = max(float(np.max(np.abs(lhs - r * np.eye(dim)))) for r in rhs)
     spread = max(rhs) - min(rhs)
@@ -149,63 +116,75 @@ def quadrature_pair(a: np.ndarray, ad: np.ndarray, mass: float, omega: float,
     return q, p
 
 
-def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float,
-                              hbar: float = None, lambda0: float = None):
+def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
     """Per-mode space-time ladder pairs on the (z-factor) x (t-factor) space.
 
-    Returns one dict per mode with the ladder matrices, the ordered
-    canonical products g1, g2 (the index-swapped pair g3, g4 coincides with
-    them), the average of all four (the scalar -hbar*lambda0 times identity
-    on the safe block), the deviation from that scalar, and the formal
-    ladder commutator obtained by substituting the symmetrized average into
-    the canonical algebra (equal to -i times identity; the literal
-    tensor-product commutator of a and adag stays operator-valued).
+    Returns one dict per mode with the ladder matrices ``a`` and ``adag``,
+    ``g_deviation``, the largest deviation on the safe block of the average
+    of the ordered canonical products g1, g2 (the index-swapped pair g3, g4
+    coincides with them) from the scalar -hbar*lambda0, and
+    ``formal_commutator``, the ladder commutator obtained by substituting
+    that average into the canonical algebra (equal to -i times identity on
+    the safe block; the literal tensor-product commutator of a and adag
+    stays operator-valued).  hbar and lambda0 are the model's constants.
     """
     if dim < 3:
         raise ValueError("dim < 3 leaves no informative safe block")
-    if not 0.0 <= z <= model.length:
-        raise ValueError("z outside the cavity")
+    _check_inside(model, z)
     if not 0.0 <= t <= model.period * (1 + 1e-12):
         raise ValueError("t outside [0, T]")
-    hbar = model.constants.hbar if hbar is None else hbar
-    lambda0 = model.constants.lambda0 if lambda0 is None else lambda0
+    hbar, lambda0 = model.constants.hbar, model.constants.lambda0
     eye = np.eye(dim, dtype=complex)
-    mask = tensor_safe_mask(dim)
+    az, adz = phased_ladders(model.wavenumbers, z, dim)
+    at, adt = phased_ladders(model.omegas, t, dim)
+    target = -hbar * lambda0
     out = []
-    for w, k, m in zip(model.omegas, model.wavenumbers, model.masses):
-        a0, ad0 = make_ladder(dim)
-        az = a0.entries * np.exp(-1j * k * z)
-        adz = ad0.entries * np.exp(1j * k * z)
-        at = a0.entries * np.exp(-1j * w * t)
-        adt = ad0.entries * np.exp(1j * w * t)
-        qz, pz = quadrature_pair(az, adz, m, w, lambda0)
-        qt, pt = quadrature_pair(at, adt, m, w, hbar)
+    for i, (w, m) in enumerate(zip(model.omegas, model.masses)):
+        qz, pz = quadrature_pair(az[i], adz[i], m, w, lambda0)
+        qt, pt = quadrature_pair(at[i], adt[i], m, w, hbar)
         qzt = np.kron(qz, qt)
         pzt = np.kron(pz, pt)
         norm = math.sqrt(2.0 * hbar * lambda0 * m * w)
-        a_zt = (m * w * qzt + 1j * pzt) / norm
-        ad_zt = (m * w * qzt - 1j * pzt) / norm
-
         g1 = -1j * (hbar * np.kron(pz @ qz, eye) + lambda0 * np.kron(eye, pt @ qt))
         g2 = 1j * (hbar * np.kron(qz @ pz, eye) + lambda0 * np.kron(eye, qt @ pt))
-        # the index-swapped pair (g3, g4) coincides with (g1, g2) on the diagonal
         g_avg = 0.25 * (g1 + g2 + g1 + g2)
-        target = -hbar * lambda0
         dev_matrix = g_avg - target * np.eye(dim * dim)
-        deviation = float(np.max(np.abs(dev_matrix[np.ix_(mask, mask)])))
-        formal = (1j / (hbar * lambda0)) * g_avg
         out.append({
-            "a": a_zt,
-            "adag": ad_zt,
-            "q": qzt,
-            "p": pzt,
-            "g1": g1, "g2": g2,
-            "g_avg": g_avg,
-            "g_scalar": target,
-            "g_deviation": deviation,
-            "formal_commutator": formal,
+            "a": (m * w * qzt + 1j * pzt) / norm,
+            "adag": (m * w * qzt - 1j * pzt) / norm,
+            "g_deviation": float(np.max(np.abs(tensor_safe_block(dev_matrix, dim)))),
+            "formal_commutator": (1j / (hbar * lambda0)) * g_avg,
         })
     return out
+
+
+def _time_local_terms(md: CavityModel, w, k, m, z, t):
+    cst = md.constants
+    return ((math.sqrt(cst.hbar * w / (md.volume * cst.eps0)) * math.sin(k * z), +1),
+            (1j * math.sqrt(cst.hbar * w / (md.volume * cst.mu0)) * math.cos(k * z), -1))
+
+
+def _space_local_terms(md: CavityModel, w, k, m, z, t):
+    cst = md.constants
+    return ((1j * math.sqrt(cst.lambda0 * w / (md.period * cst.eps0)) * math.sin(w * t), -1),
+            (-math.sqrt(cst.lambda0 * w / (md.period * cst.mu0)) * math.cos(w * t), +1))
+
+
+def _spacetime_local_terms(md: CavityModel, w, k, m, z, t):
+    cst = md.constants
+    scale = math.sqrt(cst.hbar * cst.lambda0 / (2 * m * w))
+    amp_e = math.sqrt(2.0 * w**2 * m / (cst.eps0 * md.volume * md.period))
+    amp_h = math.sqrt(2.0 * w**2 * m / (cst.mu0 * md.volume * md.period))
+    return (amp_e * scale, +1), (1j * (amp_h * scale), -1)
+
+
+# Every field matrix is coef * (a+ + sign * a).  Per scheme, the ((coef, sign)
+# of E, (coef, sign) of H) of one mode from its w, k and mass at the point (z, t).
+_FIELD_TERMS = {
+    SchemeKind.TIME_LOCAL: _time_local_terms,
+    SchemeKind.SPACE_LOCAL: _space_local_terms,
+    SchemeKind.SPACETIME_LOCAL: _spacetime_local_terms,
+}
 
 
 class OperatorField:
@@ -216,68 +195,48 @@ class OperatorField:
     are built once per (z, t) and reused until another point is asked for.
     """
 
-    def __init__(self, model: CavityModel, scheme: QuantizationScheme, dim: int):
+    def __init__(self, model: CavityModel, kind: SchemeKind, dim: int):
         self.model = model
-        self.scheme = scheme
+        self.kind = kind
         self.dim = dim
-        self._point, self._pairs_at_point, self._ops_at_point = None, None, None
+        self._point, self._ladders, self._g_deviation = None, None, None
 
     def _pairs(self, z: float, t: float):
         if self._point != (z, t):
-            kind = self.scheme.kind
-            ops = None
-            if kind is SchemeKind.TIME_LOCAL:
-                pairs = time_local_operators(self.model, self.dim, t)
-            elif kind is SchemeKind.SPACE_LOCAL:
-                pairs = space_local_operators(self.model, self.dim, z)
+            md = self.model
+            _check_inside(md, z)
+            if self.kind is SchemeKind.SPACETIME_LOCAL:
+                ops = spacetime_local_operators(md, self.dim, z, t)
+                self._ladders = [(op["a"], op["adag"]) for op in ops]
+                self._g_deviation = max(op["g_deviation"] for op in ops)
             else:
-                ops = spacetime_local_operators(self.model, self.dim, z, t,
-                                                self.scheme.hbar, self.scheme.lambda0)
-                pairs = [(op["a"], op["adag"]) for op in ops]
-            self._point, self._pairs_at_point, self._ops_at_point = (z, t), pairs, ops
-        return self._pairs_at_point
+                rates, x = (md.omegas, t) if self.kind is SchemeKind.TIME_LOCAL \
+                    else (md.wavenumbers, z)
+                self._ladders = list(zip(*phased_ladders(rates, x, self.dim)))
+            self._point = (z, t)
+        return self._ladders
 
     def g_deviation(self, z: float, t: float) -> float:
         """Space-time scheme: the largest deviation of the symmetrized canonical
         products from their scalar over the modes, from the build the matrices use."""
-        if self.scheme.kind is not SchemeKind.SPACETIME_LOCAL:
+        if self.kind is not SchemeKind.SPACETIME_LOCAL:
             raise ValueError("g_deviation needs the space-time scheme")
         self._pairs(z, t)
-        return max(op["g_deviation"] for op in self._ops_at_point)
+        return self._g_deviation
+
+    def _matrix(self, field: int, alpha_idx: int, z: float, t: float) -> np.ndarray:
+        """Field 0 (E) or 1 (H) of one mode: coef * (a+ + sign * a)."""
+        a, ad = self._pairs(z, t)[alpha_idx]
+        md = self.model
+        coef, sign = _FIELD_TERMS[self.kind](md, md.omegas[alpha_idx], md.wavenumbers[alpha_idx],
+                                             md.masses[alpha_idx], z, t)[field]
+        return coef * (ad + a if sign > 0 else ad - a)
 
     def e_matrix(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        md = self.model
-        w = md.omegas[alpha_idx]
-        k = md.wavenumbers[alpha_idx]
-        a, ad = self._pairs(z, t)[alpha_idx]
-        kind = self.scheme.kind
-        if kind is SchemeKind.TIME_LOCAL:
-            coef = math.sqrt(self.scheme.hbar * w / (md.volume * md.constants.eps0))
-            return coef * math.sin(k * z) * (ad + a)
-        if kind is SchemeKind.SPACE_LOCAL:
-            coef = math.sqrt(self.scheme.lambda0 * w / (md.period * md.constants.eps0))
-            return 1j * coef * math.sin(w * t) * (ad - a)
-        m = md.masses[alpha_idx]
-        amp = math.sqrt(2.0 * w**2 * m / (md.constants.eps0 * md.volume * md.period))
-        coef = amp * math.sqrt(self.scheme.hbar * self.scheme.lambda0 / (2 * m * w))
-        return coef * (ad + a)
+        return self._matrix(0, alpha_idx, z, t)
 
     def h_matrix(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        md = self.model
-        w = md.omegas[alpha_idx]
-        k = md.wavenumbers[alpha_idx]
-        a, ad = self._pairs(z, t)[alpha_idx]
-        kind = self.scheme.kind
-        if kind is SchemeKind.TIME_LOCAL:
-            coef = math.sqrt(self.scheme.hbar * w / (md.volume * md.constants.mu0))
-            return 1j * coef * math.cos(k * z) * (ad - a)
-        if kind is SchemeKind.SPACE_LOCAL:
-            coef = math.sqrt(self.scheme.lambda0 * w / (md.period * md.constants.mu0))
-            return -coef * math.cos(w * t) * (ad + a)
-        m = md.masses[alpha_idx]
-        amp = math.sqrt(2.0 * w**2 * m / (md.constants.mu0 * md.volume * md.period))
-        coef = amp * math.sqrt(self.scheme.hbar * self.scheme.lambda0 / (2 * m * w))
-        return 1j * coef * (ad - a)
+        return self._matrix(1, alpha_idx, z, t)
 
     def hermiticity_defect(self, z: float, t: float) -> float:
         worst = 0.0
@@ -297,21 +256,14 @@ class OperatorField:
         return total
 
 
-def assemble_field_operators(model: CavityModel, scheme: QuantizationScheme,
-                             dim: int) -> OperatorField:
-    return OperatorField(model, scheme, dim)
-
-
-def heisenberg_residual(model: CavityModel, dim: int, alpha_idx: int,
-                        t: float, dt: float = None) -> float:
-    """|finite-difference da/dt - (1/i hbar)[a, H]| on the safe block."""
+def heisenberg_residual(model: CavityModel, dim: int, alpha_idx: int, t: float) -> float:
+    """|finite-difference da/dt - (1/i hbar)[a, H]| on the safe block, with the
+    central-difference step dt = 1e-6 / w."""
     hbar = model.constants.hbar
     w = model.omegas[alpha_idx]
-    dt = dt if dt is not None else 1e-6 / w
-    a_m = time_local_operators(model, dim, t - dt)[alpha_idx][0]
-    a_p = time_local_operators(model, dim, t + dt)[alpha_idx][0]
+    dt = 1e-6 / w
+    a_m, a_t, a_p = (phased_ladders([w], tj, dim)[0][0] for tj in (t - dt, t, t + dt))
     fd = (a_p - a_m) / (2 * dt)
-    a_t = time_local_operators(model, dim, t)[alpha_idx][0]
     ham = mode_hamiltonian_matrix(dim, hbar, w)
     heis = commutator(a_t, ham) / (1j * hbar)
     return float(np.max(np.abs(safe_block(fd - heis))))

@@ -91,7 +91,7 @@ def test_criterion_04_quantization():
     dim = 8
     a, ad = fq.make_ladder(dim)
     comm_defect = float(np.max(np.abs(
-        fq.safe_block(fq.commutator(a.entries, ad.entries)) - np.eye(dim - 1))))
+        fq.safe_block(fq.commutator(a, ad)) - np.eye(dim - 1))))
     w = model.omegas[0]
     ham = fq.mode_hamiltonian_matrix(dim, CST.hbar, w)
     spec_defect = float(np.max(np.abs(
@@ -121,7 +121,7 @@ def test_criterion_05_currents():
     j4_gauge = float(np.max(np.abs(
         cur.ClassicalFourCurrent(model, equal_mod).j4(z, t, 1))))
 
-    op_cont = cur.quantized_current(model, 8).continuity_residual(0.4, 0.3)
+    op_cont = cur.QuantizedFourCurrent(model, 8).continuity_residual(0.4, 0.3)
 
     rotating = cav.ModeState(0.4 * (rng.normal(size=4) + 1j * rng.normal(size=4)),
                              np.zeros(4))

@@ -309,12 +309,12 @@ def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
 # any written bit fails here
 PINNED_OUTPUTS = {
     "verify-all": (["verify-all", "--seed", "42"], None, {
-        "summary.json": "ddc0ba50c0d3c66ebce043b6742667e48680491ca8abfe13fc3e7776dd13a377",
-        "verify.csv": "4567b71e07e0ed50f0ac8fda4009bef2a5024e5606c265f0d72063480ec03011",
+        "summary.json": "000089b37730e949df3b130170e93551c69f8aba2eb2a739830839a677b4da8f",
+        "verify.csv": "0c89f2f44fc9539b9f15eb2d94d5efe4be0119bf60ee76bc0941d8b379003294",
     }),
     "currents": (["currents"], None, {
         "currents.csv": "e792ac74d1210e462a40a55d9ed1b19276c738a98b05c0b1d0bcc45c79bb0e5a",
-        "summary.json": "7b664c0702b929560894d18a18cdb2ea29e7e65095077564e241525288e607f3",
+        "summary.json": "f14bdb935c9387fd2a4aae53d4760a2280ccacb50239cccdee86395cba7fbf1d",
     }),
     "cavity-field-rotated": (["cavity-field"], {"theta": 0.7}, {
         "field.csv": "2a2dabfc6de155d69b23e135ec604f760fc3d0caae963ac16e354d8961a4c6d1",
@@ -394,7 +394,7 @@ def test_quantize_builds_spacetime_operators_once(tmp_path, capsys, monkeypatch)
     capsys.readouterr()
     assert calls == [(0.3, 0.2)]
     cst = PhysicalConstants.symmetric()
-    ops = build(CavityModel(1.0, 2, cst), 6, 0.3, 0.2, cst.hbar, cst.lambda0)
+    ops = build(CavityModel(1.0, 2, cst), 6, 0.3, 0.2)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["checks"]["g_symmetrized_deviation"] == max(o["g_deviation"] for o in ops)
 
@@ -472,6 +472,49 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, key):
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, cfg, key, minimum", [
+    ("cavity-field", {"nz": 2}, "nz", 8),     # 4 modes: 4 points per half wavelength L/4
+    ("cavity-field", {"nt": 7}, "nt", 8),
+    ("currents", {"nz": 11}, "nz", 12),       # 3 modes: densities oscillate at 2 k_3
+])
+def test_grid_too_coarse_for_the_modes_exits_2(tmp_path, capsys, command, cfg, key, minimum):
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(key) in err and f"at least {minimum} " in err
+    assert list((tmp_path / "bad").iterdir()) == []
+    # the minimum it names is enough
+    path.write_text(json.dumps(dict(cfg, **{key: minimum})))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "good")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["verify-all"], ["dual-invariants", "--random", "5"]])
+def test_config_flag_only_where_a_config_is_read(tmp_path, capsys, argv):
+    path = tmp_path / "ignored.json"
+    path.write_text('{"bogus": 1}')
+    assert main(argv + ["--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_currents_honours_a_tight_tol(tmp_path, capsys):
+    assert main(["currents", "--tol", "1e-20", "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["bound"] == 1e-20 and not summary["passed"]
+
+
+def test_verify_all_hyperbolic_check_is_well_conditioned(tmp_path, capsys):
+    # seed 3 draws a pair with Im C = -1.4e-3, where the ratio W = Re C / Im C
+    # drifted by 1.3e-10 relative
+    assert main(["verify-all", "--seed", "3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert checks["hyperbolic_ratio_drift"]["value"] <= 1e-15
 
 
 # one value of each JSON type that is not the key's

@@ -6,11 +6,10 @@ import pytest
 from duplexem.cavity import CavityModel, ModeState
 from duplexem.constants import PhysicalConstants
 from duplexem.currents import (ClassicalFourCurrent, FieldFunctionSet, PerturbedCurrent,
-                               analyticity_form_charge, charge_drift,
+                               QuantizedFourCurrent, analyticity_form_charge, charge_drift,
                                charge_ratio_estimate, continuity_residual,
                                lagrange_residual, noether_charge,
-                               phase_gauge_longitudinal, quantized_current,
-                               spirality, x4_continued_charge)
+                               phase_gauge_longitudinal, spirality, x4_continued_charge)
 from duplexem.currents import _gauss_legendre, _leggauss
 
 CST = PhysicalConstants.symmetric()
@@ -225,28 +224,28 @@ def test_spirality_invariant_under_dual_rotation():
 
 def test_quantized_continuity_on_safe_block():
     model = make_model()
-    qc = quantized_current(model, 8)
+    qc = QuantizedFourCurrent(model, 8)
     for z, t in ((0.4, 0.3), (1.1, 0.9)):
         assert qc.continuity_residual(z, t) <= 1e-10
 
 
 def test_quantized_gauge_component_zero():
     model = make_model()
-    qc = quantized_current(model, 6)
+    qc = QuantizedFourCurrent(model, 6)
     assert np.max(np.abs(qc.re_j4(0, 0.5, 0.2))) == 0.0
     assert np.max(np.abs(qc.re_j3(0, 0.5, 0.2))) == 0.0
 
 
 def test_quantized_vacuum_nodal_plane():
     model = make_model()
-    qc = quantized_current(model, 6)
+    qc = QuantizedFourCurrent(model, 6)
     # sin(2 k_1 z) = 0 at z = L/2
     assert abs(qc.vacuum_im_j3(model.length / 2)) <= 1e-14
 
 
 def test_quantized_vacuum_charge_constant_term():
     model = make_model()
-    qc = quantized_current(model, 6)
+    qc = QuantizedFourCurrent(model, 6)
     expected = sum(2j / (CST.c**2 * model.volume) * (-2.0) * w**2
                    for w in model.omegas)
     assert qc.vacuum_im_j4(0.3) == pytest.approx(expected)
@@ -254,7 +253,7 @@ def test_quantized_vacuum_charge_constant_term():
 
 def test_quantized_requires_dim3():
     with pytest.raises(ValueError):
-        quantized_current(make_model(), 2)
+        QuantizedFourCurrent(make_model(), 2)
 
 
 def test_charge_ratio_values():
