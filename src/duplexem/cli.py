@@ -197,13 +197,13 @@ def _rotation_drift(rng, count: int) -> tuple:
 
 def _oscillator_defects(dim: int, action: float, omega: float) -> tuple:
     """(ladder, spectrum) defects of the dim-level truncated oscillator:
-    max |[a, a+] - 1| on the safe block, and the lowest dim - 1 levels of
-    the Hamiltonian against action * omega * (n + 1/2)."""
+    max |[a, a+] - 1| on the safe block, and the lowest dim - 1 eigenvalues
+    of the Hamiltonian against those of action * omega * (a+ a + 1/2)."""
     a, ad = fq.make_ladder(dim)
     comm = np.max(np.abs(fq.safe_block(fq.commutator(a, ad)) - np.eye(dim - 1)))
-    ham = fq.mode_hamiltonian_matrix(dim, action, omega)
-    target = action * omega * (np.arange(dim - 1) + 0.5)
-    return float(comm), float(np.max(np.abs(np.sort(np.diag(ham).real)[:dim - 1] - target)))
+    levels = np.linalg.eigvalsh(fq.mode_hamiltonian_matrix(dim, action, omega))
+    target = np.linalg.eigvalsh(action * omega * (ad @ a + 0.5 * np.eye(dim)))
+    return float(comm), float(np.max(np.abs(levels[:dim - 1] - target[:dim - 1])))
 
 
 def cmd_dual_invariants(args) -> int:

@@ -10,11 +10,12 @@ the gap by a self-consistent enhancement factor Q,
 Everything is controlled by the dimensionless combination
 zeta = 2 alpha1 u Q / t0: the continuum kernel
 
-    I(zeta) = int_0^{pi/2} sin^2 y / sqrt(1 - (1 - zeta^2) sin^2 y) dy
+    I(zeta) = int_0^{pi/2} sin^2 y / sqrt(cos^2 y + zeta^2 sin^2 y) dy
 
-evaluates to (K - E)/m^2 with modulus m = sqrt(1 - zeta^2) for |zeta| < 1,
-to pi/4 at |zeta| = 1, and to a complementary-modulus form for |zeta| > 1.
-The solver offers an adaptive-quadrature route and the closed elliptic
+is Carlson's symmetric integral R_D(0, zeta^2, 1) / 3 on both sides of
+|zeta| = 1 (DLMF 19.25.1), and so is the band kernel J of the ground-state
+energy; one body over scipy's elliprd ufunc serves a number and an array.
+The solver offers an adaptive-quadrature route and this closed elliptic
 route; both solve the same residual and must agree.  The solver scans
 for sign changes on the whole-array elliptic route and refines each
 bracket it finds with brentq on the chosen route's own residual, so the
@@ -40,8 +41,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy import integrate, optimize
+from scipy.special import elliprd
 
-from .elliptic import _agm_array, _agm_E, _agm_K, elliptic_E, elliptic_K
+# bench/tracing.py wraps elliptic_K and elliptic_E under these module
+# attributes (as it wraps brentq, minimize_scalar and quad through optimize
+# and integrate above), so they stay although nothing here calls them.
+from .elliptic import elliptic_E, elliptic_K  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -157,110 +162,70 @@ def bogoliubov_coeffs(p: SshParams, q: float, k, sign_branch: int = +1):
     return alpha, beta, product
 
 
-def _kernel_series_small_m2(m2: float) -> float:
-    # I = (pi/4)(1 + 3 m^2/8 + 15 m^4/64 + ...) near zeta = 1 from below
-    return 0.25 * math.pi * (1.0 + 0.375 * m2 + (15.0 / 64.0) * m2 * m2)
+# Past these |zeta|, zeta^2 or R_D leaves the normal floats (R_D(0, 1, zeta^2)
+# overflows near |zeta| = 1e-154, elliprd returns nan near 1e154); there the
+# kernels take their leading asymptotes, which are exact in double.
+_EDGES = (1e-150, 1e150)
+_LN4_MINUS_1 = math.log(4.0) - 1.0
 
 
-def _kernel_series_big(zeta_abs: float, mt2: float) -> float:
-    # I = (pi / 4 zeta)(1 + mt^2/8 + 3 mt^4/64 + ...) near zeta = 1 from above
-    return (0.25 * math.pi / zeta_abs) * (1.0 + 0.125 * mt2 + (3.0 / 64.0) * mt2 * mt2)
+def _carlson(zeta, body, below, above):
+    """body(|zeta|) for a number or an array, by ufuncs over elliprd; |zeta|
+    outside _EDGES takes below(|zeta|) or above(|zeta|) instead.
+
+    A number inside the edges goes straight to the bare ufuncs.
+    """
+    za = np.abs(zeta)
+    far = (za < _EDGES[0]) | (za > _EDGES[1])
+    if not (far.any() if far.ndim else far):
+        return body(za)
+    with np.errstate(divide="ignore", over="ignore"):  # I(0) = inf; 1/|zeta| unused below 1
+        edge = np.where(za < 1.0, below(za), above(za))
+        return np.where(far, edge, body(np.where(far, 1.0, za)))[()]
 
 
-def gap_kernel(zeta: float, method: str = "elliptic") -> float:
-    """The continuum kernel I(zeta); even in zeta, log-divergent at zeta->0."""
-    z2 = zeta * zeta
-    if z2 == 0.0:
+def _quadrature(integrand, tol: float) -> float:
+    """int_0^{pi/2} integrand(y) dy by one adaptive quad."""
+    with warnings.catch_warnings():
+        # the kernels are log-singular as zeta -> 0; the adaptive estimate
+        # still brackets correctly there and is ~1e-13 at solver roots
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, _ = integrate.quad(integrand, 0.0, 0.5 * math.pi, epsabs=tol, epsrel=tol, limit=200)
+    return val
+
+
+def _pointwise(kernel, zeta):
+    """kernel at a number, or one call per point of an array (the quadrature
+    route, kept apart from the elliptic one as its independent oracle)."""
+    zeta = np.asarray(zeta, dtype=float)
+    return np.array([kernel(z) for z in zeta.ravel().tolist()]).reshape(zeta.shape)[()]
+
+
+def _gap_quadrature(zeta: float) -> float:
+    if zeta == 0.0:
         return math.inf
+    za = abs(zeta)
+
+    def integrand(y):
+        s = math.sin(y)
+        return s * s / math.hypot(math.cos(y), za * s)
+
+    return _quadrature(integrand, 1e-14)
+
+
+def gap_kernel(zeta, method: str = "elliptic"):
+    """I(zeta) = int_0^{pi/2} sin^2 y / sqrt(cos^2 y + zeta^2 sin^2 y) dy, for
+    a number or an array; even in zeta, log-divergent at zeta -> 0.
+
+    The elliptic route is Carlson's I = R_D(0, zeta^2, 1) / 3 (DLMF 19.25.1);
+    beyond the edges I = ln 4 - ln|zeta| - 1 below and 1/|zeta| above.
+    """
     if method == "quadrature":
-        one_minus = 1.0 - z2
-
-        def integrand(y):
-            s2 = math.sin(y) ** 2
-            return s2 / math.sqrt(1.0 - one_minus * s2)
-
-        with warnings.catch_warnings():
-            # the kernel is log-singular as zeta -> 0; the adaptive estimate
-            # still brackets correctly there and is ~1e-13 at solver roots
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, _ = integrate.quad(integrand, 0.0, 0.5 * math.pi,
-                                    epsabs=1e-14, epsrel=1e-14, limit=200)
-        return val
+        return _pointwise(_gap_quadrature, zeta)
     if method != "elliptic":
         raise ValueError(f"unknown kernel method {method!r}")
-    if z2 < 1.0:
-        m2 = 1.0 - z2
-        if z2 < 1e-10:
-            # complementary-modulus expansion; the AGM modulus underflows to 1
-            big_l = math.log(4.0 / abs(zeta))
-            return (big_l - 1.0 - 0.25 * z2 * big_l) / m2
-        if m2 < 1e-5:
-            return _kernel_series_small_m2(m2)
-        # the AGM starts from the complementary modulus |zeta| itself:
-        # recomputed from m it loses ~8 digits of K at zeta ~ 1e-5
-        kc = abs(zeta)
-        return (_agm_K(kc) - _agm_E(math.sqrt(m2), kc)) / m2
-    if z2 == 1.0:
-        return 0.25 * math.pi
-    mt2 = 1.0 - 1.0 / z2
-    za = math.sqrt(z2)
-    if mt2 < 1e-5:
-        return _kernel_series_big(za, mt2)
-    mt = math.sqrt(mt2)
-    return (elliptic_E(mt) - elliptic_K(mt) / z2) / (za * mt2)
-
-
-def _log(x):
-    """math.log elementwise; np.log can differ from it in the last bit."""
-    x = np.asarray(x, dtype=float)
-    return np.array([math.log(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _agm_by_modulus(k):
-    """(K, E) of modulus k on an array, the complement recomputed as elliptic_K does."""
-    return _agm_array(k, np.sqrt((1.0 - k) * (1.0 + k)))
-
-
-def _gap_kernel_array(zeta):
-    """gap_kernel(zeta, "elliptic") on an array, branch for branch and bit for bit."""
-    zeta = np.asarray(zeta, dtype=float)
-    z2 = zeta * zeta
-    out = np.full(z2.shape, np.nan)
-    out[z2 == 0.0] = math.inf
-    m2 = 1.0 - z2
-    tiny = (z2 > 0.0) & (z2 < 1e-10)
-    near = (z2 >= 1e-10) & (z2 < 1.0) & (m2 < 1e-5)
-    below = (z2 >= 1e-10) & (m2 >= 1e-5)
-    big_l = _log(4.0 / np.abs(zeta[tiny]))
-    out[tiny] = (big_l - 1.0 - 0.25 * z2[tiny] * big_l) / m2[tiny]
-    out[near] = _kernel_series_small_m2(m2[near])
-    k_m, e_m = _agm_array(np.sqrt(m2[below]), np.abs(zeta[below]))
-    out[below] = (k_m - e_m) / m2[below]
-    out[z2 == 1.0] = 0.25 * math.pi
-    above = z2 > 1.0
-    z2a = z2[above]
-    mt2 = 1.0 - 1.0 / z2a
-    za = np.sqrt(z2a)
-    agm = mt2 >= 1e-5
-    out_above = _kernel_series_big(za, mt2)
-    k_mt, e_mt = _agm_by_modulus(np.sqrt(mt2[agm]))
-    out_above[agm] = (e_mt - k_mt / z2a[agm]) / (za[agm] * mt2[agm])
-    out[above] = out_above
-    return out
-
-
-def _on_grid(kernel, kernel_array, zeta, method):
-    """A kernel at a 0-d zeta, as a float, or over an array of zeta.
-
-    A 0-d zeta takes the scalar kernel.  On an array the elliptic route is
-    one whole-array call; any other route makes one scalar call per point,
-    so the quadrature route stays an independent oracle of the elliptic one.
-    """
-    if zeta.ndim == 0:
-        return kernel(float(zeta), method)
-    if method == "elliptic":
-        return kernel_array(zeta)
-    return np.array([kernel(z, method) for z in zeta.ravel().tolist()]).reshape(zeta.shape)
+    return _carlson(zeta, lambda za: elliprd(0.0, za * za, 1.0) / 3.0,
+                    lambda za: _LN4_MINUS_1 - np.log(za), lambda za: 1.0 / za)
 
 
 def _coupling_coefficient(p: SshParams, occ: Occupation) -> float:
@@ -284,7 +249,7 @@ def gap_residual(p: SshParams, q, occ: Occupation = None,
         if coef != 0.0:
             # I(0) is infinite: Q = 0 takes I(1) instead, so that Q * I is 0 there;
             # any other zeta is left as it is (zeta + 0)
-            term = coef * q * _on_grid(gap_kernel, _gap_kernel_array, zeta + (q == 0.0), method)
+            term = coef * q * gap_kernel(zeta + (q == 0.0), method)
         res = 1.0 + term - q
     elif form == "reduced":
         if (q == 0.0).any():
@@ -292,7 +257,7 @@ def gap_residual(p: SshParams, q, occ: Occupation = None,
         if coef == 0.0:
             res = np.full(q.shape, -1.0)[()]
         else:
-            res = coef * _on_grid(gap_kernel, _gap_kernel_array, zeta, method) - 1.0
+            res = coef * gap_kernel(zeta, method) - 1.0
     else:
         raise ValueError(f"unknown form {form!r}")
     return res if isinstance(res, np.ndarray) else float(res)
@@ -544,56 +509,35 @@ def stability_classify(p: SshParams, q: float, k, occ: Occupation, branch: str):
 # ground-state energy of the near-equilibrium branch
 
 
-def _band_kernel(zeta: float, method: str = "elliptic") -> float:
-    """J(zeta) = int (zeta^2 sin^2 - cos^2)/sqrt(1 - (1-zeta^2) sin^2) dy."""
-    z2 = zeta * zeta
+def _band_quadrature(zeta: float) -> float:
+    za = abs(zeta)
+
+    def integrand(y):
+        s = za * math.sin(y)
+        c = math.cos(y)
+        return (s * s - c * c) / math.hypot(c, s)
+
+    return _quadrature(integrand, 1e-13)
+
+
+def _band_kernel(zeta, method: str = "elliptic"):
+    """J(zeta) = int_0^{pi/2} (zeta^2 sin^2 y - cos^2 y) / sqrt(cos^2 y + zeta^2 sin^2 y) dy,
+    for a number or an array; J(0) = -1.
+
+    The elliptic route is J = zeta^2 (R_D(0, zeta^2, 1) - R_D(0, 1, zeta^2)) / 3,
+    whose second term is the cos^2 integral (DLMF 19.25.1 with y -> pi/2 - y),
+    free of cancellation; beyond the edges J = -1 below and |zeta| above.
+    """
     if method == "quadrature":
-        one_minus = 1.0 - z2
+        return _pointwise(_band_quadrature, zeta)
+    if method != "elliptic":
+        raise ValueError(f"unknown kernel method {method!r}")
 
-        def integrand(y):
-            s2 = math.sin(y) ** 2
-            return (z2 * s2 - (1.0 - s2)) / math.sqrt(1.0 - one_minus * s2)
+    def body(za):
+        z2 = za * za
+        return z2 * (elliprd(0.0, z2, 1.0) - elliprd(0.0, 1.0, z2)) / 3.0
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, _ = integrate.quad(integrand, 0.0, 0.5 * math.pi,
-                                    epsabs=1e-13, epsrel=1e-13, limit=200)
-        return val
-    # J = (1 + zeta^2) I(zeta) - Kint(zeta)
-    if z2 == 0.0:
-        return -1.0
-    if z2 < 1.0:
-        if z2 < 1e-10:
-            # complementary expansion; the modulus sqrt(1 - z2) rounds to 1
-            big_l = math.log(4.0 / abs(zeta))
-            kint = big_l + 0.25 * z2 * (big_l - 1.0)
-        else:
-            kint = _agm_K(abs(zeta))
-    elif z2 == 1.0:
-        kint = 0.5 * math.pi
-    else:
-        mt2 = 1.0 - 1.0 / z2
-        kint = elliptic_K(math.sqrt(mt2)) / math.sqrt(z2)
-    return (1.0 + z2) * gap_kernel(zeta, "elliptic") - kint
-
-
-def _band_kernel_array(zeta):
-    """_band_kernel(zeta, "elliptic") on an array, branch for branch and bit for bit."""
-    zeta = np.asarray(zeta, dtype=float)
-    z2 = zeta * zeta
-    kint = np.full(z2.shape, np.nan)
-    tiny = (z2 > 0.0) & (z2 < 1e-10)
-    big_l = _log(4.0 / np.abs(zeta[tiny]))
-    kint[tiny] = big_l + 0.25 * z2[tiny] * (big_l - 1.0)
-    below = (z2 >= 1e-10) & (z2 < 1.0)
-    kint[below] = _agm_array(np.sqrt(1.0 - z2[below]), np.abs(zeta[below]))[0]
-    kint[z2 == 1.0] = 0.5 * math.pi
-    above = z2 > 1.0
-    kint[above] = _agm_by_modulus(np.sqrt(1.0 - 1.0 / z2[above]))[0] / np.sqrt(z2[above])
-    with np.errstate(invalid="ignore"):  # inf - kint at zeta = 0, replaced by -1
-        out = (1.0 + z2) * _gap_kernel_array(zeta) - kint
-    out[z2 == 0.0] = -1.0
-    return out
+    return _carlson(zeta, body, lambda za: -1.0, lambda za: za)
 
 
 def ground_energy(p: SshParams, q: float, u, method: str = "elliptic"):
@@ -605,7 +549,7 @@ def ground_energy(p: SshParams, q: float, u, method: str = "elliptic"):
     """
     u = np.asarray(u, dtype=float)[()]   # a number: a numpy scalar, cheaper than 0-d
     zeta = 2.0 * p.alpha1 * u * q / p.t0   # zeta_of at dimerization u
-    band = _on_grid(_band_kernel, _band_kernel_array, zeta, method)
+    band = _band_kernel(zeta, method)
     energy = -(4.0 * p.n_sites * p.t0 / math.pi) * band + 2.0 * p.n_sites * p.k_spring * u * u
     return energy if energy.ndim else float(energy)
 
@@ -615,7 +559,7 @@ def ground_energy_smallz(p: SshParams, q: float, u):
     u = np.asarray(u, dtype=float)
     qa = abs(q * p.alpha1)
     with np.errstate(divide="ignore", invalid="ignore"):  # u = 0, replaced below
-        log_term = _log(2.0 * p.t0 / (qa * np.abs(u)))
+        log_term = np.log(2.0 * p.t0 / (qa * np.abs(u)))
         quad = 4.0 * qa * qa * u * u / p.t0
         per_site = (4.0 * p.t0 / math.pi
                     - (6.0 / math.pi) * log_term * quad

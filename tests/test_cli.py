@@ -85,6 +85,29 @@ def test_ssh_sweep_columns_match_pointwise_routes(tmp_path, capsys, u_scan):
     assert ("u0" in summary) == (u_scan[0] == -u_scan[1])
 
 
+def test_ssh_sweep_routes_agree_at_large_zeta(tmp_path, capsys):
+    # zeta reaches ~2e9 at the ends, where the elliptic route once gave
+    # 2.0000002131844655e+20 beside a quadrature 1.9999999995593087e+20
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"u_scan": [-1e9, 1e9, 5]}))
+    assert main(["ssh-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _, e_quad, e_ell, _ = np.loadtxt(tmp_path / "ground_state.csv", delimiter=",", skiprows=1).T
+    assert np.all(np.abs(e_ell - e_quad) <= 1e-12 * np.abs(e_quad))
+
+
+def test_ssh_solve_reaches_large_zeta_without_a_modulus_error(tmp_path, capsys):
+    # t0 = 1e-9 scans zeta up to ~1e9, where the AGM kernels raised
+    # "elliptic_K needs 0 <= k < 1"; the solve now finds its root (and still
+    # exits 1: brentq's absolute xtol of 1e-14 is 4e-5 of this root)
+    cfg = tmp_path / "tiny_t0.json"
+    cfg.write_text(json.dumps({"t0": 1e-9}))
+    main(["ssh-solve", "--config", str(cfg), "--out", str(tmp_path)])
+    assert "error" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["q"] == pytest.approx(2.2486217124430604e-10, rel=1e-4)
+
+
 def test_ssh_sweep_has_no_jobs_flag(tmp_path, capsys):
     assert main(["ssh-sweep", "--jobs", "2", "--out", str(tmp_path)]) == 2
     assert "--jobs" in capsys.readouterr().err
@@ -309,8 +332,8 @@ def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
 # any written bit fails here
 PINNED_OUTPUTS = {
     "verify-all": (["verify-all", "--seed", "42"], None, {
-        "summary.json": "000089b37730e949df3b130170e93551c69f8aba2eb2a739830839a677b4da8f",
-        "verify.csv": "0c89f2f44fc9539b9f15eb2d94d5efe4be0119bf60ee76bc0941d8b379003294",
+        "summary.json": "55c1e8d77e09eed43a02253e0ab98103f0ccac244429ceef9c0849c8c9521624",
+        "verify.csv": "843eab7eddda2b39163c2cd9deedbc3c5994c3ce0264786a6fc7aeb75a07cff9",
     }),
     "currents": (["currents"], None, {
         "currents.csv": "e792ac74d1210e462a40a55d9ed1b19276c738a98b05c0b1d0bcc45c79bb0e5a",
@@ -327,7 +350,7 @@ PINNED_OUTPUTS = {
     "quantize-spacetime": (["quantize"], {"scheme": "spacetime_local"}, {
         "operator_e_mode1.json": "bf296d9a35c144e1d0a7969240b5e8fa308a136f402248cff298170ccfc1b636",
         "operator_e_mode2.json": "d38b883881fbdec8a1205c4215da28fb83f21913c35f5f75b2b6708376093a42",
-        "summary.json": "54d153107a3fa034398148f366104443fe24640ca46c803802396c5d2188c7f4",
+        "summary.json": "72774de74a6a0e4fcb986ef88738bf207218fd2f02474a58635f6e03e9be0478",
     }),
     "ssh-solve": (["ssh-solve"], None, {
         "gap_solution.csv": "133a11ac6a69f06d93a2166848f72b37aed463aab26e8bc9d1ff4c336f1ffb22",
@@ -336,12 +359,12 @@ PINNED_OUTPUTS = {
     # the exact case u = -2 / (N alpha2) with its double well
     "ssh-solve-reduced-exact": (["ssh-solve"], {"form": "reduced", "u": -0.25, "alpha2": 0.08,
                                                 "u_scan": [-4, 4, 81]}, {
-        "gap_solution.csv": "57151b8f6f6a30f583255eede9dff13ccce6cf1d447bbb3c70fa1bab9048d0a5",
-        "summary.json": "c2895a0ff4092cc860596d70994fa7485753c089d71c2114e0ae4ad232e434d1",
+        "gap_solution.csv": "7279b2aa06f68bc55f837ddf80fff825457cde12fc06326e8095ca578d032574",
+        "summary.json": "82ff432b5e2b03e473109561d374d3f226702bf6a3e40a37f899e4814933ef07",
     }),
     "ssh-sweep-inverted": (["ssh-sweep"], {"occupation": "inverted", "u_scan": [-0.4, 0.4, 41]}, {
-        "ground_state.csv": "ddeb5d34e69aaf5e1b5865a827a73b3b26dabacfee014764d398e7687ae46a10",
-        "summary.json": "790e03e36f08ce48e6a9b4e7013055fa1867c69ea2339a9503780d9a06fcdbd9",
+        "ground_state.csv": "992fa6035901a47a1f26f243921ec5bd2e30f93fa5567bab1d44839a8fa8768a",
+        "summary.json": "16fff2fdae66731a9a16c7f14ec90cb45dee7827bb25dca74925b95badbefda2",
     }),
 }
 
@@ -397,6 +420,29 @@ def test_quantize_builds_spacetime_operators_once(tmp_path, capsys, monkeypatch)
     ops = build(CavityModel(1.0, 2, cst), 6, 0.3, 0.2)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["checks"]["g_symmetrized_deviation"] == max(o["g_deviation"] for o in ops)
+
+
+@pytest.mark.parametrize("planted", ["off_diagonal", "no_zero_point"])
+def test_spectrum_defect_fails_a_wrong_hamiltonian(tmp_path, capsys, monkeypatch, planted):
+    # the check compares the Hamiltonian's eigenvalues with those of
+    # action * w * (a+ a + 1/2) from the ladders: a coupling off the diagonal,
+    # which leaves the diagonal right, fails it as a missing 1/2 does
+    build = fq.mode_hamiltonian_matrix
+
+    def wrong(dim, action, omega):
+        ham = build(dim, action, omega)
+        if planted == "off_diagonal":
+            ham[2, 3] = ham[3, 2] = 0.1 * action * omega
+        else:
+            ham -= 0.5 * action * omega * np.eye(dim)
+        return ham
+
+    monkeypatch.setattr(fq, "mode_hamiltonian_matrix", wrong)
+    assert main(["quantize", "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert checks["spectrum_defect"] > 1e-3
+    assert checks["ladder_commutator_defect"] <= 1e-12 and checks["hermiticity_defect"] <= 1e-12
 
 
 @pytest.mark.parametrize("command", ["ssh-solve", "ssh-sweep"])

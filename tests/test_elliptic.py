@@ -1,10 +1,9 @@
 import math
 
-import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
-from duplexem.elliptic import _agm_array, elliptic_E, elliptic_K
+from duplexem.elliptic import elliptic_E, elliptic_K
 
 
 def quad_K(k):
@@ -53,19 +52,3 @@ def test_domain_checks():
         with pytest.raises(ValueError):
             elliptic_E(bad)
 
-
-def test_array_agm_matches_scalar_bit_for_bit():
-    k = np.concatenate([[0.0, 1e-300, 1e-8, 1 / math.sqrt(2), 1 - 1e-8,
-                         1 - 2.0**-52, 1 - 2.0**-53],
-                        np.linspace(0.0, 0.9999, 101)])
-    big_k, big_e = _agm_array(k, np.sqrt((1.0 - k) * (1.0 + k)))
-    assert big_k.tolist() == [elliptic_K(x) for x in k.tolist()]
-    assert big_e.tolist() == [elliptic_E(x) for x in k.tolist()]
-
-
-def test_array_agm_matches_scipy():
-    kc = np.geomspace(1e-12, 1.0, 200)
-    k = np.sqrt((1.0 - kc) * (1.0 + kc))
-    big_k, big_e = _agm_array(k, kc)
-    assert np.max(np.abs(big_k - special.ellipkm1(kc * kc)) / big_k) <= 1e-13
-    assert np.max(np.abs(big_e - special.ellipe(k * k))) <= 1e-13

@@ -1,15 +1,16 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
 from duplexem import sshliquid
 from duplexem.cli import _verify_checks
 from duplexem.sshliquid import (BRANCH_NEAR_EQ, BRANCH_SSH, GapSolverError,
                                 GroundStateCurve, Occupation, SshParams, _band_kernel,
-                                _band_kernel_array, _gap_kernel_array, _scan_roots,
+                                _scan_roots,
                                 band_energies, bogoliubov_coeffs,
                                 gap_approximations, gap_kernel, gap_residual,
                                 gap_residual_discrete, ground_energy,
@@ -80,54 +81,58 @@ def test_kernel_elliptic_matches_adaptive_quadrature():
 
 
 def _branch_switch_zetas():
-    """zeta on both sides of every branch switch of I and J, and negated."""
-    switches = (math.sqrt(1e-10),             # zeta^2 = 1e-10: complementary series
-                math.sqrt(1.0 - 1e-5),        # m^2 = 1e-5: series below zeta = 1
-                1.0,                          # |zeta| = 1
-                1.0 / math.sqrt(1.0 - 1e-5))  # mt^2 = 1e-5: series above zeta = 1
-    zetas = [0.0, 5e-324, 1e-160, 1e-3, 0.5, 2.0, 1e4, 1e8]
-    for z in switches:
+    """zeta at 0, at 1 and on both sides of each edge past which the Carlson body
+    hands over to the asymptotes, and negated."""
+    zetas = [0.0, 5e-324, 1e-160, 1e-3, 0.5, 2.0, 1e4, 1e8, 1e160, 1.7e308]
+    for z in (1e-150, 1.0, 1e150):
         zetas += [z * (1.0 + e) for e in (-1e-6, -1e-12, -2.0**-52, 0.0, 2.0**-52, 1e-12, 1e-6)]
     zetas = np.array(zetas)
     return np.concatenate([zetas, -zetas])
 
 
 def test_branch_switch_points_cover_both_sides():
-    z2 = _branch_switch_zetas() ** 2
-    with np.errstate(divide="ignore", over="ignore"):
-        mt2 = 1.0 - 1.0 / z2
-    for lower, upper in ((z2 > 0) & (z2 < 1e-10), (z2 >= 1e-10) & (z2 < 1e-9)), \
-            ((1 - z2 >= 1e-5) & (z2 > 0.99), (1 - z2 < 1e-5) & (z2 < 1)), \
-            ((z2 > 1) & (mt2 < 1e-5), (z2 < 1.01) & (mt2 >= 1e-5)):
-        assert lower.sum() >= 4 and upper.sum() >= 4
-    assert np.sum(z2 == 1.0) >= 2 and np.sum(z2 == 0.0) >= 4
+    za = np.abs(_branch_switch_zetas())
+    for edge in (1e-150, 1.0, 1e150):
+        assert np.sum(za < edge) >= 4 and np.sum(za > edge) >= 4
+        assert np.sum((za < edge) & (za > 0.999 * edge)) >= 4
+        assert np.sum((za > edge) & (za < 1.001 * edge)) >= 4
+    assert np.sum(za == 1.0) >= 2 and np.sum(za == 0.0) >= 2
 
 
 def test_array_kernels_match_scalar_bit_for_bit():
+    # a number takes the bare ufuncs, an array with far points the asymptote
+    # select; both give the same bits, with no warning at the limits
     zetas = _branch_switch_zetas()
-    assert _gap_kernel_array(zetas).tolist() == [gap_kernel(z) for z in zetas.tolist()]
-    assert _band_kernel_array(zetas).tolist() == [_band_kernel(z) for z in zetas.tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (gap_kernel, _band_kernel):
+            assert kernel(zetas).tolist() == [kernel(z) for z in zetas.tolist()]
+    assert gap_kernel(0.0) == math.inf and _band_kernel(0.0) == -1.0
+    assert gap_kernel(1.0) == 0.25 * math.pi and _band_kernel(1.0) == 0.0
 
 
-def _kernels_scipy(zeta):
-    """I and J from scipy.special: parameter 1 - zeta^2 below |zeta| = 1, 1 - 1/zeta^2 above."""
-    z2 = zeta * zeta
-    below = z2 < 1.0
-    m2 = np.where(below, 1.0 - z2, 1.0 - 1.0 / z2)
-    big_k = np.where(below, special.ellipkm1(z2), special.ellipkm1(1.0 / z2))
-    big_e = special.ellipe(m2)
-    za = np.abs(zeta)
-    kernel_i = np.where(below, (big_k - big_e) / m2, (big_e - big_k / z2) / (za * m2))
-    kint = np.where(below, big_k, big_k / za)
-    return kernel_i, (1.0 + z2) * kernel_i - kint
+def _kernel_table():
+    """zeta and 40-digit mpmath values of I and J (tests/make_kernel_table.py)."""
+    lines = Path(__file__).with_name("kernel_table.csv").read_text().splitlines()
+    return np.array([[float(x) for x in line.split(",")] for line in lines[1:]]).T
 
 
-def test_array_kernels_match_scipy_away_from_unity():
-    zetas = np.concatenate([np.geomspace(1e-9, 0.99, 300), np.geomspace(1.1, 1e4, 300)])
-    zetas = np.concatenate([zetas, -zetas])
-    kernel_i, kernel_j = _kernels_scipy(zetas)
-    assert np.max(np.abs(_gap_kernel_array(zetas) - kernel_i) / kernel_i) <= 1e-13
-    assert np.max(np.abs(_band_kernel_array(zetas) - kernel_j) / np.abs(kernel_j)) <= 1e-13
+def test_array_kernels_match_mpmath_table():
+    # every zeta of the table, both signs: 1e-9..0.99 and 1.1..1e4 (the old scipy
+    # grid), 0.99..1.1 with 1 +- 2^-52, 1 +- 1e-5, and 1e8..1.7e308 with the edges
+    zeta, big_i, big_j = _kernel_table()
+    assert {0.0, 5e-324, 1.0 - 2.0**-52, 1.0 + 2.0**-52, 1.0 - 1e-5, 1.0 + 1e-5,
+            1e9, 1e154, 1.7e308} <= set(zeta.tolist())
+    assert np.sum((zeta > 0.99) & (zeta < 1.1)) >= 100 and np.sum(zeta >= 1e8) >= 60
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (zeta, -zeta):
+            values_i, values_j = gap_kernel(z), _band_kernel(z)
+            assert values_i.tolist() == [gap_kernel(x) for x in z.tolist()]
+            assert values_j.tolist() == [_band_kernel(x) for x in z.tolist()]
+            assert values_i[0] == big_i[0] == math.inf
+            assert np.max(np.abs(values_i[1:] - big_i[1:]) / big_i[1:]) <= 1e-15
+            assert np.max(np.abs(values_j - big_j) / np.maximum(1.0, np.abs(big_j))) <= 1e-15
 
 
 @pytest.mark.parametrize("zeta, reference", [
@@ -137,9 +142,9 @@ def test_array_kernels_match_scipy_away_from_unity():
     (1e-3, 7.2940548606441285),
 ])
 def test_kernel_precision_at_small_zeta(zeta, reference):
-    # the AGM starts from the complementary modulus zeta, not sqrt(1 - m^2)
+    # small zeta, where a kernel that recomputes zeta from m = 1 - zeta^2 loses ~8 digits
     for value in (gap_kernel(zeta), gap_kernel(-zeta),
-                  *_gap_kernel_array(np.array([zeta, -zeta]))):
+                  *gap_kernel(np.array([zeta, -zeta]))):
         assert abs(value - reference) <= 1e-15 * reference
 
 
@@ -154,7 +159,7 @@ def test_array_residual_matches_pointwise(form, alpha2, grid):
     for occ in (Occupation.ground(), Occupation.inverted()):
         assert gap_residual(p, grid, occ, form=form).tolist() == \
             [gap_residual(p, q, occ, form=form) for q in grid.tolist()]
-        few = grid[np.abs(grid) > 1e-3][::6]   # the quadrature route needs 1 - zeta^2 < 1
+        few = grid[::6]
         assert gap_residual(p, few, occ, "quadrature", form).tolist() == \
             [gap_residual(p, q, occ, "quadrature", form) for q in few.tolist()]
 
@@ -169,6 +174,20 @@ def test_full_residual_is_one_at_q_zero():
                 value = gap_residual(p, q, method=method)
                 assert type(value) is float and value == 1.0
             assert gap_residual(p, np.array([-0.0, 0.0]), method=method).tolist() == [1.0, 1.0]
+
+
+def test_both_routes_are_finite_at_tiny_zeta():
+    # sqrt(cos^2 y + zeta^2 sin^2 y) keeps the quadrature denominator off zero
+    # where 1 - zeta^2 rounds to 1; 40-digit mpmath values (kernel_table.csv)
+    big_i = 23.41214529106034742275527256394520691493
+    big_j = -0.9999999999999999996513178206340947632517
+    for zeta in (1e-10, -1e-10):
+        assert abs(gap_kernel(zeta) - big_i) <= 1e-15 * big_i
+        assert abs(_band_kernel(zeta) - big_j) <= 1e-15
+        # quad does not resolve I's peak of width 1e-10 at y = pi/2: 4e-8 relative
+        # at this zeta; J's integrand has no such peak
+        assert abs(gap_kernel(zeta, "quadrature") - big_i) <= 1e-7 * big_i
+        assert abs(_band_kernel(zeta, "quadrature") - big_j) <= 1e-13
 
 
 def test_kernel_value_at_unity():
@@ -205,11 +224,7 @@ def test_methods_agree_on_random_parameters():
 
 def _full_quadrature_scan_roots(p, occ, form, monkeypatch):
     """solve_gap(method="quadrature").roots and the roots of a scan of the
-    quadrature residual itself over the same grid.
-
-    The scan leaves out (as non-finite) the points where 1 - zeta^2 rounds
-    to 1, at which the quadrature integrand divides by zero.
-    """
+    quadrature residual itself over the same grid."""
     grids = []
     residual = sshliquid.gap_residual
 
@@ -222,9 +237,7 @@ def _full_quadrature_scan_roots(p, occ, form, monkeypatch):
         m.setattr(sshliquid, "gap_residual", recording)
         roots = solve_gap(p, occ, method="quadrature", form=form).roots
     (grid,) = grids
-    defined = (grid == 0.0) | (1.0 - zeta_of(p, grid) ** 2 < 1.0)
-    vals = np.full(grid.shape, np.nan)
-    vals[defined] = gap_residual(p, grid[defined], occ, "quadrature", form)
+    vals = gap_residual(p, grid, occ, "quadrature", form)
     return roots, tuple(_scan_roots(lambda q: gap_residual(p, q, occ, "quadrature", form),
                                     grid, vals, "quadrature"))
 
@@ -276,7 +289,7 @@ def test_quadrature_bracket_without_sign_change_is_named(monkeypatch):
 
 def test_reduced_quadrature_solve_skips_the_tiny_gap_kernel():
     # the reduced scan starts at |Q| = 1e-9 (zeta = 2e-10), where the quadrature
-    # kernel divides by zero; only the elliptic route is evaluated there
+    # kernel is least accurate; only the elliptic route is evaluated there
     p = base_params(alpha2=-0.3, u=0.1)
     q_quad = solve_gap(p, method="quadrature", form="reduced").q
     q_ell = solve_gap(p, form="reduced").q
