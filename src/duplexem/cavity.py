@@ -2,9 +2,8 @@
 
 Two solution families for a linearly polarized field E_x(z, t), H_y(z, t)
 with mode frequencies omega_a = a*pi*c/L, plus utilities: analytic Maxwell
-residuals on (z, t) grids, the forward-propagation analyticity residual,
-four-sector parity packaging into quaternion components, field energy, and
-CSV dumps.
+residuals on (z, t) grids, four-sector parity packaging into quaternion
+components, field energy, and CSV dumps.
 
 Mode amplitudes solve q'' + omega^2 q = 0,
 
@@ -15,8 +14,6 @@ q'_a = w_a int_0^t q  and  q''_a = w_a int_0^t q', with integration
 constants dropped (they are absorbable into the mode masses); in that
 convention q' = -dq/dt / w and q'' = -q, so the second family is the
 sign-flipped first family and satisfies both curl equations exactly.
-Keeping the raw integration constants instead introduces a secular
-(linear-in-t) term whenever C1 != C2, which is reported as a warning.
 
 Every field here is a finite mode sum.  :class:`SpectralField` holds it as
 one complex array ``coeffs[field, axis, profile, basis, mode]``:
@@ -24,12 +21,10 @@ one complex array ``coeffs[field, axis, profile, basis, mode]``:
     field    0: E, 1: H
     axis     0: x, 1: y          (z components vanish in the 1D cavity)
     profile  0: sin(k_a z), 1: cos(k_a z)
-    basis    0: exp(i w_a t), 1: exp(-i w_a t), 2: 1, 3: w_a t
+    basis    0: exp(i w_a t), 1: exp(-i w_a t)
 
 so that, e.g., E_x = sum over profile p, basis b and mode a of
-coeffs[0, 0, p, b, a] Z_p(k_a z) T_b(w_a t).  The bases 1 and w t carry
-the raw integration constants and the secular term of the second family
-with ``keep_constants=True``.  Derivatives, dual rotation, scaling,
+coeffs[0, 0, p, b, a] Z_p(k_a z) T_b(w_a t).  Derivatives, dual rotation, scaling,
 reflection z -> L - z and linear combinations are exact maps on this
 array; only evaluation touches the (z, t) grid.
 """
@@ -37,7 +32,6 @@ array; only evaluation touches the (z, t) grid.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,21 +109,6 @@ class ModeState:
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
 
-    @classmethod
-    def from_real(cls, b, phi) -> "ModeState":
-        """Real standing form q = B cos(wt + phi)."""
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        return cls(0.5 * b * np.exp(1j * phi), 0.5 * b * np.exp(-1j * phi))
-
-    @classmethod
-    def single_mode(cls, n_modes: int, alpha: int, c1=0j, c2=0j) -> "ModeState":
-        a1 = np.zeros(n_modes, dtype=complex)
-        a2 = np.zeros(n_modes, dtype=complex)
-        a1[alpha - 1] = c1
-        a2[alpha - 1] = c2
-        return cls(a1, a2)
-
     @property
     def n_modes(self) -> int:
         return self.c1.shape[0]
@@ -153,29 +132,20 @@ def _d_dz(coeffs, k):
 
 
 def _d_dt(coeffs, w):
-    """d/dt on coefficients [..., basis, mode]: e^{+-iwt} -> +-iw, 1 -> 0, wt -> w."""
-    return np.stack([1j * w * coeffs[..., 0, :], -1j * w * coeffs[..., 1, :],
-                     w * coeffs[..., 3, :], np.zeros_like(coeffs[..., 3, :])], axis=-2)
+    """d/dt on coefficients [..., basis, mode]: e^{+-iwt} -> +-iw."""
+    return np.stack([1j * w * coeffs[..., 0, :], -1j * w * coeffs[..., 1, :]], axis=-2)
 
 
-def _time_coeffs(model: CavityModel, state: ModeState, integrals: int = 0,
-                 raw: bool = False) -> np.ndarray:
-    """q_a (integrals=0), q'_a (1) or q''_a (2) as time-basis coefficients, (4, n_modes).
+def _time_coeffs(model: CavityModel, state: ModeState, integrals: int = 0) -> np.ndarray:
+    """q_a (integrals=0), q'_a (1) or q''_a (2) as time-basis coefficients, (2, n_modes).
 
-    q' = w int_0^t q and q'' = w int_0^t q'.  With raw=False their
-    integration constants are dropped, so q' = -dq/dt / w and q'' = -q;
-    raw=True keeps them, and with them the secular term of q''.
+    q' = w int_0^t q and q'' = w int_0^t q' with their integration constants
+    dropped, so q' = -dq/dt / w and q'' = -q.
     """
     if state.n_modes != model.n_modes:
         raise ValueError("state and model disagree on the number of modes")
-    c1, c2, zero = state.c1, state.c2, np.zeros(model.n_modes)
-    if integrals == 0:
-        return np.array([c1, c2, zero, zero])
-    rows = [[-1j * c1, 1j * c2, 1j * (c1 - c2), zero],
-            [-c1, -c2, c1 + c2, 1j * (c1 - c2)]][integrals - 1]
-    if not raw:
-        rows[2:] = [zero, zero]
-    return np.array(rows)
+    c1, c2 = state.c1, state.c2
+    return np.array([[c1, c2], [-1j * c1, 1j * c2], [-c1, -c2]][integrals])
 
 
 def _time_sum(omegas, coeffs, t) -> np.ndarray:
@@ -188,7 +158,7 @@ def _time_sum(omegas, coeffs, t) -> np.ndarray:
     c = np.moveaxis(coeffs, -2, 0)
     c = c.reshape(c.shape + (1,) * t.ndim)
     phase = np.exp(1j * wt)  # its conjugate is exp(-i w t) bit for bit
-    return c[0] * phase + c[1] * phase.conj() + c[2] + c[3] * wt
+    return c[0] * phase + c[1] * phase.conj()
 
 
 def mode_q(model: CavityModel, state: ModeState, t, deriv: int = 0) -> np.ndarray:
@@ -199,20 +169,11 @@ def mode_q(model: CavityModel, state: ModeState, t, deriv: int = 0) -> np.ndarra
     return _time_sum(model.omegas, coeffs, t)
 
 
-def mode_qprime(model, state, t, raw: bool = False) -> np.ndarray:
-    """q'_a = w int_0^t q; with raw=False the integration constant is dropped."""
-    return _time_sum(model.omegas, _time_coeffs(model, state, 1, raw), t)
-
-
-def mode_qsecond(model, state, t, raw: bool = False) -> np.ndarray:
-    """q''_a = w int_0^t q'; raw=True keeps constants and the secular term."""
-    return _time_sum(model.omegas, _time_coeffs(model, state, 2, raw), t)
-
-
 class FieldOnSegment:
     """Interface: e/h 3-vector fields of (z, t) plus analytic derivatives.
 
-    Methods return arrays of shape (3,) + shape(z) + shape(t).
+    Methods return arrays of shape (3,) + shape(z) + shape(t).  The benchmark's
+    layer tracer finds the field classes as its subclasses.
     """
 
     length = None
@@ -240,7 +201,7 @@ class FieldOnSegment:
 class SpectralField(FieldOnSegment):
     """A cavity field held as mode-sum coefficients (layout in the module docstring).
 
-    ``coeffs`` has shape (2, 2, 2, 4, n_modes); ``wavenumbers`` and ``omegas``
+    ``coeffs`` has shape (2, 2, 2, 2, n_modes); ``wavenumbers`` and ``omegas``
     hold k_a and w_a.  ``length`` and the vacuum impedance ``z0`` of the unit
     system are None only for a field without modes.
     """
@@ -252,20 +213,14 @@ class SpectralField(FieldOnSegment):
         self.omegas = np.asarray(omegas, dtype=float)
         self.coeffs = np.asarray(coeffs, dtype=complex)
         n_modes = self.wavenumbers.size
-        if self.omegas.shape != (n_modes,) or self.coeffs.shape != (2, 2, 2, 4, n_modes):
-            raise ValueError("need one k, one omega and (2, 2, 2, 4) coefficients per mode")
+        if self.omegas.shape != (n_modes,) or self.coeffs.shape != (2, 2, 2, 2, n_modes):
+            raise ValueError("need one k, one omega and (2, 2, 2, 2) coefficients per mode")
         # mode numbers a = k_a L / pi set the shortest wavelength and the reflection signs
         self._alphas = np.rint(self.wavenumbers * length / np.pi) if n_modes else np.zeros(0)
         self.max_alpha = int(self._alphas.max()) if n_modes else None
 
     def _with(self, coeffs):
         return SpectralField(self.length, self.wavenumbers, self.omegas, coeffs, self.z0)
-
-    def d_dz(self) -> "SpectralField":
-        return self._with(_d_dz(self.coeffs, self.wavenumbers))
-
-    def d_dt(self) -> "SpectralField":
-        return self._with(_d_dt(self.coeffs, self.omegas))
 
     def rotated(self, theta: float) -> "SpectralField":
         """Circular dual mix E' = cos E + z0 sin H, H' = cos H - sin E / z0.
@@ -285,7 +240,8 @@ class SpectralField(FieldOnSegment):
         return self._with(factors * self.coeffs)
 
     def reflected(self) -> "SpectralField":
-        """Midpoint reflection z -> L - z.
+        """Midpoint reflection z -> L - z, the space inversion whose parities
+        label the four field constituents (PARITY_LABELS).
 
         sin(k_a (L - z)) = -(-1)^a sin(k_a z) and cos(k_a (L - z)) = (-1)^a cos(k_a z).
         """
@@ -349,8 +305,8 @@ class SpectralField(FieldOnSegment):
 
 
 def _cavity_field(model: CavityModel, ex, hy) -> SpectralField:
-    """E_x = sum_b ex[b] T_b sin(k z), H_y = sum_b hy[b] T_b cos(k z); ex, hy: (4, M)."""
-    coeffs = np.zeros((2, 2, 2, 4, model.n_modes), dtype=complex)
+    """E_x = sum_b ex[b] T_b sin(k z), H_y = sum_b hy[b] T_b cos(k z); ex, hy: (2, M)."""
+    coeffs = np.zeros((2, 2, 2, 2, model.n_modes), dtype=complex)
     coeffs[0, 0, 0] = ex
     coeffs[1, 1, 1] = hy
     return SpectralField(model.length, model.wavenumbers, model.omegas, coeffs,
@@ -364,8 +320,7 @@ def FirstSolution(model: CavityModel, state: ModeState) -> SpectralField:
     return _cavity_field(model, model.amp_e * q, amp_h * _d_dt(q, model.omegas))
 
 
-def SecondSolution(model: CavityModel, state: ModeState,
-                   keep_constants: bool = False) -> SpectralField:
+def SecondSolution(model: CavityModel, state: ModeState) -> SpectralField:
     """E_x = sum A^E_a q''_a sin(k_a z); H_y = sum A^H_a q'_a cos(k_a z).
 
     Built with integration constants dropped, so q'' = -q and the electric
@@ -373,53 +328,19 @@ def SecondSolution(model: CavityModel, state: ModeState,
     magnetic term is fixed by the curl-H equation (a flipped sign would
     violate it for every oscillatory mode).
     """
-    if keep_constants and np.any(np.abs(state.c1 - state.c2) > 0):
-        warnings.warn(
-            "raw mode integrals contain a secular (linear-in-t) term for "
-            "C1 != C2; the constant-dropping convention removes it",
-            stacklevel=2,
-        )
-    return _cavity_field(model, model.amp_e * _time_coeffs(model, state, 2, keep_constants),
-                         model.amp_h * _time_coeffs(model, state, 1, keep_constants))
-
-
-# RotatedSolution(base, theta) is base.rotated(theta), and so on
-RotatedSolution = SpectralField.rotated
-ScaledSolution = SpectralField.scaled
-ReflectedSolution = SpectralField.reflected
+    return _cavity_field(model, model.amp_e * _time_coeffs(model, state, 2),
+                         model.amp_h * _time_coeffs(model, state, 1))
 
 
 def ZeroField(length=None) -> SpectralField:
-    return SpectralField(length, [], [], np.zeros((2, 2, 2, 4, 0)))
-
-
-class AnalyticField(FieldOnSegment):
-    """Adapter for analytic test fields given as numpy-broadcasting callables.
-
-    Each callable receives (z, t) already shaped for outer broadcasting and
-    must return shape (3,) + shape(z) + shape(t), e.g.
-    ``lambda z, t: np.stack([np.cos(k*z - w*t), 0*z*t, 0*z*t])``.
-    """
-
-    def __init__(self, e, h, de_dz, de_dt, dh_dz, dh_dt, length=None, max_alpha=None):
-        fns = dict(e=e, h=h, de_dz=de_dz, de_dt=de_dt, dh_dz=dh_dz, dh_dt=dh_dt)
-        for name, fn in fns.items():
-
-            def wrapped(z, t, _fn=fn):
-                zz = np.asarray(z, dtype=float)
-                tt = np.asarray(t, dtype=float)
-                zb = zz.reshape(zz.shape + (1,) * tt.ndim)
-                tb = tt.reshape((1,) * zz.ndim + tt.shape)
-                return _fn(zb, tb)
-
-            setattr(self, name, wrapped)
-        self.length = length
-        self.max_alpha = max_alpha
+    """A field without modes: the empty sector of a QuaternionField."""
+    return SpectralField(length, [], [], np.zeros((2, 2, 2, 2, 0)))
 
 
 @dataclass
 class QuaternionField:
-    """Four parity-labeled field sectors packed as quaternion components.
+    """Four parity-labeled field sectors packed as quaternion components: the
+    quaternion four-component field of the paper, checked by `maxwell_residual`.
 
     sectors[i] (i = 1..4) carries the parity pair PARITY_LABELS[i].  The
     quaternion electric component is (E1 - i E2) + (E3 - i E4) j; sectors
@@ -442,18 +363,6 @@ class QuaternionField:
         ce = self.sectors[1] + self.sectors[2].scaled(-1j, -1j)
         cj = self.sectors[3] + self.sectors[4].scaled(-1j, -1j)
         return ce, cj
-
-
-def assemble_quaternion_field(sector1, sector2, sector3, sector4) -> QuaternionField:
-    return QuaternionField({1: sector1, 2: sector2, 3: sector3, 4: sector4})
-
-
-def quaternion_field_from_rotation(base: SpectralField, theta: float) -> QuaternionField:
-    """Split a classical solution into the cos/sin sectors of a dual rotation."""
-    cos_part = base.scaled(np.cos(theta), np.cos(theta))
-    sin_part = base.scaled(np.sin(theta), np.sin(theta))
-    zero = ZeroField(base.length)
-    return assemble_quaternion_field(cos_part, sin_part, zero, zero)
 
 
 def _curl_z_only(f_dz):
@@ -547,22 +456,12 @@ def maxwell_residual(field, z, t, constants: PhysicalConstants) -> MaxwellResidu
     return MaxwellResidual(curl + div, curl_scale + div_scale)
 
 
-def cauchy_riemann_residual(field, z, t, constants: PhysicalConstants) -> float:
-    """Analyticity residual of F = H - iE in the variable z + ict.
-
-    After substituting the imaginary time coordinate, the component-wise
-    analyticity condition becomes the transport equation
-    (d/dz + (1/c) d/dt) F = 0, satisfied by forward-propagating free
-    fields and violated e.g. by a time-varying field with H = 0.
-    """
-    c = constants.c
-    f_dz = field.dh_dz(z, t) - 1j * field.de_dz(z, t)
-    f_dt = field.dh_dt(z, t) - 1j * field.de_dt(z, t)
-    return float(np.max(np.abs(f_dz + f_dt / c)))
-
-
 def field_hamiltonian(model: CavityModel, state: ModeState, t) -> complex:
-    """Field energy (1/2) integral (eps0 E^2 + mu0 H^2) dV with bilinear squares."""
+    """Field energy (1/2) integral (eps0 E^2 + mu0 H^2) dV with bilinear squares.
+
+    It is one side of the oscillator picture of the field: this energy
+    equals the sum of the mode oscillators' energies.
+    """
     from .currents import _gauss_legendre  # currents imports this module
     zq, wq = _gauss_legendre(0.0, model.length, max(32, 4 * model.n_modes))
     sol = FirstSolution(model, state)
@@ -576,7 +475,8 @@ def field_hamiltonian(model: CavityModel, state: ModeState, t) -> complex:
 
 
 def mode_hamiltonian(model: CavityModel, state: ModeState, t) -> complex:
-    """Closed-form (1/2) sum_a (m w^2 q^2 + p^2/m), with p = m dq/dt."""
+    """Closed-form (1/2) sum_a (m w^2 q^2 + p^2/m), with p = m dq/dt: the
+    oscillator side of the field energy, the sum of one oscillator per mode."""
     q = mode_q(model, state, t)
     qd = mode_q(model, state, t, deriv=1)
     m = _expand(model.masses, np.asarray(t).ndim)
@@ -585,7 +485,7 @@ def mode_hamiltonian(model: CavityModel, state: ModeState, t) -> complex:
     return complex(val) if np.ndim(val) == 0 else val
 
 
-def dump_field_csv(field, z, t, path, parity=None):
+def dump_field_csv(field, z, t, path):
     """Field samples as CSV: z, t, Re/Im of all six components per row."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -596,5 +496,4 @@ def dump_field_csv(field, z, t, path, parity=None):
             val = np.asarray(vec[comp], dtype=complex).ravel()
             names += [f"re_{label}{axis}", f"im_{label}{axis}"]
             columns += [val.real, val.imag]
-    preamble = f"# parity: {parity[0]}, {parity[1]}\n" if parity else ""
-    write_csv(path, names, columns, preamble)
+    write_csv(path, names, columns)

@@ -239,7 +239,7 @@ def cmd_cavity_field(args) -> int:
     family = cav.FirstSolution if cfg["solution"] == "first" else cav.SecondSolution
     sol = family(model, state)
     if cfg["theta"]:
-        sol = cav.RotatedSolution(sol, cfg["theta"])
+        sol = sol.rotated(cfg["theta"])
     z = np.linspace(0.0, model.length, cfg["nz"])
     t = np.linspace(0.0, model.period, cfg["nt"])
     try:
@@ -507,8 +507,7 @@ def _verify_checks(seed: int):
     t = np.linspace(0, model.period, 64)
     for name, sol in (("first_solution", cav.FirstSolution(model, state)),
                       ("second_solution", cav.SecondSolution(model, state)),
-                      ("rotated_solution",
-                       cav.RotatedSolution(cav.FirstSolution(model, state), 0.7))):
+                      ("rotated_solution", cav.FirstSolution(model, state).rotated(0.7))):
         add(f"maxwell_residual_{name}",
             max(cav.maxwell_residual(sol, z, t, cst)), 1e-10)
 

@@ -5,7 +5,7 @@ like hbar.  Its numerical value is an independent setting; the default
 simply reuses hbar's value.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 
@@ -25,11 +25,6 @@ class PhysicalConstants:
     def z0(self) -> float:
         """Characteristic vacuum impedance sqrt(mu0/eps0)."""
         return math.sqrt(self.mu0 / self.eps0)
-
-    @property
-    def lambda_v(self) -> float:
-        """Vacuum conductivity 1/z0."""
-        return 1.0 / self.z0
 
     @classmethod
     def si(cls) -> "PhysicalConstants":

@@ -7,7 +7,8 @@ the operator-valued one has it at 1.
 
 Mode sets use the constant-dropping convention of :mod:`duplexem.cavity`
 (q'' = -q, q' = -dq/dt / w), under which all mode-pair combinations below
-are exact solutions and the continuity law holds identically.
+are exact solutions and the continuity law holds identically, and their
+time basis has the two entries exp(i w t) and exp(-i w t).
 """
 
 from __future__ import annotations
@@ -115,35 +116,6 @@ class ClassicalFourCurrent:
         return 1j * self.kappa * np.tensordot(w, dcross, axes=(0, 0))
 
 
-class PerturbedCurrent:
-    """Wrap a current, adding rate * t to one j4 family (continuity probe).
-
-    Everything else, j3 and dj3_dz included, is the base current's.
-    """
-
-    def __init__(self, base, rate: float, family: int = 2):
-        self.base = base
-        self.rate = rate
-        self.family = family
-
-    def __getattr__(self, name):
-        if name == "base":  # not set yet, e.g. on a copy under construction
-            raise AttributeError(name)
-        return getattr(self.base, name)
-
-    def j4(self, z, t, family):
-        val = self.base.j4(z, t, family)
-        if family == self.family:
-            val = val + self.rate * np.asarray(t, dtype=float)
-        return val
-
-    def dj4_dt(self, z, t, family):
-        val = self.base.dj4_dt(z, t, family)
-        if family == self.family:
-            val = val + self.rate
-        return val
-
-
 def continuity_residual(current, z, t) -> float:
     """max |d j3/dz + (1/ic) d j4/dt| over the grid, worst family."""
     if getattr(current, "max_alpha", None):
@@ -163,30 +135,27 @@ class FieldFunctionSet:
     u1 collects the sine-profile (electric-type) parts, u2 the cosine-profile
     (magnetic-type) parts.  The set is one complex array
     ``coeffs[sector, profile, basis, mode]`` (sector 0: u1, 1: u2; profile
-    and time basis as in :mod:`duplexem.cavity`), so that
+    and time basis exp(+-i w t) as in :mod:`duplexem.cavity`), so that
 
         u_s,a(z, t) = sum_pb coeffs[s, p, b, a] Z_p(k_a z) T_b(w_a t),
 
     with k_a = ``wavenumbers[a]`` and w_a = ``omegas[a]``, any (k, w) pair.
     """
 
-    def __init__(self, coeffs, wavenumbers, omegas, volume: float, length: float,
-                 c: float, energy: float = None, hbar: float = None):
+    def __init__(self, coeffs, wavenumbers, omegas, volume: float, length: float, c: float):
         self.coeffs = np.asarray(coeffs, dtype=complex)
         self.wavenumbers = np.asarray(wavenumbers, dtype=float)
         self.omegas = np.asarray(omegas, dtype=float)
         n_modes = self.wavenumbers.size
-        if self.omegas.shape != (n_modes,) or self.coeffs.shape != (2, 2, 4, n_modes):
-            raise ValueError("need one k, one omega and (2, 2, 4) coefficients per mode")
+        if self.omegas.shape != (n_modes,) or self.coeffs.shape != (2, 2, 2, n_modes):
+            raise ValueError("need one k, one omega and (2, 2, 2) coefficients per mode")
         self.volume = volume
         self.length = length
         self.c = c
-        self.energy = energy
-        self.hbar = hbar
 
     def _with(self, coeffs) -> "FieldFunctionSet":
         return FieldFunctionSet(coeffs, self.wavenumbers, self.omegas, self.volume,
-                                self.length, self.c, self.energy, self.hbar)
+                                self.length, self.c)
 
     @classmethod
     def from_cavity(cls, model: CavityModel, state: ModeState, sign: int = +1):
@@ -208,15 +177,6 @@ class FieldFunctionSet:
         # u1 is E_x, coefficients [0, 0]; u2 is H_y, coefficients [1, 1]
         return cls(np.stack([field.coeffs[0, 0], field.coeffs[1, 1]]), model.wavenumbers,
                    model.omegas, volume=model.volume, length=model.length, c=cst.c)
-
-    @classmethod
-    def plane_wave(cls, energy: float, hbar: float, c: float, volume: float,
-                   length: float, amplitude: complex = 1.0, wavenumber: float = 0.0):
-        """Monochromatic u1 = amplitude e^{i kappa z} e^{-i E t / hbar}, with u2 = 0."""
-        coeffs = np.zeros((2, 2, 4, 1), dtype=complex)
-        # amplitude (i sin(kappa z) + cos(kappa z)) on the e^{-i w t} basis
-        coeffs[0, :, 1, 0] = 1j * amplitude, amplitude
-        return cls(coeffs, [wavenumber], [energy / hbar], volume, length, c, energy, hbar)
 
     def rotated(self, theta: float) -> "FieldFunctionSet":
         """Dual rotation applied pairwise in the (u1, u2) functional plane."""
@@ -249,17 +209,6 @@ class FieldFunctionSet:
         tpart = _time_sum(self.omegas, np.array(coeffs), t)  # [order, sector, profile, mode, t]
         tpart = tpart.reshape(tpart.shape[:4] + (1,) * z.ndim + t.shape)
         return np.sin(kz) * tpart[:, :, 0] + np.cos(kz) * tpart[:, :, 1]
-
-
-def phase_gauge_longitudinal(fieldset: FieldFunctionSet, z, t):
-    """Longitudinal phase-gauge current density, sum 2 Im((du/dz) conj(u)).
-
-    Vanishes identically for every component of the form
-    (real z profile) x (any twice differentiable time factor), since the
-    product (du/dz) conj(u) is then |time factor|^2 times a real profile.
-    """
-    u, du_dz = fieldset.evaluate(z, t, (0, 0), (1, 0))
-    return np.sum(2.0 * np.imag(du_dz * np.conj(u)), axis=(0, 1))
 
 
 @dataclass(frozen=True)
@@ -312,34 +261,6 @@ def relative_drift(charges) -> tuple:
     span1 = float(np.max(q1s) - np.min(q1s)) / scale
     span2 = float(np.max(q2s) - np.min(q2s)) / scale
     return span1, span2
-
-
-def lagrange_residual(fieldset: FieldFunctionSet, z, t) -> float:
-    """max |d2u/dz2 - (1/c^2) d2u/dt2| over components and grid."""
-    d2u_dz2, d2u_dt2 = fieldset.evaluate(z, t, (2, 0), (0, 2))
-    res = d2u_dz2 - d2u_dt2 / fieldset.c**2
-    return float(np.max(np.abs(res), initial=0.0))
-
-
-def x4_continued_charge(fieldset: FieldFunctionSet, t: float = 0.0) -> float:
-    """Scaling-gauge integrand continued to the imaginary-time coordinate.
-
-    For monochromatic u ~ e^{-iEt/hbar} the continuation replaces d/dx4 by
-    the real decay rate -E/(hbar c), giving the nonzero charge integral
-    -2 (E / hbar c) integral sum |u|^2 (V/L) dz.
-    """
-    if fieldset.energy is None or fieldset.hbar is None:
-        raise ValueError("x4 continuation needs a monochromatic set with energy data")
-    rate = fieldset.energy / (fieldset.hbar * fieldset.c)
-    zq, wq = _gauss_legendre(0.0, fieldset.length, N_QUAD)
-    total = float(np.sum(wq * np.abs(fieldset.evaluate(zq, t, (0, 0))) ** 2))
-    return -2.0 * rate * total * fieldset.volume / fieldset.length
-
-
-def analyticity_form_charge(fieldset: FieldFunctionSet, t: float = 0.0) -> float:
-    """The analyticity-derived charge: the continued form times v E/(hbar c)."""
-    scale = fieldset.volume * fieldset.energy / (fieldset.hbar * fieldset.c)
-    return scale * x4_continued_charge(fieldset, t)
 
 
 @dataclass
@@ -446,12 +367,6 @@ class QuantizedFourCurrent:
             res_re = self.re_j4(idx, z, t)
             worst = max(worst, float(np.max(np.abs(safe_block(res_re)))))
         return worst
-
-    def vacuum_im_j3(self, z: float, t: float = 0.0) -> complex:
-        return sum(self.im_j3(idx, z, t)[0, 0] for idx in range(self.model.n_modes))
-
-    def vacuum_im_j4(self, z: float, t: float = 0.0) -> complex:
-        return sum(self.im_j4(idx, z, t)[0, 0] for idx in range(self.model.n_modes))
 
 
 def charge_ratio_estimate(j_e: float, j_h: float) -> float:

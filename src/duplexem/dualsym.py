@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class FieldPair:
@@ -44,15 +42,6 @@ class FieldPair:
         pair, an (n,) array of one norm per row for a batch."""
         norm = np.sqrt(np.sum(np.abs(self.e) ** 2, axis=-1) + np.sum(np.abs(self.h) ** 2, axis=-1))
         return norm if norm.ndim else float(norm)
-
-
-@dataclass(frozen=True)
-class DualAngle:
-    theta: float = 0.0       # circular angle, stored mod 2*pi
-    vartheta: float = 0.0    # hyperbolic rapidity
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", self.theta % TWO_PI)
 
 
 @dataclass(frozen=True)

@@ -78,15 +78,6 @@ def mode_hamiltonian_matrix(dim: int, action: float, omega: float) -> np.ndarray
     return np.diag(action * omega * (n + 0.5)).astype(complex)
 
 
-def space_hamiltonian(model: CavityModel, dim: int, z: float):
-    """Per-mode position-indexed Hamiltonians lambda0 w (a''+ a'' + 1/2)."""
-    _check_inside(model, z)
-    lambda0 = model.constants.lambda0
-    a, ad = phased_ladders(model.wavenumbers, z, dim)
-    return [lambda0 * w * (ad_w @ a_w + 0.5 * np.eye(dim))
-            for w, a_w, ad_w in zip(model.omegas, a, ad)]
-
-
 def trig_ansatz_consistency(dim: int, omega: float, times) -> dict:
     """Consistency check ruling out a+(t) = a+(0) cos(w t).
 
@@ -110,7 +101,8 @@ def trig_ansatz_consistency(dim: int, omega: float, times) -> dict:
 
 def quadrature_pair(a: np.ndarray, ad: np.ndarray, mass: float, omega: float,
                     action: float):
-    """(q, p) built from a ladder pair with the given action constant."""
+    """(q, p) built from a ladder pair with the given action constant; the
+    space-time scheme builds its factor quadratures from it."""
     q = math.sqrt(action / (2.0 * mass * omega)) * (ad + a)
     p = 1j * math.sqrt(action * mass * omega / 2.0) * (ad - a)
     return q, p
@@ -244,29 +236,6 @@ class OperatorField:
             for mat in (self.e_matrix(idx, z, t), self.h_matrix(idx, z, t)):
                 worst = max(worst, float(np.max(np.abs(mat - mat.conj().T))))
         return worst
-
-    def vacuum_e(self, z: float, t: float = 0.0) -> complex:
-        return sum(self.e_matrix(idx, z, t)[0, 0] for idx in range(self.model.n_modes))
-
-    def vacuum_e_squared(self, z: float, t: float = 0.0) -> float:
-        total = 0.0
-        for idx in range(self.model.n_modes):
-            m = self.e_matrix(idx, z, t)
-            total += float((m @ m)[0, 0].real)
-        return total
-
-
-def heisenberg_residual(model: CavityModel, dim: int, alpha_idx: int, t: float) -> float:
-    """|finite-difference da/dt - (1/i hbar)[a, H]| on the safe block, with the
-    central-difference step dt = 1e-6 / w."""
-    hbar = model.constants.hbar
-    w = model.omegas[alpha_idx]
-    dt = 1e-6 / w
-    a_m, a_t, a_p = (phased_ladders([w], tj, dim)[0][0] for tj in (t - dt, t, t + dt))
-    fd = (a_p - a_m) / (2 * dt)
-    ham = mode_hamiltonian_matrix(dim, hbar, w)
-    heis = commutator(a_t, ham) / (1j * hbar)
-    return float(np.max(np.abs(safe_block(fd - heis))))
 
 
 def dump_operator_json(matrix: np.ndarray, scheme: SchemeKind, mode: int, fh):

@@ -27,17 +27,6 @@ class ResonanceParams:
         if self.a_param <= 0:
             raise ValueError("dispersion parameter must be positive")
 
-    @classmethod
-    def from_material(cls, gamma_e, spin, tau, e1, nu0, lattice_a, coupling_j,
-                      chain_length, hbar=1.0):
-        """Build the curvature from material data: A = 2 pi a^2 S |J| / (hbar L)^2-ish.
-
-        a_param = 2 pi a^2 S |J| / (hbar^2 L^2).
-        """
-        a_param = 2.0 * math.pi * lattice_a**2 * spin * abs(coupling_j) \
-            / (hbar**2 * chain_length**2)
-        return cls(gamma_e, spin, tau, e1, nu0, a_param)
-
 
 def mode_amplitude(p: ResonanceParams, n: int, omega: float) -> complex:
     """Amplitude of mode n driven at omega; even modes are dark.
@@ -78,10 +67,3 @@ def fit_dispersion(ns, nus):
     nu0, a_param = float(coef[0]), float(coef[1])
     residuals = nus - (nu0 - a_param * ns**2)
     return nu0, a_param, residuals
-
-
-def splitting_ratio(a_raman: float, a_ir: float) -> float:
-    """Ratio of two fitted curvature parameters (Raman vs infrared data)."""
-    if a_ir == 0:
-        raise ValueError("infrared curvature must be nonzero")
-    return a_raman / a_ir

@@ -133,16 +133,14 @@ def zeta_of(p: SshParams, q: float) -> float:
     return 2.0 * p.alpha1 * p.u * q / p.t0
 
 
-def bogoliubov_coeffs(p: SshParams, q: float, k, sign_branch: int = +1):
-    """(alpha_k, beta_k, alpha_k * beta_k) for one extremum-sign choice.
+def bogoliubov_coeffs(p: SshParams, q: float, k):
+    """(alpha_k, beta_k, alpha_k * beta_k).
 
-    beta^2 = (1 + s * eps/E)/2, alpha^2 = (1 - s * eps/E)/2 with s = +-1 and
-    E = sqrt(eps^2 + Q^2 Delta^2); the product is Q Delta / (2 E) for either
-    choice.  The point eps = Delta = 0 is degenerate; u = 0 uses the
-    no-mixing convention (alpha, beta) = (1, 0).
+    beta^2 = (1 + eps/E)/2, alpha^2 = (1 - eps/E)/2 with
+    E = sqrt(eps^2 + Q^2 Delta^2); the product is Q Delta / (2 E).  The
+    point eps = Delta = 0 is degenerate; u = 0 uses the no-mixing
+    convention (alpha, beta) = (1, 0).
     """
-    if sign_branch not in (+1, -1):
-        raise ValueError("sign_branch must be +1 or -1")
     k = np.asarray(k, dtype=float)
     eps = eps_k(p, k)
     dlt = delta_k(p, k)
@@ -153,8 +151,8 @@ def bogoliubov_coeffs(p: SshParams, q: float, k, sign_branch: int = +1):
     energy = np.hypot(eps, q * dlt)
     if np.any(energy == 0.0):
         raise ValueError("degenerate point eps_k = Delta_k = 0")
-    beta_sq = 0.5 * (1.0 + sign_branch * eps / energy)
-    alpha_sq = 0.5 * (1.0 - sign_branch * eps / energy)
+    beta_sq = 0.5 * (1.0 + eps / energy)
+    alpha_sq = 0.5 * (1.0 - eps / energy)
     product = 0.5 * q * dlt / energy
     alpha = np.sqrt(alpha_sq)
     # beta carries the product's sign so that alpha * beta matches it
@@ -266,7 +264,9 @@ def gap_residual(p: SshParams, q, occ: Occupation = None,
 def gap_residual_discrete(p: SshParams, q, occ: Occupation = None, n_k: int = 64):
     """Brillouin-sum residual: trapezoid k-grid on [0, pi/2a], spin factor 2.
 
-    q may be an array; a number q gives a float.
+    The lattice sum that the continuum integral of `gap_residual` replaces,
+    kept as the oracle the tests compare the continuum solver against.  q may
+    be an array; a number q gives a float.
     """
     occ = occ or Occupation.ground()
     q = np.asarray(q, dtype=float)
@@ -298,10 +298,6 @@ class GapSolution:
     coeffs: BogoliubovCoeffs = None
     energies: dict = field(default_factory=dict)
     stable: dict = field(default_factory=dict)
-
-    @property
-    def multiple_roots(self) -> bool:
-        return len(self.roots) > 1
 
 
 def _scan_roots(fn, grid, vals, route):

@@ -32,12 +32,11 @@ def _cells(name: str, column: np.ndarray) -> list:
     return text[index].tolist()
 
 
-def write_csv(path, header, columns, preamble: str = "") -> None:
+def write_csv(path, header, columns) -> None:
     """Write a header line and equal-length columns as CSV rows.
 
     Each column is a sequence of numbers (bool, int or real float) or of
-    strings.  A complex column raises ValueError naming it.  `preamble`
-    is written verbatim before the header.
+    strings.  A complex column raises ValueError naming it.
     """
     columns = [np.asarray(col) for col in columns]
     if len(columns) != len(header):
@@ -46,7 +45,6 @@ def write_csv(path, header, columns, preamble: str = "") -> None:
     if any(col.shape != (n_rows,) for col in columns):
         raise ValueError("columns must be one-dimensional and of equal length")
     with open(path, "w", newline="") as fh:
-        fh.write(preamble)
         fh.write(",".join(map(_quote, header)) + "\r\n")
         for start in range(0, n_rows, _BLOCK_ROWS):
             block = [_cells(name, col[start:start + _BLOCK_ROWS])

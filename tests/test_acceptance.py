@@ -80,8 +80,8 @@ def test_criterion_03_maxwell_residuals():
     worst = 0.0
     for sol in (cav.FirstSolution(model, state),
                 cav.SecondSolution(model, state),
-                cav.RotatedSolution(cav.FirstSolution(model, state), 0.9),
-                cav.RotatedSolution(cav.SecondSolution(model, state), 2.2)):
+                cav.FirstSolution(model, state).rotated(0.9),
+                cav.SecondSolution(model, state).rotated(2.2)):
         worst = max(worst, *cav.maxwell_residual(sol, z, t, CST))
     _report("3 cavity Maxwell residuals", worst <= 1e-10, f"max {worst:.2e}")
 

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from duplexem.cavity import (AnalyticField, CavityModel, FirstSolution,
-                             ModeState, ReflectedSolution, RotatedSolution,
-                             ScaledSolution, SecondSolution, ZeroField,
-                             assemble_quaternion_field, cauchy_riemann_residual,
-                             dump_field_csv, field_hamiltonian, maxwell_residual,
-                             mode_hamiltonian, mode_q, mode_qprime, mode_qsecond,
-                             quaternion_field_from_rotation)
+from duplexem.cavity import (CavityModel, FirstSolution, ModeState, QuaternionField,
+                             SecondSolution, ZeroField, dump_field_csv, field_hamiltonian,
+                             maxwell_residual, mode_hamiltonian, mode_q)
 from duplexem.constants import PhysicalConstants
 
 CST = PhysicalConstants.symmetric()
@@ -76,7 +72,7 @@ def test_maxwell_residual_dual_rotated():
     rng = np.random.default_rng(4)
     model = make_model()
     for theta in (0.3, 1.1, 2.0):
-        sol = RotatedSolution(FirstSolution(model, random_state(rng)), theta)
+        sol = FirstSolution(model, random_state(rng)).rotated(theta)
         assert max(maxwell_residual(sol, GRID_Z, GRID_T, CST)) <= 1e-10
 
 
@@ -121,41 +117,10 @@ def test_perturbed_field_residual_scaling():
     rng = np.random.default_rng(7)
     model = make_model()
     base = FirstSolution(model, random_state(rng))
-    pert = ScaledSolution(base, 1.0, 1.1)
+    pert = base.scaled(1.0, 1.1)
     res = maxwell_residual(pert, GRID_Z, GRID_T, CST)
     ref = 0.1 * np.max(np.abs(CST.mu0 * base.dh_dt(GRID_Z, GRID_T)))
     assert res[0] == pytest.approx(ref, rel=1e-10)
-
-
-def test_raw_integrals_single_frequency():
-    model = make_model(n_modes=1)
-    state = ModeState.single_mode(1, 1, c1=0.0, c2=1.0)  # q = exp(-i w t)
-    w = model.omegas[0]
-    t = 0.37
-    qp = mode_qprime(model, state, t, raw=True)[0]
-    assert qp == pytest.approx(1j * (np.exp(-1j * w * t) - 1.0), abs=1e-14)
-    qs = mode_qsecond(model, state, t, raw=True)[0]
-    assert qs == pytest.approx(-np.exp(-1j * w * t) + 1.0 - 1j * w * t, abs=1e-13)
-    # constant-dropping convention: q'' = -q
-    assert mode_qsecond(model, state, t)[0] == pytest.approx(
-        -mode_q(model, state, t)[0], abs=1e-14)
-
-
-def test_secular_term_warned():
-    model = make_model(n_modes=1)
-    state = ModeState.single_mode(1, 1, c1=1.0, c2=0.0)
-    with pytest.warns(UserWarning, match="secular"):
-        SecondSolution(model, state, keep_constants=True)
-
-
-def test_second_solution_fields_vanish_at_t0_with_constants():
-    model = make_model(n_modes=2)
-    state = ModeState(np.array([0.3 + 0.1j, -0.2j]), np.array([0.1, 0.4]))
-    with pytest.warns(UserWarning):
-        sol = SecondSolution(model, state, keep_constants=True)
-    z = np.linspace(0, 1, 9)
-    assert np.max(np.abs(sol.e(z, 0.0))) <= 1e-14
-    assert np.max(np.abs(sol.h(z, 0.0))) <= 1e-14
 
 
 def test_second_solution_is_sign_flipped_first():
@@ -170,8 +135,9 @@ def test_second_solution_is_sign_flipped_first():
 
 def test_energy_constant_for_real_single_mode():
     model = make_model()
-    state = ModeState.from_real(np.array([1.3] + [0.0] * 7),
-                                np.array([0.4] + [0.0] * 7))
+    # the real standing form q = B cos(w t + phi) of the first mode
+    b, phi = np.array([1.3] + [0.0] * 7), np.array([0.4] + [0.0] * 7)
+    state = ModeState(0.5 * b * np.exp(1j * phi), 0.5 * b * np.exp(-1j * phi))
     period = 2 * math.pi / model.omegas[0]
     values = np.array([field_hamiltonian(model, state, t)
                        for t in np.linspace(0, period, 17)])
@@ -193,8 +159,8 @@ def test_quaternion_single_sector_is_classical():
     rng = np.random.default_rng(10)
     model = make_model(4)
     sol = FirstSolution(model, random_state(rng, 4))
-    qf = assemble_quaternion_field(sol, ZeroField(model.length),
-                                   ZeroField(model.length), ZeroField(model.length))
+    empty = ZeroField(model.length)
+    qf = QuaternionField({1: sol, 2: empty, 3: empty, 4: empty})
     ce, cj = qf.component_fields()
     assert np.allclose(ce.e(GRID_Z, GRID_T), sol.e(GRID_Z, GRID_T), atol=0.0)
     assert np.max(np.abs(cj.e(GRID_Z, GRID_T))) == 0.0
@@ -205,7 +171,10 @@ def test_quaternion_rotation_split():
     model = make_model(4)
     sol = FirstSolution(model, random_state(rng, 4))
     theta = 0.6
-    qf = quaternion_field_from_rotation(sol, theta)
+    # the cos and sin sectors of a dual rotation
+    qf = QuaternionField({1: sol.scaled(math.cos(theta), math.cos(theta)),
+                          2: sol.scaled(math.sin(theta), math.sin(theta)),
+                          3: ZeroField(model.length), 4: ZeroField(model.length)})
     assert np.allclose(qf.sectors[1].e(GRID_Z, GRID_T),
                        math.cos(theta) * sol.e(GRID_Z, GRID_T), atol=0.0)
     assert np.allclose(qf.sectors[2].e(GRID_Z, GRID_T),
@@ -219,59 +188,18 @@ def test_quaternion_rejects_mismatched_domains():
     a = FirstSolution(make_model(2, length=1.0), random_state(rng, 2))
     b = FirstSolution(make_model(2, length=2.0), random_state(rng, 2))
     with pytest.raises(ValueError):
-        assemble_quaternion_field(a, b, ZeroField(), ZeroField())
+        QuaternionField({1: a, 2: b, 3: ZeroField(), 4: ZeroField()})
 
 
 def test_reflection_flips_cosine_profiles_only():
     # odd-mode standing waves: sine (electric-type) profiles are symmetric
     # about the midpoint, cosine (magnetic-type) profiles change sign
     model = make_model()
-    state = ModeState.single_mode(8, 3, c1=0.5, c2=0.5)
-    sol = FirstSolution(model, state)
-    refl = ReflectedSolution(sol)
+    third = 0.5 * np.eye(8)[2]
+    sol = FirstSolution(model, ModeState(third, third))
+    refl = sol.reflected()
     assert np.max(np.abs(refl.e(GRID_Z, GRID_T) - sol.e(GRID_Z, GRID_T))) <= 1e-13
     assert np.max(np.abs(refl.h(GRID_Z, GRID_T) + sol.h(GRID_Z, GRID_T))) <= 1e-13
-
-
-def _vec(component, axis):
-    def fn(z, t):
-        val = component(z, t)
-        out = np.zeros((3,) + np.shape(val), dtype=complex)
-        out[axis] = val
-        return out
-    return fn
-
-
-def _plane_wave_field(k, w):
-    cosw = lambda z, t: np.cos(k * z - w * t) + 0.0 * z * t
-    d_dz = lambda z, t: -k * np.sin(k * z - w * t) + 0.0 * z * t
-    d_dt = lambda z, t: w * np.sin(k * z - w * t) + 0.0 * z * t
-    return AnalyticField(e=_vec(cosw, 0), h=_vec(cosw, 1),
-                         de_dz=_vec(d_dz, 0), de_dt=_vec(d_dt, 0),
-                         dh_dz=_vec(d_dz, 1), dh_dt=_vec(d_dt, 1))
-
-
-def test_cr_residual_plane_wave():
-    field = _plane_wave_field(k=2.0, w=2.0 * CST.c)
-    assert cauchy_riemann_residual(field, GRID_Z, GRID_T, CST) <= 1e-10
-
-
-def test_cr_residual_static_field():
-    const = lambda z, t: np.ones(np.shape(z) + np.shape(t))
-    zero = lambda z, t: np.zeros((3,) + np.shape(z) + np.shape(t))
-    field = AnalyticField(e=_vec(const, 0), h=_vec(const, 1),
-                          de_dz=zero, de_dt=zero, dh_dz=zero, dh_dt=zero)
-    assert cauchy_riemann_residual(field, GRID_Z, GRID_T, CST) == 0.0
-
-
-def test_cr_residual_electric_only():
-    w = 2.0
-    zero = lambda z, t: np.zeros((3,) + np.shape(z) + np.shape(t))
-    e = _vec(lambda z, t: np.cos(w * t) + 0.0 * z * t, 0)
-    de_dt = _vec(lambda z, t: -w * np.sin(w * t) + 0.0 * z * t, 0)
-    field = AnalyticField(e=e, h=zero, de_dz=zero, de_dt=de_dt,
-                          dh_dz=zero, dh_dt=zero)
-    assert cauchy_riemann_residual(field, GRID_Z, GRID_T, CST) > 0.1
 
 
 def test_field_csv_dump(tmp_path):
@@ -279,9 +207,7 @@ def test_field_csv_dump(tmp_path):
     model = make_model(2)
     sol = FirstSolution(model, random_state(rng, 2))
     path = tmp_path / "field.csv"
-    dump_field_csv(sol, np.linspace(0, 1, 5), np.linspace(0, 1, 4), path,
-                   parity=("P-odd", "t-even"))
+    dump_field_csv(sol, np.linspace(0, 1, 5), np.linspace(0, 1, 4), path)
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# parity:")
-    assert lines[1].split(",")[:2] == ["z", "t"]
-    assert len(lines) == 2 + 5 * 4
+    assert lines[0].split(",")[:2] == ["z", "t"]
+    assert len(lines) == 1 + 5 * 4

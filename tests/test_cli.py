@@ -10,8 +10,7 @@ import pytest
 from duplexem import currents as cur
 from duplexem import fockquant as fq
 from duplexem import sshliquid as ssh
-from duplexem.cavity import (CavityModel, FirstSolution, ModeState, ScaledSolution,
-                             maxwell_residual)
+from duplexem.cavity import CavityModel, FirstSolution, ModeState, maxwell_residual
 from duplexem.cli import SCHEMAS, main
 from duplexem.constants import PhysicalConstants
 from duplexem.currents import ClassicalFourCurrent
@@ -286,7 +285,7 @@ def test_scaled_field_fails_relative_bound_in_si_units():
     model = CavityModel(1.0, 4, PhysicalConstants.si())
     state = ModeState(rng.normal(size=4) + 1j * rng.normal(size=4),
                       rng.normal(size=4) + 1j * rng.normal(size=4))
-    pert = ScaledSolution(FirstSolution(model, state), 1.0, 1.1)
+    pert = FirstSolution(model, state).scaled(1.0, 1.1)
     z = np.linspace(0.0, model.length, 64)
     t = np.linspace(0.0, model.period, 64)
     res = maxwell_residual(pert, z, t, model.constants)
@@ -342,6 +341,15 @@ PINNED_OUTPUTS = {
     "cavity-field-rotated": (["cavity-field"], {"theta": 0.7}, {
         "field.csv": "2a2dabfc6de155d69b23e135ec604f760fc3d0caae963ac16e354d8961a4c6d1",
         "summary.json": "5f9ee504ef251400def23762c709ee759947bd7335be4a76e33a5e5b55f439c4",
+    }),
+    "cavity-field-second": (["cavity-field"], {"solution": "second"}, {
+        "field.csv": "48989bf5c9250e4ab4788393fb6ed73682606564ddb76bb15ad16db82ca22d2b",
+        "summary.json": "e7746feeab584e73ca8e58c76ec09ab6cd51ffd7b68a5733609d2b2b12d1238b",
+    }),
+    "cavity-field-second-si-rotated": (["cavity-field"], {"solution": "second", "units": "si",
+                                                          "theta": 0.3}, {
+        "field.csv": "ffb9e7898f3bf13c3b28d21dafd21546b116682349f90e5c343c80493a14306e",
+        "summary.json": "bb15f3af1d8910edeb06e5e162ec8a53403c8f625bd19f9fde8965ae5cb67089",
     }),
     "dual-invariants": (["dual-invariants", "--random", "10000", "--seed", "7"], None, {
         "dual_invariants.csv": "7e5646df451ec31995683bc270f4179894d71bc239d2a92351f3a8c3fb1a48ac",

@@ -5,11 +5,9 @@ import pytest
 
 from duplexem.cavity import CavityModel, ModeState
 from duplexem.constants import PhysicalConstants
-from duplexem.currents import (ClassicalFourCurrent, FieldFunctionSet, PerturbedCurrent,
-                               QuantizedFourCurrent, analyticity_form_charge, charge_drift,
-                               charge_ratio_estimate, continuity_residual,
-                               lagrange_residual, noether_charge,
-                               phase_gauge_longitudinal, spirality, x4_continued_charge)
+from duplexem.currents import (ClassicalFourCurrent, FieldFunctionSet, QuantizedFourCurrent,
+                               charge_drift, charge_ratio_estimate, continuity_residual,
+                               noether_charge, spirality)
 from duplexem.currents import _gauss_legendre, _leggauss
 
 CST = PhysicalConstants.symmetric()
@@ -77,7 +75,7 @@ def test_zero_state_gives_zero_current():
 
 def test_single_rotating_mode():
     model = make_model()
-    state = ModeState.single_mode(4, 1, c1=1.0)
+    state = ModeState([1.0, 0.0, 0.0, 0.0], np.zeros(4))
     current = ClassicalFourCurrent(model, state)
     # no cross terms: the longitudinal scaling component vanishes
     assert np.max(np.abs(current.j3(GRID_Z, GRID_T, 2))) == 0.0
@@ -86,12 +84,25 @@ def test_single_rotating_mode():
     assert val == pytest.approx(expected)
 
 
+class _PerturbedCurrent(ClassicalFourCurrent):
+    """A current whose scaling-family j4 gains rate * t: a planted continuity fault."""
+
+    def __init__(self, model, state, rate):
+        super().__init__(model, state)
+        self.rate = rate
+
+    def j4(self, z, t, family):
+        return super().j4(z, t, family) + (self.rate * np.asarray(t) if family == 2 else 0.0)
+
+    def dj4_dt(self, z, t, family):
+        return super().dj4_dt(z, t, family) + (self.rate if family == 2 else 0.0)
+
+
 def test_perturbed_current_residual():
     rng = np.random.default_rng(4)
     model = make_model()
-    current = ClassicalFourCurrent(model, random_state(rng))
     rate = 0.37
-    pert = PerturbedCurrent(current, rate=rate)
+    pert = _PerturbedCurrent(model, random_state(rng), rate)
     # in symmetric units |(1/ic) d(rate*t)/dt| = rate
     assert continuity_residual(pert, GRID_Z, GRID_T) == pytest.approx(rate, rel=1e-6)
 
@@ -104,24 +115,19 @@ def test_coarse_grid_rejected():
         continuity_residual(current, np.linspace(0, math.pi, 6), GRID_T)
 
 
-def test_longitudinal_phase_current_vanishes_generally():
-    # real z profile times arbitrary complex weights on all four time bases
-    rng = np.random.default_rng(6)
-    coeffs = np.zeros((2, 2, 4, 3), dtype=complex)
-    coeffs[0, 0] = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))  # u1: sin(k z)
-    coeffs[1, 1] = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))  # u2: cos(k z)
-    fieldset = FieldFunctionSet(coeffs, [1.0, 2.0, 3.0], rng.uniform(1, 3, size=3),
-                                volume=1.0, length=math.pi, c=1.0)
-    z = np.linspace(0, math.pi, 21)
-    for t in (0.0, 0.4, 1.3):
-        assert np.max(np.abs(phase_gauge_longitudinal(fieldset, z, t))) <= 1e-12
-
-
 def test_zero_field_zero_charge():
-    fieldset = FieldFunctionSet(np.zeros((2, 2, 4, 1)), [1.0], [1.0],
+    fieldset = FieldFunctionSet(np.zeros((2, 2, 2, 1)), [1.0], [1.0],
                                 volume=1.0, length=1.0, c=1.0)
     charge = noether_charge(fieldset, 0.3)
     assert charge.q1 == 0.0 and charge.q2 == 0.0 and charge.q == 0.0
+    with pytest.raises(ValueError, match="outside the cavity"):
+        fieldset.evaluate([1.5], 0.0, (0, 0))
+
+
+def _lagrange_residual(fieldset, z, t) -> float:
+    """max |d2u/dz2 - (1/c^2) d2u/dt2| over components and grid."""
+    d2u_dz2, d2u_dt2 = fieldset.evaluate(z, t, (2, 0), (0, 2))
+    return float(np.max(np.abs(d2u_dz2 - d2u_dt2 / fieldset.c**2), initial=0.0))
 
 
 def test_gauge_transform_keeps_field_equations():
@@ -130,8 +136,8 @@ def test_gauge_transform_keeps_field_equations():
     fieldset = FieldFunctionSet.from_cavity(model, random_state(rng))
     z = GRID_Z[:, None]
     t = GRID_T[None, :]
-    base = lagrange_residual(fieldset, z, t)
-    transformed = lagrange_residual(fieldset.scaled(1.7 * np.exp(0.8j)), z, t)
+    base = _lagrange_residual(fieldset, z, t)
+    transformed = _lagrange_residual(fieldset.scaled(1.7 * np.exp(0.8j)), z, t)
     assert base <= 1e-10
     assert transformed <= 2e-10
 
@@ -157,41 +163,16 @@ def test_phase_charge_conserved_for_any_state():
 
 
 def test_non_integrable_set_rejected():
-    coeffs = np.zeros((2, 2, 4, 1), dtype=complex)
+    coeffs = np.zeros((2, 2, 2, 1), dtype=complex)
     coeffs[:, :, 0] = np.inf
     fieldset = FieldFunctionSet(coeffs, [1.0], [1.0], volume=1.0, length=1.0, c=1.0)
     with pytest.raises(ValueError):
         noether_charge(fieldset, 0.0)
 
 
-def test_plane_wave_matches_closed_form():
-    fieldset = FieldFunctionSet.plane_wave(energy=2.5, hbar=1.0, c=1.0, volume=3.0,
-                                           length=1.0, amplitude=0.8 - 0.3j,
-                                           wavenumber=2 * math.pi)
-    z = np.linspace(0.0, 1.0, 9)
-    t = np.array([0.0, 0.3, 1.7])
-    (u1, u2), = fieldset.evaluate(z, t, (0, 0))
-    expect = (0.8 - 0.3j) * np.exp(2j * math.pi * z)[:, None] * np.exp(-2.5j * t)
-    assert np.max(np.abs(u1[0] - expect)) <= 1e-15 and np.all(u2 == 0)
-    # -2 (E / hbar c) |amplitude|^2 L (V / L)
-    assert x4_continued_charge(fieldset) == pytest.approx(-2 * 2.5 * 0.73 * 3.0, rel=1e-12)
-    with pytest.raises(ValueError, match="outside the cavity"):
-        fieldset.evaluate([1.5], 0.0, (0, 0))
-
-
-def test_plane_wave_charge_scaling():
-    fieldset = FieldFunctionSet.plane_wave(energy=2.5, hbar=1.0, c=1.0,
-                                           volume=3.0, length=1.0,
-                                           amplitude=0.8, wavenumber=2 * math.pi)
-    base = x4_continued_charge(fieldset)
-    scaled = analyticity_form_charge(fieldset)
-    assert scaled / base == pytest.approx(
-        fieldset.volume * fieldset.energy / (fieldset.hbar * fieldset.c), rel=1e-12)
-
-
 def _custom_set(modes=slice(None)):
     """Two pairs of free (k, w): u1 = a1 sin(k z) e^{-iwt}, u2 = a2 sin(k z) e^{iwt}."""
-    coeffs = np.zeros((2, 2, 4, 2), dtype=complex)
+    coeffs = np.zeros((2, 2, 2, 2), dtype=complex)
     coeffs[0, 0, 1] = [1.0, 0.4]
     coeffs[1, 0, 0] = [0.7, 1.1]
     k, w = np.array([1.0, 2.0]), np.array([2.0, 5.0])
@@ -240,7 +221,8 @@ def test_quantized_vacuum_nodal_plane():
     model = make_model()
     qc = QuantizedFourCurrent(model, 6)
     # sin(2 k_1 z) = 0 at z = L/2
-    assert abs(qc.vacuum_im_j3(model.length / 2)) <= 1e-14
+    vacuum = sum(qc.im_j3(idx, model.length / 2, 0.0)[0, 0] for idx in range(model.n_modes))
+    assert abs(vacuum) <= 1e-14
 
 
 def test_quantized_vacuum_charge_constant_term():
@@ -248,7 +230,8 @@ def test_quantized_vacuum_charge_constant_term():
     qc = QuantizedFourCurrent(model, 6)
     expected = sum(2j / (CST.c**2 * model.volume) * (-2.0) * w**2
                    for w in model.omegas)
-    assert qc.vacuum_im_j4(0.3) == pytest.approx(expected)
+    vacuum = sum(qc.im_j4(idx, 0.3, 0.0)[0, 0] for idx in range(model.n_modes))
+    assert vacuum == pytest.approx(expected)
 
 
 def test_quantized_requires_dim3():

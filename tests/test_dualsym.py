@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from duplexem.dualsym import (DualAngle, FieldPair, complex_invariant,
+from duplexem.dualsym import (FieldPair, complex_invariant,
                               dual_rotate, hyperbolic_boost_magnitudes,
                               hyperbolic_dual, invariants,
                               lorentz_boost_fields)
@@ -181,12 +181,6 @@ def test_boost_rejects_superluminal():
     f = FieldPair(np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
         lorentz_boost_fields(f, 1.0)
-
-
-def test_angle_reduction():
-    a = DualAngle(theta=2 * math.pi + 0.3, vartheta=-1.0)
-    assert a.theta == pytest.approx(0.3)
-    assert a.vartheta == -1.0
 
 
 def test_field_pair_validation():

@@ -7,11 +7,9 @@ import pytest
 import duplexem.fockquant as fq
 from duplexem.cavity import CavityModel
 from duplexem.constants import PhysicalConstants
-from duplexem.fockquant import (OperatorField, SchemeKind, commutator,
-                                dump_operator_json, heisenberg_residual,
-                                make_ladder, mode_hamiltonian_matrix,
-                                phased_ladders, safe_block, space_hamiltonian,
-                                spacetime_local_operators, tensor_safe_block,
+from duplexem.fockquant import (OperatorField, SchemeKind, commutator, dump_operator_json,
+                                make_ladder, mode_hamiltonian_matrix, phased_ladders,
+                                safe_block, spacetime_local_operators, tensor_safe_block,
                                 trig_ansatz_consistency)
 
 CST = PhysicalConstants.symmetric()
@@ -84,15 +82,15 @@ def test_space_local_rejects_outside_cavity():
     model = make_model()
     with pytest.raises(ValueError):
         OperatorField(model, SchemeKind.SPACE_LOCAL, 6).e_matrix(0, 1.5, 0.0)
-    with pytest.raises(ValueError):
-        space_hamiltonian(model, 6, 1.5)
 
 
 def test_position_hamiltonian_spectrum():
     model = make_model()
     lam = CST.lambda0
-    g = space_hamiltonian(model, 6, 0.3)[0]
+    # the position-indexed Hamiltonian lambda0 w (a''+ a'' + 1/2) of the first mode
+    a, ad = phased_ladders(model.wavenumbers, 0.3, 6)
     w = model.omegas[0]
+    g = lam * w * (ad[0] @ a[0] + 0.5 * np.eye(6))
     # top level excluded by the truncation convention
     for n in range(5):
         assert g[n, n].real == pytest.approx(lam * w * (n + 0.5), rel=1e-12)
@@ -166,15 +164,31 @@ def test_vacuum_expectations():
     model = make_model(3)
     field = OperatorField(model, SchemeKind.TIME_LOCAL, 8)
     z = 0.29
-    assert abs(field.vacuum_e(z, 0.13)) == 0.0
+    modes = range(model.n_modes)
+    assert abs(sum(field.e_matrix(idx, z, 0.13)[0, 0] for idx in modes)) == 0.0
     expected = sum(CST.hbar * w / (model.volume * CST.eps0) * math.sin(k * z) ** 2
                    for w, k in zip(model.omegas, model.wavenumbers))
-    assert field.vacuum_e_squared(z) == pytest.approx(expected, rel=1e-12)
+    squares = sum((field.e_matrix(idx, z, 0.0) @ field.e_matrix(idx, z, 0.0))[0, 0].real
+                  for idx in modes)
+    assert squares == pytest.approx(expected, rel=1e-12)
+
+
+def _heisenberg_residual(model, dim, alpha_idx, t) -> float:
+    """|finite-difference da/dt - (1/i hbar)[a, H]| on the safe block, with the
+    central-difference step dt = 1e-6 / w."""
+    hbar = model.constants.hbar
+    w = model.omegas[alpha_idx]
+    dt = 1e-6 / w
+    a_m, a_t, a_p = (phased_ladders([w], tj, dim)[0][0] for tj in (t - dt, t, t + dt))
+    fd = (a_p - a_m) / (2 * dt)
+    heis = commutator(a_t, mode_hamiltonian_matrix(dim, hbar, w)) / (1j * hbar)
+    return float(np.max(np.abs(safe_block(fd - heis))))
 
 
 def test_heisenberg_consistency():
+    # the time-local ladders obey the Heisenberg equation of the mode Hamiltonian
     model = make_model()
-    assert heisenberg_residual(model, 8, 0, 0.3) <= 1e-8
+    assert _heisenberg_residual(model, 8, 0, 0.3) <= 1e-8
 
 
 def test_number_commutes_with_hamiltonian():

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from duplexem.resonance import (ResonanceParams, dispersion, fit_dispersion,
-                                mode_amplitude, splitting_ratio)
+from duplexem.resonance import ResonanceParams, dispersion, fit_dispersion, mode_amplitude
 
 
 @pytest.fixture
@@ -71,17 +70,6 @@ def test_fit_needs_two_points():
         fit_dispersion([1], [5.0])
 
 
-def test_splitting_ratio():
-    assert splitting_ratio(0.02, 0.01) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        splitting_ratio(1.0, 0.0)
-
-
-def test_material_parameter_consistency():
-    p = ResonanceParams.from_material(gamma_e=1.0, spin=0.5, tau=1.0, e1=1.0,
-                                      nu0=2.0, lattice_a=1.5, coupling_j=-4.0,
-                                      chain_length=30.0, hbar=2.0)
-    expected = 2 * math.pi * 1.5**2 * 0.5 * 4.0 / (2.0**2 * 30.0**2)
-    assert p.a_param == pytest.approx(expected, rel=1e-14)
+def test_params_reject_nonpositive_curvature():
     with pytest.raises(ValueError):
         ResonanceParams(1.0, 0.5, 1.0, 1.0, 5.0, a_param=-0.1)

@@ -1,7 +1,6 @@
 """Coefficient maps of SpectralField against evaluations written out here."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -21,16 +20,9 @@ def random_state(rng, n_modes):
                      0.4 * (rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)))
 
 
-def second_with_constants(model, state):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return SecondSolution(model, state, keep_constants=True)
-
-
 FAMILIES = {
     "first": FirstSolution,
     "second": SecondSolution,
-    "second_raw": second_with_constants,
 }
 
 
@@ -133,9 +125,11 @@ def test_derivatives_match_central_differences(family, constants):
 
 def test_spectral_field_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        SpectralField(1.0, [np.pi], [np.pi], np.zeros((2, 2, 2, 4, 2)))
+        SpectralField(1.0, [np.pi], [np.pi], np.zeros((2, 2, 2, 2, 2)))
     with pytest.raises(ValueError):
-        SpectralField(1.0, [np.pi], [np.pi, 2.0], np.zeros((2, 2, 2, 4, 1)))
+        SpectralField(1.0, [np.pi], [np.pi, 2.0], np.zeros((2, 2, 2, 2, 1)))
+    with pytest.raises(ValueError):   # the time basis has two entries, e^{+-iwt}
+        SpectralField(1.0, [np.pi], [np.pi], np.zeros((2, 2, 2, 4, 1)))
 
 
 def test_maxwell_residual_evaluates_each_derivative_once():

@@ -54,21 +54,15 @@ def test_product_identity_random():
     for _ in range(200):
         k = rng.uniform(0.01, 0.49) * math.pi
         q = rng.uniform(-3, 3)
-        for sign in (+1, -1):
-            alpha, beta, prod = bogoliubov_coeffs(p, q, k, sign)
-            assert abs(prod**2 - alpha**2 * beta**2) <= 1e-14
-            assert abs(alpha**2 + beta**2 - 1.0) <= 1e-14
+        alpha, beta, prod = bogoliubov_coeffs(p, q, k)
+        assert abs(prod**2 - alpha**2 * beta**2) <= 1e-14
+        assert abs(alpha**2 + beta**2 - 1.0) <= 1e-14
 
 
 def test_undimerized_convention():
     p = base_params(u=0.0)
     alpha, beta, prod = bogoliubov_coeffs(p, 2.0, 0.3)
     assert float(alpha) == 1.0 and float(beta) == 0.0 and float(prod) == 0.0
-
-
-def test_sign_branch_validation():
-    with pytest.raises(ValueError):
-        bogoliubov_coeffs(base_params(), 1.0, 0.3, sign_branch=2)
 
 
 # --- gap equation -----------------------------------------------------------
@@ -303,7 +297,7 @@ def test_exact_case_factor():
     p = base_params(alpha2=a2, u=-2.0 / (n_sites * a2), n_sites=n_sites)
     sol = solve_gap(p, form="reduced")
     target = a2 * n_sites / 4.0
-    assert sol.multiple_roots
+    assert len(sol.roots) > 1
     assert abs(max(sol.roots) - target) <= 1e-10
     assert abs(min(sol.roots) + target) <= 1e-10
     assert sol.regime == "exact_case"
