@@ -198,12 +198,14 @@ def _rotation_drift(rng, count: int) -> tuple:
 def _oscillator_defects(dim: int, action: float, omega: float) -> tuple:
     """(ladder, spectrum) defects of the dim-level truncated oscillator:
     max |[a, a+] - 1| on the safe block, and the lowest dim - 1 eigenvalues
-    of the Hamiltonian against those of action * omega * (a+ a + 1/2)."""
+    of the Hamiltonian against those of action * omega * (a+ a + 1/2), in
+    units of the level spacing action * omega, so in any unit system."""
     a, ad = fq.make_ladder(dim)
     comm = np.max(np.abs(fq.safe_block(fq.commutator(a, ad)) - np.eye(dim - 1)))
     levels = np.linalg.eigvalsh(fq.mode_hamiltonian_matrix(dim, action, omega))
     target = np.linalg.eigvalsh(action * omega * (ad @ a + 0.5 * np.eye(dim)))
-    return float(comm), float(np.max(np.abs(levels[:dim - 1] - target[:dim - 1])))
+    spectrum = np.max(np.abs(levels[:dim - 1] - target[:dim - 1])) / (action * omega)
+    return float(comm), float(spectrum)
 
 
 def cmd_dual_invariants(args) -> int:

@@ -114,7 +114,8 @@ def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
     Returns one dict per mode with the ladder matrices ``a`` and ``adag``,
     ``g_deviation``, the largest deviation on the safe block of the average
     of the ordered canonical products g1, g2 (the index-swapped pair g3, g4
-    coincides with them) from the scalar -hbar*lambda0, and
+    coincides with them) from the scalar -hbar*lambda0, relative to
+    hbar*lambda0 so that it reads the same in any unit system, and
     ``formal_commutator``, the ladder commutator obtained by substituting
     that average into the canonical algebra (equal to -i times identity on
     the safe block; the literal tensor-product commutator of a and adag
@@ -144,7 +145,8 @@ def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
         out.append({
             "a": (m * w * qzt + 1j * pzt) / norm,
             "adag": (m * w * qzt - 1j * pzt) / norm,
-            "g_deviation": float(np.max(np.abs(tensor_safe_block(dev_matrix, dim)))),
+            "g_deviation": float(np.max(np.abs(tensor_safe_block(dev_matrix, dim)))
+                                 / (hbar * lambda0)),
             "formal_commutator": (1j / (hbar * lambda0)) * g_avg,
         })
     return out

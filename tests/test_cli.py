@@ -331,8 +331,8 @@ def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
 # any written bit fails here
 PINNED_OUTPUTS = {
     "verify-all": (["verify-all", "--seed", "42"], None, {
-        "summary.json": "55c1e8d77e09eed43a02253e0ab98103f0ccac244429ceef9c0849c8c9521624",
-        "verify.csv": "843eab7eddda2b39163c2cd9deedbc3c5994c3ce0264786a6fc7aeb75a07cff9",
+        "summary.json": "013c0d07e1fc775e157060f8982427e2996aeb28607e95070495c10a46f54dde",
+        "verify.csv": "9efeadc7776956848083de4515a942fefbfd46200adcc4707922879f6e84410e",
     }),
     "currents": (["currents"], None, {
         "currents.csv": "e792ac74d1210e462a40a55d9ed1b19276c738a98b05c0b1d0bcc45c79bb0e5a",
@@ -358,7 +358,7 @@ PINNED_OUTPUTS = {
     "quantize-spacetime": (["quantize"], {"scheme": "spacetime_local"}, {
         "operator_e_mode1.json": "bf296d9a35c144e1d0a7969240b5e8fa308a136f402248cff298170ccfc1b636",
         "operator_e_mode2.json": "d38b883881fbdec8a1205c4215da28fb83f21913c35f5f75b2b6708376093a42",
-        "summary.json": "72774de74a6a0e4fcb986ef88738bf207218fd2f02474a58635f6e03e9be0478",
+        "summary.json": "4a1c84cfda8a6af47d9049a4cbf2f96b54515fcc83255bb6700795fac86c36f5",
     }),
     "ssh-solve": (["ssh-solve"], None, {
         "gap_solution.csv": "133a11ac6a69f06d93a2166848f72b37aed463aab26e8bc9d1ff4c336f1ffb22",
@@ -451,6 +451,34 @@ def test_spectrum_defect_fails_a_wrong_hamiltonian(tmp_path, capsys, monkeypatch
     checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
     assert checks["spectrum_defect"] > 1e-3
     assert checks["ladder_commutator_defect"] <= 1e-12 and checks["hermiticity_defect"] <= 1e-12
+
+
+@pytest.mark.parametrize("check", ["spectrum_defect", "g_symmetrized_deviation"])
+def test_quantize_checks_fail_a_planted_fault_in_si_units(tmp_path, capsys, monkeypatch, check):
+    # hbar omega ~ 1e-25 J and hbar lambda0 ~ 1e-68 in SI units: a check
+    # against an absolute 1e-12 would pass any Hamiltonian and any g there
+    cfg = {"units": "si"}
+    if check == "spectrum_defect":
+        build = fq.mode_hamiltonian_matrix
+
+        def planted(dim, action, omega):   # the zero-point 1/2 dropped
+            return build(dim, action, omega) - 0.5 * action * omega * np.eye(dim)
+
+        monkeypatch.setattr(fq, "mode_hamiltonian_matrix", planted)
+    else:
+        cfg["scheme"] = "spacetime_local"
+        pair = fq.quadrature_pair
+
+        def planted(a, ad, mass, omega, action):   # p one part in 1e3 too large
+            q, p = pair(a, ad, mass, omega, action)
+            return q, 1.001 * p
+
+        monkeypatch.setattr(fq, "quadrature_pair", planted)
+    (tmp_path / "si.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", str(tmp_path / "si.json"), "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert json.loads((out / "summary.json").read_text())["checks"][check] > 1e-4
 
 
 @pytest.mark.parametrize("command", ["ssh-solve", "ssh-sweep"])
