@@ -24,9 +24,9 @@ one complex array ``coeffs[field, axis, profile, basis, mode]``:
     basis    0: exp(i w_a t), 1: exp(-i w_a t)
 
 so that, e.g., E_x = sum over profile p, basis b and mode a of
-coeffs[0, 0, p, b, a] Z_p(k_a z) T_b(w_a t).  Derivatives, dual rotation, scaling,
-reflection z -> L - z and linear combinations are exact maps on this
-array; only evaluation touches the (z, t) grid.
+coeffs[0, 0, p, b, a] Z_p(k_a z) T_b(w_a t).  Derivatives, dual
+rotation, scaling, reflection z -> L - z and linear combinations are exact
+maps on this array; only evaluation touches the (z, t) grid.
 """
 
 from __future__ import annotations
