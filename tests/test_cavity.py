@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from duplexem.cavity import (CavityModel, FirstSolution, ModeState, QuaternionField,
-                             SecondSolution, ZeroField, dump_field_csv, field_hamiltonian,
-                             maxwell_residual, mode_hamiltonian, mode_q)
+                             SecondSolution, SpectralField, ZeroField, dump_field_csv,
+                             field_hamiltonian, maxwell_residual, mode_hamiltonian, mode_q)
 from duplexem.constants import PhysicalConstants
 
 CST = PhysicalConstants.symmetric()
@@ -200,6 +200,47 @@ def test_reflection_flips_cosine_profiles_only():
     refl = sol.reflected()
     assert np.max(np.abs(refl.e(GRID_Z, GRID_T) - sol.e(GRID_Z, GRID_T))) <= 1e-13
     assert np.max(np.abs(refl.h(GRID_Z, GRID_T) + sol.h(GRID_Z, GRID_T))) <= 1e-13
+
+
+def cauchy_riemann_residual(field, z, t, constants) -> float:
+    """Analyticity residual of F = H - iE in the variable z + ict.
+
+    After substituting the imaginary time coordinate, the component-wise
+    analyticity condition becomes the transport equation
+    (d/dz + (1/c) d/dt) F = 0, satisfied by forward-propagating free
+    fields and violated e.g. by a time-varying field with H = 0.
+    """
+    f_dz = field.dh_dz(z, t) - 1j * field.de_dz(z, t)
+    f_dt = field.dh_dt(z, t) - 1j * field.de_dt(z, t)
+    return float(np.max(np.abs(f_dz + f_dt / constants.c)))
+
+
+def _one_mode_field(k, w, ex, hy):
+    """E_x and H_y of one (k, w) pair; ex, hy: coefficients [profile, basis]."""
+    coeffs = np.zeros((2, 2, 2, 2, 1), dtype=complex)
+    coeffs[0, 0, :, :, 0] = ex
+    coeffs[1, 1, :, :, 0] = hy
+    return SpectralField(1.0, [k], [w], coeffs)
+
+
+def test_cr_residual_plane_wave():
+    # cos(k z - w t) = cos(k z) cos(w t) + sin(k z) sin(w t) in both E_x and H_y
+    k = 2.0
+    wave = np.array([[-0.5j, 0.5j], [0.5, 0.5]])
+    field = _one_mode_field(k, k * CST.c, wave, wave)
+    assert cauchy_riemann_residual(field, GRID_Z, GRID_T, CST) <= 1e-10
+
+
+def test_cr_residual_static_field():
+    const = np.array([[0.0, 0.0], [1.0, 0.0]])  # cos(0 z) e^{i 0 t} = 1
+    field = _one_mode_field(0.0, 0.0, const, const)
+    assert cauchy_riemann_residual(field, GRID_Z, GRID_T, CST) == 0.0
+
+
+def test_cr_residual_electric_only():
+    # E_x = cos(w t), H = 0
+    field = _one_mode_field(0.0, 2.0, np.array([[0.0, 0.0], [0.5, 0.5]]), np.zeros((2, 2)))
+    assert cauchy_riemann_residual(field, GRID_Z, GRID_T, CST) > 0.1
 
 
 def test_field_csv_dump(tmp_path):

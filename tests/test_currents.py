@@ -115,13 +115,31 @@ def test_coarse_grid_rejected():
         continuity_residual(current, np.linspace(0, math.pi, 6), GRID_T)
 
 
+def _phase_gauge_longitudinal(fieldset, z, t):
+    """Longitudinal phase-gauge current density, sum 2 Im((du/dz) conj(u))."""
+    u, du_dz = fieldset.evaluate(z, t, (0, 0), (1, 0))
+    return np.sum(2.0 * np.imag(du_dz * np.conj(u)), axis=(0, 1))
+
+
+def test_longitudinal_phase_current_vanishes_generally():
+    # real z profile times arbitrary complex weights on both time bases:
+    # (du/dz) conj(u) is then |time factor|^2 times a real profile
+    rng = np.random.default_rng(6)
+    coeffs = np.zeros((2, 2, 2, 3), dtype=complex)
+    coeffs[0, 0] = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))  # u1: sin(k z)
+    coeffs[1, 1] = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))  # u2: cos(k z)
+    fieldset = FieldFunctionSet(coeffs, [1.0, 2.0, 3.0], rng.uniform(1, 3, size=3),
+                                volume=1.0, length=math.pi, c=1.0)
+    z = np.linspace(0, math.pi, 21)
+    for t in (0.0, 0.4, 1.3):
+        assert np.max(np.abs(_phase_gauge_longitudinal(fieldset, z, t))) <= 1e-12
+
+
 def test_zero_field_zero_charge():
     fieldset = FieldFunctionSet(np.zeros((2, 2, 2, 1)), [1.0], [1.0],
                                 volume=1.0, length=1.0, c=1.0)
     charge = noether_charge(fieldset, 0.3)
     assert charge.q1 == 0.0 and charge.q2 == 0.0 and charge.q == 0.0
-    with pytest.raises(ValueError, match="outside the cavity"):
-        fieldset.evaluate([1.5], 0.0, (0, 0))
 
 
 def _lagrange_residual(fieldset, z, t) -> float:
@@ -168,6 +186,44 @@ def test_non_integrable_set_rejected():
     fieldset = FieldFunctionSet(coeffs, [1.0], [1.0], volume=1.0, length=1.0, c=1.0)
     with pytest.raises(ValueError):
         noether_charge(fieldset, 0.0)
+
+
+def _plane_wave(energy, hbar, c, volume, length, amplitude, wavenumber):
+    """Monochromatic u1 = amplitude e^{i kappa z} e^{-i E t / hbar}, with u2 = 0."""
+    coeffs = np.zeros((2, 2, 2, 1), dtype=complex)
+    # amplitude (i sin(kappa z) + cos(kappa z)) on the e^{-i w t} basis
+    coeffs[0, :, 1, 0] = 1j * amplitude, amplitude
+    return FieldFunctionSet(coeffs, [wavenumber], [energy / hbar], volume, length, c)
+
+
+def test_plane_wave_matches_closed_form():
+    fieldset = _plane_wave(energy=2.5, hbar=1.0, c=1.0, volume=3.0, length=1.0,
+                           amplitude=0.8 - 0.3j, wavenumber=2 * math.pi)
+    z = np.linspace(0.0, 1.0, 9)
+    t = np.array([0.0, 0.3, 1.7])
+    (u1, u2), = fieldset.evaluate(z, t, (0, 0))
+    expect = (0.8 - 0.3j) * np.exp(2j * math.pi * z)[:, None] * np.exp(-2.5j * t)
+    assert np.max(np.abs(u1[0] - expect)) <= 1e-15 and np.all(u2 == 0)
+    # the phase charge: -2 (E / hbar c) |amplitude|^2 L (V / L)
+    assert noether_charge(fieldset, 0.0).q1 == pytest.approx(-2 * 2.5 * 0.73 * 3.0, rel=1e-12)
+    with pytest.raises(ValueError, match="outside the cavity"):
+        fieldset.evaluate([1.5], 0.0, (0, 0))
+
+
+def test_plane_wave_charge_scaling():
+    # q1 = -2 (E / hbar c) |amplitude|^2 V at every t; the scaling charge q2 vanishes
+    def charge(energy=2.5, hbar=1.0, c=1.0, volume=3.0, amplitude=0.8, t=0.0):
+        return noether_charge(_plane_wave(energy, hbar, c, volume, 1.0, amplitude,
+                                          2 * math.pi), t)
+
+    base = charge()
+    assert base.q1 == pytest.approx(-2 * 2.5 * 0.64 * 3.0, rel=1e-12)
+    for kwargs, ratio in (({"amplitude": 1.6j}, 4.0), ({"energy": 5.0}, 2.0),
+                          ({"hbar": 2.0}, 0.5), ({"c": 4.0}, 0.25),
+                          ({"volume": 6.0}, 2.0), ({"t": 1.3}, 1.0)):
+        scaled = charge(**kwargs)
+        assert scaled.q1 / base.q1 == pytest.approx(ratio, rel=1e-12)
+        assert abs(scaled.q2) <= 1e-12 * abs(scaled.q1)
 
 
 def _custom_set(modes=slice(None)):

@@ -183,6 +183,17 @@ def test_boost_rejects_superluminal():
         lorentz_boost_fields(f, 1.0)
 
 
+def test_angle_reduction():
+    # the circular angle acts modulo 2 pi; a rapidity is undone by its negative
+    rng = np.random.default_rng(14)
+    f = random_pair(rng)
+    reduced, direct = dual_rotate(f, 2 * math.pi + 0.3), dual_rotate(f, 0.3)
+    assert np.allclose(reduced.e, direct.e, atol=1e-15)
+    assert np.allclose(reduced.h, direct.h, atol=1e-15)
+    back = hyperbolic_dual(hyperbolic_dual(f, 1.0), -1.0)
+    assert np.allclose(back.e, f.e, atol=1e-14) and np.allclose(back.h, f.h, atol=1e-14)
+
+
 def test_field_pair_validation():
     with pytest.raises(ValueError):
         FieldPair(np.ones(2), np.ones(3))

@@ -70,6 +70,6 @@ def test_fit_needs_two_points():
         fit_dispersion([1], [5.0])
 
 
-def test_params_reject_nonpositive_curvature():
+def test_material_parameter_consistency():
     with pytest.raises(ValueError):
         ResonanceParams(1.0, 0.5, 1.0, 1.0, 5.0, a_param=-0.1)
