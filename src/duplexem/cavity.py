@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,6 +162,56 @@ def _time_sum(omegas, coeffs, t) -> np.ndarray:
     return c[0] * phase + c[1] * phase.conj()
 
 
+def _mode_sum(coeffs, wavenumbers, omegas, z, t) -> np.ndarray:
+    """sum_pba coeffs[..., p, b, a] Z_p(k_a z) T_b(w_a t) on the outer (z, t) grid.
+
+    Returns shape coeffs.shape[:-3] + shape(z) + shape(t).
+    """
+    z = np.asarray(z, dtype=float)
+    t = np.asarray(t, dtype=float)
+    lead = coeffs.shape[:-3]
+    # all-zero profiles are skipped: an unrotated field has one per component
+    live = [p for p, used in enumerate(coeffs.any(axis=(*range(len(lead)), -2, -1))) if used]
+    if not live:
+        return np.zeros(lead + z.shape + t.shape, dtype=complex)
+    kz = _expand(wavenumbers, z.ndim) * z
+    zpart = np.concatenate([(np.sin, np.cos)[p](kz) for p in live])
+    tpart = np.concatenate([_time_sum(omegas, coeffs[..., p, :, :], t) for p in live],
+                           axis=len(lead))
+    # the mode sum as one matrix product over the stacked (profile, mode) axis
+    grid = zpart.reshape(len(zpart), -1).T @ tpart.reshape(lead + (len(zpart), -1))
+    return grid.reshape(lead + z.shape + t.shape)
+
+
+def _mode_terms(coeffs, wavenumbers, omegas, z, t) -> np.ndarray:
+    """sum_pb coeffs[..., p, b, a] Z_p(k_a z) T_b(w_a t) per mode a, on the outer (z, t) grid.
+
+    Returns shape coeffs.shape[:-3] + (n_modes,) + shape(z) + shape(t).
+    """
+    z = np.asarray(z, dtype=float)
+    t = np.asarray(t, dtype=float)
+    kz = _expand(wavenumbers, z.ndim) * z
+    kz = kz.reshape(kz.shape + (1,) * t.ndim)
+    tpart = _time_sum(omegas, coeffs, t)  # [..., profile, mode] + shape(t)
+    tpart = tpart.reshape(tpart.shape[:coeffs.ndim - 1] + (1,) * z.ndim + t.shape)
+    sin_part, cos_part = np.moveaxis(tpart, coeffs.ndim - 3, 0)
+    return np.sin(kz) * sin_part + np.cos(kz) * cos_part
+
+
+@lru_cache(maxsize=8)
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(a, b, n):
+    x, w = _leggauss(n)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
 def mode_q(model: CavityModel, state: ModeState, t, deriv: int = 0) -> np.ndarray:
     """q_a(t) or its time derivatives; shape (n_modes,) + shape(t)."""
     coeffs = _time_coeffs(model, state)
@@ -265,18 +316,7 @@ class SpectralField(FieldOnSegment):
 
         Returns sum_pba coeffs[p, b, a] Z_p(k_a z) T_b(w_a t) on the outer (z, t) grid.
         """
-        z = _inside(z, self.length)
-        t = np.asarray(t, dtype=float)
-        # all-zero profiles are skipped: an unrotated field has one per component
-        live = [p for p, used in enumerate(coeffs.any(axis=(1, 2))) if used]
-        if not live:
-            return np.zeros(z.shape + t.shape, dtype=complex)
-        kz = _expand(self.wavenumbers, z.ndim) * z
-        zpart = np.concatenate([(np.sin, np.cos)[p](kz) for p in live])
-        tpart = np.concatenate([_time_sum(self.omegas, coeffs[p], t) for p in live])
-        # the mode sum as one matrix product over the stacked (profile, mode) axis
-        grid = zpart.reshape(len(zpart), -1).T @ tpart.reshape(len(tpart), -1)
-        return grid.reshape(z.shape + t.shape)
+        return _mode_sum(coeffs, self.wavenumbers, self.omegas, _inside(z, self.length), t)
 
     def _eval(self, coeffs, z, t):
         """Vector field of one field's coefficients [axis, profile, basis, mode]."""
@@ -462,7 +502,6 @@ def field_hamiltonian(model: CavityModel, state: ModeState, t) -> complex:
     It is one side of the oscillator picture of the field: this energy
     equals the sum of the mode oscillators' energies.
     """
-    from .currents import _gauss_legendre  # currents imports this module
     zq, wq = _gauss_legendre(0.0, model.length, max(32, 4 * model.n_modes))
     sol = FirstSolution(model, state)
     ex = sol.e(zq, t)[0]

@@ -214,7 +214,6 @@ def cmd_dual_invariants(args) -> int:
         raise ConfigError(f"--random must be a positive sample count, got {count}")
     out = _outdir(args)
     rng = np.random.default_rng(args.seed)
-    tol = args.tol if args.tol is not None else 1e-12
     theta, k_ref, k_rot, drift = _rotation_drift(rng, count)
     worst = float(np.max(drift))
     _write_csv(out / "dual_invariants.csv",
@@ -225,19 +224,17 @@ def cmd_dual_invariants(args) -> int:
         "formula": "K = I1'^2 + I2'^2",
         "samples": count,
         "max_relative_drift": worst,
-        "bound": tol,
-        "passed": bool(worst <= tol),
+        "bound": args.tol,
+        "passed": bool(worst <= args.tol),
     })
     log.info("dual-invariants: max drift %.3e over %d samples", worst, count)
-    return 0 if worst <= tol else 1
+    return 0 if worst <= args.tol else 1
 
 
 def cmd_cavity_field(args) -> int:
     out = _outdir(args)
     cfg = _load_config(args.config, SCHEMAS["cavity-field"])
     model, state = _model_from_cfg(cfg)
-    # relative: each residual against the largest term its equation cancels
-    tol = args.tol if args.tol is not None else 1e-12
     family = cav.FirstSolution if cfg["solution"] == "first" else cav.SecondSolution
     sol = family(model, state)
     if cfg["theta"]:
@@ -249,13 +246,14 @@ def cmd_cavity_field(args) -> int:
     except cav.SamplingError as exc:
         raise _coarse_grid(exc, cfg) from exc
     cav.dump_field_csv(sol, z, t, out / "field.csv")
-    passed = all(r <= tol * scale for r, scale in zip(residuals, residuals.scales))
+    # relative: each residual against the largest term its equation cancels
+    passed = all(r <= args.tol * scale for r, scale in zip(residuals, residuals.scales))
     _write_json(out / "summary.json", {
         "quantity": "generalized-equation residuals",
         "formula": "curl E + mu0 dH/dt; curl H - eps0 dE/dt; div E; div H",
         "residuals": list(residuals),
         "scales": list(residuals.scales),
-        "bound": tol,
+        "bound": args.tol,
         "passed": passed,
     })
     return 0 if passed else 1
@@ -267,7 +265,6 @@ def cmd_quantize(args) -> int:
     model = _cavity_model(cfg)
     cst = model.constants
     dim, z = cfg["dim"], cfg["z"]
-    tol = args.tol if args.tol is not None else 1e-12
     kind = fq.SchemeKind(cfg["scheme"])
     t = 0.1 * model.period if cfg["t"] is None else cfg["t"]
     if not 0.0 <= z <= model.length:
@@ -297,17 +294,16 @@ def cmd_quantize(args) -> int:
         "quantity": "quantization checks",
         "formula": "[a, a+] = 1 (safe block); H = action * w * (n + 1/2)",
         "checks": checks,
-        "bound": tol,
-        "passed": bool(worst <= tol),
+        "bound": args.tol,
+        "passed": bool(worst <= args.tol),
     })
-    return 0 if worst <= tol else 1
+    return 0 if worst <= args.tol else 1
 
 
 def cmd_currents(args) -> int:
     out = _outdir(args)
     cfg = _load_config(args.config, SCHEMAS["currents"])
     model, state = _model_from_cfg(cfg)
-    tol = args.tol if args.tol is not None else 1e-8
     current = cur.ClassicalFourCurrent(model, state, coupling=cfg["coupling"])
     fieldset = cur.FieldFunctionSet.from_cavity(model, state)
     z = np.linspace(0.0, model.length, cfg["nz"])
@@ -318,7 +314,7 @@ def cmd_currents(args) -> int:
         raise _coarse_grid(exc, cfg) from exc
     charges = [cur.noether_charge(fieldset, tj) for tj in t]  # the table's and the drift's
     per_t = [[c.q1 for c in charges], [c.q2 for c in charges],
-             [cur.spirality(fieldset, tj).s4_3 for tj in t]]
+             [cur.spirality(fieldset, tj) for tj in t]]
     # rows are t-major: transpose the (z, t) grids before flattening
     j3 = (current.j3(z, t, 1) + 1j * current.j3(z, t, 2)).T.ravel()
     j4 = (current.j4(z, t, 1) + 1j * current.j4(z, t, 2)).T.ravel()
@@ -333,10 +329,10 @@ def cmd_currents(args) -> int:
         "formula": "d j3/dz + d j4/dx4 = 0; dQ/dt = 0",
         "continuity_residual": cont,
         "charge_drift": list(drift),
-        "bound": tol,
-        "passed": bool(worst <= tol),
+        "bound": args.tol,
+        "passed": bool(worst <= args.tol),
     })
-    return 0 if worst <= tol else 1
+    return 0 if worst <= args.tol else 1
 
 
 def cmd_resonance_fit(args) -> int:
@@ -370,14 +366,14 @@ def cmd_resonance_fit(args) -> int:
 
 
 def _solve_ssh(cfg) -> tuple:
-    """(SshParams, gap solution) of an ssh config; GapSolverError if no root."""
+    """(SshParams, Occupation, gap solution) of an ssh config; GapSolverError if no root."""
     params = ssh.SshParams(
         t0=cfg["t0"], alpha1=cfg["alpha1"], alpha2=cfg["alpha2"], u=cfg["u"],
         k_spring=cfg["K_spring"], n_sites=cfg["N"], a_lattice=cfg["a"],
     )
     occ = ssh.Occupation.ground() if cfg["occupation"] == "ground" \
         else ssh.Occupation.inverted()
-    return params, ssh.solve_gap(params, occ, form=cfg["form"])
+    return params, occ, ssh.solve_gap(params, occ, form=cfg["form"])
 
 
 def _ssh_failure(out: Path, exc: RuntimeError) -> int:
@@ -397,19 +393,22 @@ def cmd_ssh_solve(args) -> int:
     else:
         span = 4.0 * abs(cfg["u"]) if cfg["u"] else 0.4
         u_grid = np.linspace(-span, span, 41)
-    tol = args.tol if args.tol is not None else 1e-10
     try:
-        params, sol = _solve_ssh(cfg)
+        params, occ, sol = _solve_ssh(cfg)
     except ssh.GapSolverError as exc:
         return _ssh_failure(out, exc)
+    # the quasiparticle table at the primary root, on 201 points of [0, pi / 2a]
+    k = np.linspace(0.0, 0.5 * math.pi / params.a_lattice, 201)
+    alpha, beta, _ = ssh.bogoliubov_coeffs(params, sol.q, k)
     branches = (ssh.BRANCH_NEAR_EQ, ssh.BRANCH_SSH)
-    codes = [100 * c1 + 10 * c2 + c3
-             for c1, c2, c3 in (sol.stable[branch] for branch in branches)]
+    codes = [100 * c1 + 10 * c2 + c3 for c1, c2, c3 in
+             (ssh.stability_classify(params, sol.q, k, occ, branch) for branch in branches)]
     _write_csv(out / "gap_solution.csv",
                ["k", "alpha_k", "beta_k", "E_c_near_equilibrium", "E_c_ssh_like",
                 "stability_near_equilibrium", "stability_ssh_like"],
-               [sol.k_grid, sol.coeffs.alpha_k, sol.coeffs.beta_k,
-                *(sol.energies[branch][0] for branch in branches), *codes])
+               [k, alpha, beta,
+                *(ssh.band_energies(params, sol.q, k, branch)[0] for branch in branches),
+                *codes])
     try:
         curve = ssh.ground_state_energy(params, sol.q, u_grid)
     except ssh.WellEdgeError as exc:
@@ -425,9 +424,9 @@ def cmd_ssh_solve(args) -> int:
         "u0": curve.u0,
         "well_depth": curve.well_depth,
         "double_well": curve.double_well,
-        "passed": bool(sol.residual <= tol),
+        "passed": bool(sol.residual <= args.tol),
     })
-    return 0 if sol.residual <= tol else 1
+    return 0 if sol.residual <= args.tol else 1
 
 
 def cmd_ssh_sweep(args) -> int:
@@ -437,7 +436,7 @@ def cmd_ssh_sweep(args) -> int:
         raise ConfigError("ssh-sweep needs u_scan: [min, max, steps]")
     u_grid = np.linspace(*cfg["u_scan"])
     try:
-        params, sol = _solve_ssh(cfg)
+        params, _, sol = _solve_ssh(cfg)
     except ssh.GapSolverError as exc:
         return _ssh_failure(out, exc)
     curve = ssh.GroundStateCurve(params, sol.q, u_grid)
@@ -533,7 +532,7 @@ def _verify_checks(seed: int):
     tc = np.linspace(0, cur_model.period, 8)
     add("classical_continuity", cur.continuity_residual(current, zc, tc), 1e-10)
     qcur = cur.QuantizedFourCurrent(cur_model, 8)
-    add("operator_continuity", qcur.continuity_residual(0.4, 0.3), 1e-10)
+    add("operator_continuity", cur.continuity_residual(qcur, 0.4, 0.3), 1e-10)
     rot_state = cav.ModeState(0.4 * (rng.normal(size=4) + 1j * rng.normal(size=4)),
                               np.zeros(4))
     fieldset = cur.FieldFunctionSet.from_cavity(cur_model, rot_state)
@@ -611,6 +610,27 @@ def cmd_verify_all(args) -> int:
     return 0 if n_fail == 0 else 1
 
 
+# the subcommands that draw random numbers, and the default bound of each that checks one
+SEEDED = ("dual-invariants", "verify-all")
+TOLERANCES = {"dual-invariants": 1e-12, "cavity-field": 1e-12, "quantize": 1e-12,
+              "currents": 1e-8, "ssh-solve": 1e-10}
+
+
+def _non_negative(kind: type, words: str) -> Callable:
+    """An argparse type: a value of kind that is at least 0 (NaN is not)."""
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be {words}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="duplexem",
@@ -622,9 +642,13 @@ def build_parser() -> argparse.ArgumentParser:
         if name in SCHEMAS:
             p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default tolerance")
+        if name in SEEDED:
+            p.add_argument("--seed", type=_non_negative(int, "a non-negative integer"),
+                           default=0, help="RNG seed")
+        if name in TOLERANCES:
+            p.add_argument("--tol", type=_non_negative(float, "a non-negative number"),
+                           default=TOLERANCES[name],
+                           help="bound of the checks (default %(default)g)")
 
     p = sub.add_parser("dual-invariants", help="invariant drift over random fields")
     common(p, "dual-invariants")

@@ -15,30 +15,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .cavity import (CavityModel, FirstSolution, ModeState, _check_sampling, _d_dt, _d_dz,
-                     _expand, _inside, _time_sum)
-from .fockquant import anticommutator, make_ladder, safe_block
-
-
-@lru_cache(maxsize=8)
-def _leggauss(n):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
+                     _gauss_legendre, _inside, _mode_sum, _mode_terms, _peak)
+from .fockquant import make_ladder
 
 N_QUAD = 96   # Gauss-Legendre nodes over [0, L] in the charge and spirality integrals
 
 
-def _gauss_legendre(a, b, n):
-    x, w = _leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+def _scaling_coeffs(x, y) -> np.ndarray:
+    """The scaling-family j3 and j4 as coefficients [component, ..., profile, basis, mode]
+    in the layout of :mod:`duplexem.cavity`, at wavenumbers 2k and frequencies 2w:
+
+        j3 = -i sin(2 k z) (x e^{2iwt} + y e^{-2iwt}),
+        j4 =  i cos(2 k z) (x e^{2iwt} - y e^{-2iwt}),
+
+    with x and y holding one amplitude per mode on their last axis.
+    """
+    zero = np.zeros_like(x)
+    j3 = [[-1j * x, -1j * y], [zero, zero]]
+    j4 = [[zero, zero], [1j * x, -1j * y]]
+    return np.moveaxis(np.array([j3, j4], dtype=complex), (1, 2), (-3, -2))
 
 
 class ClassicalFourCurrent:
@@ -46,12 +45,11 @@ class ClassicalFourCurrent:
 
     Components are labeled by family: family 1 is the gauge (phase) part,
     family 2 the scaling part of the two-parameter gauge group.  For mode
-    amplitudes q = C1 e^{iwt} + C2 e^{-iwt}:
+    amplitudes q = C1 e^{iwt} + C2 e^{-iwt}, the scaling part is the form of
+    `_scaling_coeffs` with x = kappa m w^3 C1 C2* and y = x*, and
 
         j3^(1) = 0 identically,
-        j3^(2) = -i kappa sum_a m w^3 sin(2 k z) (C1 C2* e^{2iwt} + c.c.),
-        j4^(1) =  i kappa sum_a m w^3 (|C1|^2 - |C2|^2)    (z, t independent),
-        j4^(2) =  i kappa sum_a m w^3 cos(2 k z) (C1 C2* e^{2iwt} - c.c.),
+        j4^(1) = i kappa sum_a m w^3 (|C1|^2 - |C2|^2)    (z, t independent),
 
     with kappa = 8 * coupling / (c V).
     """
@@ -59,74 +57,80 @@ class ClassicalFourCurrent:
     def __init__(self, model: CavityModel, state: ModeState, coupling: float = 1.0):
         if state.n_modes != model.n_modes:
             raise ValueError("state and model disagree on the number of modes")
-        self.model = model
-        self.state = state
-        self.coupling = coupling
+        weight = 8.0 * coupling / (model.constants.c * model.volume) \
+            * model.masses * model.omegas**3
+        x = weight * state.c1 * np.conj(state.c2)
+        gauge = 1j * np.sum(weight * (np.abs(state.c1) ** 2 - np.abs(state.c2) ** 2))
+        self._hold(model, x, np.conj(x), (gauge, 0.0))
+
+    def _hold(self, model: CavityModel, x, y, j4_constants):
+        """Keep the scaling coefficients of (x, y) and the constant j4 of each family."""
         self.c = model.constants.c
-        self.kappa = 8.0 * coupling / (self.c * model.volume)
-        self.max_alpha = model.n_modes
         self.length = model.length
+        self.max_alpha = model.n_modes
+        self.wavenumbers = 2.0 * model.wavenumbers
+        self.omegas = 2.0 * model.omegas
+        self.coeffs = _scaling_coeffs(x, y)
+        self.j4_constants = j4_constants
 
-    def _cross(self, t, conj_sign):
-        """C1 C2* e^{2iwt} + conj_sign * C1* C2 e^{-2iwt}, per mode."""
-        t = np.asarray(t, dtype=float)
-        om = _expand(self.model.omegas, t.ndim)
-        c1 = _expand(self.state.c1, t.ndim)
-        c2 = _expand(self.state.c2, t.ndim)
-        return (c1 * np.conj(c2) * np.exp(2j * om * t)
-                + conj_sign * np.conj(c1) * c2 * np.exp(-2j * om * t))
+    def _sum(self, coeffs, z, t) -> np.ndarray:
+        """One component's coefficients summed on the outer (z, t) grid."""
+        return _mode_sum(coeffs, self.wavenumbers, self.omegas, z, t)
 
-    def _weights(self, zfunc, z):
-        z = np.asarray(z, dtype=float)
-        m = _expand(self.model.masses, z.ndim)
-        om = _expand(self.model.omegas, z.ndim)
-        k = _expand(self.model.wavenumbers, z.ndim)
-        return m * om**3 * zfunc(2.0 * k * z)
+    def _density(self, component: int, z, t, family: int, constant):
+        grid = np.shape(z) + np.shape(t)
+        if family == 2:
+            values = self._sum(self.coeffs[component], z, t)
+        else:
+            values = np.zeros(self.coeffs.shape[1:-3] + grid, dtype=complex)
+        return values + np.reshape(constant, np.shape(constant) + (1,) * len(grid))
 
     def j3(self, z, t, family: int):
-        if family == 1:
-            return np.zeros(np.shape(z) + np.shape(t), dtype=complex)
-        w = self._weights(np.sin, z)
-        return -1j * self.kappa * np.tensordot(w, self._cross(t, +1), axes=(0, 0))
+        return self._density(0, z, t, family, 0.0)
 
     def j4(self, z, t, family: int):
-        if family == 1:
-            mw = self.model.masses * self.model.omegas**3
-            val = 1j * self.kappa * np.sum(
-                mw * (np.abs(self.state.c1) ** 2 - np.abs(self.state.c2) ** 2))
-            return np.full(np.shape(z) + np.shape(t), val, dtype=complex)
-        w = self._weights(np.cos, z)
-        return 1j * self.kappa * np.tensordot(w, self._cross(t, -1), axes=(0, 0))
+        return self._density(1, z, t, family, self.j4_constants[family - 1])
 
-    def dj3_dz(self, z, t, family: int):
-        if family == 1:
-            return np.zeros(np.shape(z) + np.shape(t), dtype=complex)
-        z = np.asarray(z, dtype=float)
-        k = _expand(self.model.wavenumbers, z.ndim)
-        w = self._weights(np.cos, z) * 2.0 * k
-        return -1j * self.kappa * np.tensordot(w, self._cross(t, +1), axes=(0, 0))
 
-    def dj4_dt(self, z, t, family: int):
-        if family == 1:
-            return np.zeros(np.shape(z) + np.shape(t), dtype=complex)
-        t = np.asarray(t, dtype=float)
-        om = _expand(self.model.omegas, t.ndim)
-        w = self._weights(np.cos, z)
-        dcross = 2j * om * self._cross(t, +1)
-        return 1j * self.kappa * np.tensordot(w, dcross, axes=(0, 0))
+class QuantizedFourCurrent(ClassicalFourCurrent):
+    """Operator-valued 4-current of the time-local quantized field.
+
+    The classical current's mode sums with matrix amplitudes on the leading
+    (dim, dim) axes: from a(t) = a0 e^{-iwt} and the second-family ladder
+    a''(t) = -a(t) (constant-dropping convention), with unit charge
+    normalization, x = (4 k w / c V) a0+^2 and y = (4 k w / c V) a0^2 per
+    mode, and j4 of the scaling family carries the vacuum term
+    -4i sum_a w^2 / (c^2 V) times the identity.  The gauge family vanishes
+    identically for the Maxwellian field.  Continuity is linear in x and y,
+    so it holds in every matrix entry, the top number state included.
+    """
+
+    def __init__(self, model: CavityModel, dim: int):
+        if dim < 3:
+            raise ValueError("dim < 3 makes a0^2 = 0: the current would have no scaling part")
+        a0, ad0 = make_ladder(dim)
+        c, volume = model.constants.c, model.volume
+        rate = 4.0 * model.wavenumbers * model.omegas / (c * volume)
+        vacuum = -4j * np.sum(model.omegas**2) / (c**2 * volume) * np.eye(dim)
+        self._hold(model, (ad0 @ ad0)[..., None] * rate, (a0 @ a0)[..., None] * rate,
+                   (0.0, vacuum))
 
 
 def continuity_residual(current, z, t) -> float:
-    """max |d j3/dz + (1/ic) d j4/dt| over the grid, worst family."""
-    if getattr(current, "max_alpha", None):
-        # current densities oscillate at 2 k_alpha; need 4 points per half wavelength
-        _check_sampling(z, current.length / current.max_alpha, "z")
-    worst = 0.0
-    for family in (1, 2):
-        res = current.dj3_dz(z, t, family) \
-            + current.dj4_dt(z, t, family) / (1j * current.c)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    """max |d j3/dz + (1/ic) d j4/dt| over the grid and every entry, relative to
+    the larger of max |d j3/dz| and max |d j4/dt| / c; 0 for a current
+    without a scaling part.
+
+    Only the scaling family varies: the gauge family and the vacuum term
+    are constant in z and t.
+    """
+    # current densities oscillate at 2 k_alpha; need 4 points per half wavelength
+    _check_sampling(z, current.length / current.max_alpha, "z")
+    j3, j4 = current.coeffs
+    dj3_dz = current._sum(_d_dz(j3, current.wavenumbers), z, t)
+    dj4_dx4 = current._sum(_d_dt(j4, current.omegas), z, t) / (1j * current.c)
+    scale = max(_peak(dj3_dz), _peak(dj4_dx4))
+    return _peak(dj3_dz + dj4_dx4) / scale if scale else 0.0
 
 
 class FieldFunctionSet:
@@ -194,8 +198,6 @@ class FieldFunctionSet:
         Each order (n, m) asks for d^n/dz^n d^m/dt^m u.  The result has shape
         (len(orders), 2, n_modes) + shape(z) + shape(t); modes are not summed.
         """
-        z = _inside(z, self.length)
-        t = np.asarray(t, dtype=float)
         coeffs = []
         for n_z, n_t in orders:
             c = self.coeffs
@@ -204,18 +206,17 @@ class FieldFunctionSet:
             for _ in range(n_t):
                 c = _d_dt(c, self.omegas)
             coeffs.append(c)
-        kz = _expand(self.wavenumbers, z.ndim) * z
-        kz = kz.reshape(kz.shape + (1,) * t.ndim)
-        tpart = _time_sum(self.omegas, np.array(coeffs), t)  # [order, sector, profile, mode, t]
-        tpart = tpart.reshape(tpart.shape[:4] + (1,) * z.ndim + t.shape)
-        return np.sin(kz) * tpart[:, :, 0] + np.cos(kz) * tpart[:, :, 1]
+        return _mode_terms(np.array(coeffs), self.wavenumbers, self.omegas,
+                           _inside(z, self.length), t)
 
 
 @dataclass(frozen=True)
 class NoetherCharge:
+    """The gauge charges q1 and q2 and the size of what they integrate."""
+
     q1: float
     q2: float
-    q: complex
+    scale: float
 
 
 def _ordered_sum(values):
@@ -228,7 +229,9 @@ def noether_charge(fieldset: FieldFunctionSet, t: float) -> NoetherCharge:
 
     q1 (phase-gauge charge) integrates 2 Im(du/dt conj(u)) / c; q2 (the
     scaling-gauge charge, a purely imaginary quantity i*q2) integrates
-    -2 Re(du/dt conj(u)) / c.  Both carry the volume weight V/L.
+    -2 Re(du/dt conj(u)) / c.  Both carry the volume weight V/L.  ``scale``
+    integrates 2 |du/dt conj(u)| / c the same way, term by term: it bounds
+    |q1| and |q2|, and their rounding error is a few ulps of it.
     """
     zq, wq = _gauss_legendre(0.0, fieldset.length, N_QUAD)
     c = fieldset.c
@@ -243,7 +246,8 @@ def noether_charge(fieldset: FieldFunctionSet, t: float) -> NoetherCharge:
     re_sum = float(_ordered_sum(np.sum(wq * w_bar.real, axis=-1).T.ravel()))
     q1 = (2.0 / c) * weight * im_sum
     q2 = -(2.0 / c) * weight * re_sum
-    return NoetherCharge(q1=q1, q2=q2, q=complex(q1, q2))
+    scale = (2.0 / c) * weight * float(np.sum(wq * np.abs(w_bar)))
+    return NoetherCharge(q1=q1, q2=q2, scale=scale)
 
 
 def charge_drift(fieldset: FieldFunctionSet, times):
@@ -252,121 +256,33 @@ def charge_drift(fieldset: FieldFunctionSet, times):
 
 
 def relative_drift(charges) -> tuple:
-    """Max spreads of q1 and q2 over a sequence of NoetherCharge, relative to max |q|."""
+    """Max spreads of q1 and q2 over a sequence of NoetherCharge, relative to
+    the largest ``scale``, so that charges which are rounding noise (a
+    standing wave's) read as small as conserved ones."""
     q1s = np.array([c.q1 for c in charges])
     q2s = np.array([c.q2 for c in charges])
 
     # one common scale: a component sitting at 0 must not divide by its own noise
-    scale = max(float(np.max(np.hypot(q1s, q2s))), 1e-300)
+    scale = max(max(c.scale for c in charges), 1e-300)
     span1 = float(np.max(q1s) - np.min(q1s)) / scale
     span2 = float(np.max(q2s) - np.min(q2s)) / scale
     return span1, span2
 
 
-@dataclass
-class SpinDensity:
-    s4_12: callable      # density over z at the evaluation time
-    s4_3: float          # volume-integrated spirality
+def spirality(fieldset: FieldFunctionSet, t: float) -> float:
+    """Spirality: the volume integral of the spin density of the dual rotation
+    in the (u1, u2) functional plane,
 
+        density(z) = (2/c) Im sum_pairs [conj(du1/dt) u2 - conj(du2/dt) u1].
 
-def spirality(fieldset: FieldFunctionSet, t: float) -> SpinDensity:
-    """Spin density of the dual rotation in the (u1, u2) functional plane.
-
-    density(z) = (2/c) Im sum_pairs [conj(du1/dt) u2 - conj(du2/dt) u1];
-    the spirality is its volume integral.  Additive over pairs and exactly
-    invariant under a simultaneous dual rotation of every pair.
+    Additive over pairs and exactly invariant under a simultaneous dual
+    rotation of every pair.
     """
-    c = fieldset.c
-
-    def density(z):
-        (u1, u2), (du1_dt, du2_dt) = fieldset.evaluate(z, t, (0, 0), (0, 1))
-        pairs = np.imag(np.conj(du1_dt) * u2 - np.conj(du2_dt) * u1)
-        return (2.0 / c) * _ordered_sum(pairs)
-
     zq, wq = _gauss_legendre(0.0, fieldset.length, N_QUAD)
-    s43 = float(np.sum(wq * density(zq))) * fieldset.volume / fieldset.length
-    return SpinDensity(s4_12=density, s4_3=s43)
-
-
-class QuantizedFourCurrent:
-    """Operator-valued 4-current of the time-local quantized field.
-
-    Per-mode matrices on the truncated basis, built from a(t) = a0 e^{-iwt}
-    and the second-family ladder a''(t) = -a(t) (constant-dropping
-    convention), with unit charge normalization (coupling 1).  The
-    gauge-family components vanish identically for the Maxwellian field; the
-    scaling-family ones are quadratic in the ladders and satisfy the operator
-    continuity law exactly.
-    """
-
-    def __init__(self, model: CavityModel, dim: int):
-        if dim < 3:
-            raise ValueError("dim < 3 leaves no informative safe block")
-        self.model = model
-        self.dim = dim
-        self.c = model.constants.c
-        self._a0, self._ad0 = make_ladder(dim)
-        self._a0_sq = self._a0 @ self._a0
-        self._ad0_sq = self._ad0 @ self._ad0
-
-    def _mode(self, alpha_idx: int, t: float):
-        """(w, k, a^2(t), a+^2(t)) of one mode."""
-        w = self.model.omegas[alpha_idx]
-        a2 = self._a0_sq * np.exp(-2j * w * t)
-        ad2 = self._ad0_sq * np.exp(2j * w * t)
-        return w, self.model.wavenumbers[alpha_idx], a2, ad2
-
-    def re_j3(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        return np.zeros((self.dim, self.dim), dtype=complex)
-
-    def im_j3(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        w, k, a2, ad2 = self._mode(alpha_idx, t)
-        pref = -2j / (self.c * self.model.volume)
-        # a''^2 = a^2 and a''+^2 = a+^2 double the Maxwellian contribution
-        return pref * k * w * math.sin(2 * k * z) * 2.0 * (a2 + ad2)
-
-    def re_j4(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        """Anticommutator combination; exactly zero once a'' = -a."""
-        md = self.model
-        w = md.omegas[alpha_idx]
-        k = md.wavenumbers[alpha_idx]
-        at = self._a0 * np.exp(-1j * w * t)
-        adt = self._ad0 * np.exp(1j * w * t)
-        app, adpp = -at, -adt
-        pref = 2.0 / (self.c**2 * md.volume)
-        return pref * k * w**2 * (anticommutator(app, adt) - anticommutator(at, adpp))
-
-    def im_j4(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        w, k, a2, ad2 = self._mode(alpha_idx, t)
-        pref = 2j / (self.c**2 * self.model.volume)
-        eye = np.eye(self.dim)
-        # oscillating part carries c k w, matching im_j3's k w prefactor so
-        # that d j3/dz + d j4/dx4 cancels exactly (as in the classical pair,
-        # where both components share one m w^3 prefactor)
-        return pref * (self.c * k * w * 2.0 * (ad2 - a2) * math.cos(2 * k * z)
-                       - 2.0 * w**2 * eye)
-
-    def d_im_j3_dz(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        w, k, a2, ad2 = self._mode(alpha_idx, t)
-        pref = -2j / (self.c * self.model.volume)
-        return pref * k * w * 2.0 * k * math.cos(2 * k * z) * 2.0 * (a2 + ad2)
-
-    def d_im_j4_dt(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        w, k, a2, ad2 = self._mode(alpha_idx, t)
-        pref = 2j / (self.c**2 * self.model.volume)
-        return pref * self.c * k * w * 2.0 * (2j * w) * (ad2 + a2) * math.cos(2 * k * z)
-
-    def continuity_residual(self, z: float, t: float) -> float:
-        """Safe-block max of |d j3/dz + (1/ic) d j4/dt| over modes, both families."""
-        worst = 0.0
-        for idx in range(self.model.n_modes):
-            res_im = self.d_im_j3_dz(idx, z, t) \
-                + self.d_im_j4_dt(idx, z, t) / (1j * self.c)
-            worst = max(worst, float(np.max(np.abs(safe_block(res_im)))))
-            # gauge family: j3 = 0 and j4 is the exact-zero anticommutator form
-            res_re = self.re_j4(idx, z, t)
-            worst = max(worst, float(np.max(np.abs(safe_block(res_re)))))
-        return worst
+    (u1, u2), (du1_dt, du2_dt) = fieldset.evaluate(zq, t, (0, 0), (0, 1))
+    pairs = np.imag(np.conj(du1_dt) * u2 - np.conj(du2_dt) * u1)
+    density = (2.0 / fieldset.c) * _ordered_sum(pairs)
+    return float(np.sum(wq * density)) * fieldset.volume / fieldset.length
 
 
 def charge_ratio_estimate(j_e: float, j_h: float) -> float:

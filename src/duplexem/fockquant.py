@@ -50,10 +50,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
-
-
 def safe_block(m: np.ndarray) -> np.ndarray:
     """Drop the top number state (its row and column)."""
     n = m.shape[0] - 1

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -98,12 +98,6 @@ class Occupation:
     @property
     def delta(self) -> float:
         return self.n_c - self.n_v
-
-
-@dataclass(frozen=True)
-class BogoliubovCoeffs:
-    alpha_k: np.ndarray
-    beta_k: np.ndarray
 
 
 class GapSolverError(RuntimeError):
@@ -289,15 +283,8 @@ class GapSolution:
     q: float
     roots: tuple
     residual: float
-    method: str
-    form: str
     regime: str
     zeta: float
-    occupation: Occupation
-    k_grid: np.ndarray = None
-    coeffs: BogoliubovCoeffs = None
-    energies: dict = field(default_factory=dict)
-    stable: dict = field(default_factory=dict)
 
 
 def _scan_roots(fn, grid, vals, route):
@@ -388,18 +375,8 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
     else:
         primary = max(roots, key=abs)
     zeta = zeta_of(p, primary)
-    k_grid = np.linspace(0.0, 0.5 * math.pi / p.a_lattice, 201)
-    alpha, beta, _ = bogoliubov_coeffs(p, primary, k_grid)
-    energies = {b: band_energies(p, primary, k_grid, b)
-                for b in (BRANCH_NEAR_EQ, BRANCH_SSH)}
-    stable = {b: stability_classify(p, primary, k_grid, occ, b)
-              for b in (BRANCH_NEAR_EQ, BRANCH_SSH)}
-    return GapSolution(
-        q=primary, roots=tuple(roots), residual=abs(fn(primary)),
-        method=method, form=form, regime=_regime(zeta), zeta=zeta,
-        occupation=occ, k_grid=k_grid,
-        coeffs=BogoliubovCoeffs(alpha, beta), energies=energies, stable=stable,
-    )
+    return GapSolution(q=primary, roots=tuple(roots), residual=abs(fn(primary)),
+                       regime=_regime(zeta), zeta=zeta)
 
 
 def solve_gap_discrete(p: SshParams, occ: Occupation = None, n_k: int = 64) -> float:

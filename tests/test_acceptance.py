@@ -121,7 +121,7 @@ def test_criterion_05_currents():
     j4_gauge = float(np.max(np.abs(
         cur.ClassicalFourCurrent(model, equal_mod).j4(z, t, 1))))
 
-    op_cont = cur.QuantizedFourCurrent(model, 8).continuity_residual(0.4, 0.3)
+    op_cont = cur.continuity_residual(cur.QuantizedFourCurrent(model, 8), 0.4, 0.3)
 
     rotating = cav.ModeState(0.4 * (rng.normal(size=4) + 1j * rng.normal(size=4)),
                              np.zeros(4))

@@ -11,7 +11,7 @@ from duplexem import currents as cur
 from duplexem import fockquant as fq
 from duplexem import sshliquid as ssh
 from duplexem.cavity import CavityModel, FirstSolution, ModeState, maxwell_residual
-from duplexem.cli import SCHEMAS, main
+from duplexem.cli import SCHEMAS, build_parser, main
 from duplexem.constants import PhysicalConstants
 from duplexem.currents import ClassicalFourCurrent
 
@@ -226,9 +226,15 @@ SMALL_CONFIGS = {
 }
 
 
+# the subcommands that draw random numbers, and the default bound of each that checks one
+SEEDED = ("dual-invariants", "verify-all")
+DEFAULT_TOL = {"dual-invariants": 1e-12, "cavity-field": 1e-12, "quantize": 1e-12,
+               "currents": 1e-8, "ssh-solve": 1e-10}
+
+
 @pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
 def test_same_seed_gives_identical_files(tmp_path, capsys, command):
-    argv = [command, "--seed", "11"]
+    argv = [command] + (["--seed", "11"] if command in SEEDED else [])
     if SMALL_CONFIGS[command] is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SMALL_CONFIGS[command]))
@@ -331,11 +337,11 @@ def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
 # any written bit fails here
 PINNED_OUTPUTS = {
     "verify-all": (["verify-all", "--seed", "42"], None, {
-        "summary.json": "013c0d07e1fc775e157060f8982427e2996aeb28607e95070495c10a46f54dde",
-        "verify.csv": "9efeadc7776956848083de4515a942fefbfd46200adcc4707922879f6e84410e",
+        "summary.json": "81cbafbcf44094188fdf562e06dd65ce377e83b0d0120d45f402149b491b8cef",
+        "verify.csv": "4de7222a77ea42bc90064085d4c68bfaf13f3ff4a41f8f82dd01234aea5069f7",
     }),
     "currents": (["currents"], None, {
-        "currents.csv": "e792ac74d1210e462a40a55d9ed1b19276c738a98b05c0b1d0bcc45c79bb0e5a",
+        "currents.csv": "a1a6a7a8ec6ac205fac5c2d3fa226e560086b6e65084ab625071449f96784970",
         "summary.json": "f14bdb935c9387fd2a4aae53d4760a2280ccacb50239cccdee86395cba7fbf1d",
     }),
     "cavity-field-rotated": (["cavity-field"], {"theta": 0.7}, {
@@ -581,6 +587,49 @@ def test_config_flag_only_where_a_config_is_read(tmp_path, capsys, argv):
     assert main(argv + ["--config", str(path), "--out", str(tmp_path)]) == 2
     assert "--config" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+def test_seed_and_tol_only_where_read(capsys, command):
+    parser = build_parser()
+    args = parser.parse_args([command])
+    assert getattr(args, "tol", None) == DEFAULT_TOL.get(command)
+    for flag, takes in (("--seed", command in SEEDED), ("--tol", command in DEFAULT_TOL)):
+        if takes:
+            parser.parse_args([command, flag, "0"])
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, flag, "0"])
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify-all", "--seed", "-1"],
+                                  ["dual-invariants", "--seed", "-7"],
+                                  ["currents", "--tol", "-0.5"],
+                                  ["cavity-field", "--tol=-1e-8"],
+                                  ["ssh-solve", "--tol", "nan"]])
+def test_negative_seed_or_tol_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    flag = argv[1].split("=")[0]
+    assert f"argument {flag}: must be a non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"units": "si", "c2": [[0.1, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+    {"n_modes": 4, "c1": [[0.5, 0.0]] * 4, "c2": [[0.5, 0.0]] * 4},
+], ids=["si", "standing-wave"])
+def test_currents_checks_are_relative(tmp_path, capsys, cfg):
+    # against absolute terms the SI config failed continuity by 8.0 next to terms
+    # of 3.7e16, and the standing wave, whose charges are rounding noise, failed
+    # a drift relative to max |q| by 1.98
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["currents", "--config", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["passed"] and summary["bound"] == 1e-8
+    assert summary["continuity_residual"] <= 1e-14 and max(summary["charge_drift"]) <= 1e-13
 
 
 def test_currents_honours_a_tight_tol(tmp_path, capsys):

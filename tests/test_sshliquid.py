@@ -467,8 +467,8 @@ def test_second_condition_branch_independent():
 
 def test_near_equilibrium_branch_admissible_near_ground():
     p = base_params(u=0.3, alpha1=1.5)
-    sol = solve_gap(p)
-    cond3 = sol.stable[BRANCH_NEAR_EQ][2]
+    k = np.linspace(0.0, 0.5 * math.pi / p.a_lattice, 201)
+    cond3 = stability_classify(p, solve_gap(p).q, k, Occupation.ground(), BRANCH_NEAR_EQ)[2]
     assert np.any(cond3)
 
 
