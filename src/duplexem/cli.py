@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -155,6 +156,12 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _verdict(out: Path, summary: dict, passed: bool, bound: float) -> int:
+    """Write summary.json with the bound and whether the checks passed; the exit code."""
+    _write_json(out / "summary.json", {**summary, "bound": bound, "passed": bool(passed)})
+    return 0 if passed else 1
+
+
 def _cavity_model(cfg) -> cav.CavityModel:
     cst = PhysicalConstants.si() if cfg["units"] == "si" else PhysicalConstants.symmetric()
     return cav.CavityModel(cfg["length"], cfg["n_modes"], cst)
@@ -208,32 +215,24 @@ def _oscillator_defects(dim: int, action: float, omega: float) -> tuple:
     return float(comm), float(spectrum)
 
 
-def cmd_dual_invariants(args) -> int:
+def cmd_dual_invariants(args, cfg, out: Path) -> int:
     count = args.random
-    if count < 1:
-        raise ConfigError(f"--random must be a positive sample count, got {count}")
-    out = _outdir(args)
     rng = np.random.default_rng(args.seed)
     theta, k_ref, k_rot, drift = _rotation_drift(rng, count)
     worst = float(np.max(drift))
     _write_csv(out / "dual_invariants.csv",
                ["index", "theta", "k_reference", "k_rotated", "relative_drift"],
                [np.arange(count, dtype=float), theta, k_ref, k_rot, drift])
-    _write_json(out / "summary.json", {
+    log.info("dual-invariants: max drift %.3e over %d samples", worst, count)
+    return _verdict(out, {
         "quantity": "mixing-angle invariant drift",
         "formula": "K = I1'^2 + I2'^2",
         "samples": count,
         "max_relative_drift": worst,
-        "bound": args.tol,
-        "passed": bool(worst <= args.tol),
-    })
-    log.info("dual-invariants: max drift %.3e over %d samples", worst, count)
-    return 0 if worst <= args.tol else 1
+    }, worst <= args.tol, args.tol)
 
 
-def cmd_cavity_field(args) -> int:
-    out = _outdir(args)
-    cfg = _load_config(args.config, SCHEMAS["cavity-field"])
+def cmd_cavity_field(args, cfg, out: Path) -> int:
     model, state = _model_from_cfg(cfg)
     family = cav.FirstSolution if cfg["solution"] == "first" else cav.SecondSolution
     sol = family(model, state)
@@ -241,27 +240,19 @@ def cmd_cavity_field(args) -> int:
         sol = sol.rotated(cfg["theta"])
     z = np.linspace(0.0, model.length, cfg["nz"])
     t = np.linspace(0.0, model.period, cfg["nt"])
-    try:
-        residuals = cav.maxwell_residual(sol, z, t, model.constants)
-    except cav.SamplingError as exc:
-        raise _coarse_grid(exc, cfg) from exc
+    residuals = cav.maxwell_residual(sol, z, t, model.constants)
     cav.dump_field_csv(sol, z, t, out / "field.csv")
     # relative: each residual against the largest term its equation cancels
     passed = all(r <= args.tol * scale for r, scale in zip(residuals, residuals.scales))
-    _write_json(out / "summary.json", {
+    return _verdict(out, {
         "quantity": "generalized-equation residuals",
         "formula": "curl E + mu0 dH/dt; curl H - eps0 dE/dt; div E; div H",
         "residuals": list(residuals),
         "scales": list(residuals.scales),
-        "bound": args.tol,
-        "passed": passed,
-    })
-    return 0 if passed else 1
+    }, passed, args.tol)
 
 
-def cmd_quantize(args) -> int:
-    out = _outdir(args)
-    cfg = _load_config(args.config, SCHEMAS["quantize"])
+def cmd_quantize(args, cfg, out: Path) -> int:
     model = _cavity_model(cfg)
     cst = model.constants
     dim, z = cfg["dim"], cfg["z"]
@@ -289,29 +280,20 @@ def cmd_quantize(args) -> int:
     for idx in range(model.n_modes):
         with open(out / f"operator_e_mode{idx + 1}.json", "w") as fh:
             fq.dump_operator_json(field.e_matrix(idx, z, t), kind, idx + 1, fh)
-    worst = max(checks.values())
-    _write_json(out / "summary.json", {
+    return _verdict(out, {
         "quantity": "quantization checks",
         "formula": "[a, a+] = 1 (safe block); H = action * w * (n + 1/2)",
         "checks": checks,
-        "bound": args.tol,
-        "passed": bool(worst <= args.tol),
-    })
-    return 0 if worst <= args.tol else 1
+    }, max(checks.values()) <= args.tol, args.tol)
 
 
-def cmd_currents(args) -> int:
-    out = _outdir(args)
-    cfg = _load_config(args.config, SCHEMAS["currents"])
+def cmd_currents(args, cfg, out: Path) -> int:
     model, state = _model_from_cfg(cfg)
     current = cur.ClassicalFourCurrent(model, state, coupling=cfg["coupling"])
     fieldset = cur.FieldFunctionSet.from_cavity(model, state)
     z = np.linspace(0.0, model.length, cfg["nz"])
     t = np.linspace(0.0, model.period, cfg["nt"])
-    try:
-        cont = cur.continuity_residual(current, z, t)
-    except cav.SamplingError as exc:
-        raise _coarse_grid(exc, cfg) from exc
+    cont = cur.continuity_residual(current, z, t)
     charges = [cur.noether_charge(fieldset, tj) for tj in t]  # the table's and the drift's
     per_t = [[c.q1 for c in charges], [c.q2 for c in charges],
              [cur.spirality(fieldset, tj) for tj in t]]
@@ -323,21 +305,15 @@ def cmd_currents(args) -> int:
                [np.tile(z, t.size), np.repeat(t, z.size), j3.real, j3.imag,
                 j4.real, j4.imag, *(np.repeat(col, z.size) for col in per_t)])
     drift = cur.relative_drift(charges)
-    worst = max(cont, *drift)
-    _write_json(out / "summary.json", {
+    return _verdict(out, {
         "quantity": "current checks",
         "formula": "d j3/dz + d j4/dx4 = 0; dQ/dt = 0",
         "continuity_residual": cont,
         "charge_drift": list(drift),
-        "bound": args.tol,
-        "passed": bool(worst <= args.tol),
-    })
-    return 0 if worst <= args.tol else 1
+    }, max(cont, *drift) <= args.tol, args.tol)
 
 
-def cmd_resonance_fit(args) -> int:
-    out = _outdir(args)
-    cfg = _load_config(args.config, SCHEMAS["resonance-fit"])
+def cmd_resonance_fit(args, cfg, out: Path) -> int:
     if cfg["input"]:
         ns, nus = [], []
         try:
@@ -385,18 +361,16 @@ def _ssh_failure(out: Path, exc: RuntimeError) -> int:
     return 1
 
 
-def cmd_ssh_solve(args) -> int:
-    out = _outdir(args)
-    cfg = _load_config(args.config, SCHEMAS["ssh-solve"])
+def cmd_ssh_solve(args, cfg, out: Path) -> int:
     if cfg["u_scan"] is not None:
         u_grid = np.linspace(*cfg["u_scan"])
+        if not ssh.symmetric_about_zero(u_grid):
+            raise ConfigError(f"config key 'u_scan' = {cfg['u_scan']!r} must give a grid "
+                              f"symmetric about 0, on which ssh-solve locates the minimum")
     else:
         span = 4.0 * abs(cfg["u"]) if cfg["u"] else 0.4
         u_grid = np.linspace(-span, span, 41)
-    try:
-        params, occ, sol = _solve_ssh(cfg)
-    except ssh.GapSolverError as exc:
-        return _ssh_failure(out, exc)
+    params, occ, sol = _solve_ssh(cfg)
     # the quasiparticle table at the primary root, on 201 points of [0, pi / 2a]
     k = np.linspace(0.0, 0.5 * math.pi / params.a_lattice, 201)
     alpha, beta, _ = ssh.bogoliubov_coeffs(params, sol.q, k)
@@ -409,11 +383,8 @@ def cmd_ssh_solve(args) -> int:
                [k, alpha, beta,
                 *(ssh.band_energies(params, sol.q, k, branch)[0] for branch in branches),
                 *codes])
-    try:
-        curve = ssh.ground_state_energy(params, sol.q, u_grid)
-    except ssh.WellEdgeError as exc:
-        return _ssh_failure(out, exc)
-    _write_json(out / "summary.json", {
+    curve = ssh.ground_state_energy(params, sol.q, u_grid)
+    return _verdict(out, {
         "quantity": "self-consistent gap factor",
         "formula": "Q = 1 + coupling-sum / sqrt(eps^2 + Q^2 gap^2)",
         "q": sol.q,
@@ -424,21 +395,14 @@ def cmd_ssh_solve(args) -> int:
         "u0": curve.u0,
         "well_depth": curve.well_depth,
         "double_well": curve.double_well,
-        "passed": bool(sol.residual <= args.tol),
-    })
-    return 0 if sol.residual <= args.tol else 1
+    }, sol.residual <= args.tol, args.tol)
 
 
-def cmd_ssh_sweep(args) -> int:
-    out = _outdir(args)
-    cfg = _load_config(args.config, SCHEMAS["ssh-sweep"])
+def cmd_ssh_sweep(args, cfg, out: Path) -> int:
     if cfg["u_scan"] is None:
         raise ConfigError("ssh-sweep needs u_scan: [min, max, steps]")
     u_grid = np.linspace(*cfg["u_scan"])
-    try:
-        params, _, sol = _solve_ssh(cfg)
-    except ssh.GapSolverError as exc:
-        return _ssh_failure(out, exc)
+    params, _, sol = _solve_ssh(cfg)
     curve = ssh.GroundStateCurve(params, sol.q, u_grid)
     _write_csv(out / "ground_state.csv",
                ["u", "E0_quadrature", "E0_elliptic", "E0_smallz"],
@@ -449,11 +413,8 @@ def cmd_ssh_sweep(args) -> int:
         "q": sol.q,
         "points": len(u_grid),
     }
-    if abs(u_grid[0] + u_grid[-1]) < 1e-12:
-        try:
-            curve.locate_minimum()
-        except ssh.WellEdgeError as exc:
-            return _ssh_failure(out, exc)
+    if ssh.symmetric_about_zero(u_grid):
+        curve.locate_minimum()
         summary.update(u0=curve.u0, well_depth=curve.well_depth,
                        double_well=curve.double_well)
     _write_json(out / "summary.json", summary)
@@ -509,8 +470,9 @@ def _verify_checks(seed: int):
     for name, sol in (("first_solution", cav.FirstSolution(model, state)),
                       ("second_solution", cav.SecondSolution(model, state)),
                       ("rotated_solution", cav.FirstSolution(model, state).rotated(0.7))):
+        residuals = cav.maxwell_residual(sol, z, t, cst)
         add(f"maxwell_residual_{name}",
-            max(cav.maxwell_residual(sol, z, t, cst)), 1e-10)
+            max(r / scale for r, scale in zip(residuals, residuals.scales)), 1e-10)
 
     # quantization
     comm_defect, spec_defect = _oscillator_defects(8, cst.hbar, model.omegas[0])
@@ -589,8 +551,7 @@ def _verify_checks(seed: int):
     return checks
 
 
-def cmd_verify_all(args) -> int:
-    out = _outdir(args)
+def cmd_verify_all(args, cfg, out: Path) -> int:
     checks = _verify_checks(args.seed)
     names, values, bounds, oks = zip(*checks)
     _write_csv(out / "verify.csv", ["check", "value", "bound", "status"],
@@ -610,63 +571,69 @@ def cmd_verify_all(args) -> int:
     return 0 if n_fail == 0 else 1
 
 
-# the subcommands that draw random numbers, and the default bound of each that checks one
-SEEDED = ("dual-invariants", "verify-all")
-TOLERANCES = {"dual-invariants": 1e-12, "cavity-field": 1e-12, "quantize": 1e-12,
-              "currents": 1e-8, "ssh-solve": 1e-10}
+class Command(NamedTuple):
+    """One subcommand: the name of its handler in this module, looked up when
+    the subcommand runs (so a wrapper set on the module runs instead), its
+    help text, the default of its --tol (None: it has no --tol) and whether
+    it takes --seed.  It takes --config when SCHEMAS has its keys."""
+
+    handler: str
+    help: str
+    tol: float = None
+    seeded: bool = False
 
 
-def _non_negative(kind: type, words: str) -> Callable:
-    """An argparse type: a value of kind that is at least 0 (NaN is not)."""
+COMMANDS = {
+    "dual-invariants": Command("cmd_dual_invariants", "invariant drift over random fields",
+                               1e-12, seeded=True),
+    "cavity-field": Command("cmd_cavity_field", "cavity solutions and residuals", 1e-12),
+    "quantize": Command("cmd_quantize", "ladder operators and scheme checks", 1e-12),
+    "currents": Command("cmd_currents", "4-currents, charges, spirality", 1e-8),
+    "resonance-fit": Command("cmd_resonance_fit", "dispersion-law fit"),
+    "ssh-solve": Command("cmd_ssh_solve", "self-consistent gap factor", 1e-10),
+    "ssh-sweep": Command("cmd_ssh_sweep", "ground-state energy sweep"),
+    "verify-all": Command("cmd_verify_all", "run the full invariant suite", seeded=True),
+}
+
+
+def _at_least(kind: type, low, words: str) -> Callable:
+    """An argparse type: a value of kind that is at least low (NaN is not)."""
 
     def parse(text):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not value >= 0:
+        if value is None or not value >= low:
             raise argparse.ArgumentTypeError(f"must be {words}, got {text!r}")
         return value
 
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once: it holds no handler."""
     parser = argparse.ArgumentParser(
         prog="duplexem",
         description="dually-symmetric field toolkit: invariants, cavity modes, "
                     "quantization, currents, resonance fits, gap solver")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, name):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         if name in SCHEMAS:
             p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        if name in SEEDED:
-            p.add_argument("--seed", type=_non_negative(int, "a non-negative integer"),
+        if command.seeded:
+            p.add_argument("--seed", type=_at_least(int, 0, "a non-negative integer"),
                            default=0, help="RNG seed")
-        if name in TOLERANCES:
-            p.add_argument("--tol", type=_non_negative(float, "a non-negative number"),
-                           default=TOLERANCES[name],
+        if command.tol is not None:
+            p.add_argument("--tol", type=_at_least(float, 0.0, "a non-negative number"),
+                           default=command.tol,
                            help="bound of the checks (default %(default)g)")
-
-    p = sub.add_parser("dual-invariants", help="invariant drift over random fields")
-    common(p, "dual-invariants")
-    p.add_argument("--random", type=int, default=1000, help="number of samples")
-    p.set_defaults(func=cmd_dual_invariants)
-
-    for name, fn, desc in (
-        ("cavity-field", cmd_cavity_field, "cavity solutions and residuals"),
-        ("quantize", cmd_quantize, "ladder operators and scheme checks"),
-        ("currents", cmd_currents, "4-currents, charges, spirality"),
-        ("resonance-fit", cmd_resonance_fit, "dispersion-law fit"),
-        ("ssh-solve", cmd_ssh_solve, "self-consistent gap factor"),
-        ("ssh-sweep", cmd_ssh_sweep, "ground-state energy sweep"),
-        ("verify-all", cmd_verify_all, "run the full invariant suite"),
-    ):
-        p = sub.add_parser(name, help=desc)
-        common(p, name)
-        p.set_defaults(func=fn)
+    sub.choices["dual-invariants"].add_argument(
+        "--random", type=_at_least(int, 1, "a positive sample count"), default=1000,
+        help="number of samples")
     return parser
 
 
@@ -677,13 +644,20 @@ def main(argv=None) -> int:
               "DEBUG, INFO, WARNING, ERROR or CRITICAL", file=sys.stderr)
         return 2
     logging.basicConfig(level=level)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        out = _outdir(args)
+        schema = SCHEMAS.get(args.command)
+        cfg = None if schema is None else _load_config(args.config, schema)
+        try:
+            return globals()[COMMANDS[args.command].handler](args, cfg, out)
+        except cav.SamplingError as exc:
+            raise _coarse_grid(exc, cfg) from exc
+        except (ssh.GapSolverError, ssh.WellEdgeError) as exc:
+            return _ssh_failure(out, exc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -287,9 +287,11 @@ class GapSolution:
     zeta: float
 
 
-def _scan_roots(fn, grid, vals, route):
+def _scan_roots(fn, grid, vals, route, log=False):
     """Roots of fn over the brackets where vals, a scan of grid, vanishes or
-    changes sign between finite neighbours, refined by brentq.
+    changes sign between finite neighbours, refined by brentq (in ln q with
+    log, for a grid of positive q, so that each root is fixed relative to
+    itself).
 
     vals may come from another route than fn; a bracket over which fn keeps
     its sign raises GapSolverError naming the route, the bracket and fn at
@@ -306,7 +308,11 @@ def _scan_roots(fn, grid, vals, route):
             roots.append(a)
             continue
         try:
-            roots.append(optimize.brentq(fn, a, b, xtol=1e-14, rtol=8.9e-16))
+            if log:
+                roots.append(math.exp(optimize.brentq(lambda s: fn(math.exp(s)), math.log(a),
+                                                      math.log(b), xtol=1e-14, rtol=8.9e-16)))
+            else:
+                roots.append(optimize.brentq(fn, a, b, xtol=1e-14, rtol=8.9e-16))
         except ValueError:
             ra, rb = fn(a), fn(b)
             if not ra * rb > 0.0:  # brentq's own sign test passed: another fault
@@ -332,17 +338,27 @@ def _regime(zeta: float) -> str:
     return "modulus_lt_1" if az < 1.0 else "modulus_gt_1"
 
 
-def _scan_grid(p: SshParams, form: str) -> np.ndarray:
-    """The 600 trial Q a gap solve scans, within |Q| <= max(10 N |alpha2 / alpha1|, 10).
+def _scan_grid(p: SshParams, form: str, coef: float) -> np.ndarray:
+    """The trial Q a gap solve scans, within |Q| <= max(10 N |alpha2 / alpha1|, 10).
 
-    The reduced form's kernel diverges at Q = 0, so it scans magnitudes
-    logarithmically, both signs; the full form scans a uniform grid.
+    The full form scans 600 points of a uniform grid.  The reduced form's
+    kernel diverges at Q = 0, so it scans magnitudes logarithmically.  At a
+    coupling coefficient C > 0 it scans 300 positive Q from the floor
+    |zeta| = 2 e^{-1-1/C}: I(zeta) >= ln(4/|zeta|) - 1, so C I(zeta) > 1 below
+    it; GapSolverError if that floor underflows.  At C <= 0, where C I(zeta)
+    = 1 has no root, it scans 300 magnitudes of each sign from 1e-9.
     """
     qmax = max(10.0 * abs(p.alpha2) * p.n_sites / abs(p.alpha1), 10.0)
-    if form == "reduced":
+    if form == "full":
+        return np.linspace(-qmax, qmax, 600)
+    if coef <= 0.0:
         mags = np.geomspace(max(1e-9, 1e-12 * (2.0 * qmax)), qmax, 300)
         return np.concatenate([-mags[::-1], mags])
-    return np.linspace(-qmax, qmax, 600)
+    zeta_floor = 2.0 * math.exp(-1.0 - 1.0 / coef)
+    if zeta_floor < np.finfo(float).tiny:
+        raise GapSolverError(f"the reduced-form root lies below |zeta| = 2 exp(-1 - 1/C), "
+                             f"which underflows at the coupling coefficient C = {coef!r}")
+    return np.geomspace(zeta_floor / abs(zeta_of(p, 1.0)), qmax, 300)
 
 
 def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
@@ -351,22 +367,29 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
 
     The residual is scanned on the elliptic route over the grid of
     `_scan_grid`; every sign change found there is refined by brentq on the
-    residual of `method`, and all those roots are returned (the reduced form
-    generically has a +-Q pair).  The primary root is the one closest to the
-    noninteracting value Q = 1 for the full form, and the largest-magnitude
-    root for the reduced form; `residual` is |residual| there on `method`.
-    Raises :class:`GapSolverError` with the scanned elliptic residual curve
-    when no root lies on the scanned range, or when the residual of `method`
-    keeps its sign over a bracket of the scan.
+    residual of `method`, and all those roots are returned.  The reduced
+    form at C > 0 falls with |Q| and is even in Q: its one root in |Q| is
+    refined in ln|Q|, so that a root of 1e-16 is fixed relative to itself,
+    and returned with its mirror as the pair (-Q, Q).  The primary root is
+    the one closest to the noninteracting value Q = 1 for the full form, and
+    the largest-magnitude root for the reduced form; `residual` is
+    |residual| there on `method`.  Raises :class:`GapSolverError` with the
+    scanned elliptic residual curve when no root lies on the scanned range,
+    or when the residual of `method` keeps its sign over a bracket of the
+    scan, and without a curve when the reduced form's floor underflows.
     """
     occ = occ or Occupation.ground()
+    coef = _coupling_coefficient(p, occ)
 
     def fn(q):
         return gap_residual(p, q, occ, method, form)
 
-    grid = _scan_grid(p, form)
+    grid = _scan_grid(p, form, coef)
     vals = gap_residual(p, grid, occ, "elliptic", form)
-    roots = _scan_roots(fn, grid, vals, method)
+    mirrored = form == "reduced" and coef > 0.0
+    roots = _scan_roots(fn, grid, vals, method, log=mirrored)
+    if mirrored:
+        roots = [-r for r in reversed(roots)] + roots
     if not roots:
         raise GapSolverError("no root of the gap equation inside the bracket",
                              residual_curve=(grid, vals))
@@ -382,7 +405,7 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
 def solve_gap_discrete(p: SshParams, occ: Occupation = None, n_k: int = 64) -> float:
     """Root of the Brillouin-sum residual (oracle for the continuum solver)."""
     occ = occ or Occupation.ground()
-    grid = _scan_grid(p, "full")
+    grid = _scan_grid(p, "full", 0.0)
     vals = gap_residual_discrete(p, grid, occ, n_k)
     roots = _scan_roots(lambda q: gap_residual_discrete(p, q, occ, n_k), grid, vals,
                         "discrete-sum")
@@ -542,6 +565,13 @@ def ground_energy_smallz(p: SshParams, q: float, u):
     return energy if energy.ndim else float(energy)
 
 
+def symmetric_about_zero(u_grid) -> bool:
+    """Whether u_grid is its own mirror about u = 0, to 1e-12 times the larger
+    of 1 and its largest |u|."""
+    return bool(np.max(np.abs(u_grid + u_grid[::-1]))
+                <= 1e-12 * max(1.0, np.max(np.abs(u_grid))))
+
+
 @dataclass
 class GroundStateCurve:
     """E0(u) of the near-equilibrium branch on a u grid at fixed Q.
@@ -579,9 +609,9 @@ class GroundStateCurve:
         a grid argmin at the edge raises WellEdgeError.
         """
         p, q, u_grid = self.params, self.q, self.u_grid
-        tol = 1e-12 * max(1.0, np.max(np.abs(u_grid)))
-        if np.max(np.abs(u_grid + u_grid[::-1])) > tol:
+        if not symmetric_about_zero(u_grid):
             raise ValueError("u grid must be symmetric about 0")
+        tol = 1e-12 * max(1.0, np.max(np.abs(u_grid)))
         # np.linspace(-U, U, n) can leave its centre at -4e-16; keeping it gives
         # a minimum at the first positive point a bracket to refine in
         pos = u_grid >= -tol

@@ -84,6 +84,39 @@ def test_ssh_sweep_columns_match_pointwise_routes(tmp_path, capsys, u_scan):
     assert ("u0" in summary) == (u_scan[0] == -u_scan[1])
 
 
+def test_ssh_sweep_and_solve_share_one_symmetry_rule(tmp_path, capsys):
+    # 1e-11 off at |u| = 300 is within the relative rounding allowance of the
+    # minimum search; ssh-sweep's absolute 1e-12 once read it as asymmetric
+    summary, _ = _sweep_columns(tmp_path, [-300.0, 300.0 + 1e-11, 25])
+    assert "u0" in summary
+    assert main(["ssh-solve", "--config", str(tmp_path / "params.json"),
+                 "--out", str(tmp_path / "solve")]) == 0
+    capsys.readouterr()
+
+
+def test_ssh_solve_finds_the_weak_coupling_reduced_root(tmp_path, capsys):
+    # C = 0.0255 puts the root at |Q| = 3.2e-16, below the old scan floor |Q| = 1e-9
+    cfg = tmp_path / "weak.json"
+    cfg.write_text('{"form": "reduced", "u": -0.02, "alpha2": 0.02}')
+    assert main(["ssh-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    # the root of C I(zeta) = 1 by 40-digit mpmath
+    assert summary["roots"] == pytest.approx([-3.2434043517287286e-16, 3.2434043517287286e-16],
+                                             rel=1e-14)
+    assert summary["passed"] and summary["bound"] == 1e-10
+
+
+def test_ssh_solve_names_a_coupling_whose_floor_underflows(tmp_path, capsys):
+    # C = 1.1e-3: the floor |zeta| = 2 e^{-1-1/C} of the reduced scan underflows
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text('{"form": "reduced", "u": -0.02, "alpha2": 0.0009}')
+    assert main(["ssh-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    assert "C = 0.001145" in json.loads((tmp_path / "summary.json").read_text())["error"]
+    assert not (tmp_path / "residual_curve.csv").exists()
+
+
 def test_ssh_sweep_routes_agree_at_large_zeta(tmp_path, capsys):
     # zeta reaches ~2e9 at the ends, where the elliptic route once gave
     # 2.0000002131844655e+20 beside a quadrature 1.9999999995593087e+20
@@ -337,8 +370,8 @@ def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
 # any written bit fails here
 PINNED_OUTPUTS = {
     "verify-all": (["verify-all", "--seed", "42"], None, {
-        "summary.json": "81cbafbcf44094188fdf562e06dd65ce377e83b0d0120d45f402149b491b8cef",
-        "verify.csv": "4de7222a77ea42bc90064085d4c68bfaf13f3ff4a41f8f82dd01234aea5069f7",
+        "summary.json": "e827e331287b08ffe10e2982b6bac78f86c04ee4efe35c543e47360162676364",
+        "verify.csv": "81dbf6523c6c242677bb6f19fb59626ec738c57ad4e7caba40deec056b92a6c4",
     }),
     "currents": (["currents"], None, {
         "currents.csv": "a1a6a7a8ec6ac205fac5c2d3fa226e560086b6e65084ab625071449f96784970",
@@ -368,13 +401,13 @@ PINNED_OUTPUTS = {
     }),
     "ssh-solve": (["ssh-solve"], None, {
         "gap_solution.csv": "133a11ac6a69f06d93a2166848f72b37aed463aab26e8bc9d1ff4c336f1ffb22",
-        "summary.json": "3d1a0802925890f44532bab80d2ce1f3fdc6fc38ff69e99eb8c4d5acc6a8857a",
+        "summary.json": "9717976b77ade693e5fcf2e149c6d8ef28dfd3a4bf7fe206792ace3629533453",
     }),
     # the exact case u = -2 / (N alpha2) with its double well
     "ssh-solve-reduced-exact": (["ssh-solve"], {"form": "reduced", "u": -0.25, "alpha2": 0.08,
                                                 "u_scan": [-4, 4, 81]}, {
         "gap_solution.csv": "7279b2aa06f68bc55f837ddf80fff825457cde12fc06326e8095ca578d032574",
-        "summary.json": "82ff432b5e2b03e473109561d374d3f226702bf6a3e40a37f899e4814933ef07",
+        "summary.json": "111f4791c46175fa972b815e774b013556c111818bcc0f477b85e888162beaa4",
     }),
     "ssh-sweep-inverted": (["ssh-sweep"], {"occupation": "inverted", "u_scan": [-0.4, 0.4, 41]}, {
         "ground_state.csv": "992fa6035901a47a1f26f243921ec5bd2e30f93fa5567bab1d44839a8fa8768a",
@@ -552,6 +585,9 @@ def test_unknown_log_level_exits_2(tmp_path, capsys, monkeypatch):
     ("resonance-fit", {"n": [1, 2, 3], "nu": "abc"}, "'nu'"),
     ("resonance-fit", {"n": [1], "nu": [1.0]}, "'n'"),
     ("cavity-field", {"c1": [["a", 0]]}, "'c1'"),
+    # not symmetric about 0: these exited 1 from the minimum search
+    ("ssh-solve", {"u_scan": [0, 1, 11]}, "'u_scan'"),
+    ("ssh-solve", {"u_scan": [-1, 1, 1]}, "'u_scan'"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "bad.json"
@@ -592,6 +628,7 @@ def test_config_flag_only_where_a_config_is_read(tmp_path, capsys, argv):
 @pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
 def test_seed_and_tol_only_where_read(capsys, command):
     parser = build_parser()
+    assert build_parser() is parser
     args = parser.parse_args([command])
     assert getattr(args, "tol", None) == DEFAULT_TOL.get(command)
     for flag, takes in (("--seed", command in SEEDED), ("--tol", command in DEFAULT_TOL)):

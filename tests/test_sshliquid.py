@@ -232,8 +232,11 @@ def _full_quadrature_scan_roots(p, occ, form, monkeypatch):
         roots = solve_gap(p, occ, method="quadrature", form=form).roots
     (grid,) = grids
     vals = gap_residual(p, grid, occ, "quadrature", form)
-    return roots, tuple(_scan_roots(lambda q: gap_residual(p, q, occ, "quadrature", form),
-                                    grid, vals, "quadrature"))
+    scanned = _scan_roots(lambda q: gap_residual(p, q, occ, "quadrature", form),
+                          grid, vals, "quadrature", log=form == "reduced")
+    if form == "reduced":   # one root in |Q|, refined in ln|Q|, and its mirror
+        scanned = [-r for r in reversed(scanned)] + scanned
+    return roots, tuple(scanned)
 
 
 def test_elliptic_brackets_give_the_full_quadrature_scan_roots(monkeypatch):
@@ -282,8 +285,9 @@ def test_quadrature_bracket_without_sign_change_is_named(monkeypatch):
 
 
 def test_reduced_quadrature_solve_skips_the_tiny_gap_kernel():
-    # the reduced scan starts at |Q| = 1e-9 (zeta = 2e-10), where the quadrature
-    # kernel is least accurate; only the elliptic route is evaluated there
+    # the quadrature kernel is least accurate at tiny zeta; the reduced scan
+    # evaluates only the elliptic route there, the quadrature route only on
+    # the bracket of the root
     p = base_params(alpha2=-0.3, u=0.1)
     q_quad = solve_gap(p, method="quadrature", form="reduced").q
     q_ell = solve_gap(p, form="reduced").q
@@ -312,6 +316,27 @@ def test_reduced_form_reports_missing_root():
     grid, vals = err.value.residual_curve
     assert len(grid) == len(vals) > 0
     assert vals.tolist() == [gap_residual(p, q, form="reduced") for q in grid.tolist()]
+
+
+def test_gap_kernel_lies_above_its_log_floor():
+    # I(zeta) >= ln(4/zeta) - 1 is why the reduced scan may start at
+    # |zeta| = 2 e^{-1-1/C}: below it C I(zeta) >= 1 + C ln 2 > 1
+    zeta = np.geomspace(1e-300, 1e300, 20001)
+    kernel = gap_kernel(zeta)
+    # to rounding: a few ulp of ln(4/zeta), which reaches 692
+    assert np.all(kernel >= np.log(4.0 / zeta) - 1.0 - 1e-15 * np.maximum(1.0, kernel))
+
+
+def test_reduced_root_at_weak_coupling():
+    # C = 0.0255: the root sits at zeta ~ 1e-17, far below the old scan floor
+    # |Q| = 1e-9; there I = ln 4 - ln|zeta| - 1 to rounding, so the root is
+    # zeta = 4 e^{-1-1/C} in closed form
+    p = base_params(alpha2=0.02, u=-0.02)
+    coef = 2.0 * p.n_sites * abs(p.u) * p.alpha2 / (math.pi * p.t0)
+    q = 4.0 * math.exp(-1.0 - 1.0 / coef) / abs(zeta_of(p, 1.0))
+    sol = solve_gap(p, form="reduced")
+    assert sol.roots == pytest.approx((-q, q), rel=1e-14)
+    assert sol.q == sol.roots[0] and sol.residual <= 1e-15
 
 
 def test_regime_report():

@@ -27,6 +27,10 @@ def test_tracer_wraps_every_layer_and_restores_it(tmp_path, capsys, monkeypatch)
     monkeypatch.syspath_prepend(str(BENCH))
     from tracing import LAYERS, Tracer
 
+    # a run before install: a parser that bound the handlers when it was
+    # first built would keep running the unwrapped ones
+    assert duplexem.cli.main(["dual-invariants", "--random", "5",
+                              "--out", str(tmp_path / "untraced")]) == 0
     before = [(owner, dict(vars(owner))) for owner in _owners()]
     original = duplexem.sshliquid.gap_residual
     tracer = Tracer()
