@@ -7,6 +7,8 @@ resonance observables, and the Fermi-liquid gap solver for a dimerized
 chain.
 """
 
+import importlib
+
 from .constants import PhysicalConstants
 from .dualsym import (FieldPair, InvariantSet, dual_rotate, hyperbolic_dual, invariants,
                       lorentz_boost_fields)
@@ -20,3 +22,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """`duplexem.sshliquid` on first access: the gap solver, the one module
+    that loads scipy, is imported only when something asks for it."""
+    if name == "sshliquid":
+        return importlib.import_module(f"{__name__}.sshliquid")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

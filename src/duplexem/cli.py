@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib
 import json
 import logging
 import math
 import os
 import sys
+import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -28,12 +30,23 @@ from . import currents as cur
 from . import dualsym as ds
 from . import fockquant as fq
 from . import resonance as res
-from . import sshliquid as ssh
 from .constants import PhysicalConstants
 from .elliptic import elliptic_E, elliptic_K
 from .tables import write_csv as _write_csv  # the name bench/tracing.py wraps
 
 log = logging.getLogger("duplexem")
+
+# the gap solver, imported by the commands that solve a gap: it alone loads scipy
+_GAP_SOLVER = f"{__package__}.sshliquid"
+
+
+def _gap_solver():
+    """The module sshliquid, imported on first use (the load time logged at DEBUG)."""
+    if _GAP_SOLVER not in sys.modules:
+        began = time.perf_counter()
+        importlib.import_module(_GAP_SOLVER)
+        log.debug("loaded the gap solver in %.3f s", time.perf_counter() - began)
+    return sys.modules[_GAP_SOLVER]
 
 
 class ConfigError(ValueError):
@@ -343,6 +356,7 @@ def cmd_resonance_fit(args, cfg, out: Path) -> int:
 
 def _solve_ssh(cfg) -> tuple:
     """(SshParams, Occupation, gap solution) of an ssh config; GapSolverError if no root."""
+    ssh = _gap_solver()
     params = ssh.SshParams(
         t0=cfg["t0"], alpha1=cfg["alpha1"], alpha2=cfg["alpha2"], u=cfg["u"],
         k_spring=cfg["K_spring"], n_sites=cfg["N"], a_lattice=cfg["a"],
@@ -356,12 +370,13 @@ def _ssh_failure(out: Path, exc: RuntimeError) -> int:
     """Record a failed solve: its message in summary.json and, when the gap
     scan found no root, the scanned residual curve; exit code 1."""
     _write_json(out / "summary.json", {"error": str(exc)})
-    if isinstance(exc, ssh.GapSolverError) and exc.residual_curve is not None:
+    if getattr(exc, "residual_curve", None) is not None:   # a GapSolverError's scan
         _write_csv(out / "residual_curve.csv", ["q", "residual"], list(exc.residual_curve))
     return 1
 
 
 def cmd_ssh_solve(args, cfg, out: Path) -> int:
+    ssh = _gap_solver()
     if cfg["u_scan"] is not None:
         u_grid = np.linspace(*cfg["u_scan"])
         if not ssh.symmetric_about_zero(u_grid):
@@ -399,6 +414,7 @@ def cmd_ssh_solve(args, cfg, out: Path) -> int:
 
 
 def cmd_ssh_sweep(args, cfg, out: Path) -> int:
+    ssh = _gap_solver()
     if cfg["u_scan"] is None:
         raise ConfigError("ssh-sweep needs u_scan: [min, max, steps]")
     u_grid = np.linspace(*cfg["u_scan"])
@@ -423,6 +439,7 @@ def cmd_ssh_sweep(args, cfg, out: Path) -> int:
 
 def _verify_checks(seed: int):
     """The deterministic invariant suite behind `verify-all`."""
+    ssh = _gap_solver()
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -644,19 +661,32 @@ def main(argv=None) -> int:
               "DEBUG, INFO, WARNING, ERROR or CRITICAL", file=sys.stderr)
         return 2
     logging.basicConfig(level=level)
+    began = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    code = _run(args)
+    log.info("%s: exit %d in %.3f s", args.command, code, time.perf_counter() - began)
+    return code
+
+
+def _run(args) -> int:
+    """Run one parsed subcommand; its exit code."""
     try:
         out = _outdir(args)
         schema = SCHEMAS.get(args.command)
         cfg = None if schema is None else _load_config(args.config, schema)
+        log.debug("%s: arguments %s, config %s", args.command, vars(args), cfg)
         try:
             return globals()[COMMANDS[args.command].handler](args, cfg, out)
         except cav.SamplingError as exc:
             raise _coarse_grid(exc, cfg) from exc
-        except (ssh.GapSolverError, ssh.WellEdgeError) as exc:
+        except RuntimeError as exc:
+            # a gap-solver failure; only a loaded gap solver can have raised one
+            ssh = sys.modules.get(_GAP_SOLVER)
+            if ssh is None or not isinstance(exc, (ssh.GapSolverError, ssh.WellEdgeError)):
+                raise
             return _ssh_failure(out, exc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

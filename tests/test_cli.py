@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -736,3 +739,80 @@ def test_quantize_default_point_lies_inside_si_cavity(tmp_path, capsys, scheme):
     assert main(["quantize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert json.loads((tmp_path / "summary.json").read_text())["passed"]
+
+
+def test_runner_reraises_a_runtime_error_not_from_the_gap_solver(tmp_path, monkeypatch):
+    def fail(args, cfg, out):
+        raise RuntimeError("not a gap-solver failure")
+
+    monkeypatch.setattr("duplexem.cli.cmd_cavity_field", fail)
+    with pytest.raises(RuntimeError, match="not a gap-solver failure"):
+        main(["cavity-field", "--out", str(tmp_path)])
+    assert not (tmp_path / "summary.json").exists()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# imports the command line, runs each argv of the JSON list argv[1] in turn and
+# prints, as its last line, whether scipy and the gap solver are loaded after
+# the bare import, then the exit code and the same two flags after each run
+_FRESH_RUNS = """
+import json, sys
+import duplexem.cli
+def loaded():
+    return ["scipy" in sys.modules, "duplexem.sshliquid" in sys.modules]
+print(json.dumps([loaded()] + [[duplexem.cli.main(a), *loaded()] for a in json.loads(sys.argv[1])]))
+"""
+
+
+def _fresh_runs(argvs, log_level=None):
+    """(the probe's report, its stdout, its stderr) from a new interpreter."""
+    env = {key: value for key, value in os.environ.items() if key != "DUPLEX_EM_LOG"}
+    env["PYTHONPATH"] = str(SRC)
+    if log_level is not None:
+        env["DUPLEX_EM_LOG"] = log_level
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUNS, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("command, cfg, code", [
+    ("cavity-field", None, 0), ("currents", None, 0), ("quantize", None, 0),
+    ("dual-invariants", None, 0), ("resonance-fit", SMALL_CONFIGS["resonance-fit"], 0),
+    ("cavity-field", {"nz": 0}, 2),
+], ids=["cavity-field", "currents", "quantize", "dual-invariants", "resonance-fit",
+        "cavity-field-config-error"])
+def test_field_commands_load_neither_scipy_nor_the_gap_solver(tmp_path, command, cfg, code):
+    argv = [command, "--out", str(tmp_path / "out")]
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    report, _, _ = _fresh_runs([argv])
+    assert report == [[False, False], [code, False, False]]
+
+
+def test_ssh_solve_loads_the_gap_solver_on_first_use(tmp_path):
+    report, _, _ = _fresh_runs([["ssh-solve", "--out", str(tmp_path)]])
+    assert report == [[False, False], [0, True, True]]
+
+
+def test_debug_log_leaves_the_outputs_unchanged(tmp_path):
+    runs = {}
+    for level in (None, "DEBUG"):
+        out = tmp_path / str(level)
+        argvs = [["cavity-field", "--out", str(out / "cavity")],
+                 ["ssh-solve", "--out", str(out / "ssh")],
+                 ["verify-all", "--seed", "42", "--out", str(out / "verify")]]
+        report, stdout, stderr = _fresh_runs(argvs, level)
+        assert [code for code, *_ in report[1:]] == [0, 0, 0]
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        runs[level] = files, stdout, stderr
+    assert len(runs[None][0]) == 6
+    assert runs[None][:2] == runs["DEBUG"][:2]
+    assert runs[None][2] == ""
+    log = runs["DEBUG"][2]
+    for line in ("cavity-field: exit 0 in", "ssh-solve: exit 0 in", "verify-all: exit 0 in",
+                 "loaded the gap solver in", "config {'length': 1.0"):
+        assert line in log, line
+    assert log.count("loaded the gap solver") == 1
