@@ -36,6 +36,21 @@ from .tables import write_csv as _write_csv  # the name bench/tracing.py wraps
 
 log = logging.getLogger("duplexem")
 
+
+class _StderrHandler(logging.Handler):
+    """Writes each record to sys.stderr as it is at that moment, so a caller
+    that redirects stderr between runs gets the records of each run."""
+
+    def emit(self, record):
+        try:
+            sys.stderr.write(self.format(record) + "\n")
+        except Exception:
+            self.handleError(record)
+
+
+_LOG_HANDLER = _StderrHandler()
+_LOG_HANDLER.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+
 # the gap solver, imported by the commands that solve a gap: it alone loads scipy
 _GAP_SOLVER = f"{__package__}.sshliquid"
 
@@ -660,7 +675,11 @@ def main(argv=None) -> int:
         print(f"config error: DUPLEX_EM_LOG={level!r} is not a logging level; expected "
               "DEBUG, INFO, WARNING, ERROR or CRITICAL", file=sys.stderr)
         return 2
-    logging.basicConfig(level=level)
+    # the package logger's own handler and level, set on every call: a
+    # logging.basicConfig would keep the first call's level in this process
+    log.addHandler(_LOG_HANDLER)   # a no-op once added
+    log.propagate = False
+    log.setLevel(level)
     began = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)

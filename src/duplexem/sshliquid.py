@@ -15,11 +15,11 @@ zeta = 2 alpha1 u Q / t0: the continuum kernel
 is Carlson's symmetric integral R_D(0, zeta^2, 1) / 3 on both sides of
 |zeta| = 1 (DLMF 19.25.1), and so is the band kernel J of the ground-state
 energy; one body over scipy's elliprd ufunc serves a number and an array.
-The solver offers an adaptive-quadrature route and this closed elliptic
-route; both solve the same residual and must agree.  The solver scans
-for sign changes on the whole-array elliptic route and refines each
-bracket it finds with brentq on the chosen route's own residual, so the
-quadrature route still yields its own roots.
+The quadrature route, its independent oracle, takes both kernels by the
+trapezoid rule in s, cot y = w sinh s, on whole arrays.  The solver scans
+for sign changes on the elliptic route and refines each bracket it finds
+with brentq on the chosen route's own residual, so the quadrature route
+still yields its own roots.
 
 Two quasiparticle branches come out of the extremum conditions:
 "ssh_like" with energies +-sqrt(eps^2 + Q^2 Delta^2) (stable only under
@@ -35,17 +35,16 @@ units per length of u.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize  # noqa: F401
 from scipy.special import elliprd
 
-# bench/tracing.py wraps elliptic_K and elliptic_E under these module
-# attributes (as it wraps brentq, minimize_scalar and quad through optimize
-# and integrate above), so they stay although nothing here calls them.
+# bench/tracing.py wraps quad, elliptic_K and elliptic_E under these module
+# attributes, as it wraps brentq and minimize_scalar through optimize, so
+# they stay although nothing here calls them.
 from .elliptic import elliptic_E, elliptic_K  # noqa: F401
 
 
@@ -158,6 +157,7 @@ def bogoliubov_coeffs(p: SshParams, q: float, k):
 # overflows near |zeta| = 1e-154, elliprd returns nan near 1e154); there the
 # kernels take their leading asymptotes, which are exact in double.
 _EDGES = (1e-150, 1e150)
+_LN2 = math.log(2.0)
 _LN4_MINUS_1 = math.log(4.0) - 1.0
 
 
@@ -176,33 +176,45 @@ def _carlson(zeta, body, below, above):
         return np.where(far, edge, body(np.where(far, 1.0, za)))[()]
 
 
-def _quadrature(integrand, tol: float) -> float:
-    """int_0^{pi/2} integrand(y) dy by one adaptive quad."""
-    with warnings.catch_warnings():
-        # the kernels are log-singular as zeta -> 0; the adaptive estimate
-        # still brackets correctly there and is ~1e-13 at solver roots
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(integrand, 0.0, 0.5 * math.pi, epsabs=tol, epsrel=tol, limit=200)
-    return val
+# The trapezoid oracle's step in s and reach past s = ln(2/w), where its integrands
+# fall as e^{-3s} and e^{-s}; blocks of at most _BLOCK (zeta, node) cells bound its memory.
+_STEP, _REACH, _BLOCK = 0.15, 40.0, 8192
 
 
-def _pointwise(kernel, zeta):
-    """kernel at a number, or one call per point of an array (the quadrature
-    route, kept apart from the elliptic one as its independent oracle)."""
-    zeta = np.asarray(zeta, dtype=float)
-    return np.array([kernel(z) for z in zeta.ravel().tolist()]).reshape(zeta.shape)[()]
+def _trapezoid_kernels(zeta):
+    """(I, J) for a number or an array by the trapezoid rule, the oracle that
+    shares no code with the elliptic route.
 
-
-def _gap_quadrature(zeta: float) -> float:
-    if zeta == 0.0:
-        return math.inf
-    za = abs(zeta)
-
-    def integrand(y):
-        s = math.sin(y)
-        return s * s / math.hypot(math.cos(y), za * s)
-
-    return _quadrature(integrand, 1e-14)
+    With x = cot y = w sinh s and w = min(|zeta|, 1/|zeta|), the even integrals
+    A(w) = int_0^inf (1 + x^2)^(-3/2) ds and C(w) = int_0^inf x^2 (1 + x^2)^(-3/2) ds
+    give I = A and J = zeta^2 A - C for |zeta| <= 1, I = C / |zeta| and
+    J = |zeta| C - w A above.  Both integrands are analytic in |Im s| < pi/2, so
+    the rule converges geometrically (Trefethen & Weideman, SIAM Rev. 56:385,
+    2014); they are computed in ln x, so nothing overflows down to 5e-324.
+    Each point's node count, a multiple of 16 past ln(2/w) + _REACH, depends
+    on its own w only: a number gives the same bits alone as in an array.
+    """
+    za = np.abs(np.asarray(zeta, dtype=float))
+    flat = za.ravel()
+    with np.errstate(divide="ignore"):   # zeta = 0: ln w = -inf, no nodes, A = inf, C = 1
+        ln_w = -np.abs(np.log(flat))
+    counts = 16.0 * np.ceil((_LN2 + _REACH - ln_w) / (16.0 * _STEP))
+    a, c = np.full(flat.shape, math.inf), np.ones(flat.shape)
+    for n in np.unique(counts[np.isfinite(counts)]).astype(int).tolist():
+        s = _STEP * np.arange(1, n + 1)
+        # ln sinh s = s - ln 2 + ln(1 - e^{-2s}), whose last term rounds away past s = 30
+        ln_sinh = np.where(s < 30.0, np.log(np.sinh(np.minimum(s, 30.0))), s - _LN2)
+        rows, per = np.flatnonzero(counts == n), max(1, _BLOCK // n)
+        for block in (rows[i:i + per] for i in range(0, rows.size, per)):
+            ln_x2 = 2.0 * (ln_w[block, None] + ln_sinh)
+            ln_a = -1.5 * np.logaddexp(0.0, ln_x2)   # ln (1 + x^2)^(-3/2)
+            a[block] = _STEP * (0.5 + np.sum(np.exp(ln_a), axis=-1))   # s = 0 adds 1/2
+            c[block] = _STEP * np.sum(np.exp(ln_x2 + ln_a), axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in branches discarded
+        big_i = np.where(flat > 1.0, c / flat, a)
+        big_j = np.where(flat > 1.0, flat * c - np.exp(ln_w) * a,
+                         np.where(flat == 0.0, -1.0, flat * flat * a - c))
+    return big_i.reshape(za.shape)[()], big_j.reshape(za.shape)[()]
 
 
 def gap_kernel(zeta, method: str = "elliptic"):
@@ -213,7 +225,7 @@ def gap_kernel(zeta, method: str = "elliptic"):
     beyond the edges I = ln 4 - ln|zeta| - 1 below and 1/|zeta| above.
     """
     if method == "quadrature":
-        return _pointwise(_gap_quadrature, zeta)
+        return _trapezoid_kernels(zeta)[0]
     if method != "elliptic":
         raise ValueError(f"unknown kernel method {method!r}")
     return _carlson(zeta, lambda za: elliprd(0.0, za * za, 1.0) / 3.0,
@@ -505,17 +517,6 @@ def stability_classify(p: SshParams, q: float, k, occ: Occupation, branch: str):
 # ground-state energy of the near-equilibrium branch
 
 
-def _band_quadrature(zeta: float) -> float:
-    za = abs(zeta)
-
-    def integrand(y):
-        s = za * math.sin(y)
-        c = math.cos(y)
-        return (s * s - c * c) / math.hypot(c, s)
-
-    return _quadrature(integrand, 1e-13)
-
-
 def _band_kernel(zeta, method: str = "elliptic"):
     """J(zeta) = int_0^{pi/2} (zeta^2 sin^2 y - cos^2 y) / sqrt(cos^2 y + zeta^2 sin^2 y) dy,
     for a number or an array; J(0) = -1.
@@ -525,7 +526,7 @@ def _band_kernel(zeta, method: str = "elliptic"):
     free of cancellation; beyond the edges J = -1 below and |zeta| above.
     """
     if method == "quadrature":
-        return _pointwise(_band_quadrature, zeta)
+        return _trapezoid_kernels(zeta)[1]
     if method != "elliptic":
         raise ValueError(f"unknown kernel method {method!r}")
 
@@ -539,9 +540,8 @@ def _band_kernel(zeta, method: str = "elliptic"):
 def ground_energy(p: SshParams, q: float, u, method: str = "elliptic"):
     """E0(u) of the near-equilibrium branch at fixed Q, plus elastic energy.
 
-    u may be an array; the elliptic route then evaluates J on the whole
-    array, the quadrature route one adaptive quadrature per point.  A
-    number u gives a float.
+    u may be an array, on which both routes evaluate J whole; a number u
+    gives a float.
     """
     u = np.asarray(u, dtype=float)[()]   # a number: a numpy scalar, cheaper than 0-d
     zeta = 2.0 * p.alpha1 * u * q / p.t0   # zeta_of at dimerization u
@@ -577,7 +577,7 @@ class GroundStateCurve:
     """E0(u) of the near-equilibrium branch on a u grid at fixed Q.
 
     Each column is computed once, when first read: `e0` by the elliptic
-    route, `e0_quadrature` by one adaptive quadrature per point (the
+    route, `e0_quadrature` by the trapezoid rule on the whole grid (the
     oracle of the elliptic route), `e0_smallz` by the small-gap expansion.
     `locate_minimum` sets `u0`, `well_depth` and `double_well`.
     """

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -148,20 +150,21 @@ def test_ssh_sweep_has_no_jobs_flag(tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def _count_quad_calls(monkeypatch):
+def _count_quadrature_calls(monkeypatch):
+    """The zeta of every call of the quadrature route's one array body."""
     calls = []
-    quad = ssh.integrate.quad
+    kernels = ssh._trapezoid_kernels
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return quad(*args, **kwargs)
+    def counted(zeta):
+        calls.append(zeta)
+        return kernels(zeta)
 
-    monkeypatch.setattr(ssh.integrate, "quad", counted)
+    monkeypatch.setattr(ssh, "_trapezoid_kernels", counted)
     return calls
 
 
 def test_ssh_solve_makes_no_quadrature_call(tmp_path, capsys, monkeypatch):
-    calls = _count_quad_calls(monkeypatch)
+    calls = _count_quadrature_calls(monkeypatch)
     cfg = tmp_path / "params.json"
     cfg.write_text(json.dumps({"u_scan": [-0.2, 0.2, 9]}))
     assert main(["ssh-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -169,11 +172,12 @@ def test_ssh_solve_makes_no_quadrature_call(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-def test_ssh_sweep_makes_one_quadrature_per_point(tmp_path, capsys, monkeypatch):
-    calls = _count_quad_calls(monkeypatch)
+def test_ssh_sweep_makes_one_quadrature_call_per_sweep(tmp_path, capsys, monkeypatch):
+    # the E0_quadrature column is one array call over the whole u grid
+    calls = _count_quadrature_calls(monkeypatch)
     summary, _ = _sweep_columns(tmp_path, [-0.3, 0.3, 25])
     capsys.readouterr()
-    assert summary["points"] == 25 and len(calls) == 25
+    assert summary["points"] == 25 and [np.shape(zeta) for zeta in calls] == [(25,)]
 
 
 @pytest.mark.parametrize("command", ["ssh-solve", "ssh-sweep"])
@@ -208,11 +212,14 @@ def test_failed_gap_solve_keeps_residual_curve(tmp_path, capsys, command):
 
 
 def test_verify_all_refines_quadrature_only_on_elliptic_brackets(tmp_path, capsys, monkeypatch):
-    # scanning 600 points per quadrature solve of gap_method_agreement took 3,089 quad calls
-    calls = _count_quad_calls(monkeypatch)
+    # gap_method_agreement evaluates the quadrature route at one Q per brentq step
+    # (63 calls at seed 42), never on the 600-point scan; the ground-state
+    # check takes its 25-point curve in one call
+    calls = _count_quadrature_calls(monkeypatch)
     assert main(["verify-all", "--seed", "42", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert 0 < len(calls) <= 100
+    sizes = [np.size(zeta) for zeta in calls]
+    assert 0 < len(calls) <= 100 and sorted(set(sizes)) == [1, 25] and sizes.count(25) == 1
 
 
 def test_resonance_fit_inline_data(tmp_path, capsys):
@@ -373,8 +380,8 @@ def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
 # any written bit fails here
 PINNED_OUTPUTS = {
     "verify-all": (["verify-all", "--seed", "42"], None, {
-        "summary.json": "e827e331287b08ffe10e2982b6bac78f86c04ee4efe35c543e47360162676364",
-        "verify.csv": "81dbf6523c6c242677bb6f19fb59626ec738c57ad4e7caba40deec056b92a6c4",
+        "summary.json": "afdffa16ff3d1c35f29679d8f786bbc358ac257cc5aa4653da7949a335ded349",
+        "verify.csv": "bf8dda38108b30b6982aaab6e8d007c87beb6cbafb87e5cb0c843d8f49d0a4a3",
     }),
     "currents": (["currents"], None, {
         "currents.csv": "a1a6a7a8ec6ac205fac5c2d3fa226e560086b6e65084ab625071449f96784970",
@@ -413,7 +420,7 @@ PINNED_OUTPUTS = {
         "summary.json": "111f4791c46175fa972b815e774b013556c111818bcc0f477b85e888162beaa4",
     }),
     "ssh-sweep-inverted": (["ssh-sweep"], {"occupation": "inverted", "u_scan": [-0.4, 0.4, 41]}, {
-        "ground_state.csv": "992fa6035901a47a1f26f243921ec5bd2e30f93fa5567bab1d44839a8fa8768a",
+        "ground_state.csv": "4a32f621df9b7abb24039cab79600d32934ac99386a543f5d3432e0a933fb110",
         "summary.json": "16fff2fdae66731a9a16c7f14ec90cb45dee7827bb25dca74925b95badbefda2",
     }),
 }
@@ -547,6 +554,25 @@ def test_unknown_log_level_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["verify-all", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "DUPLEX_EM_LOG" in err and "'bogus'" in err and "DEBUG" in err
+
+
+def test_log_level_follows_the_variable_on_every_call(tmp_path, capsys, monkeypatch):
+    # one process, three levels in turn: each call reads DUPLEX_EM_LOG anew
+    argv = ["quantize", "--out", str(tmp_path)]
+    monkeypatch.delenv("DUPLEX_EM_LOG", raising=False)
+    assert main(argv) == 0
+    assert "duplexem" not in capsys.readouterr().err
+    monkeypatch.setenv("DUPLEX_EM_LOG", "INFO")
+    assert main(argv) == 0
+    assert "INFO:duplexem:quantize: exit 0 in" in capsys.readouterr().err
+    # the records go to the stderr of the moment, here a redirected one
+    redirected = io.StringIO()
+    with contextlib.redirect_stderr(redirected):
+        assert main(argv) == 0
+    assert "INFO:duplexem:quantize: exit 0 in" in redirected.getvalue()
+    monkeypatch.setenv("DUPLEX_EM_LOG", "WARNING")
+    assert main(argv) == 0
+    assert "duplexem" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, cfg, key", [

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -68,7 +69,7 @@ def test_undimerized_convention():
 # --- gap equation -----------------------------------------------------------
 
 
-def test_kernel_elliptic_matches_adaptive_quadrature():
+def test_kernel_elliptic_matches_quadrature():
     for zeta in (0.2, 0.7, 0.999, 1.0, 1.001, 1.8, 4.0):
         assert gap_kernel(zeta, "elliptic") == pytest.approx(
             gap_kernel(zeta, "quadrature"), rel=1e-11)
@@ -95,14 +96,23 @@ def test_branch_switch_points_cover_both_sides():
 
 def test_array_kernels_match_scalar_bit_for_bit():
     # a number takes the bare ufuncs, an array with far points the asymptote
-    # select; both give the same bits, with no warning at the limits
+    # select; both give the same bits, with no warning at the limits.  The
+    # quadrature route gives each point its own node count, in blocks of rows
     zetas = _branch_switch_zetas()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kernel in (gap_kernel, _band_kernel):
-            assert kernel(zetas).tolist() == [kernel(z) for z in zetas.tolist()]
-    assert gap_kernel(0.0) == math.inf and _band_kernel(0.0) == -1.0
+            for method in ("elliptic", "quadrature"):
+                assert kernel(zetas, method).tolist() == \
+                    [kernel(z, method) for z in zetas.tolist()]
+    for method in ("elliptic", "quadrature"):
+        assert gap_kernel(0.0, method) == math.inf and _band_kernel(0.0, method) == -1.0
     assert gap_kernel(1.0) == 0.25 * math.pi and _band_kernel(1.0) == 0.0
+
+
+# each kernel route and its bound against the 40-digit table: relative for I,
+# relative to max(1, |J|) for J
+ROUTE_BOUNDS = (("elliptic", 1e-15), ("quadrature", 4e-15))
 
 
 def _kernel_table():
@@ -120,13 +130,13 @@ def test_array_kernels_match_mpmath_table():
     assert np.sum((zeta > 0.99) & (zeta < 1.1)) >= 100 and np.sum(zeta >= 1e8) >= 60
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for z in (zeta, -zeta):
-            values_i, values_j = gap_kernel(z), _band_kernel(z)
-            assert values_i.tolist() == [gap_kernel(x) for x in z.tolist()]
-            assert values_j.tolist() == [_band_kernel(x) for x in z.tolist()]
+        for (method, bound), z in itertools.product(ROUTE_BOUNDS, (zeta, -zeta)):
+            values_i, values_j = gap_kernel(z, method), _band_kernel(z, method)
+            assert values_i.tolist() == [gap_kernel(x, method) for x in z.tolist()]
+            assert values_j.tolist() == [_band_kernel(x, method) for x in z.tolist()]
             assert values_i[0] == big_i[0] == math.inf
-            assert np.max(np.abs(values_i[1:] - big_i[1:]) / big_i[1:]) <= 1e-15
-            assert np.max(np.abs(values_j - big_j) / np.maximum(1.0, np.abs(big_j))) <= 1e-15
+            assert np.max(np.abs(values_i[1:] - big_i[1:]) / big_i[1:]) <= bound
+            assert np.max(np.abs(values_j - big_j) / np.maximum(1.0, np.abs(big_j))) <= bound
 
 
 @pytest.mark.parametrize("zeta, reference", [
@@ -171,17 +181,16 @@ def test_full_residual_is_one_at_q_zero():
 
 
 def test_both_routes_are_finite_at_tiny_zeta():
-    # sqrt(cos^2 y + zeta^2 sin^2 y) keeps the quadrature denominator off zero
-    # where 1 - zeta^2 rounds to 1; 40-digit mpmath values (kernel_table.csv)
-    big_i = 23.41214529106034742275527256394520691493
-    big_j = -0.9999999999999999996513178206340947632517
-    for zeta in (1e-10, -1e-10):
-        assert abs(gap_kernel(zeta) - big_i) <= 1e-15 * big_i
-        assert abs(_band_kernel(zeta) - big_j) <= 1e-15
-        # quad does not resolve I's peak of width 1e-10 at y = pi/2: 4e-8 relative
-        # at this zeta; J's integrand has no such peak
-        assert abs(gap_kernel(zeta, "quadrature") - big_i) <= 1e-7 * big_i
-        assert abs(_band_kernel(zeta, "quadrature") - big_j) <= 1e-13
+    # I's integrand peaks in a width zeta at y = pi/2; in s, cot y = zeta sinh s,
+    # that peak is a plateau out to s = ln(2/zeta), which the quadrature's nodes
+    # must reach.  40-digit mpmath values (kernel_table.csv)
+    cases = [(1e-10, 23.41214529106034742275527256394520691493,
+              -0.9999999999999999996513178206340947632517),
+             (1e-300, 691.1618222593335957991728088130168560448, -1.0)]
+    for (zeta, big_i, big_j), (method, bound) in itertools.product(cases, ROUTE_BOUNDS):
+        for z in (zeta, -zeta):
+            assert abs(gap_kernel(z, method) - big_i) <= bound * big_i
+            assert abs(_band_kernel(z, method) - big_j) <= bound
 
 
 def test_kernel_value_at_unity():
@@ -285,9 +294,9 @@ def test_quadrature_bracket_without_sign_change_is_named(monkeypatch):
 
 
 def test_reduced_quadrature_solve_skips_the_tiny_gap_kernel():
-    # the quadrature kernel is least accurate at tiny zeta; the reduced scan
-    # evaluates only the elliptic route there, the quadrature route only on
-    # the bracket of the root
+    # the reduced scan reaches |zeta| = 2e-10 on the elliptic route alone; the
+    # quadrature route, accurate there too, is evaluated only on the bracket
+    # of the root
     p = base_params(alpha2=-0.3, u=0.1)
     q_quad = solve_gap(p, method="quadrature", form="reduced").q
     q_ell = solve_gap(p, form="reduced").q
