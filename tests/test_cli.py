@@ -404,6 +404,21 @@ PINNED_OUTPUTS = {
         "dual_invariants.csv": "7e5646df451ec31995683bc270f4179894d71bc239d2a92351f3a8c3fb1a48ac",
         "summary.json": "ab9d5b4ae03855905f4b290c9a97adca2d0ba1aad1de1de1963287c01a4802f5",
     }),
+    "quantize": (["quantize"], None, {
+        "operator_e_mode1.json": "68d61f6843d6d9dd9cc181b388d693f79ba7f5588aaf36ff33c7a293ae33babe",
+        "operator_e_mode2.json": "47b7ec78e7ba7eb70b684639eb982ca5566ad12942ee0b6a6040043713b9923f",
+        "summary.json": "3a659d04129a313aa7856905e53ad19cac9da7881adba4018e3273bc859280d9",
+    }),
+    # coef * (a+ - a), not coef * (a+ + (-1) * a): the latter flips the sign of a
+    # zero entry of mode 4 here
+    "quantize-space-local": (["quantize"], {"scheme": "space_local", "dim": 16, "n_modes": 4,
+                                            "z": 0.8853105815878217, "t": 0.4547899423092088}, {
+        "operator_e_mode1.json": "bb277221c7687139cc3ce58bde6f8e0f224d007923883307d5e309d71c4f61b1",
+        "operator_e_mode2.json": "a2d29dbc0b780d9f2ff4a9dcc6ff3bc92c55690b6d2eb1855a163366aa2321fc",
+        "operator_e_mode3.json": "50779946f7c2ad842f024c6ed433b726e1708a4f120e7f5e4dfb9e5ef25418f0",
+        "operator_e_mode4.json": "6c397ad4d15723e138785ea060e58b8fd823453494ea1e61a45e658cd6b646d5",
+        "summary.json": "858798ae22048af783343650fec003b3b54703679d6e76fd7e702a842c84b8cc",
+    }),
     "quantize-spacetime": (["quantize"], {"scheme": "spacetime_local"}, {
         "operator_e_mode1.json": "bf296d9a35c144e1d0a7969240b5e8fa308a136f402248cff298170ccfc1b636",
         "operator_e_mode2.json": "d38b883881fbdec8a1205c4215da28fb83f21913c35f5f75b2b6708376093a42",
