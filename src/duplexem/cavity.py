@@ -221,32 +221,12 @@ def mode_q(model: CavityModel, state: ModeState, t, deriv: int = 0) -> np.ndarra
 
 
 class FieldOnSegment:
-    """Interface: e/h 3-vector fields of (z, t) plus analytic derivatives.
-
-    Methods return arrays of shape (3,) + shape(z) + shape(t).  The benchmark's
-    layer tracer finds the field classes as its subclasses.
+    """Base of the field classes: 3-vector fields e(z, t) and h(z, t) and their
+    analytic derivatives de_dz, de_dt, dh_dz and dh_dt, each an array of shape
+    (3,) + shape(z) + shape(t), on a segment of ``length`` whose largest mode
+    number ``max_alpha`` sets the shortest wavelength.  The benchmark's layer
+    tracer finds the field classes as its subclasses.
     """
-
-    length = None
-    max_alpha = None
-
-    def e(self, z, t):
-        raise NotImplementedError
-
-    def h(self, z, t):
-        raise NotImplementedError
-
-    def de_dz(self, z, t):
-        raise NotImplementedError
-
-    def de_dt(self, z, t):
-        raise NotImplementedError
-
-    def dh_dz(self, z, t):
-        raise NotImplementedError
-
-    def dh_dt(self, z, t):
-        raise NotImplementedError
 
 
 class SpectralField(FieldOnSegment):

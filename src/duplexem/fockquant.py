@@ -7,6 +7,9 @@ of a z-factor and a t-factor space and its canonical "constant" is the
 operator-valued commutator whose symmetrized form reduces to the scalar
 -hbar*lambda0.
 
+Every mode is built at once: ladders, quadratures and field operators are
+(modes, n, n) stacks, with n = dim, or dim^2 on the space-time tensor space.
+
 Truncation breaks [a, a+] = 1 in the top number state; every operator
 identity here is therefore asserted on the "safe block" that excludes the
 highest state of each factor space.
@@ -57,10 +60,11 @@ def safe_block(m: np.ndarray) -> np.ndarray:
 
 
 def tensor_safe_block(m: np.ndarray, dim: int) -> np.ndarray:
-    """Keep the tensor-basis states safe in both factors (rows and columns)."""
+    """Keep the tensor-basis states safe in both factors (rows and columns),
+    of one matrix or of each matrix of a stack."""
     keep = np.arange(dim) < dim - 1
     mask = np.kron(keep, keep).astype(bool)
-    return m[np.ix_(mask, mask)]
+    return m[..., mask, :][..., mask]
 
 
 def _check_inside(model: CavityModel, z: float):
@@ -74,48 +78,42 @@ def mode_hamiltonian_matrix(dim: int, action: float, omega: float) -> np.ndarray
     return np.diag(action * omega * (n + 0.5)).astype(complex)
 
 
-def trig_ansatz_consistency(dim: int, omega: float, times) -> dict:
-    """Consistency check ruling out a+(t) = a+(0) cos(w t).
+def trig_ansatz_consistency(dim: int, omega: float, times) -> float:
+    """The mismatch of the ansatz a+(t) = a+(0) cos(w t): 0 exactly when it holds.
 
-    That ansatz forces (a+(0) - a(0))^{-1} (a+(0) + a(0)) = tan(w t) * id
-    with a time-independent left side; evaluating the implied right side at
-    two different times exposes the contradiction.
+    The ansatz forces (a+(0) - a(0))^{-1} (a+(0) + a(0)) = tan(w t) * id with
+    a time-independent left side, which is no multiple of the identity; the
+    mismatch is the largest entry of left minus right side over the times.
     """
     a0, ad0 = make_ladder(dim)
     lhs = np.linalg.solve(ad0 - a0, ad0 + a0)
-    rhs = [math.tan(omega * t) for t in times]
-    mismatch = max(float(np.max(np.abs(lhs - r * np.eye(dim)))) for r in rhs)
-    spread = max(rhs) - min(rhs)
-    return {
-        "lhs_time_independent": True,
-        "rhs_values": rhs,
-        "rhs_spread": spread,
-        "mismatch": mismatch,
-        "consistent": bool(spread == 0.0 and mismatch == 0.0),
-    }
+    return max(float(np.max(np.abs(lhs - math.tan(omega * t) * np.eye(dim)))) for t in times)
 
 
-def quadrature_pair(a: np.ndarray, ad: np.ndarray, mass: float, omega: float,
-                    action: float):
-    """(q, p) built from a ladder pair with the given action constant; the
-    space-time scheme builds its factor quadratures from it."""
-    q = math.sqrt(action / (2.0 * mass * omega)) * (ad + a)
-    p = 1j * math.sqrt(action * mass * omega / 2.0) * (ad - a)
+def quadrature_pair(a: np.ndarray, ad: np.ndarray, mass, omega, action: float):
+    """(q, p) of stacked ladder pairs, with mass and omega broadcast against
+    them; the space-time scheme builds its factor quadratures from it."""
+    q = np.sqrt(action / (2.0 * mass * omega)) * (ad + a)
+    p = 1j * np.sqrt(action * mass * omega / 2.0) * (ad - a)
     return q, p
 
 
-def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
-    """Per-mode space-time ladder pairs on the (z-factor) x (t-factor) space.
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of each matrix of the stack a with b (a stack or one matrix)."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    size = prod.shape[-4] * prod.shape[-3]
+    return prod.reshape(prod.shape[:-4] + (size, size))
 
-    Returns one dict per mode with the ladder matrices ``a`` and ``adag``,
-    ``g_deviation``, the largest deviation on the safe block of the average
-    of the ordered canonical products g1, g2 (the index-swapped pair g3, g4
-    coincides with them) from the scalar -hbar*lambda0, relative to
-    hbar*lambda0 so that it reads the same in any unit system, and
-    ``formal_commutator``, the ladder commutator obtained by substituting
-    that average into the canonical algebra (equal to -i times identity on
-    the safe block; the literal tensor-product commutator of a and adag
-    stays operator-valued).  hbar and lambda0 are the model's constants.
+
+def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
+    """Every mode's space-time ladder pair on the (z-factor) x (t-factor) space.
+
+    Returns ``(a, adag, g_deviation)``: the ladders as two (modes, dim^2,
+    dim^2) stacks and, per mode, the largest deviation on the safe block of
+    the average of the ordered canonical products g1, g2 (the index-swapped
+    pair g3, g4 coincides with them) from the scalar -hbar*lambda0, relative
+    to hbar*lambda0 so that it reads the same in any unit system.  The literal
+    tensor-product commutator of a and adag stays operator-valued.
     """
     if dim < 3:
         raise ValueError("dim < 3 leaves no informative safe block")
@@ -123,117 +121,91 @@ def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
     if not 0.0 <= t <= model.period * (1 + 1e-12):
         raise ValueError("t outside [0, T]")
     hbar, lambda0 = model.constants.hbar, model.constants.lambda0
+    w, m = model.omegas[:, None, None], model.masses[:, None, None]
     eye = np.eye(dim, dtype=complex)
-    az, adz = phased_ladders(model.wavenumbers, z, dim)
-    at, adt = phased_ladders(model.omegas, t, dim)
-    target = -hbar * lambda0
-    out = []
-    for i, (w, m) in enumerate(zip(model.omegas, model.masses)):
-        qz, pz = quadrature_pair(az[i], adz[i], m, w, lambda0)
-        qt, pt = quadrature_pair(at[i], adt[i], m, w, hbar)
-        qzt = np.kron(qz, qt)
-        pzt = np.kron(pz, pt)
-        norm = math.sqrt(2.0 * hbar * lambda0 * m * w)
-        g1 = -1j * (hbar * np.kron(pz @ qz, eye) + lambda0 * np.kron(eye, pt @ qt))
-        g2 = 1j * (hbar * np.kron(qz @ pz, eye) + lambda0 * np.kron(eye, qt @ pt))
-        g_avg = 0.25 * (g1 + g2 + g1 + g2)
-        dev_matrix = g_avg - target * np.eye(dim * dim)
-        out.append({
-            "a": (m * w * qzt + 1j * pzt) / norm,
-            "adag": (m * w * qzt - 1j * pzt) / norm,
-            "g_deviation": float(np.max(np.abs(tensor_safe_block(dev_matrix, dim)))
-                                 / (hbar * lambda0)),
-            "formal_commutator": (1j / (hbar * lambda0)) * g_avg,
-        })
-    return out
+    qz, pz = quadrature_pair(*phased_ladders(model.wavenumbers, z, dim), m, w, lambda0)
+    qt, pt = quadrature_pair(*phased_ladders(model.omegas, t, dim), m, w, hbar)
+    g1 = -1j * (hbar * _kron(pz @ qz, eye) + lambda0 * _kron(eye, pt @ qt))
+    g2 = 1j * (hbar * _kron(qz @ pz, eye) + lambda0 * _kron(eye, qt @ pt))
+    dev = 0.25 * (g1 + g2 + g1 + g2) + hbar * lambda0 * np.eye(dim * dim)
+    g_deviation = np.max(np.abs(tensor_safe_block(dev, dim)), axis=(1, 2)) / (hbar * lambda0)
+    del g1, g2, dev   # freed before the ladder stacks are built
+    qzt, pzt = m * w * _kron(qz, qt), 1j * _kron(pz, pt)
+    norm = np.sqrt(2.0 * hbar * lambda0 * m * w)
+    return (qzt + pzt) / norm, (qzt - pzt) / norm, g_deviation
 
 
-def _time_local_terms(md: CavityModel, w, k, m, z, t):
-    cst = md.constants
-    return ((math.sqrt(cst.hbar * w / (md.volume * cst.eps0)) * math.sin(k * z), +1),
-            (1j * math.sqrt(cst.hbar * w / (md.volume * cst.mu0)) * math.cos(k * z), -1))
-
-
-def _space_local_terms(md: CavityModel, w, k, m, z, t):
-    cst = md.constants
-    return ((1j * math.sqrt(cst.lambda0 * w / (md.period * cst.eps0)) * math.sin(w * t), -1),
-            (-math.sqrt(cst.lambda0 * w / (md.period * cst.mu0)) * math.cos(w * t), +1))
-
-
-def _spacetime_local_terms(md: CavityModel, w, k, m, z, t):
-    cst = md.constants
-    scale = math.sqrt(cst.hbar * cst.lambda0 / (2 * m * w))
-    amp_e = math.sqrt(2.0 * w**2 * m / (cst.eps0 * md.volume * md.period))
-    amp_h = math.sqrt(2.0 * w**2 * m / (cst.mu0 * md.volume * md.period))
-    return (amp_e * scale, +1), (1j * (amp_h * scale), -1)
-
-
-# Every field matrix is coef * (a+ + sign * a).  Per scheme, the ((coef, sign)
-# of E, (coef, sign) of H) of one mode from its w, k and mass at the point (z, t).
-_FIELD_TERMS = {
-    SchemeKind.TIME_LOCAL: _time_local_terms,
-    SchemeKind.SPACE_LOCAL: _space_local_terms,
-    SchemeKind.SPACETIME_LOCAL: _spacetime_local_terms,
-}
+def _field_terms(model: CavityModel, kind: SchemeKind, z: float, t: float):
+    """The E and H coefficients of every mode at (z, t), two arrays over the modes."""
+    cst, w, k = model.constants, model.omegas, model.wavenumbers
+    if kind is SchemeKind.TIME_LOCAL:
+        return (np.sqrt(cst.hbar * w / (model.volume * cst.eps0)) * np.sin(k * z),
+                1j * np.sqrt(cst.hbar * w / (model.volume * cst.mu0)) * np.cos(k * z))
+    if kind is SchemeKind.SPACE_LOCAL:
+        return (1j * np.sqrt(cst.lambda0 * w / (model.period * cst.eps0)) * np.sin(w * t),
+                -np.sqrt(cst.lambda0 * w / (model.period * cst.mu0)) * np.cos(w * t))
+    m = model.masses
+    w2 = np.float_power(w, 2)   # libm pow, as a scalar w**2; w * w differs in the last bit
+    scale = np.sqrt(cst.hbar * cst.lambda0 / (2 * m * w))
+    amp_e = np.sqrt(2.0 * w2 * m / (cst.eps0 * model.volume * model.period))
+    amp_h = np.sqrt(2.0 * w2 * m / (cst.mu0 * model.volume * model.period))
+    return amp_e * scale, 1j * (amp_h * scale)
 
 
 class OperatorField:
     """Hermitian operator-valued E and H fields for one quantization scheme.
 
-    Per-mode matrices; modes are independent (delta_ab commutators), so no
-    cross-mode tensor products are formed.  The ladder pairs of all modes
-    are built once per (z, t) and reused until another point is asked for.
+    Modes are independent (delta_ab commutators), so no cross-mode tensor
+    products are formed.  E and H are read-only (modes, n, n) stacks,
+    coef * (a+ + a) and coef * (a+ - a) (swapped in the space-local scheme),
+    built once per (z, t) and reused until another point is asked for.
     """
 
     def __init__(self, model: CavityModel, kind: SchemeKind, dim: int):
-        self.model = model
-        self.kind = kind
-        self.dim = dim
-        self._point, self._ladders, self._g_deviation = None, None, None
+        self.model, self.kind, self.dim = model, kind, dim
+        self._point, self._fields, self._g_deviation = None, None, None
 
-    def _pairs(self, z: float, t: float):
+    def _stacks(self, z: float, t: float) -> np.ndarray:
+        """The (2, modes, n, n) array of the E and the H stack at (z, t)."""
         if self._point != (z, t):
             md = self.model
             _check_inside(md, z)
             if self.kind is SchemeKind.SPACETIME_LOCAL:
-                ops = spacetime_local_operators(md, self.dim, z, t)
-                self._ladders = [(op["a"], op["adag"]) for op in ops]
-                self._g_deviation = max(op["g_deviation"] for op in ops)
+                a, ad, deviation = spacetime_local_operators(md, self.dim, z, t)
+                self._g_deviation = float(np.max(deviation))
             else:
                 rates, x = (md.omegas, t) if self.kind is SchemeKind.TIME_LOCAL \
                     else (md.wavenumbers, z)
-                self._ladders = list(zip(*phased_ladders(rates, x, self.dim)))
-            self._point = (z, t)
-        return self._ladders
+                a, ad = phased_ladders(rates, x, self.dim)
+            coef_e, coef_h = _field_terms(md, self.kind, z, t)
+            e_sum, h_sum = (np.subtract, np.add) if self.kind is SchemeKind.SPACE_LOCAL \
+                else (np.add, np.subtract)
+            fields = np.empty((2,) + a.shape, dtype=complex)
+            np.multiply(coef_e[:, None, None], e_sum(ad, a), out=fields[0])
+            np.multiply(coef_h[:, None, None], h_sum(ad, a), out=fields[1])
+            fields.flags.writeable = False
+            self._point, self._fields = (z, t), fields
+        return self._fields
 
     def g_deviation(self, z: float, t: float) -> float:
-        """Space-time scheme: the largest deviation of the symmetrized canonical
-        products from their scalar over the modes, from the build the matrices use."""
+        """Space-time scheme: the largest g deviation over the modes at (z, t)."""
         if self.kind is not SchemeKind.SPACETIME_LOCAL:
             raise ValueError("g_deviation needs the space-time scheme")
-        self._pairs(z, t)
+        self._stacks(z, t)
         return self._g_deviation
 
-    def _matrix(self, field: int, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        """Field 0 (E) or 1 (H) of one mode: coef * (a+ + sign * a)."""
-        a, ad = self._pairs(z, t)[alpha_idx]
-        md = self.model
-        coef, sign = _FIELD_TERMS[self.kind](md, md.omegas[alpha_idx], md.wavenumbers[alpha_idx],
-                                             md.masses[alpha_idx], z, t)[field]
-        return coef * (ad + a if sign > 0 else ad - a)
-
     def e_matrix(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        return self._matrix(0, alpha_idx, z, t)
+        return self._stacks(z, t)[0, alpha_idx]
 
     def h_matrix(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        return self._matrix(1, alpha_idx, z, t)
+        return self._stacks(z, t)[1, alpha_idx]
 
     def hermiticity_defect(self, z: float, t: float) -> float:
-        worst = 0.0
-        for idx in range(self.model.n_modes):
-            for mat in (self.e_matrix(idx, z, t), self.h_matrix(idx, z, t)):
-                worst = max(worst, float(np.max(np.abs(mat - mat.conj().T))))
-        return worst
+        """The largest entry of X - X+ over every mode's E and H."""
+        fields = self._stacks(z, t)
+        defect = fields.conj().swapaxes(-1, -2)
+        defect -= fields
+        return float(np.max(np.abs(defect)))
 
 
 def dump_operator_json(matrix: np.ndarray, scheme: SchemeKind, mode: int, fh):

@@ -299,11 +299,11 @@ class GapSolution:
     zeta: float
 
 
-def _scan_roots(fn, grid, vals, route, log=False):
+def _scan_roots(fn, grid, vals, route):
     """Roots of fn over the brackets where vals, a scan of grid, vanishes or
-    changes sign between finite neighbours, refined by brentq (in ln q with
-    log, for a grid of positive q, so that each root is fixed relative to
-    itself).
+    changes sign between finite neighbours, each refined by brentq to a
+    tolerance relative to the root alone, so that a root of 1e-16 or of 1e-10
+    is fixed as well as one of 1.
 
     vals may come from another route than fn; a bracket over which fn keeps
     its sign raises GapSolverError naming the route, the bracket and fn at
@@ -320,11 +320,7 @@ def _scan_roots(fn, grid, vals, route, log=False):
             roots.append(a)
             continue
         try:
-            if log:
-                roots.append(math.exp(optimize.brentq(lambda s: fn(math.exp(s)), math.log(a),
-                                                      math.log(b), xtol=1e-14, rtol=8.9e-16)))
-            else:
-                roots.append(optimize.brentq(fn, a, b, xtol=1e-14, rtol=8.9e-16))
+            roots.append(optimize.brentq(fn, a, b, xtol=1e-300, rtol=8.9e-16))
         except ValueError:
             ra, rb = fn(a), fn(b)
             if not ra * rb > 0.0:  # brentq's own sign test passed: another fault
@@ -381,8 +377,7 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
     `_scan_grid`; every sign change found there is refined by brentq on the
     residual of `method`, and all those roots are returned.  The reduced
     form at C > 0 falls with |Q| and is even in Q: its one root in |Q| is
-    refined in ln|Q|, so that a root of 1e-16 is fixed relative to itself,
-    and returned with its mirror as the pair (-Q, Q).  The primary root is
+    returned with its mirror as the pair (-Q, Q).  The primary root is
     the one closest to the noninteracting value Q = 1 for the full form, and
     the largest-magnitude root for the reduced form; `residual` is
     |residual| there on `method`.  Raises :class:`GapSolverError` with the
@@ -399,7 +394,7 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
     grid = _scan_grid(p, form, coef)
     vals = gap_residual(p, grid, occ, "elliptic", form)
     mirrored = form == "reduced" and coef > 0.0
-    roots = _scan_roots(fn, grid, vals, method, log=mirrored)
+    roots = _scan_roots(fn, grid, vals, method)
     if mirrored:
         roots = [-r for r in reversed(roots)] + roots
     if not roots:

@@ -135,14 +135,16 @@ def test_ssh_sweep_routes_agree_at_large_zeta(tmp_path, capsys):
 
 def test_ssh_solve_reaches_large_zeta_without_a_modulus_error(tmp_path, capsys):
     # t0 = 1e-9 scans zeta up to ~1e9, where the AGM kernels raised
-    # "elliptic_K needs 0 <= k < 1"; the solve now finds its root (and still
-    # exits 1: brentq's absolute xtol of 1e-14 is 4e-5 of this root)
+    # "elliptic_K needs 0 <= k < 1"; the root is refined relative to itself
+    # (an absolute brentq xtol of 1e-14 was 4e-5 of it, and the solve exited 1)
     cfg = tmp_path / "tiny_t0.json"
     cfg.write_text(json.dumps({"t0": 1e-9}))
-    main(["ssh-solve", "--config", str(cfg), "--out", str(tmp_path)])
+    assert main(["ssh-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert "error" not in capsys.readouterr().err
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["q"] == pytest.approx(2.2486217124430604e-10, rel=1e-4)
+    # the root of 1 + C Q I(zeta(Q)) - Q by 40-digit mpmath
+    assert summary["q"] == pytest.approx(2.2486252254427007e-10, rel=1e-14)
+    assert summary["passed"] and summary["residual"] <= 1e-10
 
 
 def test_ssh_sweep_has_no_jobs_flag(tmp_path, capsys):
@@ -369,7 +371,8 @@ def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
     times = np.linspace(0.0, model.period, 5)
     assert calls == list(times)
     # the drift comes from the same charges as the table, and equals a fresh computation
-    state = ModeState([0.4 + 0.1j, 0.2, 0.1 - 0.2j], np.zeros(3))
+    state = ModeState(*([complex(*pair) for pair in SCHEMAS["currents"][key].default]
+                        for key in ("c1", "c2")))
     monkeypatch.setattr(cur, "noether_charge", charge)
     expect = cur.charge_drift(cur.FieldFunctionSet.from_cavity(model, state), times)
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -380,12 +383,12 @@ def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
 # any written bit fails here
 PINNED_OUTPUTS = {
     "verify-all": (["verify-all", "--seed", "42"], None, {
-        "summary.json": "afdffa16ff3d1c35f29679d8f786bbc358ac257cc5aa4653da7949a335ded349",
-        "verify.csv": "bf8dda38108b30b6982aaab6e8d007c87beb6cbafb87e5cb0c843d8f49d0a4a3",
+        "summary.json": "41997a606ed76fa32c82d754ffb1f285f17b4bf7b114ed138d09c11c44fc1448",
+        "verify.csv": "5510ac877e7b3555eade708bc3fca06e48f01aa6236b67ad521b2f6c41172df4",
     }),
     "currents": (["currents"], None, {
-        "currents.csv": "a1a6a7a8ec6ac205fac5c2d3fa226e560086b6e65084ab625071449f96784970",
-        "summary.json": "f14bdb935c9387fd2a4aae53d4760a2280ccacb50239cccdee86395cba7fbf1d",
+        "currents.csv": "7c4132b2c2341413ae0322177cd06c382ae55ffa526c697ecb393f864e8a8a23",
+        "summary.json": "e62a17ad169efd25b81a03f11493cc383a6870e6bb1646c4821cce4b8893e02e",
     }),
     "cavity-field-rotated": (["cavity-field"], {"theta": 0.7}, {
         "field.csv": "2a2dabfc6de155d69b23e135ec604f760fc3d0caae963ac16e354d8961a4c6d1",
@@ -425,8 +428,8 @@ PINNED_OUTPUTS = {
         "summary.json": "4a1c84cfda8a6af47d9049a4cbf2f96b54515fcc83255bb6700795fac86c36f5",
     }),
     "ssh-solve": (["ssh-solve"], None, {
-        "gap_solution.csv": "133a11ac6a69f06d93a2166848f72b37aed463aab26e8bc9d1ff4c336f1ffb22",
-        "summary.json": "9717976b77ade693e5fcf2e149c6d8ef28dfd3a4bf7fe206792ace3629533453",
+        "gap_solution.csv": "86916984b3316ff8debcc8516a2b8b00fd0f106065145e99b1aeca44c216b73a",
+        "summary.json": "9e029282014db1ae5ab2db27c86bc70892e33d9f00b9f4ae9257f19afb583aec",
     }),
     # the exact case u = -2 / (N alpha2) with its double well
     "ssh-solve-reduced-exact": (["ssh-solve"], {"form": "reduced", "u": -0.25, "alpha2": 0.08,
@@ -435,8 +438,8 @@ PINNED_OUTPUTS = {
         "summary.json": "111f4791c46175fa972b815e774b013556c111818bcc0f477b85e888162beaa4",
     }),
     "ssh-sweep-inverted": (["ssh-sweep"], {"occupation": "inverted", "u_scan": [-0.4, 0.4, 41]}, {
-        "ground_state.csv": "4a32f621df9b7abb24039cab79600d32934ac99386a543f5d3432e0a933fb110",
-        "summary.json": "16fff2fdae66731a9a16c7f14ec90cb45dee7827bb25dca74925b95badbefda2",
+        "ground_state.csv": "1f5bed72b5f57271488d4b69589428fc6dfa6eb1a073444c01dd91fc6b2a4e8b",
+        "summary.json": "146b1c7e1c6c91970571423d1b15b56a5d3b62f665529da50f1dd445b04ab1e8",
     }),
 }
 
@@ -489,9 +492,9 @@ def test_quantize_builds_spacetime_operators_once(tmp_path, capsys, monkeypatch)
     capsys.readouterr()
     assert calls == [(0.3, 0.2)]
     cst = PhysicalConstants.symmetric()
-    ops = build(CavityModel(1.0, 2, cst), 6, 0.3, 0.2)
+    *_, g_deviation = build(CavityModel(1.0, 2, cst), 6, 0.3, 0.2)
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["checks"]["g_symmetrized_deviation"] == max(o["g_deviation"] for o in ops)
+    assert summary["checks"]["g_symmetrized_deviation"] == np.max(g_deviation)
 
 
 @pytest.mark.parametrize("planted", ["off_diagonal", "no_zero_point"])

@@ -242,8 +242,8 @@ def _full_quadrature_scan_roots(p, occ, form, monkeypatch):
     (grid,) = grids
     vals = gap_residual(p, grid, occ, "quadrature", form)
     scanned = _scan_roots(lambda q: gap_residual(p, q, occ, "quadrature", form),
-                          grid, vals, "quadrature", log=form == "reduced")
-    if form == "reduced":   # one root in |Q|, refined in ln|Q|, and its mirror
+                          grid, vals, "quadrature")
+    if form == "reduced":   # one root in |Q| and its mirror
         scanned = [-r for r in reversed(scanned)] + scanned
     return roots, tuple(scanned)
 
