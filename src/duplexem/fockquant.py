@@ -136,20 +136,23 @@ def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
 
 
 def _field_terms(model: CavityModel, kind: SchemeKind, z: float, t: float):
-    """The E and H coefficients of every mode at (z, t), two arrays over the modes."""
+    """(coefficient, ladder sum) of E and of H at (z, t): each coefficient an
+    array over the modes, each sum np.add (a+ + a) or np.subtract (a+ - a)."""
     cst, w, k = model.constants, model.omegas, model.wavenumbers
     if kind is SchemeKind.TIME_LOCAL:
-        return (np.sqrt(cst.hbar * w / (model.volume * cst.eps0)) * np.sin(k * z),
-                1j * np.sqrt(cst.hbar * w / (model.volume * cst.mu0)) * np.cos(k * z))
+        return ((np.sqrt(cst.hbar * w / (model.volume * cst.eps0)) * np.sin(k * z), np.add),
+                (1j * np.sqrt(cst.hbar * w / (model.volume * cst.mu0)) * np.cos(k * z),
+                 np.subtract))
     if kind is SchemeKind.SPACE_LOCAL:
-        return (1j * np.sqrt(cst.lambda0 * w / (model.period * cst.eps0)) * np.sin(w * t),
-                -np.sqrt(cst.lambda0 * w / (model.period * cst.mu0)) * np.cos(w * t))
+        return ((1j * np.sqrt(cst.lambda0 * w / (model.period * cst.eps0)) * np.sin(w * t),
+                 np.subtract),
+                (-np.sqrt(cst.lambda0 * w / (model.period * cst.mu0)) * np.cos(w * t), np.add))
     m = model.masses
     w2 = np.float_power(w, 2)   # libm pow, as a scalar w**2; w * w differs in the last bit
     scale = np.sqrt(cst.hbar * cst.lambda0 / (2 * m * w))
     amp_e = np.sqrt(2.0 * w2 * m / (cst.eps0 * model.volume * model.period))
     amp_h = np.sqrt(2.0 * w2 * m / (cst.mu0 * model.volume * model.period))
-    return amp_e * scale, 1j * (amp_h * scale)
+    return (amp_e * scale, np.add), (1j * (amp_h * scale), np.subtract)
 
 
 class OperatorField:
@@ -177,12 +180,9 @@ class OperatorField:
                 rates, x = (md.omegas, t) if self.kind is SchemeKind.TIME_LOCAL \
                     else (md.wavenumbers, z)
                 a, ad = phased_ladders(rates, x, self.dim)
-            coef_e, coef_h = _field_terms(md, self.kind, z, t)
-            e_sum, h_sum = (np.subtract, np.add) if self.kind is SchemeKind.SPACE_LOCAL \
-                else (np.add, np.subtract)
             fields = np.empty((2,) + a.shape, dtype=complex)
-            np.multiply(coef_e[:, None, None], e_sum(ad, a), out=fields[0])
-            np.multiply(coef_h[:, None, None], h_sum(ad, a), out=fields[1])
+            for out, (coef, ladder_sum) in zip(fields, _field_terms(md, self.kind, z, t)):
+                np.multiply(coef[:, None, None], ladder_sum(ad, a), out=out)
             fields.flags.writeable = False
             self._point, self._fields = (z, t), fields
         return self._fields

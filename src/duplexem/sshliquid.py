@@ -302,8 +302,9 @@ class GapSolution:
 def _scan_roots(fn, grid, vals, route):
     """Roots of fn over the brackets where vals, a scan of grid, vanishes or
     changes sign between finite neighbours, each refined by brentq to a
-    tolerance relative to the root alone, so that a root of 1e-16 or of 1e-10
-    is fixed as well as one of 1.
+    tolerance relative to the root alone, so that a root of 1e-303 or of 1e-10
+    is fixed as well as one of 1; a subnormal root, below 2.2e-308, only to
+    the spacing 4.9e-324 of the subnormal numbers.
 
     vals may come from another route than fn; a bracket over which fn keeps
     its sign raises GapSolverError naming the route, the bracket and fn at
@@ -319,8 +320,13 @@ def _scan_roots(fn, grid, vals, route):
         if vals[i] == 0.0:
             roots.append(a)
             continue
+        # refined in s = Q / scale, scale the power of two at or above the
+        # bracket: exact, so a normal root takes the same steps as in Q, but
+        # the stop rtol |s| stays normal where Q, and rtol |Q|, would not be
+        scale = math.ldexp(1.0, math.frexp(max(abs(a), abs(b)))[1])
         try:
-            roots.append(optimize.brentq(fn, a, b, xtol=1e-300, rtol=8.9e-16))
+            roots.append(scale * optimize.brentq(lambda s: fn(scale * s), a / scale, b / scale,
+                                                 xtol=5e-324, rtol=8.9e-16))
         except ValueError:
             ra, rb = fn(a), fn(b)
             if not ra * rb > 0.0:  # brentq's own sign test passed: another fault

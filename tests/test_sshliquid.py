@@ -348,6 +348,22 @@ def test_reduced_root_at_weak_coupling():
     assert sol.q == sol.roots[0] and sol.residual <= 1e-15
 
 
+@pytest.mark.parametrize("kw", [
+    dict(alpha2=0.00112, u=-0.02),                                # C ~ 1/701, Q ~ 1e-303
+    dict(t0=1e-6, u=-1.0, alpha2=math.pi * 1e-6 / (200 * 702)),   # C ~ 1/702, Q ~ 1e-311
+])
+def test_reduced_root_near_the_underflow_of_q(kw):
+    # the stop of the root refinement stays relative to the root at roots
+    # where an absolute floor such as 1e-300 would not be negligible, and
+    # where Q itself is subnormal; 1/C ~ 700 leaves the closed form good to ~1e-13
+    p = base_params(**kw)
+    coef = 2.0 * p.n_sites * abs(p.u) * p.alpha2 / (math.pi * p.t0)
+    q = 4.0 * math.exp(-1.0 - 1.0 / coef) / abs(zeta_of(p, 1.0))
+    sol = solve_gap(p, form="reduced")
+    assert sol.roots == pytest.approx((-q, q), rel=1e-12, abs=0.0)
+    assert sol.residual <= 1e-10
+
+
 def test_regime_report():
     p = base_params(alpha2=0.2, u=0.1)
     sol = solve_gap(p)
