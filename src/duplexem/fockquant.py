@@ -25,6 +25,8 @@ import numpy as np
 
 from .cavity import CavityModel
 
+_JSON_PAIRS = 4096   # matrix entries per json.dumps call of dump_operator_json
+
 
 class SchemeKind(Enum):
     TIME_LOCAL = "time_local"
@@ -209,12 +211,15 @@ class OperatorField:
 
 
 def dump_operator_json(matrix: np.ndarray, scheme: SchemeKind, mode: int, fh):
-    """Serialize one operator: dim, scheme, mode, row-major (re, im) pairs."""
+    """Serialize one operator: dim, scheme, mode, row-major (re, im) pairs.
+
+    The bytes are those of one sorted-key, compact ``json.dumps`` of the
+    object; the entries are written in chunks of _JSON_PAIRS pairs, so no
+    Python list or string of the whole matrix is built."""
     pairs = np.ascontiguousarray(matrix, dtype=complex).view(float).reshape(-1, 2)
-    # one json.dumps call: json.dump(fh) always takes the pure-Python encoder
-    fh.write(json.dumps({
-        "dim": int(matrix.shape[0]),
-        "scheme": scheme.value,
-        "mode": int(mode),
-        "entries": pairs.tolist(),
-    }, separators=(",", ":"), sort_keys=True))
+    fh.write(f'{{"dim":{int(matrix.shape[0])},"entries":[')
+    for start in range(0, len(pairs), _JSON_PAIRS):
+        # json.dumps, not json.dump(fh): that always takes the pure-Python encoder
+        text = json.dumps(pairs[start:start + _JSON_PAIRS].tolist(), separators=(",", ":"))
+        fh.write(("," if start else "") + text[1:-1])
+    fh.write(f'],"mode":{int(mode)},"scheme":{json.dumps(scheme.value)}}}')

@@ -1,17 +1,49 @@
 """Column-wise CSV tables with 17-significant-digit numbers.
 
-The bytes match what ``csv.writer`` writes for rows of ``f"{x:.17g}"``
-cells: ',' between cells, '\\r\\n' after every line, and a string cell
-quoted only when it holds ',', '"', '\\r' or '\\n'.  Numbers are formatted
-a column at a time, and each distinct value (compared bit for bit, so
--0.0 and 0.0 stay apart) is formatted once.
+Byte contract: a file holds exactly what ``csv.writer`` writes to a text
+file for the header and for rows of ``f"{x:.17g}"`` number cells: ','
+between cells, '\\r\\n' after every line, and a string cell quoted only
+when it holds ',', '"', '\\r' or '\\n'.  Text is UTF-8, and a string cell
+may not hold a NUL.
+
+Numbers (bool, int and real float columns, each taken as float64) get
+their digits from one generator on whole numpy arrays.  For a finite
+nonzero x, with ``mant, e2 = frexp(|x|)``, the constant C = 2**e2 * 10**k
+is held as a double-double: the double nearest C, in Veltkamp halves, and
+the double nearest the rest, built exactly from Python ints the first time
+e2 appears.  k puts mant * C in [1e16, 2e17), and mantissas above
+1e17 / C take 10**(k-1) instead.  Dekker's exact TwoProduct splits
+mant * C into an integer p and a rest whose computed value is off by less
+than 1e-14 units: two roundings of terms below 32 and the 2**-106 of the
+double-double.  So N = p + round(rest) is x rounded to 17 significant
+digits whenever the fraction rounded off lies farther than 1e-9 from 1/2.
+A product that still comes out above 1e17 is redone with 10**(k-1), and
+one that rounds to exactly 1e17 becomes 1e16 with the exponent one higher.
+
+Fallback set: zeros, infinities, nans and those near-ties, which include
+every exact tie (rounded half to even), take Python's own
+``f"{x:.17g}"``, one value at a time.
+
+The digits, sign, point and exponent are laid out by the ``g`` rules
+(fixed notation for decimal exponents -4 to 16, scientific otherwise,
+trailing zeros and a bare point dropped, at least two exponent digits) in
+fixed slots of a _WIDTH-byte record, with NUL in the slots a value does
+not use.  Each block of _BLOCK_ROWS rows deduplicates its numeric cells
+(compared bit for bit, so -0.0 and 0.0 stay apart), formats each distinct
+value once, gathers the records and separators into one byte array, drops
+its NULs and writes it in one call.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 _BLOCK_ROWS = 1024   # rows formatted and written per block, to bound memory
+_WIDTH = 29          # record bytes: sign, "0.000", 17 digits and a point, "e+308"
+_TIE = 1e-9          # rounded-off fractions this close to 1/2 take the fallback
 
 
 def _quote(text: str) -> str:
@@ -20,16 +52,189 @@ def _quote(text: str) -> str:
     return text
 
 
-def _cells(name: str, column: np.ndarray) -> list:
-    """The CSV cells of one column, as strings."""
-    if column.dtype.kind == "U":
-        return [_quote(text) for text in column.tolist()]
+def _split(a):
+    """Veltkamp's split of doubles into halves of 26 significant bits."""
+    c = 134217729.0 * a                 # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scale_constant(e2: int, k: int) -> list:
+    """[h1, h2, lo, k]: h1 + h2 is the double nearest 2**e2 * 10**k, split
+    in halves, and lo the double nearest the rest, so h1 + h2 + lo matches
+    the constant to 2**-106 relative."""
+    num = 2 ** max(e2, 0) * 10 ** max(k, 0)
+    den = 2 ** max(-e2, 0) * 10 ** max(-k, 0)
+    hi = num / den                      # int / int rounds correctly
+    p, q = hi.as_integer_ratio()
+    return [*_split(hi), (num * q - p * den) / (den * q), k]
+
+
+@functools.cache
+def _scale(e2: int) -> tuple:
+    """The constants of mantissas in [0.5, 1) of binary exponent e2: those
+    of 2**e2 * 10**k and of 2**e2 * 10**(k-1), then t.  k is the power that
+    puts 2**(e2-1) * 10**k in [1e16, 1e17).  Mantissas at or above t take
+    10**(k-1): t lies just above 1e17 / (2**e2 * 10**k), so their products
+    never fall below 1e16, and those of the others come to at most 1e17 + 12."""
+    n = e2 - 1     # floor(log10(2**n)), exactly: 2**|n| is never a power of ten
+    k = 16 - (len(str(2 ** n)) - 1 if n >= 0 else -len(str(2 ** -n)))
+    t = 10 ** max(17 - k, 0) * 2 ** max(-e2, 0) / (10 ** max(k - 17, 0) * 2 ** max(e2, 0))
+    return (*_scale_constant(e2, k), *_scale_constant(e2, k - 1), math.nextafter(t, math.inf))
+
+
+def _round_product(mant, h1, h2, lo):
+    """(N, f): N the nearest integer to mant * (h1 + h2 + lo), an int64 at
+    or above 1e16, and f the fraction rounded off, in [-1/2, 1/2).  The
+    error of p = mant * (h1 + h2) is Dekker's, exact."""
+    p = mant * (h1 + h2)                # an integer: p >= 1e16 > 2**53
+    m1, m2 = _split(mant)
+    rest = (((m1 * h1 - p) + m1 * h2 + m2 * h1) + m2 * h2) + mant * lo
+    up = np.floor(rest + 0.5)
+    return p.astype(np.int64) + up.astype(np.int64), rest - up
+
+
+@functools.cache
+def _quads() -> np.ndarray:
+    """The four ASCII digits of 0 to 9999: column i holds those of i."""
+    i = np.arange(10000)
+    table = (np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10]) + 48).astype(np.uint8)
+    table.flags.writeable = False       # cached: shared by every call
+    return table
+
+
+def _digits(n):
+    """The 17 decimal digits of int64 values in [1e16, 1e17), as ASCII
+    rows: out[j] holds digit j of every value."""
+    out = np.empty((17, n.size), np.uint8)
+    for j in range(13, 0, -4):          # digits j..j+3, from the last four
+        rest = n // 10000
+        np.take(_quads(), n - rest * 10000, axis=1, out=out[j:j + 4])
+        n = rest
+    out[0] = n + 48
+    return out
+
+
+def _decimal(x: np.ndarray) -> tuple:
+    """(n, dec, fast): x rounded to 17 digits as n * 10**(dec - 16), with n
+    an int64 in [1e16, 1e17), for the finite nonzero values not within
+    _TIE of a rounding tie; fast is False at the others."""
+    a = np.abs(x)
+    fast = np.isfinite(a) & (a != 0)
+    mant, e2 = np.frexp(np.where(fast, a, 1.0))
+    idx = e2.astype(np.intp) + 1074     # e2 runs from -1073 (5e-324) to 1024
+    used = np.flatnonzero(np.bincount(idx))
+    consts = np.array([_scale(i - 1074) for i in used.tolist()])
+    limit = np.full(used[-1] + 1, np.inf)
+    limit[used] = consts[:, 8]
+    table = np.zeros((4, 2 * used[-1] + 2))   # column 2 * idx: 10**k, 2 * idx + 1: 10**(k-1)
+    table[:, 2 * used] = consts[:, :4].T
+    table[:, 2 * used + 1] = consts[:, 4:8].T
+    at = 2 * idx + (mant >= limit[idx])
+    n, frac = _round_product(mant, *(row[at] for row in table[:3]))
+    dec = (16 - table[3][at]).astype(np.int16)
+    over = np.flatnonzero(n > 10**17)   # rare: 10**k products up to 12 units above 1e17
+    if over.size:
+        at = at[over] + 1
+        n[over], frac[over] = _round_product(mant[over], *(row[at] for row in table[:3]))
+        dec[over] += 1
+    top = n == 10**17
+    n[top] = 10**16
+    dec[top] += 1
+    fast &= np.abs(frac) < 0.5 - _TIE
+    return n, dec, fast
+
+
+@functools.cache
+def _affixes() -> np.ndarray:
+    """What the g rules make of each decimal exponent d, in column d + 324:
+    rows 0-4 the "0.000" prefix and rows 5-9 the exponent, as ASCII with 0
+    in unused slots; row 10 the digit that the point follows (17: the point
+    is in the prefix) and row 11 the count of digits shown even when zero."""
+    columns = []
+    for d in range(-324, 309):
+        if -4 <= d < 0:                 # 0.000ddd
+            prefix, exponent, q, lead = "0." + "0" * (-1 - d), "", 17, 0
+        elif 0 <= d < 17:               # ddd.ddd
+            prefix, exponent, q, lead = "", "", d, d + 1
+        else:                           # d.ddde+dd
+            prefix, exponent, q, lead = "", f"e{d:+03d}", 0, 1
+        text = prefix.ljust(5, "\0") + exponent.ljust(5, "\0")
+        columns.append([*text.encode(), q, lead])
+    table = np.array(columns, dtype=np.uint8).T
+    table.flags.writeable = False       # cached: shared by every call
+    return table
+
+
+def _records(x: np.ndarray) -> np.ndarray:
+    """The text of f"{v:.17g}" for each v of a float64 array, as rows of
+    _WIDTH bytes with NUL bytes anywhere between and after the characters:
+    sign, "0.000" prefix, 17 digits with a point slot, exponent."""
+    n, dec, fast = _decimal(x)
+    digits = _digits(n)
+    affix = np.take(_affixes(), dec + 324, axis=1)
+    q, lead = affix[10], affix[11]
+    j = np.arange(17, dtype=np.int16)[:, None]
+    sig = ((digits != 48) * (j + 1)).max(axis=0)     # up to the last nonzero digit
+    digits *= j < np.maximum(sig, lead)              # trailing zeros dropped
+
+    body = np.zeros((18, x.size), np.uint8)          # the digits, the point after digit q
+    body[:17] = digits
+    body[1:] -= (j >= q) * (body[1:] - digits)       # uint8 wraps: digits where j >= q
+    at = np.flatnonzero(q < 17)
+    body[q[at] + 1, at] = (sig[at] > q[at] + 1) * np.uint8(46)
+    rec = np.zeros((x.size, _WIDTH), np.uint8)
+    out = rec.T
+    out[0] = (x < 0) * np.uint8(45)
+    out[1:6] = affix[:5]
+    out[6:24] = body
+    out[24:29] = affix[5:10]
+
+    for i in np.flatnonzero(~fast).tolist():
+        text = f"{x[i]:.17g}".encode()
+        rec[i] = 0
+        rec[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return rec
+
+
+def _numbers(name: str, column: np.ndarray) -> np.ndarray:
     if column.dtype.kind not in "biuf":
         raise ValueError(f"column {name!r} is not real ({column.dtype}); "
                          "write its real and imaginary parts as two columns")
-    bits, index = np.unique(column.astype(float).view(np.int64), return_inverse=True)
-    text = np.array([f"{x:.17g}" for x in bits.view(float).tolist()], dtype=object)
-    return text[index].tolist()
+    return column.astype(float)
+
+
+def _strings(name: str, column: np.ndarray) -> np.ndarray:
+    """The quoted UTF-8 cells of a string column, as rows of bytes."""
+    cells = [_quote(text).encode() for text in column.tolist()]
+    if any(b"\0" in cell for cell in cells):
+        raise ValueError(f"column {name!r} holds a NUL character")
+    return np.array(cells, dtype=bytes).view(np.uint8).reshape(len(cells), -1)
+
+
+def _block(header, columns) -> np.ndarray:
+    """The bytes of the CSV lines of equal-length column slices."""
+    rows = len(columns[0])
+    fields = [_strings(name, col) if col.dtype.kind == "U" else None
+              for name, col in zip(header, columns)]
+    numeric = [i for i, field in enumerate(fields) if field is None]
+    if numeric:
+        cells = np.stack([_numbers(header[i], columns[i]) for i in numeric], axis=1)
+        bits, index = np.unique(cells.view(np.int64), return_inverse=True)
+        del cells
+        rec = _records(bits.view(float))
+        del bits
+        index = index.reshape(rows, -1)
+    ends = np.cumsum([_WIDTH + 1 if field is None else field.shape[1] + 1
+                      for field in fields])
+    line = np.zeros((rows, ends[-1] + 1), np.uint8)
+    for i, (field, end) in enumerate(zip(fields, ends.tolist())):
+        if field is None:
+            field = np.take(rec, index[:, numeric.index(i)], axis=0)
+        line[:, end - 1 - field.shape[1]:end - 1] = field
+    line[:, ends - 1] = 44
+    line[:, -2:] = (13, 10)
+    return line[line != 0]
 
 
 def write_csv(path, header, columns) -> None:
@@ -44,10 +249,7 @@ def write_csv(path, header, columns) -> None:
     n_rows = len(columns[0])
     if any(col.shape != (n_rows,) for col in columns):
         raise ValueError("columns must be one-dimensional and of equal length")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(_quote, header)) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(map(_quote, header)) + "\r\n").encode())
         for start in range(0, n_rows, _BLOCK_ROWS):
-            block = [_cells(name, col[start:start + _BLOCK_ROWS])
-                     for name, col in zip(header, columns)]
-            fh.write("\r\n".join(map(",".join, zip(*block))))
-            fh.write("\r\n")
+            fh.write(_block(header, [col[start:start + _BLOCK_ROWS] for col in columns]))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,36 @@ def test_operator_json_round_trips_every_bit(tmp_path):
     data = json.loads(text)
     rebuilt = np.array([complex(re, im) for re, im in data["entries"]]).reshape(2, 2)
     assert np.array_equal(rebuilt.view(np.int64), np.ascontiguousarray(mat).view(np.int64))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, fq._JSON_PAIRS])
+def test_operator_json_matches_one_dumps_call(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(fq, "_JSON_PAIRS", chunk)
+    mat = OperatorField(make_model(), SchemeKind.TIME_LOCAL, 3).e_matrix(1, 0.2, 0.1)
+    path = tmp_path / "op.json"
+    with open(path, "w") as fh:
+        dump_operator_json(mat, SchemeKind.TIME_LOCAL, 2, fh)
+    pairs = mat.view(float).reshape(-1, 2).tolist()
+    assert path.read_text() == json.dumps(
+        {"dim": 3, "scheme": "time_local", "mode": 2, "entries": pairs},
+        separators=(",", ":"), sort_keys=True)
+
+
+def test_operator_json_dump_peaks_below_the_operator_build(tmp_path):
+    # the quantize config of the cavity-fields benchmark: 3 modes, dim 14
+    tracemalloc.start()
+    try:
+        field = OperatorField(make_model(3), SchemeKind.SPACETIME_LOCAL, 14)
+        field.hermiticity_defect(0.3, 0.2)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        # one mode of three: each dump's memory is freed before the next
+        with open(tmp_path / "operator_e_mode1.json", "w") as fh:
+            dump_operator_json(field.e_matrix(0, 0.3, 0.2), SchemeKind.SPACETIME_LOCAL, 1, fh)
+        dump = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dump < build
 
 
 def test_operator_field_builds_all_modes_once_per_point(monkeypatch):

@@ -1,8 +1,11 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duplexem import tables
 from duplexem.cavity import CavityModel, FirstSolution, ModeState, dump_field_csv
@@ -76,6 +79,12 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
         write_csv(tmp_path / "bad.csv", ["a", "b"], [[0.0, 1.0]])
 
 
+def test_write_csv_rejects_nul_in_strings(tmp_path):
+    # the writer squeezes NUL padding out of each block, so a NUL cell would vanish
+    with pytest.raises(ValueError, match="'label'"):
+        write_csv(tmp_path / "bad.csv", ["x", "label"], [[0.0], ["a\0b"]])
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.7])
 def test_field_csv_matches_cell_by_cell_dump(tmp_path, theta):
     rng = np.random.default_rng(5)
@@ -89,3 +98,60 @@ def test_field_csv_matches_cell_by_cell_dump(tmp_path, theta):
     dump_field_csv(field, z, t, tmp_path / "new.csv")
     reference_field_csv(field, z, t, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def formatted(values):
+    """The writer's text of each value, read off its NUL-padded record."""
+    with np.errstate(all="raise"):
+        records = tables._records(np.asarray(values, dtype=float))
+    return [bytes(rec[rec != 0]).decode() for rec in records]
+
+
+def python_formatted(values):
+    return [f"{x:.17g}" for x in np.asarray(values, dtype=float).tolist()]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=500))
+def test_digits_match_python_on_any_bit_pattern(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(float)
+    assert formatted(values) == python_formatted(values)
+
+
+def test_digits_match_python_at_the_edges():
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    # the tops of decades: the last doubles below 1e23, 1e17, 1e-4 and 1e16, and
+    # doubles just below a power of ten whose 17-digit rounding reaches it
+    round_up = [9.9999999999999999e22, math.nextafter(1e17, 0), math.nextafter(1e-4, 0),
+                math.nextafter(1e16, 0), 1e-305, 1e-243, 1e-176]
+    # m / 4 with m odd: 16 integer digits and .25 or .75, a tie at 17 digits
+    rng = np.random.default_rng(18)
+    ties = (2 * rng.integers(2 * 10**15, 2**52, 2000) + 1) / 4
+    # m / 2**k is m * 5**k / 10**k exactly: a tie wherever m * 5**k has 18 digits
+    scaled_ties = [m / 2**k for k in range(1, 80) for m in range(1, 2000, 2)
+                   if len(str(m * 5**k)) == 18]
+    values = np.concatenate([
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), -tens, round_up, ties,
+        scaled_ties,
+        [(2**53 - 1) / 4, 1e15 + 0.25, 1e15 + 0.75, 5e-324, -5e-324, 1.7976931348623157e308,
+         -1.7976931348623157e308, 2.2250738585072014e-308, 0.0, -0.0, math.inf, -math.inf,
+         math.nan, 1e16, 1e17, 123456789.0, 0.1, 1 / 3, 1e-4, 1e-5, 2.0**-1074 * 3]])
+    assert formatted(values) == python_formatted(values)
+
+
+def test_field_dump_memory_stays_bounded(tmp_path):
+    # 1.1x the peak of the per-value Python formatter this writer replaced
+    rng = np.random.default_rng(5)
+    model = CavityModel(1.0, 16, PhysicalConstants.symmetric())
+    state = ModeState(rng.normal(size=16) + 1j * rng.normal(size=16),
+                      rng.normal(size=16) + 1j * rng.normal(size=16))
+    field = FirstSolution(model, state).rotated(0.7)
+    z, t = np.linspace(0.0, 1.0, 160), np.linspace(0.0, 1.0, 160)
+    dump_field_csv(field, z, t, tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        dump_field_csv(field, z, t, tmp_path / "field.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.7e6
