@@ -68,11 +68,6 @@ class SshParams:
         if self.a_lattice <= 0:
             raise ValueError("lattice constant must be positive")
 
-    def replace(self, **kw) -> "SshParams":
-        data = self.__dict__.copy()
-        data.update(kw)
-        return SshParams(**data)
-
 
 @dataclass(frozen=True)
 class Occupation:
@@ -604,20 +599,25 @@ class GroundStateCurve:
     def locate_minimum(self) -> "GroundStateCurve":
         """Find the dimerization minimum +-u0 of a grid symmetric about 0.
 
-        The curve is even in u (u enters through zeta^2 and u^2); the
-        minimum is refined by golden-section search around the grid argmin.
-        A flat curve (minimum at u = 0) is reported with double_well = False;
-        a grid argmin at the edge raises WellEdgeError.
+        The curve is even in u (u enters through zeta^2 and u^2), so the
+        points at or above 0 are taken in increasing order, with u = 0 put
+        in front when no point lies there (a grid of even count).  A minimum
+        at the first of them is a flat curve, reported with double_well =
+        False; one at the last raises WellEdgeError; any other is refined
+        by golden-section search between its neighbours.
         """
         p, q, u_grid = self.params, self.q, self.u_grid
         if not symmetric_about_zero(u_grid):
             raise ValueError("u grid must be symmetric about 0")
         tol = 1e-12 * max(1.0, np.max(np.abs(u_grid)))
+        e_at_zero = ground_energy(p, q, 0.0, "elliptic")
+        order = np.argsort(u_grid, kind="stable")
         # np.linspace(-U, U, n) can leave its centre at -4e-16; keeping it gives
         # a minimum at the first positive point a bracket to refine in
-        pos = u_grid >= -tol
-        u_pos = u_grid[pos]
-        e_pos = self.e0[pos]
+        pos = order[u_grid[order] >= -tol]
+        u_pos, e_pos = u_grid[pos], self.e0[pos]
+        if u_pos[0] > tol:
+            u_pos, e_pos = np.insert(u_pos, 0, 0.0), np.insert(e_pos, 0, e_at_zero)
         i_min = int(np.argmin(e_pos))
         u0 = float(u_pos[i_min])
         if 0 < i_min == len(u_pos) - 1:
@@ -629,7 +629,6 @@ class GroundStateCurve:
                 bracket=(u_pos[i_min - 1], u_pos[i_min], u_pos[i_min + 1]),
                 method="golden", options={"xtol": 1e-12})
             u0 = float(abs(res.x))
-        e_at_zero = ground_energy(p, q, 0.0, "elliptic")
         e_at_min = ground_energy(p, q, u0, "elliptic")
         well_depth = e_at_zero - e_at_min
         double = bool(u0 > 1e-9 * max(1.0, np.max(np.abs(u_grid)))

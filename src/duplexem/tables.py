@@ -8,17 +8,23 @@ may not hold a NUL.
 
 Numbers (bool, int and real float columns, each taken as float64) get
 their digits from one generator on whole numpy arrays.  For a finite
-nonzero x, with ``mant, e2 = frexp(|x|)``, the constant C = 2**e2 * 10**k
-is held as a double-double: the double nearest C, in Veltkamp halves, and
-the double nearest the rest, built exactly from Python ints the first time
-e2 appears.  k puts mant * C in [1e16, 2e17), and mantissas above
-1e17 / C take 10**(k-1) instead.  Dekker's exact TwoProduct splits
-mant * C into an integer p and a rest whose computed value is off by less
-than 1e-14 units: two roundings of terms below 32 and the 2**-106 of the
-double-double.  So N = p + round(rest) is x rounded to 17 significant
-digits whenever the fraction rounded off lies farther than 1e-9 from 1/2.
-A product that still comes out above 1e17 is redone with 10**(k-1), and
-one that rounds to exactly 1e17 becomes 1e16 with the exponent one higher.
+nonzero x, with ``mant, e2 = frexp(|x|)``, each e2 has one constant
+C = 2**e2 * 10**k, with k putting mant * C in [1e16, 2e17).  C is held as
+a double-double: the double nearest C, in Veltkamp halves, and the double
+nearest the rest, built exactly from Python ints the first time e2
+appears.  Dekker's exact TwoProduct splits mant * C into an integer p and
+a rest whose computed value is off by less than 4e-15 units: one rounding
+of mant times the low part (below 16, so off by at most 2**-50), one of
+its sum with Dekker's exact error (below 32, at most 2**-49) and the
+2**-106 of the double-double (at most 2**-50).  So N = p + round(rest)
+and the fraction f rounded off sum to mant * C within that error.  A
+product of 18 digits (N >= 1e17) drops its last one: N becomes
+N // 10 + round((N % 10 + f) / 10), with the new fraction carried and
+the exponent one higher; N % 10 + f is exact, and the division by ten
+adds at most 2**-54 units.  The result is x rounded to 17 significant
+digits whenever the final fraction lies farther than 1e-9 from 1/2.  No
+double has a product within 1e-9 of 1e17 - 1/2, so N >= 1e17 picks the
+right decade even where N itself is one off.
 
 Fallback set: zeros, infinities, nans and those near-ties, which include
 every exact tie (rounded half to even), take Python's own
@@ -37,7 +43,6 @@ its NULs and writes it in one call.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -59,28 +64,19 @@ def _split(a):
     return hi, a - hi
 
 
-def _scale_constant(e2: int, k: int) -> list:
-    """[h1, h2, lo, k]: h1 + h2 is the double nearest 2**e2 * 10**k, split
-    in halves, and lo the double nearest the rest, so h1 + h2 + lo matches
-    the constant to 2**-106 relative."""
+@functools.cache
+def _scale(e2: int) -> list:
+    """[h1, h2, lo, k] of mantissas in [0.5, 1) of binary exponent e2: h1 + h2
+    is the double nearest C = 2**e2 * 10**k, split in halves, and lo the
+    double nearest the rest, so h1 + h2 + lo matches C to 2**-106 relative.
+    k puts 2**(e2-1) * 10**k in [1e16, 1e17), so mant * C is in [1e16, 2e17)."""
+    n = e2 - 1     # floor(log10(2**n)), exactly: 2**|n| is never a power of ten
+    k = 16 - (len(str(2 ** n)) - 1 if n >= 0 else -len(str(2 ** -n)))
     num = 2 ** max(e2, 0) * 10 ** max(k, 0)
     den = 2 ** max(-e2, 0) * 10 ** max(-k, 0)
     hi = num / den                      # int / int rounds correctly
     p, q = hi.as_integer_ratio()
     return [*_split(hi), (num * q - p * den) / (den * q), k]
-
-
-@functools.cache
-def _scale(e2: int) -> tuple:
-    """The constants of mantissas in [0.5, 1) of binary exponent e2: those
-    of 2**e2 * 10**k and of 2**e2 * 10**(k-1), then t.  k is the power that
-    puts 2**(e2-1) * 10**k in [1e16, 1e17).  Mantissas at or above t take
-    10**(k-1): t lies just above 1e17 / (2**e2 * 10**k), so their products
-    never fall below 1e16, and those of the others come to at most 1e17 + 12."""
-    n = e2 - 1     # floor(log10(2**n)), exactly: 2**|n| is never a power of ten
-    k = 16 - (len(str(2 ** n)) - 1 if n >= 0 else -len(str(2 ** -n)))
-    t = 10 ** max(17 - k, 0) * 2 ** max(-e2, 0) / (10 ** max(k - 17, 0) * 2 ** max(e2, 0))
-    return (*_scale_constant(e2, k), *_scale_constant(e2, k - 1), math.nextafter(t, math.inf))
 
 
 def _round_product(mant, h1, h2, lo):
@@ -118,29 +114,23 @@ def _digits(n):
 def _decimal(x: np.ndarray) -> tuple:
     """(n, dec, fast): x rounded to 17 digits as n * 10**(dec - 16), with n
     an int64 in [1e16, 1e17), for the finite nonzero values not within
-    _TIE of a rounding tie; fast is False at the others."""
+    _TIE of a rounding tie; fast is False at the others.  A product of 18
+    digits has its last one rounded away, with the fraction carried."""
     a = np.abs(x)
     fast = np.isfinite(a) & (a != 0)
     mant, e2 = np.frexp(np.where(fast, a, 1.0))
     idx = e2.astype(np.intp) + 1074     # e2 runs from -1073 (5e-324) to 1024
     used = np.flatnonzero(np.bincount(idx))
-    consts = np.array([_scale(i - 1074) for i in used.tolist()])
-    limit = np.full(used[-1] + 1, np.inf)
-    limit[used] = consts[:, 8]
-    table = np.zeros((4, 2 * used[-1] + 2))   # column 2 * idx: 10**k, 2 * idx + 1: 10**(k-1)
-    table[:, 2 * used] = consts[:, :4].T
-    table[:, 2 * used + 1] = consts[:, 4:8].T
-    at = 2 * idx + (mant >= limit[idx])
-    n, frac = _round_product(mant, *(row[at] for row in table[:3]))
-    dec = (16 - table[3][at]).astype(np.int16)
-    over = np.flatnonzero(n > 10**17)   # rare: 10**k products up to 12 units above 1e17
-    if over.size:
-        at = at[over] + 1
-        n[over], frac[over] = _round_product(mant[over], *(row[at] for row in table[:3]))
-        dec[over] += 1
-    top = n == 10**17
-    n[top] = 10**16
-    dec[top] += 1
+    table = np.zeros((4, used[-1] + 1))
+    table[:, used] = np.array([_scale(i - 1074) for i in used.tolist()]).T
+    n, frac = _round_product(mant, *(row[idx] for row in table[:3]))
+    dec = (16 - table[3][idx]).astype(np.int16)
+    over = np.flatnonzero(n >= 10**17)
+    tail = (n[over] % 10 + frac[over]) / 10   # n % 10 + frac is exact
+    up = tail >= 0.5
+    n[over] = n[over] // 10 + up
+    frac[over] = tail - up
+    dec[over] += 1
     fast &= np.abs(frac) < 0.5 - _TIE
     return n, dec, fast
 

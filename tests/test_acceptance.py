@@ -4,6 +4,7 @@ Each test prints a single pass/fail line (visible with pytest -s or on
 failure) and asserts its stated tolerance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -209,7 +210,7 @@ def test_criterion_09_ground_state():
     curve = ssh.ground_state_energy(p, q, grid)
     sym = float(np.max(np.abs(curve.e0 - curve.e0[::-1])))
     route = float(np.max(np.abs(curve.e0 - curve.e0_quadrature)))
-    assert all(abs(ssh.zeta_of(p.replace(u=u), q)) < 1.0 for u in grid)
+    assert all(abs(ssh.zeta_of(dataclasses.replace(p, u=u), q)) < 1.0 for u in grid)
     u_small = 0.05  # zeta = 0.1
     expansion = abs(ssh.ground_energy(p, q, u_small)
                     - ssh.ground_energy_smallz(p, q, u_small)) \
@@ -221,6 +222,8 @@ def test_criterion_09_ground_state():
             f"small-gap error {expansion:.4f}")
 
 
+# quad asked for 1e-15 warns that roundoff stops it short of that
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_criterion_10_elliptic_integrals():
     v1 = abs(elliptic_K(0.0) - 0.5 * math.pi)
     v2 = abs(elliptic_E(0.0) - 0.5 * math.pi)

@@ -196,6 +196,46 @@ def test_minimum_beyond_grid_edge_exits_1(tmp_path, capsys, command):
         assert data.shape == (41, 4)
 
 
+def _solve_summary(tmp_path, cfg, code=0):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["ssh-solve", "--config", str(path), "--out", str(out)]) == code
+    return json.loads((out / "summary.json").read_text())
+
+
+WELL = {"form": "reduced", "u": -0.25, "alpha2": 0.08}
+
+
+@pytest.mark.parametrize("cfg, edge", [({}, 1.2), (WELL, 4.11)])
+def test_ssh_solve_descending_u_scan_matches_ascending(tmp_path, capsys, cfg, edge):
+    up = _solve_summary(tmp_path, {**cfg, "u_scan": [-edge, edge, 41]})
+    down = _solve_summary(tmp_path, {**cfg, "u_scan": [edge, -edge, 41]})
+    capsys.readouterr()
+    assert down["double_well"] == up["double_well"] == bool(cfg)
+    # np.linspace runs each way on its own roundings; the minimum is found to ~1e-8
+    assert down["u0"] == pytest.approx(up["u0"], abs=1e-7)
+    assert down["well_depth"] == pytest.approx(up["well_depth"], rel=1e-12)
+
+
+@pytest.mark.parametrize("u_scan", [[-4.11, 4.11, 4], [-13.7, 13.7, 10]])
+def test_ssh_solve_refines_the_minimum_of_an_even_u_scan(tmp_path, capsys, u_scan):
+    # no grid point at u = 0: the argmin, at the first positive point, is refined
+    fine = _solve_summary(tmp_path, {**WELL, "u_scan": [-4.11, 4.11, 801]})
+    even = _solve_summary(tmp_path, {**WELL, "u_scan": u_scan})
+    capsys.readouterr()
+    assert even["double_well"] and fine["double_well"]
+    assert even["u0"] == pytest.approx(fine["u0"], abs=1e-7)
+    assert even["well_depth"] == pytest.approx(fine["well_depth"], rel=1e-12)
+
+
+def test_two_point_u_scan_falling_at_its_edge_exits_1(tmp_path, capsys):
+    # u = 1 is the one positive point, and E0 is lower there than at u = 0
+    summary = _solve_summary(tmp_path, {**WELL, "u_scan": [-1.0, 1.0, 2]}, code=1)
+    capsys.readouterr()
+    assert "edge |u| = 1.0 " in summary["error"]
+
+
 @pytest.mark.parametrize("command", ["ssh-solve", "ssh-sweep"])
 def test_failed_gap_solve_keeps_residual_curve(tmp_path, capsys, command):
     # ground occupation with u * alpha2 > 0: C < 0, so C I(zeta) = 1 has no root

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -549,7 +550,7 @@ def test_elliptic_route_matches_quadrature():
     p = base_params(k_spring=2.0)
     q = 1.0
     for u in np.linspace(-0.45, 0.45, 13):
-        assert abs(zeta_of(p.replace(u=u), q)) < 1.0
+        assert abs(zeta_of(dataclasses.replace(p, u=u), q)) < 1.0
         assert abs(ground_energy(p, q, u, "elliptic")
                    - ground_energy(p, q, u, "quadrature")) <= 1e-8
 
@@ -572,7 +573,7 @@ def test_small_gap_expansion_accuracy():
     p = base_params(k_spring=2.0)
     q = 1.0
     u = 0.05  # zeta = 0.1
-    assert zeta_of(p.replace(u=u), q) == pytest.approx(0.1)
+    assert zeta_of(dataclasses.replace(p, u=u), q) == pytest.approx(0.1)
     full = ground_energy(p, q, u)
     approx = ground_energy_smallz(p, q, u)
     assert abs(full - approx) / abs(full) <= 0.01

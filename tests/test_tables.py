@@ -130,9 +130,23 @@ def test_digits_match_python_at_the_edges():
     # m / 2**k is m * 5**k / 10**k exactly: a tie wherever m * 5**k has 18 digits
     scaled_ties = [m / 2**k for k in range(1, 80) for m in range(1, 2000, 2)
                    if len(str(m * 5**k)) == 18]
+    # for each binary exponent, the mantissas within 3 ulp of those whose product
+    # with the exponent's constant is 1e17 or 1e17 - 1/2: the 18-digit boundary
+    decade_tops = []
+    for e2 in range(-1073, 1025):
+        *_, k = tables._scale(e2)
+        num, den = 2 ** max(e2, 0) * 10 ** max(k, 0), 2 ** max(-e2, 0) * 10 ** max(-k, 0)
+        for top in (2 * 10**17, 2 * 10**17 - 1):             # twice the product
+            m = top * 2**52 * den // num
+            decade_tops += [math.ldexp(j, e2 - 53) for j in range(m - 3, m + 4)
+                            if 2**52 <= j < 2**53]
+    # the doubles just below 1e17, times powers of ten, round to a power of ten
+    near_tens = np.nextafter(1e17, 0) * 10.0 ** np.arange(-300, 291)
+    # L / 2**16 with L odd in [655361, 2**20): 18-digit products ending in 5
+    carried_ties = np.arange(655361, 2**20, 2) / 2**16
     values = np.concatenate([
         tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), -tens, round_up, ties,
-        scaled_ties,
+        scaled_ties, decade_tops, near_tens, carried_ties,
         [(2**53 - 1) / 4, 1e15 + 0.25, 1e15 + 0.75, 5e-324, -5e-324, 1.7976931348623157e308,
          -1.7976931348623157e308, 2.2250738585072014e-308, 0.0, -0.0, math.inf, -math.inf,
          math.nan, 1e16, 1e17, 123456789.0, 0.1, 1 / 3, 1e-4, 1e-5, 2.0**-1074 * 3]])
