@@ -50,22 +50,16 @@ PARITY_LABELS = {
 
 @dataclass(frozen=True)
 class CavityModel:
+    """A cavity of ``length`` L with unit cross-section, so its volume is L,
+    and ``n_modes`` modes of unit mass."""
+
     length: float
     n_modes: int
     constants: PhysicalConstants
-    volume: float = None   # default: unit cross-section, V = L
-    masses: np.ndarray = None  # per-mode mass-like parameters, default 1
 
     def __post_init__(self):
         if self.length <= 0 or self.n_modes < 1:
             raise ValueError("need positive length and at least one mode")
-        if self.volume is None:
-            object.__setattr__(self, "volume", self.length)
-        masses = np.ones(self.n_modes) if self.masses is None \
-            else np.asarray(self.masses, dtype=float)
-        if masses.shape != (self.n_modes,):
-            raise ValueError("masses must have one entry per mode")
-        object.__setattr__(self, "masses", masses)
 
     @property
     def alphas(self) -> np.ndarray:
@@ -86,13 +80,11 @@ class CavityModel:
 
     @property
     def amp_e(self) -> np.ndarray:
-        return np.sqrt(2.0 * self.omegas**2 * self.masses
-                       / (self.volume * self.constants.eps0))
+        return np.sqrt(2.0 * self.omegas**2 / (self.length * self.constants.eps0))
 
     @property
     def amp_h(self) -> np.ndarray:
-        return np.sqrt(2.0 * self.omegas**2 * self.masses
-                       / (self.volume * self.constants.mu0))
+        return np.sqrt(2.0 * self.omegas**2 / (self.length * self.constants.mu0))
 
 
 @dataclass(frozen=True)
@@ -122,7 +114,7 @@ def _expand(vec, ndim):
 def _inside(z, length) -> np.ndarray:
     """z as a float array; ValueError if a point lies outside [0, L] beyond rounding."""
     z = np.asarray(z, dtype=float)
-    if length is not None and z.size and (z.min() < -1e-12 or z.max() > length * (1 + 1e-12)):
+    if z.size and (z.min() < -1e-12 or z.max() > length * (1 + 1e-12)):
         raise ValueError("z outside the cavity [0, L]")
     return z
 
@@ -233,11 +225,10 @@ class SpectralField(FieldOnSegment):
     """A cavity field held as mode-sum coefficients (layout in the module docstring).
 
     ``coeffs`` has shape (2, 2, 2, 2, n_modes); ``wavenumbers`` and ``omegas``
-    hold k_a and w_a.  ``length`` and the vacuum impedance ``z0`` of the unit
-    system are None only for a field without modes.
+    hold k_a and w_a; ``z0`` is the vacuum impedance of the unit system.
     """
 
-    def __init__(self, length, wavenumbers, omegas, coeffs, z0=None):
+    def __init__(self, length, wavenumbers, omegas, coeffs, z0):
         self.length = length
         self.z0 = z0
         self.wavenumbers = np.asarray(wavenumbers, dtype=float)
@@ -247,8 +238,8 @@ class SpectralField(FieldOnSegment):
         if self.omegas.shape != (n_modes,) or self.coeffs.shape != (2, 2, 2, 2, n_modes):
             raise ValueError("need one k, one omega and (2, 2, 2, 2) coefficients per mode")
         # mode numbers a = k_a L / pi set the shortest wavelength and the reflection signs
-        self._alphas = np.rint(self.wavenumbers * length / np.pi) if n_modes else np.zeros(0)
-        self.max_alpha = int(self._alphas.max()) if n_modes else None
+        self._alphas = np.rint(self.wavenumbers * length / np.pi)
+        self.max_alpha = int(self._alphas.max(initial=0))
 
     def _with(self, coeffs):
         return SpectralField(self.length, self.wavenumbers, self.omegas, coeffs, self.z0)
@@ -261,9 +252,8 @@ class SpectralField(FieldOnSegment):
         any unit system; in symmetric units z0 = 1.
         """
         c, s = np.cos(theta), np.sin(theta)
-        z0 = 1.0 if self.z0 is None else self.z0  # a field without modes has nothing to mix
         e, h = self.coeffs
-        return self._with(np.stack([c * e + s * z0 * h, c * h - s / z0 * e]))
+        return self._with(np.stack([c * e + s * self.z0 * h, c * h - s / self.z0 * e]))
 
     def scaled(self, e_factor=1.0, h_factor=1.0) -> "SpectralField":
         """Complex rescale of e and/or h."""
@@ -281,15 +271,13 @@ class SpectralField(FieldOnSegment):
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         """The sum, with the modes of both fields side by side."""
-        lengths = {f.length for f in (self, other)} - {None}
-        z0s = {f.z0 for f in (self, other)} - {None}
-        if len(lengths) > 1 or len(z0s) > 1:
+        if self.length != other.length or self.z0 != other.z0:
             raise ValueError("mismatched domains or unit systems in field combination")
-        return SpectralField(max(lengths, default=None),
+        return SpectralField(self.length,
                              np.concatenate([self.wavenumbers, other.wavenumbers]),
                              np.concatenate([self.omegas, other.omegas]),
                              np.concatenate([self.coeffs, other.coeffs], axis=-1),
-                             max(z0s, default=None))
+                             self.z0)
 
     def component(self, coeffs, z, t) -> np.ndarray:
         """One Cartesian component from its coefficients [profile, basis, mode].
@@ -352,9 +340,9 @@ def SecondSolution(model: CavityModel, state: ModeState) -> SpectralField:
                          model.amp_h * _time_coeffs(model, state, 1))
 
 
-def ZeroField(length=None) -> SpectralField:
-    """A field without modes: the empty sector of a QuaternionField."""
-    return SpectralField(length, [], [], np.zeros((2, 2, 2, 2, 0)))
+def ZeroField(model: CavityModel) -> SpectralField:
+    """A field without modes in the cavity: the empty sector of a QuaternionField."""
+    return SpectralField(model.length, [], [], np.zeros((2, 2, 2, 2, 0)), model.constants.z0)
 
 
 @dataclass
@@ -373,10 +361,10 @@ class QuaternionField:
     def __post_init__(self):
         if set(self.sectors) != {1, 2, 3, 4}:
             raise ValueError("need sectors labeled 1..4")
-        lengths = {s.length for s in self.sectors.values() if s.length is not None}
+        lengths = {s.length for s in self.sectors.values()}
         if len(lengths) > 1:
             raise ValueError("mismatched domains across sectors")
-        self.length = lengths.pop() if lengths else None
+        self.length = lengths.pop()
 
     def component_fields(self):
         """The two complex combinations: the 'e' part and the 'j' part."""
@@ -488,19 +476,17 @@ def field_hamiltonian(model: CavityModel, state: ModeState, t) -> complex:
     hy = sol.h(zq, t)[1]
     dens = 0.5 * (model.constants.eps0 * ex**2 + model.constants.mu0 * hy**2)
     w_shape = wq.reshape((-1,) + (1,) * (dens.ndim - 1))
-    integral = np.sum(w_shape * dens, axis=0)
-    val = integral * model.volume / model.length
+    val = np.sum(w_shape * dens, axis=0)
     return complex(val) if np.ndim(val) == 0 else val
 
 
 def mode_hamiltonian(model: CavityModel, state: ModeState, t) -> complex:
-    """Closed-form (1/2) sum_a (m w^2 q^2 + p^2/m), with p = m dq/dt: the
-    oscillator side of the field energy, the sum of one oscillator per mode."""
+    """Closed-form (1/2) sum_a (w^2 q^2 + p^2), with p = dq/dt: the oscillator
+    side of the field energy, the sum of one unit-mass oscillator per mode."""
     q = mode_q(model, state, t)
     qd = mode_q(model, state, t, deriv=1)
-    m = _expand(model.masses, np.asarray(t).ndim)
     om = _expand(model.omegas, np.asarray(t).ndim)
-    val = 0.5 * np.sum(m * om**2 * q**2 + m * qd**2, axis=0)
+    val = 0.5 * np.sum(om**2 * q**2 + qd**2, axis=0)
     return complex(val) if np.ndim(val) == 0 else val
 
 

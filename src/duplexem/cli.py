@@ -79,24 +79,29 @@ class Key(NamedTuple):
     kind: type = None
 
 
-_TYPE_WORDS = {float: "a number", int: "an integer", str: "a string", list: "a list"}
+_TYPE_WORDS = {float: "a finite number", int: "an integer", str: "a string", list: "a list"}
 
 
 def _has_type(value, kind: type) -> bool:
-    """Whether a JSON value has type kind: a float key takes any number, an
-    int key an integer, and neither takes a bool."""
-    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float
-                                                      else kind)
+    """Whether a JSON value has type kind: a float key takes any finite number
+    (json reads NaN, Infinity and 1e999 as floats; the comparison also keeps
+    out an integer beyond the float range), an int key an integer, and
+    neither takes a bool."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
 def _one_of(*names) -> tuple:
     return " or ".join(map(repr, names)), names.__contains__
 
 
-_POSITIVE = ("a positive number", lambda v: v > 0)
+_POSITIVE = ("a positive finite number", lambda v: v > 0)
 _COUNT = ("an integer, at least 1", lambda v: _has_type(v, int) and v >= 1)
-_NUMBERS = ("a list of numbers", lambda v: all(_has_type(x, float) for x in v))
-_PAIRS = ("a list of [re, im] number pairs",
+_NUMBERS = ("a list of finite numbers", lambda v: all(_has_type(x, float) for x in v))
+_PAIRS = ("a list of [re, im] finite number pairs",
           lambda v: all(isinstance(p, list) and len(p) == 2 and _NUMBERS[1](p) for p in v))
 
 
@@ -106,12 +111,13 @@ def _cavity_keys(length: float, n_modes: int, **keys) -> dict:
 
 
 _SSH_KEYS = {
-    "t0": Key(1.0, *_POSITIVE), "alpha1": Key(1.0, "a nonzero number", lambda v: v != 0),
+    "t0": Key(1.0, *_POSITIVE), "alpha1": Key(1.0, "a nonzero finite number", lambda v: v != 0),
     "alpha2": Key(0.2), "u": Key(0.1), "K_spring": Key(1.0),
     "N": Key(100, "a positive even integer", lambda v: v > 0 and v % 2 == 0),
     "a": Key(1.0, *_POSITIVE),
     "occupation": Key("ground", *_one_of("ground", "inverted")),
-    "u_scan": Key(None, "[min, max, steps] with a positive integer steps",
+    "u_scan": Key(None, "[min, max, steps] with finite min and max and a positive "
+                        "integer steps",
                   lambda v: len(v) == 3 and _NUMBERS[1](v[:2]) and _COUNT[1](v[2]), list),
     "form": Key("full", *_one_of("full", "reduced")),
 }
@@ -312,7 +318,7 @@ def cmd_quantize(args, cfg, out: Path) -> int:
         "quantity": "quantization checks",
         "formula": "[a, a+] = 1 (safe block); H = action * w * (n + 1/2)",
         "checks": checks,
-    }, max(checks.values()) <= args.tol, args.tol)
+    }, all(v <= args.tol for v in checks.values()), args.tol)
 
 
 def cmd_currents(args, cfg, out: Path) -> int:
@@ -338,7 +344,7 @@ def cmd_currents(args, cfg, out: Path) -> int:
         "formula": "d j3/dz + d j4/dx4 = 0; dQ/dt = 0",
         "continuity_residual": cont,
         "charge_drift": list(drift),
-    }, max(cont, *drift) <= args.tol, args.tol)
+    }, all(v <= args.tol for v in (cont, *drift)), args.tol)
 
 
 def cmd_resonance_fit(args, cfg, out: Path) -> int:
@@ -349,6 +355,8 @@ def cmd_resonance_fit(args, cfg, out: Path) -> int:
                 for row in csv.DictReader(fh):
                     ns.append(float(row["n"]))
                     nus.append(float(row["nu_n"]))
+                    if not (math.isfinite(ns[-1]) and math.isfinite(nus[-1])):
+                        raise ValueError(f"row {row!r} holds a non-finite number")
         except (OSError, KeyError, ValueError) as exc:
             raise ConfigError(f"bad input CSV: {exc}") from exc
     else:

@@ -46,19 +46,18 @@ class ClassicalFourCurrent:
     Components are labeled by family: family 1 is the gauge (phase) part,
     family 2 the scaling part of the two-parameter gauge group.  For mode
     amplitudes q = C1 e^{iwt} + C2 e^{-iwt}, the scaling part is the form of
-    `_scaling_coeffs` with x = kappa m w^3 C1 C2* and y = x*, and
+    `_scaling_coeffs` with x = kappa w^3 C1 C2* and y = x*, and
 
         j3^(1) = 0 identically,
-        j4^(1) = i kappa sum_a m w^3 (|C1|^2 - |C2|^2)    (z, t independent),
+        j4^(1) = i kappa sum_a w^3 (|C1|^2 - |C2|^2)    (z, t independent),
 
-    with kappa = 8 * coupling / (c V).
+    with kappa = 8 * coupling / (c L).
     """
 
     def __init__(self, model: CavityModel, state: ModeState, coupling: float = 1.0):
         if state.n_modes != model.n_modes:
             raise ValueError("state and model disagree on the number of modes")
-        weight = 8.0 * coupling / (model.constants.c * model.volume) \
-            * model.masses * model.omegas**3
+        weight = 8.0 * coupling / (model.constants.c * model.length) * model.omegas**3
         x = weight * state.c1 * np.conj(state.c2)
         gauge = 1j * np.sum(weight * (np.abs(state.c1) ** 2 - np.abs(state.c2) ** 2))
         self._hold(model, x, np.conj(x), (gauge, 0.0))
@@ -98,9 +97,9 @@ class QuantizedFourCurrent(ClassicalFourCurrent):
     The classical current's mode sums with matrix amplitudes on the leading
     (dim, dim) axes: from a(t) = a0 e^{-iwt} and the second-family ladder
     a''(t) = -a(t) (constant-dropping convention), with unit charge
-    normalization, x = (4 k w / c V) a0+^2 and y = (4 k w / c V) a0^2 per
+    normalization, x = (4 k w / c L) a0+^2 and y = (4 k w / c L) a0^2 per
     mode, and j4 of the scaling family carries the vacuum term
-    -4i sum_a w^2 / (c^2 V) times the identity.  The gauge family vanishes
+    -4i sum_a w^2 / (c^2 L) times the identity.  The gauge family vanishes
     identically for the Maxwellian field.  Continuity is linear in x and y,
     so it holds in every matrix entry, the top number state included.
     """
@@ -109,9 +108,9 @@ class QuantizedFourCurrent(ClassicalFourCurrent):
         if dim < 3:
             raise ValueError("dim < 3 makes a0^2 = 0: the current would have no scaling part")
         a0, ad0 = make_ladder(dim)
-        c, volume = model.constants.c, model.volume
-        rate = 4.0 * model.wavenumbers * model.omegas / (c * volume)
-        vacuum = -4j * np.sum(model.omegas**2) / (c**2 * volume) * np.eye(dim)
+        c, length = model.constants.c, model.length
+        rate = 4.0 * model.wavenumbers * model.omegas / (c * length)
+        vacuum = -4j * np.sum(model.omegas**2) / (c**2 * length) * np.eye(dim)
         self._hold(model, (ad0 @ ad0)[..., None] * rate, (a0 @ a0)[..., None] * rate,
                    (0.0, vacuum))
 
@@ -162,25 +161,24 @@ class FieldFunctionSet:
                                 self.length, self.c)
 
     @classmethod
-    def from_cavity(cls, model: CavityModel, state: ModeState, sign: int = +1):
+    def from_cavity(cls, model: CavityModel, state: ModeState):
         """Two-sector mode functions of the cavity field.
 
-        u1_a = sqrt(eps0) A^E_a sin(k z) (q_a + sign * i q''_a)
-        u2_a = sqrt(mu0)  A^H_a cos(k z) (-q'_a + sign * (i/w) dq_a/dt)
+        u1_a = sqrt(eps0) A^E_a sin(k z) (q_a + i q''_a)
+        u2_a = sqrt(mu0)  A^H_a cos(k z) (-q'_a + (i/w) dq_a/dt)
 
         with the constant-dropping convention q'' = -q, q' = -dq/dt / w,
-        so the time factors are (1 -/+ i) q and (1 +/- i) dq/dt / w: mode by
-        mode u1 = sqrt(eps0) (1 - i sign) E_x and u2 = sqrt(mu0) (1 + i sign) H_y
-        of the first family, whose H_y carries A^E eps0 / k = A^H / w.
+        so the time factors are (1 - i) q and (1 + i) dq/dt / w: mode by
+        mode u1 = sqrt(eps0) (1 - i) E_x and u2 = sqrt(mu0) (1 + i) H_y of
+        the first family, whose H_y carries A^E eps0 / k = A^H / w.  The
+        cavity's volume is its length.
         """
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
         cst = model.constants
-        field = FirstSolution(model, state).scaled(math.sqrt(cst.eps0) * complex(1.0, -sign),
-                                                   math.sqrt(cst.mu0) * complex(1.0, sign))
+        field = FirstSolution(model, state).scaled(math.sqrt(cst.eps0) * complex(1.0, -1.0),
+                                                   math.sqrt(cst.mu0) * complex(1.0, 1.0))
         # u1 is E_x, coefficients [0, 0]; u2 is H_y, coefficients [1, 1]
         return cls(np.stack([field.coeffs[0, 0], field.coeffs[1, 1]]), model.wavenumbers,
-                   model.omegas, volume=model.volume, length=model.length, c=cst.c)
+                   model.omegas, volume=model.length, length=model.length, c=cst.c)
 
     def rotated(self, theta: float) -> "FieldFunctionSet":
         """Dual rotation applied pairwise in the (u1, u2) functional plane."""

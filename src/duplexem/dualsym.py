@@ -48,12 +48,10 @@ class FieldPair:
 class InvariantSet:
     """The invariants of one pair, or arrays of them, one per row of a batch."""
 
-    i1p: float
-    i2p: float
+    i1: float
+    i2: float
     k_inv: float
-    i1h: float
-    i2h: float
-    w: float = None  # None when i2h == 0; in a batch nan there
+    w: float = None  # None when i2 == 0; in a batch nan there
 
 
 def bilinear_dot(a, b):
@@ -93,34 +91,26 @@ def hyperbolic_dual(f: FieldPair, vartheta: float) -> FieldPair:
     return FieldPair(e, h)
 
 
-def invariants(f: FieldPair, theta: float = 0.0, vartheta: float = 0.0) -> InvariantSet:
-    """Invariants of the circular family at theta and the hyperbolic family at vartheta.
+def invariants(f: FieldPair) -> InvariantSet:
+    """The invariants I1, I2, K and W of the pair.
 
-    The generator is the complex combination C = E^2 - H^2 + 2i(E.H); both
-    transformations only rescale it (by exp(-2i theta) and exp(2 vartheta)),
-    so the invariant pair is its (Re, Im) decomposition.  For real fields
-    Re C = E^2 - H^2 and Im C = 2 E.H; the decomposition stays meaningful
-    for the complex pairs produced by the hyperbolic mix.
-
-    i1p, i2p rotate into each other with 2*theta and k_inv = i1p^2 + i2p^2
-    = |C|^2 is angle-independent.  i1h, i2h carry the hyperbolic weight
-    exp(2*vartheta); their ratio w drops every rapidity factor (None when
-    i2h vanishes, nan in those rows of a batch).
+    The generator is the complex combination C = E^2 - H^2 + 2i(E.H), and
+    (i1, i2) is its (Re, Im) decomposition: for real fields I1 = E^2 - H^2
+    and I2 = 2 E.H, and the decomposition stays meaningful for the complex
+    pairs produced by the hyperbolic mix.  Both transformations only
+    rescale C: the circular one by exp(-2i theta), which rotates (i1, i2)
+    and leaves k_inv = i1^2 + i2^2 = |C|^2 unchanged, and the hyperbolic
+    one by exp(2 vartheta), which leaves the ratio w = i1 / i2 unchanged
+    (None when i2 vanishes, nan in those rows of a batch).
     """
     c_inv = complex_invariant(f)
-    re_c, im_c = c_inv.real, c_inv.imag
-    c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
-    i1p = re_c * c2 + im_c * s2
-    i2p = im_c * c2 - re_c * s2
-    k_inv = i1p * i1p + i2p * i2p
-    w_e2 = math.exp(2 * vartheta)
-    i1h = re_c * w_e2
-    i2h = im_c * w_e2
-    if np.ndim(i2h):
-        w = np.divide(i1h, i2h, out=np.full(i2h.shape, np.nan), where=i2h != 0.0)
+    i1, i2 = c_inv.real, c_inv.imag
+    k_inv = i1 * i1 + i2 * i2
+    if np.ndim(i2):
+        w = np.divide(i1, i2, out=np.full(i2.shape, np.nan), where=i2 != 0.0)
     else:
-        w = i1h / i2h if i2h != 0.0 else None
-    return InvariantSet(i1p=i1p, i2p=i2p, k_inv=k_inv, i1h=i1h, i2h=i2h, w=w)
+        w = i1 / i2 if i2 != 0.0 else None
+    return InvariantSet(i1=i1, i2=i2, k_inv=k_inv, w=w)
 
 
 def complex_invariant(f: FieldPair):
@@ -131,8 +121,8 @@ def complex_invariant(f: FieldPair):
     return c_inv if c_inv.ndim else complex(c_inv)
 
 
-def lorentz_boost_fields(f: FieldPair, beta: float, axis=(0.0, 0.0, 1.0)) -> FieldPair:
-    """Boost the field pair with velocity v = beta * c along ``axis``.
+def lorentz_boost_fields(f: FieldPair, beta: float) -> FieldPair:
+    """Boost the field pair with velocity v = beta * c along z.
 
     Transverse parts:  E'' = gamma (E + (1/c)[H x V]),
                        H'' = gamma (H - (1/c)[E x V]);
@@ -148,8 +138,7 @@ def lorentz_boost_fields(f: FieldPair, beta: float, axis=(0.0, 0.0, 1.0)) -> Fie
         raise ValueError("|beta| must be < 1")
     if f.e.ndim != 1:   # np.dot below would mix the rows of a batch
         raise ValueError("lorentz_boost_fields takes one pair, not a batch")
-    n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
+    n = np.array([0.0, 0.0, 1.0])
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)
 
     def boost(vec, cross):

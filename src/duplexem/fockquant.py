@@ -92,11 +92,12 @@ def trig_ansatz_consistency(dim: int, omega: float, times) -> float:
     return max(float(np.max(np.abs(lhs - math.tan(omega * t) * np.eye(dim)))) for t in times)
 
 
-def quadrature_pair(a: np.ndarray, ad: np.ndarray, mass, omega, action: float):
-    """(q, p) of stacked ladder pairs, with mass and omega broadcast against
-    them; the space-time scheme builds its factor quadratures from it."""
-    q = np.sqrt(action / (2.0 * mass * omega)) * (ad + a)
-    p = 1j * np.sqrt(action * mass * omega / 2.0) * (ad - a)
+def quadrature_pair(a: np.ndarray, ad: np.ndarray, omega, action: float):
+    """(q, p) of stacked ladder pairs of unit-mass oscillators, with omega
+    broadcast against them; the space-time scheme builds its factor
+    quadratures from it."""
+    q = np.sqrt(action / (2.0 * omega)) * (ad + a)
+    p = 1j * np.sqrt(action * omega / 2.0) * (ad - a)
     return q, p
 
 
@@ -123,17 +124,17 @@ def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
     if not 0.0 <= t <= model.period * (1 + 1e-12):
         raise ValueError("t outside [0, T]")
     hbar, lambda0 = model.constants.hbar, model.constants.lambda0
-    w, m = model.omegas[:, None, None], model.masses[:, None, None]
+    w = model.omegas[:, None, None]
     eye = np.eye(dim, dtype=complex)
-    qz, pz = quadrature_pair(*phased_ladders(model.wavenumbers, z, dim), m, w, lambda0)
-    qt, pt = quadrature_pair(*phased_ladders(model.omegas, t, dim), m, w, hbar)
+    qz, pz = quadrature_pair(*phased_ladders(model.wavenumbers, z, dim), w, lambda0)
+    qt, pt = quadrature_pair(*phased_ladders(model.omegas, t, dim), w, hbar)
     g1 = -1j * (hbar * _kron(pz @ qz, eye) + lambda0 * _kron(eye, pt @ qt))
     g2 = 1j * (hbar * _kron(qz @ pz, eye) + lambda0 * _kron(eye, qt @ pt))
     dev = 0.25 * (g1 + g2 + g1 + g2) + hbar * lambda0 * np.eye(dim * dim)
     g_deviation = np.max(np.abs(tensor_safe_block(dev, dim)), axis=(1, 2)) / (hbar * lambda0)
     del g1, g2, dev   # freed before the ladder stacks are built
-    qzt, pzt = m * w * _kron(qz, qt), 1j * _kron(pz, pt)
-    norm = np.sqrt(2.0 * hbar * lambda0 * m * w)
+    qzt, pzt = w * _kron(qz, qt), 1j * _kron(pz, pt)
+    norm = np.sqrt(2.0 * hbar * lambda0 * w)
     return (qzt + pzt) / norm, (qzt - pzt) / norm, g_deviation
 
 
@@ -142,18 +143,17 @@ def _field_terms(model: CavityModel, kind: SchemeKind, z: float, t: float):
     array over the modes, each sum np.add (a+ + a) or np.subtract (a+ - a)."""
     cst, w, k = model.constants, model.omegas, model.wavenumbers
     if kind is SchemeKind.TIME_LOCAL:
-        return ((np.sqrt(cst.hbar * w / (model.volume * cst.eps0)) * np.sin(k * z), np.add),
-                (1j * np.sqrt(cst.hbar * w / (model.volume * cst.mu0)) * np.cos(k * z),
+        return ((np.sqrt(cst.hbar * w / (model.length * cst.eps0)) * np.sin(k * z), np.add),
+                (1j * np.sqrt(cst.hbar * w / (model.length * cst.mu0)) * np.cos(k * z),
                  np.subtract))
     if kind is SchemeKind.SPACE_LOCAL:
         return ((1j * np.sqrt(cst.lambda0 * w / (model.period * cst.eps0)) * np.sin(w * t),
                  np.subtract),
                 (-np.sqrt(cst.lambda0 * w / (model.period * cst.mu0)) * np.cos(w * t), np.add))
-    m = model.masses
     w2 = np.float_power(w, 2)   # libm pow, as a scalar w**2; w * w differs in the last bit
-    scale = np.sqrt(cst.hbar * cst.lambda0 / (2 * m * w))
-    amp_e = np.sqrt(2.0 * w2 * m / (cst.eps0 * model.volume * model.period))
-    amp_h = np.sqrt(2.0 * w2 * m / (cst.mu0 * model.volume * model.period))
+    scale = np.sqrt(cst.hbar * cst.lambda0 / (2 * w))
+    amp_e = np.sqrt(2.0 * w2 / (cst.eps0 * model.length * model.period))
+    amp_h = np.sqrt(2.0 * w2 / (cst.mu0 * model.length * model.period))
     return (amp_e * scale, np.add), (1j * (amp_h * scale), np.subtract)
 
 

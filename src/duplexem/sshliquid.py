@@ -604,7 +604,8 @@ class GroundStateCurve:
         in front when no point lies there (a grid of even count).  A minimum
         at the first of them is a flat curve, reported with double_well =
         False; one at the last raises WellEdgeError; any other is refined
-        by golden-section search between its neighbours.
+        by golden-section search between its neighbours.  An E0 that is not
+        finite, at those points or at the refined minimum, raises ValueError.
         """
         p, q, u_grid = self.params, self.q, self.u_grid
         if not symmetric_about_zero(u_grid):
@@ -618,6 +619,7 @@ class GroundStateCurve:
         u_pos, e_pos = u_grid[pos], self.e0[pos]
         if u_pos[0] > tol:
             u_pos, e_pos = np.insert(u_pos, 0, 0.0), np.insert(e_pos, 0, e_at_zero)
+        _check_finite(np.append(u_pos, 0.0), np.append(e_pos, e_at_zero))
         i_min = int(np.argmin(e_pos))
         u0 = float(u_pos[i_min])
         if 0 < i_min == len(u_pos) - 1:
@@ -630,6 +632,7 @@ class GroundStateCurve:
                 method="golden", options={"xtol": 1e-12})
             u0 = float(abs(res.x))
         e_at_min = ground_energy(p, q, u0, "elliptic")
+        _check_finite(np.array([u0]), np.array([e_at_min]))
         well_depth = e_at_zero - e_at_min
         double = bool(u0 > 1e-9 * max(1.0, np.max(np.abs(u_grid)))
                       and well_depth > 1e-12 * max(1.0, abs(e_at_zero)))
@@ -638,6 +641,15 @@ class GroundStateCurve:
             well_depth = 0.0
         self.u0, self.well_depth, self.double_well = u0, well_depth, double
         return self
+
+
+def _check_finite(u, e0):
+    """ValueError naming the first u at which E0 is not finite: np.argmin would
+    read a nan or an infinity as a minimum."""
+    bad = ~np.isfinite(e0)
+    if bad.any():
+        raise ValueError(f"E0(u) is not finite at u = {float(u[bad][0])!r} "
+                         f"(E0 = {float(e0[bad][0])!r}), so no minimum can be located")
 
 
 def ground_state_energy(p: SshParams, q: float, u_grid) -> GroundStateCurve:

@@ -180,10 +180,9 @@ def _records(x: np.ndarray) -> np.ndarray:
     out[6:24] = body
     out[24:29] = affix[5:10]
 
-    for i in np.flatnonzero(~fast).tolist():
-        text = f"{x[i]:.17g}".encode()
-        rec[i] = 0
-        rec[i, :len(text)] = np.frombuffer(text, np.uint8)
+    slow = np.flatnonzero(~fast)
+    text = np.array([f"{v:.17g}" for v in x[slow].tolist()], dtype=f"S{_WIDTH}")
+    rec[slow] = text.view(np.uint8).reshape(-1, _WIDTH)   # NUL-padded, as the rows
     return rec
 
 

@@ -91,7 +91,7 @@ def test_residual_finite_difference_oracle():
 
 
 def test_zero_field_zero_sources_zero_residual():
-    field = ZeroField(length=1.0)
+    field = ZeroField(make_model())
     res = maxwell_residual(field, GRID_Z, GRID_T, CST)
     assert res == (0.0, 0.0, 0.0, 0.0)
 
@@ -159,7 +159,7 @@ def test_quaternion_single_sector_is_classical():
     rng = np.random.default_rng(10)
     model = make_model(4)
     sol = FirstSolution(model, random_state(rng, 4))
-    empty = ZeroField(model.length)
+    empty = ZeroField(model)
     qf = QuaternionField({1: sol, 2: empty, 3: empty, 4: empty})
     ce, cj = qf.component_fields()
     assert np.allclose(ce.e(GRID_Z, GRID_T), sol.e(GRID_Z, GRID_T), atol=0.0)
@@ -174,7 +174,7 @@ def test_quaternion_rotation_split():
     # the cos and sin sectors of a dual rotation
     qf = QuaternionField({1: sol.scaled(math.cos(theta), math.cos(theta)),
                           2: sol.scaled(math.sin(theta), math.sin(theta)),
-                          3: ZeroField(model.length), 4: ZeroField(model.length)})
+                          3: ZeroField(model), 4: ZeroField(model)})
     assert np.allclose(qf.sectors[1].e(GRID_Z, GRID_T),
                        math.cos(theta) * sol.e(GRID_Z, GRID_T), atol=0.0)
     assert np.allclose(qf.sectors[2].e(GRID_Z, GRID_T),
@@ -185,10 +185,11 @@ def test_quaternion_rotation_split():
 
 def test_quaternion_rejects_mismatched_domains():
     rng = np.random.default_rng(12)
-    a = FirstSolution(make_model(2, length=1.0), random_state(rng, 2))
+    model = make_model(2, length=1.0)
+    a = FirstSolution(model, random_state(rng, 2))
     b = FirstSolution(make_model(2, length=2.0), random_state(rng, 2))
     with pytest.raises(ValueError):
-        QuaternionField({1: a, 2: b, 3: ZeroField(), 4: ZeroField()})
+        QuaternionField({1: a, 2: b, 3: ZeroField(model), 4: ZeroField(model)})
 
 
 def test_reflection_flips_cosine_profiles_only():
@@ -220,7 +221,7 @@ def _one_mode_field(k, w, ex, hy):
     coeffs = np.zeros((2, 2, 2, 2, 1), dtype=complex)
     coeffs[0, 0, :, :, 0] = ex
     coeffs[1, 1, :, :, 0] = hy
-    return SpectralField(1.0, [k], [w], coeffs)
+    return SpectralField(1.0, [k], [w], coeffs, z0=CST.z0)
 
 
 def test_cr_residual_plane_wave():

@@ -576,8 +576,8 @@ def test_quantize_checks_fail_a_planted_fault_in_si_units(tmp_path, capsys, monk
         cfg["scheme"] = "spacetime_local"
         pair = fq.quadrature_pair
 
-        def planted(a, ad, mass, omega, action):   # p one part in 1e3 too large
-            q, p = pair(a, ad, mass, omega, action)
+        def planted(a, ad, omega, action):   # p one part in 1e3 too large
+            q, p = pair(a, ad, omega, action)
             return q, 1.001 * p
 
         monkeypatch.setattr(fq, "quadrature_pair", planted)
@@ -789,6 +789,81 @@ def test_wrong_json_type_exits_2(tmp_path, capsys, command, key):
         err = capsys.readouterr().err
         assert err.startswith("config error") and repr(key) in err
         assert not (tmp_path / "summary.json").exists()
+
+
+FLOAT_KEYS = [(command, key) for command in sorted(SCHEMAS)
+              for key, spec in SCHEMAS[command].items()
+              if (spec.kind or type(spec.default)) is float]
+
+
+# json reads NaN, Infinity and -Infinity, and 1e999 as inf
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("command, key", FLOAT_KEYS)
+def test_non_finite_number_exits_2(tmp_path, capsys, command, key, literal):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"{key}": {literal}}}')
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(key) in err and "finite" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("cavity-field", '{"c1": [[0.5, NaN], [0.5, 0], [0.5, 0], [0.5, 0]]}', "'c1'"),
+    ("currents", '{"c2": [[0.2, 0], [Infinity, 0], [0, 0.3]]}', "'c2'"),
+    ("resonance-fit", '{"n": [0, 1, NaN], "nu": [5, 4.99, 4.96]}', "'n'"),
+    ("resonance-fit", '{"n": [0, 1, 2], "nu": [5, -Infinity, 4.96]}', "'nu'"),
+    ("ssh-sweep", '{"u_scan": [NaN, 1, 5]}', "'u_scan'"),
+    ("ssh-solve", '{"u_scan": [-1, 1e999, 5]}', "'u_scan'"),
+    # an integer beyond the float range
+    ("cavity-field", '{"length": 1' + "0" * 400 + '}', "'length'"),
+])
+def test_non_finite_list_element_exits_2(tmp_path, capsys, command, text, key):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_resonance_fit_rejects_a_non_finite_input_row(tmp_path, capsys, value):
+    data = tmp_path / "data.csv"
+    data.write_text(f"n,nu_n\n0,5.0\n1,{value}\n2,4.96\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"input": str(data)}))
+    assert main(["resonance-fit", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, cfg, check", [
+    # exp(i w t) of t = 1e308 is nan: the hermiticity defect reads nan
+    ("quantize", {"t": 1e308}, ("checks", "hermiticity_defect")),
+    # |C1|^2 ~ 1e308 overflows the charges: the q1 drift reads nan
+    ("currents", {"c1": [[1e154, 0.0], [0.2, 0.0], [0.1, 0.0]]}, ("charge_drift", 0)),
+])
+def test_a_nan_check_fails(tmp_path, capsys, command, cfg, check):
+    # max() kept the first value when a later one was nan, so these passed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    group, name = check
+    assert math.isnan(summary[group][name]) and not summary["passed"]
+
+
+@pytest.mark.parametrize("command", ["ssh-solve", "ssh-sweep"])
+def test_non_finite_ground_energy_exits_1(tmp_path, capsys, command):
+    # 2 N K overflows: E0(0) = inf * 0 is nan, which np.argmin read as a flat curve
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"K_spring": 1e308, "u_scan": [-0.3, 0.3, 7]}))
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "E0(u) is not finite at u = 0.0" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_config_docs_name_the_schema_keys():

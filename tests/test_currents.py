@@ -42,12 +42,12 @@ def test_gauss_legendre_nodes_cached_read_only():
 
 def _classical_closed_form(model, state, coupling, z, t):
     """{(component, family): values} on the outer (z, t) grid, summed over modes in numpy."""
-    kappa = 8.0 * coupling / (model.constants.c * model.volume)
-    mw3 = model.masses * model.omegas**3
+    kappa = 8.0 * coupling / (model.constants.c * model.length)
+    w3 = model.omegas**3
     cross = state.c1 * np.conj(state.c2) * np.exp(2j * np.outer(t, model.omegas))  # (t, mode)
-    sin = np.sin(2.0 * np.outer(z, model.wavenumbers)) * mw3                     # (z, mode)
-    cos = np.cos(2.0 * np.outer(z, model.wavenumbers)) * mw3
-    gauge = 1j * kappa * np.sum(mw3 * (np.abs(state.c1) ** 2 - np.abs(state.c2) ** 2))
+    sin = np.sin(2.0 * np.outer(z, model.wavenumbers)) * w3                      # (z, mode)
+    cos = np.cos(2.0 * np.outer(z, model.wavenumbers)) * w3
+    gauge = 1j * kappa * np.sum(w3 * (np.abs(state.c1) ** 2 - np.abs(state.c2) ** 2))
     return {(3, 1): np.zeros((z.size, t.size)),
             (3, 2): -1j * kappa * sin @ (cross + np.conj(cross)).T,
             (4, 1): np.full((z.size, t.size), gauge),
@@ -58,22 +58,21 @@ def _operator_closed_form(model, dim, z, t):
     """Scaling-family (j3, j4) matrices at one point, mode by mode from sqrt(n) ladders."""
     a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
     ad = a.T
-    c, volume = model.constants.c, model.volume
+    c, length = model.constants.c, model.length
     j3 = np.zeros((dim, dim), dtype=complex)
-    j4 = -4j * np.sum(model.omegas**2) / (c**2 * volume) * np.eye(dim)   # the vacuum term
+    j4 = -4j * np.sum(model.omegas**2) / (c**2 * length) * np.eye(dim)   # the vacuum term
     for k, w in zip(model.wavenumbers, model.omegas):
         a2 = a @ a * np.exp(-2j * w * t)       # a(t)^2 = a''(t)^2
         ad2 = ad @ ad * np.exp(2j * w * t)
-        j3 += -4j * k * w / (c * volume) * math.sin(2 * k * z) * (a2 + ad2)
-        j4 += 4j * k * w / (c * volume) * math.cos(2 * k * z) * (ad2 - a2)
+        j3 += -4j * k * w / (c * length) * math.sin(2 * k * z) * (a2 + ad2)
+        j4 += 4j * k * w / (c * length) * math.cos(2 * k * z) * (ad2 - a2)
     return j3, j4
 
 
 @pytest.mark.parametrize("constants", [CST, SI], ids=["symmetric", "si"])
 def test_classical_current_matches_closed_form(constants):
     rng = np.random.default_rng(30)
-    model = CavityModel(length=math.pi, n_modes=4, constants=constants,
-                        masses=rng.uniform(0.5, 2.0, size=4))
+    model = CavityModel(length=math.pi, n_modes=4, constants=constants)
     state = random_state(rng)
     current = ClassicalFourCurrent(model, state, coupling=1.3)
     z = np.linspace(0.0, model.length, 17)
@@ -144,8 +143,8 @@ def test_single_rotating_mode():
     # no cross terms: the longitudinal scaling component vanishes
     assert np.max(np.abs(current.j3(GRID_Z, GRID_T, 2))) == 0.0
     val = complex(current.j4(0.3, 0.2, 1))
-    kappa = 8.0 / (CST.c * model.volume)
-    expected = 1j * kappa * model.masses[0] * model.omegas[0] ** 3
+    kappa = 8.0 / (CST.c * model.length)
+    expected = 1j * kappa * model.omegas[0] ** 3
     assert val == pytest.approx(expected)
     # no scaling part: the relative continuity residual reads 0, not 0 / 0
     assert continuity_residual(current, GRID_Z, GRID_T) == 0.0
@@ -365,7 +364,7 @@ def test_quantized_vacuum_nodal_plane():
 def test_quantized_vacuum_charge_constant_term():
     model = make_model()
     qc = QuantizedFourCurrent(model, 6)
-    expected = sum(2j / (CST.c**2 * model.volume) * (-2.0) * w**2
+    expected = sum(2j / (CST.c**2 * model.length) * (-2.0) * w**2
                    for w in model.omegas)
     # a0^2 and a0+^2 have no vacuum diagonal entry: only the vacuum term is left there
     assert qc.j4(0.3, 0.0, 2)[0, 0] == pytest.approx(expected)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duplexem.dualsym import (FieldPair, complex_invariant,
                               dual_rotate, hyperbolic_boost_magnitudes,
@@ -86,17 +88,17 @@ def test_invariants_at_zero_angle():
     e2 = np.dot(f.e, f.e)
     h2 = np.dot(f.h, f.h)
     eh = np.dot(f.e, f.h)
-    assert inv.i1p == pytest.approx(e2 - h2, abs=1e-14)
-    assert inv.i2p == pytest.approx(2 * eh, abs=1e-14)
+    assert inv.i1 == pytest.approx(e2 - h2, abs=1e-14)
+    assert inv.i2 == pytest.approx(2 * eh, abs=1e-14)
     assert inv.k_inv == pytest.approx((e2 - h2) ** 2 + 4 * eh**2, rel=1e-14)
 
 
 def test_null_field_invariants_vanish():
     f = FieldPair(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
     for theta in (0.0, 0.3, 1.2, 4.0):
-        inv = invariants(f, theta=theta)
-        assert inv.i1p == pytest.approx(0.0, abs=1e-15)
-        assert inv.i2p == pytest.approx(0.0, abs=1e-15)
+        inv = invariants(dual_rotate(f, theta))
+        assert inv.i1 == pytest.approx(0.0, abs=1e-15)
+        assert inv.i2 == pytest.approx(0.0, abs=1e-15)
         assert inv.k_inv == pytest.approx(0.0, abs=1e-15)
 
 
@@ -133,17 +135,52 @@ def test_complex_combination_constant_along_family():
         assert abs(c1 * np.exp(2j * theta) - c0) <= 1e-12 * abs(c0)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), complex_fields=st.booleans(), rows=st.integers(0, 5),
+       theta=st.floats(-2 * math.pi, 2 * math.pi), vartheta=st.floats(-3.0, 3.0))
+def test_both_transformations_only_rescale_the_invariants(seed, complex_fields, rows, theta,
+                                                          vartheta):
+    # C(dual_rotate(f, theta)) = exp(-2i theta) C(f) and C(hyperbolic_dual(f, vartheta))
+    # = exp(2 vartheta) C(f), to 1e-12 of the size (|E|^2 + |H|^2) cosh(2 vartheta) of
+    # the terms that form them; so K holds under the one and W under the other
+    rng = np.random.default_rng(seed)
+    shape = (rows, 3) if rows else (3,)   # rows = 0: a single pair
+
+    def vectors():
+        v = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+        return v + 1j * rng.normal(size=shape) if complex_fields else v
+
+    f = FieldPair(vectors(), vectors())
+    size = f.six_vector_norm() ** 2
+    c0, base = complex_invariant(f), invariants(f)
+    rotated = dual_rotate(f, theta)
+    assert np.all(np.abs(complex_invariant(rotated) - np.exp(-2j * theta) * c0) <= 1e-12 * size)
+    assert np.all(np.abs(invariants(rotated).k_inv - base.k_inv) <= 1e-12 * size**2)
+
+    mixed = hyperbolic_dual(f, vartheta)
+    scale = size * math.cosh(2 * vartheta)
+    assert np.all(np.abs(complex_invariant(mixed) - math.exp(2 * vartheta) * c0)
+                  <= 1e-12 * scale)
+    # W = i1 / i2 moves by (1 + |W|) times the error of C over |i2|: judged where
+    # i2 is not small against the scale
+    after = invariants(mixed)
+    i2, w0, w1 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (after.i2, base.w, after.w))
+    sized = np.abs(i2) >= 1e-3 * scale
+    assert np.all(np.abs(w1 - w0)[sized]
+                  <= (1e-12 * scale * (1.0 + np.abs(w0)) / np.abs(i2))[sized])
+
+
 def test_invariant_pair_at_special_angles():
     # at 45 and 90 degrees the pair returns sign-flipped / swapped, not equal
     rng = np.random.default_rng(10)
     f = random_pair(rng)
     base = invariants(f)
-    q45 = invariants(f, theta=0.25 * math.pi)
-    assert q45.i1p == pytest.approx(base.i2p, rel=1e-12)
-    assert q45.i2p == pytest.approx(-base.i1p, rel=1e-12)
-    q90 = invariants(f, theta=0.5 * math.pi)
-    assert q90.i1p == pytest.approx(-base.i1p, rel=1e-12)
-    assert q90.i2p == pytest.approx(-base.i2p, rel=1e-12)
+    q45 = invariants(dual_rotate(f, 0.25 * math.pi))
+    assert q45.i1 == pytest.approx(base.i2, rel=1e-12)
+    assert q45.i2 == pytest.approx(-base.i1, rel=1e-12)
+    q90 = invariants(dual_rotate(f, 0.5 * math.pi))
+    assert q90.i1 == pytest.approx(-base.i1, rel=1e-12)
+    assert q90.i2 == pytest.approx(-base.i2, rel=1e-12)
 
 
 def test_boost_identity_at_zero_beta():
@@ -205,22 +242,21 @@ def test_batch_rotation_matches_single_pairs_bit_for_bit():
     rng = np.random.default_rng(11)
     e = rng.normal(size=(400, 3)) * rng.uniform(0.1, 10.0, size=(400, 1))
     h = rng.normal(size=(400, 3))
-    h[:3] = 0.0   # rows with i2h = 0: w is nan there, None for the single pair
+    h[:3] = 0.0   # rows with i2 = 0: w is nan there, None for the single pair
     # 50 pairs at each quarter turn: unsnapped, cos(pi/2) = 6e-17 moves the
     # last bits of K on about half of them
     theta = np.concatenate([rng.uniform(0.0, 2 * math.pi, 200),
                             np.repeat([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi], 50)])
     pairs = FieldPair(e, h)
     rotated = dual_rotate(pairs, theta)
-    ref, rot = invariants(pairs, 0.3, 0.2), invariants(rotated)
+    ref, rot = invariants(pairs), invariants(rotated)
     c_inv = complex_invariant(pairs)
     for i in range(len(theta)):
         f = FieldPair(e[i], h[i])
         g = dual_rotate(f, theta[i])
         assert np.array_equal(rotated.e[i], g.e) and np.array_equal(rotated.h[i], g.h)
-        one = invariants(f, 0.3, 0.2)
-        assert [x[i] for x in (ref.i1p, ref.i2p, ref.k_inv, ref.i1h, ref.i2h)] == \
-            [one.i1p, one.i2p, one.k_inv, one.i1h, one.i2h]
+        one = invariants(f)
+        assert [x[i] for x in (ref.i1, ref.i2, ref.k_inv)] == [one.i1, one.i2, one.k_inv]
         assert ref.w[i] == one.w if one.w is not None else np.isnan(ref.w[i])
         assert rot.k_inv[i] == invariants(g).k_inv
         assert c_inv[i] == complex_invariant(f)

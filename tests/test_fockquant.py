@@ -158,7 +158,7 @@ def test_time_local_electric_coefficient():
     z = 0.3
     w, k = model.omegas[0], model.wavenumbers[0]
     a, ad = make_ladder(6)
-    coef = math.sqrt(CST.hbar * w / (model.volume * CST.eps0)) * math.sin(k * z)
+    coef = math.sqrt(CST.hbar * w / (model.length * CST.eps0)) * math.sin(k * z)
     assert np.allclose(field.e_matrix(0, z, 0.0), coef * (ad + a), atol=1e-14)
 
 
@@ -168,7 +168,7 @@ def test_vacuum_expectations():
     z = 0.29
     modes = range(model.n_modes)
     assert abs(sum(field.e_matrix(idx, z, 0.13)[0, 0] for idx in modes)) == 0.0
-    expected = sum(CST.hbar * w / (model.volume * CST.eps0) * math.sin(k * z) ** 2
+    expected = sum(CST.hbar * w / (model.length * CST.eps0) * math.sin(k * z) ** 2
                    for w, k in zip(model.omegas, model.wavenumbers))
     squares = sum((field.e_matrix(idx, z, 0.0) @ field.e_matrix(idx, z, 0.0))[0, 0].real
                   for idx in modes)
@@ -289,11 +289,11 @@ def test_operator_field_builds_all_modes_once_per_point(monkeypatch):
 
 def _closed_form_fields(model, kind, dim, z, t):
     """Per-mode (E, H) matrices of each scheme, written out from the ladder a0."""
-    cst, vol, per = model.constants, model.volume, model.period
+    cst, vol, per = model.constants, model.length, model.period
     a0 = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
     ad0 = a0.T
     out = []
-    for w, k, m in zip(model.omegas, model.wavenumbers, model.masses):
+    for w, k in zip(model.omegas, model.wavenumbers):
         xz, yz = (ad0 * np.exp(1j * k * z) + s * a0 * np.exp(-1j * k * z) for s in (1, -1))
         xt, yt = (ad0 * np.exp(1j * w * t) + s * a0 * np.exp(-1j * w * t) for s in (1, -1))
         if kind is SchemeKind.TIME_LOCAL:
@@ -303,22 +303,22 @@ def _closed_form_fields(model, kind, dim, z, t):
             e = 1j * math.sqrt(cst.lambda0 * w / (per * cst.eps0)) * math.sin(w * t) * yz
             h = -math.sqrt(cst.lambda0 * w / (per * cst.mu0)) * math.cos(w * t) * xz
         else:
-            # a + a+ = kron(xz, xt) / sqrt(2 m w) and a+ - a = i sqrt(m w / 2) kron(yz, yt)
-            # on the tensor space, with the amplitudes sqrt(2 w^2 m / (eps0 V T)) of E and
-            # i sqrt(2 w^2 m / (mu0 V T)) of H times sqrt(hbar lambda0 / (2 m w))
+            # a + a+ = kron(xz, xt) / sqrt(2 w) and a+ - a = i sqrt(w / 2) kron(yz, yt)
+            # on the tensor space, with the amplitudes sqrt(2 w^2 / (eps0 L T)) of E and
+            # i sqrt(2 w^2 / (mu0 L T)) of H times sqrt(hbar lambda0 / (2 w))
             act = cst.hbar * cst.lambda0
-            e = math.sqrt(act / (2 * m * cst.eps0 * vol * per)) * np.kron(xz, xt)
-            h = -w * math.sqrt(m * act / (2 * cst.mu0 * vol * per)) * np.kron(yz, yt)
+            e = math.sqrt(act / (2 * cst.eps0 * vol * per)) * np.kron(xz, xt)
+            h = -w * math.sqrt(act / (2 * cst.mu0 * vol * per)) * np.kron(yz, yt)
         out.append((e, h))
     return out
 
 
 @pytest.mark.parametrize("kind", list(SchemeKind))
 def test_field_matrices_match_closed_forms(kind):
-    # unequal eps0 and mu0, hbar and lambda0, and masses, so that a constant in
-    # the wrong place shows
+    # unequal eps0 and mu0, and hbar and lambda0, so that a constant in the
+    # wrong place shows
     cst = PhysicalConstants(c=1.0, eps0=0.5, mu0=2.0, hbar=0.7, lambda0=1.3)
-    model = CavityModel(length=1.0, n_modes=3, constants=cst, masses=[1.5, 0.8, 1.1])
+    model = CavityModel(length=1.0, n_modes=3, constants=cst)
     dim, z, t = 5, 0.37, 0.21
     field = OperatorField(model, kind, dim)
     for idx, (e, h) in enumerate(_closed_form_fields(model, kind, dim, z, t)):
@@ -343,19 +343,19 @@ def _spacetime_reference(model, dim, z, t):
     az, adz = phased_ladders(model.wavenumbers, z, dim)
     at, adt = phased_ladders(model.omegas, t, dim)
     out = []
-    for i, (w, m) in enumerate(zip(model.omegas, model.masses)):
-        qz = math.sqrt(lambda0 / (2.0 * m * w)) * (adz[i] + az[i])
-        pz = 1j * math.sqrt(lambda0 * m * w / 2.0) * (adz[i] - az[i])
-        qt = math.sqrt(hbar / (2.0 * m * w)) * (adt[i] + at[i])
-        pt = 1j * math.sqrt(hbar * m * w / 2.0) * (adt[i] - at[i])
+    for i, w in enumerate(model.omegas):
+        qz = math.sqrt(lambda0 / (2.0 * w)) * (adz[i] + az[i])
+        pz = 1j * math.sqrt(lambda0 * w / 2.0) * (adz[i] - az[i])
+        qt = math.sqrt(hbar / (2.0 * w)) * (adt[i] + at[i])
+        pt = 1j * math.sqrt(hbar * w / 2.0) * (adt[i] - at[i])
         g1 = -1j * (hbar * np.kron(pz @ qz, eye) + lambda0 * np.kron(eye, pt @ qt))
         g2 = 1j * (hbar * np.kron(qz @ pz, eye) + lambda0 * np.kron(eye, qt @ pt))
         dev = 0.25 * (g1 + g2 + g1 + g2) - (-hbar * lambda0) * np.eye(dim * dim)
-        norm = math.sqrt(2.0 * hbar * lambda0 * m * w)
+        norm = math.sqrt(2.0 * hbar * lambda0 * w)
         qzt, pzt = np.kron(qz, qt), np.kron(pz, pt)
-        a, adag = (m * w * qzt + 1j * pzt) / norm, (m * w * qzt - 1j * pzt) / norm
-        scale = math.sqrt(hbar * lambda0 / (2 * m * w))
-        amp_e, amp_h = (math.sqrt(2.0 * w**2 * m / (eps * model.volume * model.period))
+        a, adag = (w * qzt + 1j * pzt) / norm, (w * qzt - 1j * pzt) / norm
+        scale = math.sqrt(hbar * lambda0 / (2 * w))
+        amp_e, amp_h = (math.sqrt(2.0 * w**2 / (eps * model.length * model.period))
                         for eps in (model.constants.eps0, model.constants.mu0))
         out.append((a, adag, float(np.max(np.abs(tensor_safe_block(dev, dim)))) / (hbar * lambda0),
                     amp_e * scale * (adag + a), 1j * (amp_h * scale) * (adag - a)))
@@ -370,7 +370,7 @@ def _spacetime_reference(model, dim, z, t):
 ], ids=["symmetric", "si", "si-pow", "odd"])
 def test_spacetime_stacks_match_the_per_mode_build_bit_for_bit(cst, length):
     # the same arithmetic on whole-mode stacks: every bit, signed zeros included
-    model = CavityModel(length=length, n_modes=3, constants=cst, masses=[1.5, 0.8, 1.1])
+    model = CavityModel(length=length, n_modes=3, constants=cst)
     z, t = 0.41, 0.37 * model.period
     a, adag, g_deviation = spacetime_local_operators(model, 6, z, t)
     field = OperatorField(model, SchemeKind.SPACETIME_LOCAL, 6)
