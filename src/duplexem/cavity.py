@@ -40,13 +40,6 @@ import numpy as np
 from .constants import PhysicalConstants
 from .tables import write_csv
 
-PARITY_LABELS = {
-    1: ("P-odd", "t-even"),
-    2: ("P-odd", "t-odd"),
-    3: ("P-even", "t-even"),
-    4: ("P-even", "t-odd"),
-}
-
 
 @dataclass(frozen=True)
 class CavityModel:
@@ -262,7 +255,7 @@ class SpectralField(FieldOnSegment):
 
     def reflected(self) -> "SpectralField":
         """Midpoint reflection z -> L - z, the space inversion whose parities
-        label the four field constituents (PARITY_LABELS).
+        label the four field constituents (see QuaternionField).
 
         sin(k_a (L - z)) = -(-1)^a sin(k_a z) and cos(k_a (L - z)) = (-1)^a cos(k_a z).
         """
@@ -350,7 +343,8 @@ class QuaternionField:
     """Four parity-labeled field sectors packed as quaternion components: the
     quaternion four-component field of the paper, checked by `maxwell_residual`.
 
-    sectors[i] (i = 1..4) carries the parity pair PARITY_LABELS[i].  The
+    sectors[1] to sectors[4] carry the parity pairs (P-odd, t-even),
+    (P-odd, t-odd), (P-even, t-even) and (P-even, t-odd).  The
     quaternion electric component is (E1 - i E2) + (E3 - i E4) j; sectors
     are never summed with real coefficients across parity labels (such a
     sum would mix mathematically heterogeneous objects).

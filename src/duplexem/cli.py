@@ -324,13 +324,13 @@ def cmd_quantize(args, cfg, out: Path) -> int:
 def cmd_currents(args, cfg, out: Path) -> int:
     model, state = _model_from_cfg(cfg)
     current = cur.ClassicalFourCurrent(model, state, coupling=cfg["coupling"])
-    fieldset = cur.FieldFunctionSet.from_cavity(model, state)
+    field, c = cur.charge_field(model, state), model.constants.c
     z = np.linspace(0.0, model.length, cfg["nz"])
     t = np.linspace(0.0, model.period, cfg["nt"])
     cont = cur.continuity_residual(current, z, t)
-    charges = [cur.noether_charge(fieldset, tj) for tj in t]  # the table's and the drift's
-    per_t = [[c.q1 for c in charges], [c.q2 for c in charges],
-             [cur.spirality(fieldset, tj) for tj in t]]
+    charges = [cur.noether_charge(field, c, tj) for tj in t]  # the table's and the drift's
+    per_t = [[q.q1 for q in charges], [q.q2 for q in charges],
+             [cur.spirality(field, c, tj) for tj in t]]
     # rows are t-major: transpose the (z, t) grids before flattening
     j3 = (current.j3(z, t, 1) + 1j * current.j3(z, t, 2)).T.ravel()
     j4 = (current.j4(z, t, 1) + 1j * current.j4(z, t, 2)).T.ravel()
@@ -456,6 +456,8 @@ def cmd_ssh_sweep(args, cfg, out: Path) -> int:
         curve.locate_minimum()
         summary.update(u0=curve.u0, well_depth=curve.well_depth,
                        double_well=curve.double_well)
+    for e0 in (curve.e0_quadrature, curve.e0, curve.e0_smallz):
+        ssh._check_finite(u_grid, e0)
     _write_json(out / "summary.json", summary)
     return 0
 
@@ -535,9 +537,9 @@ def _verify_checks(seed: int):
     add("operator_continuity", cur.continuity_residual(qcur, 0.4, 0.3), 1e-10)
     rot_state = cav.ModeState(0.4 * (rng.normal(size=4) + 1j * rng.normal(size=4)),
                               np.zeros(4))
-    fieldset = cur.FieldFunctionSet.from_cavity(cur_model, rot_state)
     times = np.linspace(0, 2 * math.pi / cur_model.omegas[0], 33)
-    add("charge_drift", max(cur.charge_drift(fieldset, times)), 1e-8)
+    add("charge_drift",
+        max(cur.charge_drift(cur.charge_field(cur_model, rot_state), cst.c, times)), 1e-8)
 
     # resonance
     p = res.ResonanceParams(gamma_e=1.0, spin=0.5, tau=2.0, e1=1.0,

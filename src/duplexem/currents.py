@@ -5,10 +5,13 @@ The classical current keeps the overall charge normalization (the factor
 e/hbar c in front of every density) as a configurable ``coupling`` constant;
 the operator-valued one has it at 1.
 
-Mode sets use the constant-dropping convention of :mod:`duplexem.cavity`
+Mode sums use the constant-dropping convention of :mod:`duplexem.cavity`
 (q'' = -q, q' = -dq/dt / w), under which all mode-pair combinations below
 are exact solutions and the continuity law holds identically, and their
-time basis has the two entries exp(i w t) and exp(-i w t).
+time basis has the two entries exp(i w t) and exp(-i w t).  The charges
+and the spirality read the pair (u1, u2) as the E_x and H_y coefficients
+of a :class:`~duplexem.cavity.SpectralField` (`charge_field` builds it
+from a cavity state) and integrate over z in [0, L], the cavity's volume.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import (CavityModel, FirstSolution, ModeState, _check_sampling, _d_dt, _d_dz,
-                     _gauss_legendre, _inside, _mode_sum, _mode_terms, _peak)
+from .cavity import (CavityModel, FirstSolution, ModeState, SpectralField, _check_sampling,
+                     _d_dt, _d_dz, _gauss_legendre, _mode_sum, _mode_terms, _peak)
 from .fockquant import make_ladder
 
 N_QUAD = 96   # Gauss-Legendre nodes over [0, L] in the charge and spirality integrals
@@ -132,80 +135,30 @@ def continuity_residual(current, z, t) -> float:
     return _peak(dj3_dz + dj4_dx4) / scale if scale else 0.0
 
 
-class FieldFunctionSet:
-    """Mode pairs (u1, u2) entering the Lagrangian-based charges.
-
-    u1 collects the sine-profile (electric-type) parts, u2 the cosine-profile
-    (magnetic-type) parts.  The set is one complex array
-    ``coeffs[sector, profile, basis, mode]`` (sector 0: u1, 1: u2; profile
-    and time basis exp(+-i w t) as in :mod:`duplexem.cavity`), so that
-
-        u_s,a(z, t) = sum_pb coeffs[s, p, b, a] Z_p(k_a z) T_b(w_a t),
-
-    with k_a = ``wavenumbers[a]`` and w_a = ``omegas[a]``, any (k, w) pair.
-    """
-
-    def __init__(self, coeffs, wavenumbers, omegas, volume: float, length: float, c: float):
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.wavenumbers = np.asarray(wavenumbers, dtype=float)
-        self.omegas = np.asarray(omegas, dtype=float)
-        n_modes = self.wavenumbers.size
-        if self.omegas.shape != (n_modes,) or self.coeffs.shape != (2, 2, 2, n_modes):
-            raise ValueError("need one k, one omega and (2, 2, 2) coefficients per mode")
-        self.volume = volume
-        self.length = length
-        self.c = c
-
-    def _with(self, coeffs) -> "FieldFunctionSet":
-        return FieldFunctionSet(coeffs, self.wavenumbers, self.omegas, self.volume,
-                                self.length, self.c)
-
-    @classmethod
-    def from_cavity(cls, model: CavityModel, state: ModeState):
-        """Two-sector mode functions of the cavity field.
+def charge_field(model: CavityModel, state: ModeState) -> SpectralField:
+    """Two-sector mode functions of the cavity field, as a SpectralField whose
+    E_x and H_y are the pair (u1, u2) of the charges:
 
         u1_a = sqrt(eps0) A^E_a sin(k z) (q_a + i q''_a)
         u2_a = sqrt(mu0)  A^H_a cos(k z) (-q'_a + (i/w) dq_a/dt)
 
-        with the constant-dropping convention q'' = -q, q' = -dq/dt / w,
-        so the time factors are (1 - i) q and (1 + i) dq/dt / w: mode by
-        mode u1 = sqrt(eps0) (1 - i) E_x and u2 = sqrt(mu0) (1 + i) H_y of
-        the first family, whose H_y carries A^E eps0 / k = A^H / w.  The
-        cavity's volume is its length.
-        """
-        cst = model.constants
-        field = FirstSolution(model, state).scaled(math.sqrt(cst.eps0) * complex(1.0, -1.0),
-                                                   math.sqrt(cst.mu0) * complex(1.0, 1.0))
-        # u1 is E_x, coefficients [0, 0]; u2 is H_y, coefficients [1, 1]
-        return cls(np.stack([field.coeffs[0, 0], field.coeffs[1, 1]]), model.wavenumbers,
-                   model.omegas, volume=model.length, length=model.length, c=cst.c)
+    with the constant-dropping convention q'' = -q, q' = -dq/dt / w,
+    so the time factors are (1 - i) q and (1 + i) dq/dt / w: mode by
+    mode u1 = sqrt(eps0) (1 - i) E_x and u2 = sqrt(mu0) (1 + i) H_y of
+    the first family, whose H_y carries A^E eps0 / k = A^H / w.
+    """
+    cst = model.constants
+    return FirstSolution(model, state).scaled(math.sqrt(cst.eps0) * complex(1.0, -1.0),
+                                              math.sqrt(cst.mu0) * complex(1.0, 1.0))
 
-    def rotated(self, theta: float) -> "FieldFunctionSet":
-        """Dual rotation applied pairwise in the (u1, u2) functional plane."""
-        ct, st = math.cos(theta), math.sin(theta)
-        u1, u2 = self.coeffs
-        return self._with(np.stack([ct * u1 + st * u2, ct * u2 - st * u1]))
 
-    def scaled(self, factor: complex) -> "FieldFunctionSet":
-        """Gauge transform u -> factor * u (factor = beta e^{i alpha})."""
-        return self._with(factor * self.coeffs)
-
-    def evaluate(self, z, t, *orders) -> np.ndarray:
-        """u and its derivatives per sector and mode on the outer (z, t) grid.
-
-        Each order (n, m) asks for d^n/dz^n d^m/dt^m u.  The result has shape
-        (len(orders), 2, n_modes) + shape(z) + shape(t); modes are not summed.
-        """
-        coeffs = []
-        for n_z, n_t in orders:
-            c = self.coeffs
-            for _ in range(n_z):
-                c = _d_dz(c, self.wavenumbers)
-            for _ in range(n_t):
-                c = _d_dt(c, self.omegas)
-            coeffs.append(c)
-        return _mode_terms(np.array(coeffs), self.wavenumbers, self.omegas,
-                           _inside(z, self.length), t)
+def _pair_terms(field: SpectralField, t: float):
+    """Quadrature weights on [0, L], and u = (E_x, H_y) and du/dt per mode on their
+    nodes: shape (2, 2, n_modes, N_QUAD), [u or du/dt, u1 or u2, mode, node]."""
+    zq, wq = _gauss_legendre(0.0, field.length, N_QUAD)
+    pair = field.coeffs[[0, 1], [0, 1]]
+    return wq, _mode_terms(np.array([pair, _d_dt(pair, field.omegas)]), field.wavenumbers,
+                           field.omegas, zq, t)
 
 
 @dataclass(frozen=True)
@@ -222,35 +175,34 @@ def _ordered_sum(values):
     return np.cumsum(np.insert(values, 0, 0.0, axis=0), axis=0)[-1]
 
 
-def noether_charge(fieldset: FieldFunctionSet, t: float) -> NoetherCharge:
-    """Gauge charges by quadrature over z in [0, L].
+def noether_charge(field: SpectralField, c: float, t: float) -> NoetherCharge:
+    """Gauge charges of the pair (u1, u2) = (E_x, H_y) of ``field`` by quadrature
+    over z in [0, L].
 
     q1 (phase-gauge charge) integrates 2 Im(du/dt conj(u)) / c; q2 (the
     scaling-gauge charge, a purely imaginary quantity i*q2) integrates
-    -2 Re(du/dt conj(u)) / c.  Both carry the volume weight V/L.  ``scale``
-    integrates 2 |du/dt conj(u)| / c the same way, term by term: it bounds
-    |q1| and |q2|, and their rounding error is a few ulps of it.
+    -2 Re(du/dt conj(u)) / c.  ``scale`` integrates 2 |du/dt conj(u)| / c
+    the same way, term by term: it bounds |q1| and |q2|, and their rounding
+    error is a few ulps of it.  ValueError if ``scale`` is not finite, which
+    it is whenever a product du/dt conj(u) is not or their sum overflows.
     """
-    zq, wq = _gauss_legendre(0.0, fieldset.length, N_QUAD)
-    c = fieldset.c
-    weight = fieldset.volume / fieldset.length
-    with np.errstate(invalid="ignore"):
-        u, du_dt = fieldset.evaluate(zq, t, (0, 0), (0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        wq, (u, du_dt) = _pair_terms(field, t)
         w_bar = du_dt * np.conj(u)
-    if not np.all(np.isfinite(w_bar)):
-        raise ValueError("field set is not integrable on [0, L]")
+        scale = (2.0 / c) * float(np.sum(wq * np.abs(w_bar)))
+    if not math.isfinite(scale):
+        raise ValueError(f"the charge scale (2/c) sum |du/dt conj(u)| over [0, L] is "
+                         f"{scale!r} at t = {float(t)!r}: the charge integrals overflow, "
+                         f"or the field is not finite")
     # one quadrature per component, added in the order u1_0, u2_0, u1_1, u2_1, ...
     im_sum = float(_ordered_sum(np.sum(wq * w_bar.imag, axis=-1).T.ravel()))
     re_sum = float(_ordered_sum(np.sum(wq * w_bar.real, axis=-1).T.ravel()))
-    q1 = (2.0 / c) * weight * im_sum
-    q2 = -(2.0 / c) * weight * re_sum
-    scale = (2.0 / c) * weight * float(np.sum(wq * np.abs(w_bar)))
-    return NoetherCharge(q1=q1, q2=q2, scale=scale)
+    return NoetherCharge(q1=(2.0 / c) * im_sum, q2=-(2.0 / c) * re_sum, scale=scale)
 
 
-def charge_drift(fieldset: FieldFunctionSet, times):
+def charge_drift(field: SpectralField, c: float, times):
     """Max relative drift of (q1, q2) over the given time samples."""
-    return relative_drift([noether_charge(fieldset, t) for t in times])
+    return relative_drift([noether_charge(field, c, t) for t in times])
 
 
 def relative_drift(charges) -> tuple:
@@ -267,20 +219,19 @@ def relative_drift(charges) -> tuple:
     return span1, span2
 
 
-def spirality(fieldset: FieldFunctionSet, t: float) -> float:
-    """Spirality: the volume integral of the spin density of the dual rotation
-    in the (u1, u2) functional plane,
+def spirality(field: SpectralField, c: float, t: float) -> float:
+    """Spirality: the integral over [0, L] of the spin density of the dual
+    rotation in the (u1, u2) = (E_x, H_y) functional plane of ``field``,
 
-        density(z) = (2/c) Im sum_pairs [conj(du1/dt) u2 - conj(du2/dt) u1].
+        density(z) = (2/c) Im sum_modes [conj(du1/dt) u2 - conj(du2/dt) u1].
 
-    Additive over pairs and exactly invariant under a simultaneous dual
+    Additive over modes and exactly invariant under a simultaneous dual
     rotation of every pair.
     """
-    zq, wq = _gauss_legendre(0.0, fieldset.length, N_QUAD)
-    (u1, u2), (du1_dt, du2_dt) = fieldset.evaluate(zq, t, (0, 0), (0, 1))
+    wq, ((u1, u2), (du1_dt, du2_dt)) = _pair_terms(field, t)
     pairs = np.imag(np.conj(du1_dt) * u2 - np.conj(du2_dt) * u1)
-    density = (2.0 / fieldset.c) * _ordered_sum(pairs)
-    return float(np.sum(wq * density)) * fieldset.volume / fieldset.length
+    density = (2.0 / c) * _ordered_sum(pairs)
+    return float(np.sum(wq * density))
 
 
 def charge_ratio_estimate(j_e: float, j_h: float) -> float:

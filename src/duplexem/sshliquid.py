@@ -303,7 +303,8 @@ def _scan_roots(fn, grid, vals, route):
 
     vals may come from another route than fn; a bracket over which fn keeps
     its sign raises GapSolverError naming the route, the bracket and fn at
-    both ends, with (grid, vals) as its residual curve.
+    both ends, and one on which brentq does not converge raises it naming
+    the route and the bracket, each with (grid, vals) as its residual curve.
     """
     fa, fb = vals[:-1], vals[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite pairs are masked out
@@ -330,6 +331,10 @@ def _scan_roots(fn, grid, vals, route):
                 f"the {route} residual keeps its sign over the scanned bracket "
                 f"[{float(a)!r}, {float(b)!r}]: {float(ra)!r} and {float(rb)!r} at its ends",
                 residual_curve=(grid, vals)) from None
+        except RuntimeError as exc:   # brentq's iteration cap
+            raise GapSolverError(
+                f"brentq did not converge on the {route} residual over the scanned bracket "
+                f"[{float(a)!r}, {float(b)!r}]: {exc}", residual_curve=(grid, vals)) from None
     if len(grid) and vals[-1] == 0.0:
         roots.append(grid[-1])
     # deduplicate nearby refinements

@@ -125,9 +125,8 @@ def test_criterion_05_currents():
 
     rotating = cav.ModeState(0.4 * (rng.normal(size=4) + 1j * rng.normal(size=4)),
                              np.zeros(4))
-    fieldset = cur.FieldFunctionSet.from_cavity(model, rotating)
     times = np.linspace(0.0, 2 * math.pi / model.omegas[0], 32)
-    drift = max(cur.charge_drift(fieldset, times))
+    drift = max(cur.charge_drift(cur.charge_field(model, rotating), model.constants.c, times))
     ok = cont <= 1e-10 and j4_gauge <= 1e-12 and op_cont <= 1e-10 and drift <= 1e-8
     _report("5 current continuity and charges", ok,
             f"classical {cont:.2e}, gauge-j4 {j4_gauge:.2e}, "

@@ -253,6 +253,20 @@ def test_failed_gap_solve_keeps_residual_curve(tmp_path, capsys, command):
     assert np.all(residual < -1.0)
 
 
+@pytest.mark.parametrize("t0", [1e-30, 1e-300])
+def test_unconverged_gap_root_exits_1_naming_the_bracket(tmp_path, capsys, t0):
+    # brentq stops at its iteration cap on the bracket around Q = 0
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"t0": t0}))
+    out = tmp_path / "out"
+    assert main(["ssh-solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    error = json.loads((out / "summary.json").read_text())["error"]
+    assert error.startswith("brentq did not converge on the elliptic residual over the "
+                            "scanned bracket [-0.3338898163605961, 0.3338898163605961]")
+    assert (out / "residual_curve.csv").read_text().startswith("q,residual\n")
+
+
 def test_verify_all_refines_quadrature_only_on_elliptic_brackets(tmp_path, capsys, monkeypatch):
     # gap_method_agreement evaluates the quadrature route at one Q per brentq step
     # (63 calls at seed 42), never on the 600-point scan; the ground-state
@@ -398,9 +412,9 @@ def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
     calls = []
     charge = cur.noether_charge
 
-    def counted(fieldset, t, *args):
+    def counted(field, c, t):
         calls.append(t)
-        return charge(fieldset, t, *args)
+        return charge(field, c, t)
 
     monkeypatch.setattr(cur, "noether_charge", counted)
     cfg = tmp_path / "cur.json"
@@ -414,7 +428,7 @@ def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
     state = ModeState(*([complex(*pair) for pair in SCHEMAS["currents"][key].default]
                         for key in ("c1", "c2")))
     monkeypatch.setattr(cur, "noether_charge", charge)
-    expect = cur.charge_drift(cur.FieldFunctionSet.from_cavity(model, state), times)
+    expect = cur.charge_drift(cur.charge_field(model, state), model.constants.c, times)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["charge_drift"] == list(expect)
 
@@ -427,7 +441,7 @@ PINNED_OUTPUTS = {
         "verify.csv": "5510ac877e7b3555eade708bc3fca06e48f01aa6236b67ad521b2f6c41172df4",
     }),
     "currents": (["currents"], None, {
-        "currents.csv": "7c4132b2c2341413ae0322177cd06c382ae55ffa526c697ecb393f864e8a8a23",
+        "currents.csv": "5422426f07834ad50a552fdfef6d5506e617d07dd9b7f045b880c7e39cfbff6d",
         "summary.json": "e62a17ad169efd25b81a03f11493cc383a6870e6bb1646c4821cce4b8893e02e",
     }),
     "cavity-field-rotated": (["cavity-field"], {"theta": 0.7}, {
@@ -840,11 +854,9 @@ def test_resonance_fit_rejects_a_non_finite_input_row(tmp_path, capsys, value):
 @pytest.mark.parametrize("command, cfg, check", [
     # exp(i w t) of t = 1e308 is nan: the hermiticity defect reads nan
     ("quantize", {"t": 1e308}, ("checks", "hermiticity_defect")),
-    # |C1|^2 ~ 1e308 overflows the charges: the q1 drift reads nan
-    ("currents", {"c1": [[1e154, 0.0], [0.2, 0.0], [0.1, 0.0]]}, ("charge_drift", 0)),
 ])
 def test_a_nan_check_fails(tmp_path, capsys, command, cfg, check):
-    # max() kept the first value when a later one was nan, so these passed
+    # max() kept the first value when a later one was nan, so such a check passed
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     with np.errstate(all="ignore"):
@@ -855,11 +867,26 @@ def test_a_nan_check_fails(tmp_path, capsys, command, cfg, check):
     assert math.isnan(summary[group][name]) and not summary["passed"]
 
 
-@pytest.mark.parametrize("command", ["ssh-solve", "ssh-sweep"])
-def test_non_finite_ground_energy_exits_1(tmp_path, capsys, command):
+def test_currents_names_a_charge_overflow(tmp_path, capsys):
+    # |C1|^2 ~ 1e308: the products du/dt conj(u) are finite, their sum is not
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c1": [[1e154, 0.0], [0.2, 0.0], [0.1, 0.0]]}))
+    with np.errstate(all="ignore"):
+        assert main(["currents", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the charge scale") and "is inf at t = 0.0" in err
+    assert "overflow" in err and not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, u_scan", [
+    ("ssh-solve", [-0.3, 0.3, 7]), ("ssh-sweep", [-0.3, 0.3, 7]),
+    # no minimum search on a grid not symmetric about 0: the sweep checks its columns
+    ("ssh-sweep", [0, 1, 5]),
+], ids=["ssh-solve", "ssh-sweep", "ssh-sweep-asymmetric"])
+def test_non_finite_ground_energy_exits_1(tmp_path, capsys, command, u_scan):
     # 2 N K overflows: E0(0) = inf * 0 is nan, which np.argmin read as a flat curve
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"K_spring": 1e308, "u_scan": [-0.3, 0.3, 7]}))
+    path.write_text(json.dumps({"K_spring": 1e308, "u_scan": u_scan}))
     with np.errstate(all="ignore"):
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
     assert "E0(u) is not finite at u = 0.0" in capsys.readouterr().err

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duplexem.cavity import CavityModel, ModeState, _gauss_legendre, _leggauss
+from duplexem.cavity import (CavityModel, ModeState, SpectralField, _d_dt, _d_dz,
+                             _gauss_legendre, _leggauss, _mode_terms)
 from duplexem.constants import PhysicalConstants
-from duplexem.currents import (ClassicalFourCurrent, FieldFunctionSet, QuantizedFourCurrent,
-                               charge_drift, charge_ratio_estimate, continuity_residual,
+from duplexem.currents import (ClassicalFourCurrent, QuantizedFourCurrent, charge_drift,
+                               charge_field, charge_ratio_estimate, continuity_residual,
                                noether_charge, relative_drift, spirality)
 
 CST = PhysicalConstants.symmetric()
@@ -180,9 +181,26 @@ def test_coarse_grid_rejected():
         continuity_residual(current, np.linspace(0, math.pi, 6), GRID_T)
 
 
-def _phase_gauge_longitudinal(fieldset, z, t):
+def _pair_field(pair, wavenumbers, omegas, length):
+    """A SpectralField whose E_x and H_y, coeffs[0, 0] and coeffs[1, 1], hold the pair (u1, u2)."""
+    coeffs = np.zeros((2, 2, 2, 2, len(wavenumbers)), dtype=complex)
+    coeffs[0, 0], coeffs[1, 1] = pair
+    return SpectralField(length, wavenumbers, omegas, coeffs, z0=1.0)
+
+
+def _pair_values(field, z, t, n_z=0, n_t=0):
+    """d^n_z/dz^n_z d^n_t/dt^n_t of the pair (E_x, H_y) per mode on the outer (z, t) grid."""
+    coeffs = field.coeffs[[0, 1], [0, 1]]
+    for _ in range(n_z):
+        coeffs = _d_dz(coeffs, field.wavenumbers)
+    for _ in range(n_t):
+        coeffs = _d_dt(coeffs, field.omegas)
+    return _mode_terms(coeffs, field.wavenumbers, field.omegas, z, t)
+
+
+def _phase_gauge_longitudinal(field, z, t):
     """Longitudinal phase-gauge current density, sum 2 Im((du/dz) conj(u))."""
-    u, du_dz = fieldset.evaluate(z, t, (0, 0), (1, 0))
+    u, du_dz = _pair_values(field, z, t), _pair_values(field, z, t, n_z=1)
     return np.sum(2.0 * np.imag(du_dz * np.conj(u)), axis=(0, 1))
 
 
@@ -190,38 +208,37 @@ def test_longitudinal_phase_current_vanishes_generally():
     # real z profile times arbitrary complex weights on both time bases:
     # (du/dz) conj(u) is then |time factor|^2 times a real profile
     rng = np.random.default_rng(6)
-    coeffs = np.zeros((2, 2, 2, 3), dtype=complex)
-    coeffs[0, 0] = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))  # u1: sin(k z)
-    coeffs[1, 1] = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))  # u2: cos(k z)
-    fieldset = FieldFunctionSet(coeffs, [1.0, 2.0, 3.0], rng.uniform(1, 3, size=3),
-                                volume=1.0, length=math.pi, c=1.0)
+    pair = np.zeros((2, 2, 2, 3), dtype=complex)
+    pair[0, 0] = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))  # u1: sin(k z)
+    pair[1, 1] = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))  # u2: cos(k z)
+    field = _pair_field(pair, [1.0, 2.0, 3.0], rng.uniform(1, 3, size=3), math.pi)
     z = np.linspace(0, math.pi, 21)
     for t in (0.0, 0.4, 1.3):
-        assert np.max(np.abs(_phase_gauge_longitudinal(fieldset, z, t))) <= 1e-12
+        assert np.max(np.abs(_phase_gauge_longitudinal(field, z, t))) <= 1e-12
 
 
 def test_zero_field_zero_charge():
-    fieldset = FieldFunctionSet(np.zeros((2, 2, 2, 1)), [1.0], [1.0],
-                                volume=1.0, length=1.0, c=1.0)
-    charge = noether_charge(fieldset, 0.3)
+    field = _pair_field(np.zeros((2, 2, 2, 1)), [1.0], [1.0], 1.0)
+    charge = noether_charge(field, 1.0, 0.3)
     assert charge.q1 == 0.0 and charge.q2 == 0.0 and charge.scale == 0.0
     assert relative_drift([charge, charge]) == (0.0, 0.0)
 
 
-def _lagrange_residual(fieldset, z, t) -> float:
+def _lagrange_residual(field, c, z, t) -> float:
     """max |d2u/dz2 - (1/c^2) d2u/dt2| over components and grid."""
-    d2u_dz2, d2u_dt2 = fieldset.evaluate(z, t, (2, 0), (0, 2))
-    return float(np.max(np.abs(d2u_dz2 - d2u_dt2 / fieldset.c**2), initial=0.0))
+    d2u_dz2, d2u_dt2 = _pair_values(field, z, t, n_z=2), _pair_values(field, z, t, n_t=2)
+    return float(np.max(np.abs(d2u_dz2 - d2u_dt2 / c**2), initial=0.0))
 
 
 def test_gauge_transform_keeps_field_equations():
     rng = np.random.default_rng(7)
     model = make_model()
-    fieldset = FieldFunctionSet.from_cavity(model, random_state(rng))
+    field = charge_field(model, random_state(rng))
     z = GRID_Z[:, None]
     t = GRID_T[None, :]
-    base = _lagrange_residual(fieldset, z, t)
-    transformed = _lagrange_residual(fieldset.scaled(1.7 * np.exp(0.8j)), z, t)
+    base = _lagrange_residual(field, CST.c, z, t)
+    factor = 1.7 * np.exp(0.8j)
+    transformed = _lagrange_residual(field.scaled(factor, factor), CST.c, z, t)
     assert base <= 1e-10
     assert transformed <= 2e-10
 
@@ -232,96 +249,96 @@ def test_charge_conservation_over_period():
     # rotating states: both charge components are strictly stationary
     state = ModeState(0.4 * (rng.normal(size=4) + 1j * rng.normal(size=4)),
                       np.zeros(4))
-    fieldset = FieldFunctionSet.from_cavity(model, state)
     times = np.linspace(0.0, 2 * math.pi / model.omegas[0], 32)
-    d1, d2 = charge_drift(fieldset, times)
+    d1, d2 = charge_drift(charge_field(model, state), CST.c, times)
     assert d1 <= 1e-8 and d2 <= 1e-8
 
 
 def test_phase_charge_conserved_for_any_state():
     rng = np.random.default_rng(9)
     model = make_model()
-    fieldset = FieldFunctionSet.from_cavity(model, random_state(rng))
+    field = charge_field(model, random_state(rng))
     times = np.linspace(0.0, 2 * math.pi / model.omegas[0], 32)
-    assert charge_drift(fieldset, times)[0] <= 1e-8
+    assert charge_drift(field, CST.c, times)[0] <= 1e-8
 
 
 def test_non_integrable_set_rejected():
-    coeffs = np.zeros((2, 2, 2, 1), dtype=complex)
-    coeffs[:, :, 0] = np.inf
-    fieldset = FieldFunctionSet(coeffs, [1.0], [1.0], volume=1.0, length=1.0, c=1.0)
-    with pytest.raises(ValueError):
-        noether_charge(fieldset, 0.0)
+    pair = np.zeros((2, 2, 2, 1), dtype=complex)
+    pair[:, :, 0] = np.inf
+    with pytest.raises(ValueError, match="charge scale .* is nan at t = 0.0"):
+        noether_charge(_pair_field(pair, [1.0], [1.0], 1.0), 1.0, 0.0)
 
 
-def _plane_wave(energy, hbar, c, volume, length, amplitude, wavenumber):
+def _plane_wave(energy, hbar, length, amplitude, wavenumber):
     """Monochromatic u1 = amplitude e^{i kappa z} e^{-i E t / hbar}, with u2 = 0."""
-    coeffs = np.zeros((2, 2, 2, 1), dtype=complex)
+    pair = np.zeros((2, 2, 2, 1), dtype=complex)
     # amplitude (i sin(kappa z) + cos(kappa z)) on the e^{-i w t} basis
-    coeffs[0, :, 1, 0] = 1j * amplitude, amplitude
-    return FieldFunctionSet(coeffs, [wavenumber], [energy / hbar], volume, length, c)
+    pair[0, :, 1, 0] = 1j * amplitude, amplitude
+    return _pair_field(pair, [wavenumber], [energy / hbar], length)
 
 
 def test_plane_wave_matches_closed_form():
-    fieldset = _plane_wave(energy=2.5, hbar=1.0, c=1.0, volume=3.0, length=1.0,
-                           amplitude=0.8 - 0.3j, wavenumber=2 * math.pi)
-    z = np.linspace(0.0, 1.0, 9)
+    field = _plane_wave(energy=2.5, hbar=1.0, length=3.0, amplitude=0.8 - 0.3j,
+                        wavenumber=2 * math.pi)
+    z = np.linspace(0.0, 3.0, 9)
     t = np.array([0.0, 0.3, 1.7])
-    (u1, u2), = fieldset.evaluate(z, t, (0, 0))
     expect = (0.8 - 0.3j) * np.exp(2j * math.pi * z)[:, None] * np.exp(-2.5j * t)
-    assert np.max(np.abs(u1[0] - expect)) <= 1e-15 and np.all(u2 == 0)
-    # the phase charge: -2 (E / hbar c) |amplitude|^2 L (V / L)
-    assert noether_charge(fieldset, 0.0).q1 == pytest.approx(-2 * 2.5 * 0.73 * 3.0, rel=1e-12)
+    assert np.max(np.abs(field.e(z, t)[0] - expect)) <= 1e-15 and np.all(field.h(z, t) == 0)
+    # the phase charge: -2 (E / hbar c) |amplitude|^2 L
+    assert noether_charge(field, 1.0, 0.0).q1 == pytest.approx(-2 * 2.5 * 0.73 * 3.0,
+                                                               rel=1e-12)
     with pytest.raises(ValueError, match="outside the cavity"):
-        fieldset.evaluate([1.5], 0.0, (0, 0))
+        field.e([4.5], 0.0)
 
 
 def test_plane_wave_charge_scaling():
-    # q1 = -2 (E / hbar c) |amplitude|^2 V at every t; the scaling charge q2 vanishes
-    def charge(energy=2.5, hbar=1.0, c=1.0, volume=3.0, amplitude=0.8, t=0.0):
-        return noether_charge(_plane_wave(energy, hbar, c, volume, 1.0, amplitude,
-                                          2 * math.pi), t)
+    # q1 = -2 (E / hbar c) |amplitude|^2 L at every t; the scaling charge q2 vanishes
+    def charge(energy=2.5, hbar=1.0, c=1.0, length=3.0, amplitude=0.8, t=0.0):
+        return noether_charge(_plane_wave(energy, hbar, length, amplitude, 2 * math.pi), c, t)
 
     base = charge()
     assert base.q1 == pytest.approx(-2 * 2.5 * 0.64 * 3.0, rel=1e-12)
     for kwargs, ratio in (({"amplitude": 1.6j}, 4.0), ({"energy": 5.0}, 2.0),
                           ({"hbar": 2.0}, 0.5), ({"c": 4.0}, 0.25),
-                          ({"volume": 6.0}, 2.0), ({"t": 1.3}, 1.0)):
+                          ({"length": 6.0}, 2.0), ({"t": 1.3}, 1.0)):
         scaled = charge(**kwargs)
         assert scaled.q1 / base.q1 == pytest.approx(ratio, rel=1e-12)
         assert abs(scaled.q2) <= 1e-12 * abs(scaled.q1)
 
 
-def _custom_set(modes=slice(None)):
+def _custom_pair(modes=slice(None)):
     """Two pairs of free (k, w): u1 = a1 sin(k z) e^{-iwt}, u2 = a2 sin(k z) e^{iwt}."""
-    coeffs = np.zeros((2, 2, 2, 2), dtype=complex)
-    coeffs[0, 0, 1] = [1.0, 0.4]
-    coeffs[1, 0, 0] = [0.7, 1.1]
+    pair = np.zeros((2, 2, 2, 2), dtype=complex)
+    pair[0, 0, 1] = [1.0, 0.4]
+    pair[1, 0, 0] = [0.7, 1.1]
     k, w = np.array([1.0, 2.0]), np.array([2.0, 5.0])
-    return FieldFunctionSet(coeffs[..., modes], k[modes], w[modes], 1.0, math.pi, 1.0)
+    return _pair_field(pair[..., modes], k[modes], w[modes], math.pi)
 
 
 def test_spirality_zero_for_single_sector():
-    fieldset = _custom_set(slice(0, 1))
-    fieldset.coeffs[1] = 0.0
-    assert spirality(fieldset, 0.2) == 0.0
+    field = _custom_pair(slice(0, 1)).scaled(1.0, 0.0)
+    assert spirality(field, 1.0, 0.2) == 0.0
 
 
 def test_spirality_additive_over_modes():
-    both = _custom_set()
-    first = _custom_set(slice(0, 1))
-    second = _custom_set(slice(1, 2))
-    total = spirality(both, 0.2)
-    split = spirality(first, 0.2) + spirality(second, 0.2)
+    total = spirality(_custom_pair(), 1.0, 0.2)
+    split = spirality(_custom_pair(slice(0, 1)), 1.0, 0.2) \
+        + spirality(_custom_pair(slice(1, 2)), 1.0, 0.2)
     assert abs(total - split) <= 1e-12 * max(1.0, abs(total))
     assert abs(total) > 1e-3  # the check is not vacuous
 
 
 def test_spirality_invariant_under_dual_rotation():
-    fieldset = _custom_set()
-    s0 = spirality(fieldset, 0.2)
+    field = _custom_pair()
+    s0 = spirality(field, 1.0, 0.2)
     for theta in (0.3, 1.1, 2.7):
-        s1 = spirality(fieldset.rotated(theta), 0.2)
+        # the rotation of every pair in the (u1, u2) plane, not the E-H mix of
+        # SpectralField.rotated
+        ct, st = math.cos(theta), math.sin(theta)
+        u1, u2 = field.coeffs[[0, 1], [0, 1]]
+        rotated = _pair_field([ct * u1 + st * u2, ct * u2 - st * u1], field.wavenumbers,
+                              field.omegas, field.length)
+        s1 = spirality(rotated, 1.0, 0.2)
         assert abs(s1 - s0) <= 1e-10 * max(1.0, abs(s0))
 
 
@@ -390,7 +407,7 @@ def test_random_states_keep_continuity_and_charges(seed, si, standing, n_modes, 
     z = np.linspace(0.0, model.length, 8 * n_modes)
     t = np.linspace(0.0, model.period, 8)
     assert continuity_residual(ClassicalFourCurrent(model, state), z, t) <= 1e-13
-    assert max(charge_drift(FieldFunctionSet.from_cavity(model, state), t)) <= 1e-12
+    assert max(charge_drift(charge_field(model, state), model.constants.c, t)) <= 1e-12
 
 
 def test_charge_ratio_values():

@@ -2,11 +2,13 @@
 
 An AST pass lists the public module-level functions, classes and assigned
 names of ``src/duplexem/`` and the public methods of its classes.  Each
-must be named (as a whole word, as ``grep -w`` finds it, so a comment or
-docstring counts too) in the program, in ``bench/`` or in the acceptance
-tests, outside its own definition; the re-exports of ``__init__.py`` do
-not count.  A name reached by none of these must be in
-KEPT with the result of the paper or the test oracle it serves.
+must be referenced in the program, in ``bench/`` or in the acceptance
+tests, outside its own definition: as a name, an attribute, an imported
+name, or an identifier-like string constant (the handler names of
+``COMMANDS`` and the names the benchmark's tracer looks up).  A comment or
+a docstring does not reach a name, and the re-exports of ``__init__.py``
+do not count.  A name reached by none of these must be in KEPT with the
+result of the paper or the test oracle it serves.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "duplexem"
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 # "module.name" -> the result or oracle role that keeps the name
 KEPT = {
@@ -49,22 +52,35 @@ def _definitions():
                                item.lineno, item.end_lineno)
 
 
-def _corpus():
-    """{path: lines} of the code that may reach a name."""
+def _references():
+    """{identifier: [(path, line), ...]} of every reference in the code that may reach a name."""
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
-    return {p: p.read_text().splitlines() for p in paths}
+    found = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                ids = [node.id]
+            elif isinstance(node, ast.Attribute):
+                ids = [node.attr]
+            elif isinstance(node, ast.alias):
+                ids = node.name.split(".")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and IDENTIFIER.fullmatch(node.value):
+                ids = [node.value]
+            else:
+                continue
+            for name in ids:
+                found.setdefault(name, []).append((path, node.lineno))
+    return found
 
 
 def _unreached():
-    corpus = _corpus()
+    references = _references()
     missing = []
     for key, name, own, first, last in _definitions():
-        word = re.compile(rf"(?<!\w){re.escape(name)}(?!\w)")
-        reached = any(word.search(line)
-                      for path, lines in corpus.items()
-                      for number, line in enumerate(lines, 1)
-                      if not (path == own and first <= number <= last))
+        reached = any(not (path == own and first <= line <= last)
+                      for path, line in references.get(name, ()))
         if not reached:
             missing.append(key)
     return missing

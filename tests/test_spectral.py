@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from duplexem.cavity import (CavityModel, FirstSolution, ModeState, SecondSolution,
-                             SpectralField, ZeroField, maxwell_residual)
+                             SpectralField, ZeroField, _d_dt, _d_dz, _mode_terms,
+                             maxwell_residual)
 from duplexem.constants import PhysicalConstants
-from duplexem.currents import FieldFunctionSet, noether_charge, spirality
+from duplexem.currents import charge_field, noether_charge, spirality
 
 CST = PhysicalConstants.symmetric()
 SI = PhysicalConstants.si()
@@ -171,19 +172,22 @@ def _mode_sum_pairs(model, state, z, t):
 
 
 @pytest.mark.parametrize("constants", [CST, SI], ids=["symmetric", "si"])
-def test_from_cavity_pairs_and_charges_match_mode_sum(constants):
+def test_charge_field_pairs_and_charges_match_mode_sum(constants):
     rng = np.random.default_rng(12)
     model = CavityModel(length=math.pi, n_modes=4, constants=constants)
     state = random_state(rng, 4)
-    fieldset = FieldFunctionSet.from_cavity(model, state)
+    field = charge_field(model, state)
     z = np.linspace(0.0, model.length, 31)
     t = np.linspace(0.0, 1.7 * model.period, 6)
     pairs = _mode_sum_pairs(model, state, z, t)
-    orders = {"u": (0, 0), "du_dt": (0, 1), "du_dz": (1, 0), "d2u_dt2": (0, 2),
-              "d2u_dz2": (2, 0)}
-    got = fieldset.evaluate(z, t, *orders.values())
-    assert got.shape == (5, 2, model.n_modes, z.size, t.size)
-    for values, name in zip(got, orders):
+    # the pair (u1, u2) is the field's (E_x, H_y)
+    u = field.coeffs[[0, 1], [0, 1]]
+    d_dz, d_dt = _d_dz(u, model.wavenumbers), _d_dt(u, model.omegas)
+    orders = {"u": u, "du_dt": d_dt, "du_dz": d_dz, "d2u_dt2": _d_dt(d_dt, model.omegas),
+              "d2u_dz2": _d_dz(d_dz, model.wavenumbers)}
+    for name, coeffs in orders.items():
+        values = _mode_terms(coeffs, model.wavenumbers, model.omegas, z, t)
+        assert values.shape == (2, model.n_modes, z.size, t.size)
         for sector, ref in enumerate(pairs):
             assert np.max(np.abs(values[sector] - ref[name])) \
                 <= 1e-13 * np.max(np.abs(ref[name]))
@@ -192,11 +196,11 @@ def test_from_cavity_pairs_and_charges_match_mode_sum(constants):
     x, wq = np.polynomial.legendre.leggauss(128)
     zq = 0.5 * model.length * (x + 1.0)
     wq = 0.5 * model.length * wq
-    weight = 2.0 / constants.c   # the volume weight V/L is 1
+    weight = 2.0 / constants.c
     for tj in t[:3]:
         p1, p2 = _mode_sum_pairs(model, state, zq, np.array([tj]))
         dens = sum(p["du_dt"][..., 0] * np.conj(p["u"][..., 0]) for p in (p1, p2))
-        charge = noether_charge(fieldset, tj)
+        charge = noether_charge(field, constants.c, tj)
         ref_q1 = weight * np.sum(wq * np.imag(dens))
         ref_q2 = -weight * np.sum(wq * np.real(dens))
         scale = math.hypot(ref_q1, ref_q2)
@@ -209,4 +213,4 @@ def test_from_cavity_pairs_and_charges_match_mode_sum(constants):
         spin = np.imag(np.conj(p1["du_dt"][..., 0]) * p2["u"][..., 0]
                        - np.conj(p2["du_dt"][..., 0]) * p1["u"][..., 0])
         ref_s = weight * np.sum(wq * spin)
-        assert abs(spirality(fieldset, tj) - ref_s) <= 1e-12 * max(scale, abs(ref_s))
+        assert abs(spirality(field, constants.c, tj) - ref_s) <= 1e-12 * max(scale, abs(ref_s))
