@@ -390,8 +390,9 @@ def _solve_ssh(cfg) -> tuple:
 
 
 def _ssh_failure(out: Path, exc: RuntimeError) -> int:
-    """Record a failed solve: its message in summary.json and, when the gap
-    scan found no root, the scanned residual curve; exit code 1."""
+    """Record a failed solve: its message on stderr and in summary.json and,
+    when the gap scan found no root, the scanned residual curve; exit code 1."""
+    print(f"error: {exc}", file=sys.stderr)
     _write_json(out / "summary.json", {"error": str(exc)})
     if getattr(exc, "residual_curve", None) is not None:   # a GapSolverError's scan
         _write_csv(out / "residual_curve.csv", ["q", "residual"], list(exc.residual_curve))
@@ -443,9 +444,11 @@ def cmd_ssh_sweep(args, cfg, out: Path) -> int:
     u_grid = np.linspace(*cfg["u_scan"])
     params, _, sol = _solve_ssh(cfg)
     curve = ssh.GroundStateCurve(params, sol.q, u_grid)
-    _write_csv(out / "ground_state.csv",
-               ["u", "E0_quadrature", "E0_elliptic", "E0_smallz"],
-               [u_grid, curve.e0_quadrature, curve.e0, curve.e0_smallz])
+    names = ["E0_quadrature", "E0_elliptic", "E0_smallz"]
+    columns = [curve.e0_quadrature, curve.e0, curve.e0_smallz]
+    _write_csv(out / "ground_state.csv", ["u", *names], [u_grid, *columns])
+    for name, e0 in zip(names, columns):
+        ssh._check_finite(u_grid, e0, name)
     summary = {
         "quantity": "ground-state energy sweep",
         "formula": "E0(u) = band integral + 2 N K u^2",
@@ -456,8 +459,6 @@ def cmd_ssh_sweep(args, cfg, out: Path) -> int:
         curve.locate_minimum()
         summary.update(u0=curve.u0, well_depth=curve.well_depth,
                        double_well=curve.double_well)
-    for e0 in (curve.e0_quadrature, curve.e0, curve.e0_smallz):
-        ssh._check_finite(u_grid, e0)
     _write_json(out / "summary.json", summary)
     return 0
 

@@ -542,21 +542,32 @@ def ground_energy(p: SshParams, q: float, u, method: str = "elliptic"):
     """E0(u) of the near-equilibrium branch at fixed Q, plus elastic energy.
 
     u may be an array, on which both routes evaluate J whole; a number u
-    gives a float.
+    gives a float.  Where 2 N K u^2 overflows, E0 is inf (nan at u = 0),
+    without a numpy warning: the callers check that E0 is finite.
     """
     u = np.asarray(u, dtype=float)[()]   # a number: a numpy scalar, cheaper than 0-d
     zeta = 2.0 * p.alpha1 * u * q / p.t0   # zeta_of at dimerization u
     band = _band_kernel(zeta, method)
-    energy = -(4.0 * p.n_sites * p.t0 / math.pi) * band + 2.0 * p.n_sites * p.k_spring * u * u
-    return energy if energy.ndim else float(energy)
+    if not u.ndim:   # float arithmetic warns of nothing, and costs no errstate per call
+        return _plus_elastic(p, float(band), float(u))
+    with np.errstate(over="ignore", invalid="ignore"):   # 2 N K may overflow: inf * 0 at u = 0
+        return _plus_elastic(p, band, u)
+
+
+def _plus_elastic(p: SshParams, band, u):
+    """-(4 N t0 / pi) J + 2 N K u^2: E0 from the band kernel J, for a float or an array."""
+    return -(4.0 * p.n_sites * p.t0 / math.pi) * band + 2.0 * p.n_sites * p.k_spring * u * u
 
 
 def ground_energy_smallz(p: SshParams, q: float, u):
     """Small-gap expansion: the -u^2 log u well plus the elastic term; u may be an array."""
     u = np.asarray(u, dtype=float)
     qa = abs(q * p.alpha1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # u = 0, replaced below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # u = 0, replaced below
         log_term = np.log(2.0 * p.t0 / (qa * np.abs(u)))
+        # the log is +inf where qa |u| < 2 t0 / 1.8e308, so that quad, its
+        # square, is 0: the -u^2 log u term is 0 there, not inf * 0 = nan
+        log_term = np.where(log_term == math.inf, 0.0, log_term)
         quad = 4.0 * qa * qa * u * u / p.t0
         per_site = (4.0 * p.t0 / math.pi
                     - (6.0 / math.pi) * log_term * quad
@@ -577,10 +588,12 @@ def symmetric_about_zero(u_grid) -> bool:
 class GroundStateCurve:
     """E0(u) of the near-equilibrium branch on a u grid at fixed Q.
 
-    Each column is computed once, when first read: `e0` by the elliptic
-    route, `e0_quadrature` by the trapezoid rule on the whole grid (the
-    oracle of the elliptic route), `e0_smallz` by the small-gap expansion.
-    `locate_minimum` sets `u0`, `well_depth` and `double_well`.
+    Each column is computed once, when first read, in one call over the
+    distinct |u| of the grid: `e0` by the elliptic route, `e0_quadrature` by
+    the trapezoid rule (the oracle of the elliptic route), `e0_smallz` by the
+    small-gap expansion.  u enters E0 only as |zeta| and u * u, so E0(-u) is
+    E0(u) bit for bit, and a mirrored grid costs half.  `locate_minimum`
+    sets `u0`, `well_depth` and `double_well`.
     """
     params: SshParams
     q: float
@@ -590,16 +603,25 @@ class GroundStateCurve:
     double_well: bool = None
 
     @cached_property
+    def _distinct(self) -> tuple:
+        """(the distinct |u| of the grid, the index of each grid point among them)."""
+        return np.unique(np.abs(self.u_grid), return_inverse=True)
+
+    def _column(self, energy, *method) -> np.ndarray:
+        magnitudes, inverse = self._distinct
+        return energy(self.params, self.q, magnitudes, *method)[inverse]
+
+    @cached_property
     def e0(self) -> np.ndarray:
-        return ground_energy(self.params, self.q, self.u_grid, "elliptic")
+        return self._column(ground_energy, "elliptic")
 
     @cached_property
     def e0_quadrature(self) -> np.ndarray:
-        return ground_energy(self.params, self.q, self.u_grid, "quadrature")
+        return self._column(ground_energy, "quadrature")
 
     @cached_property
     def e0_smallz(self) -> np.ndarray:
-        return ground_energy_smallz(self.params, self.q, self.u_grid)
+        return self._column(ground_energy_smallz)
 
     def locate_minimum(self) -> "GroundStateCurve":
         """Find the dimerization minimum +-u0 of a grid symmetric about 0.
@@ -648,13 +670,15 @@ class GroundStateCurve:
         return self
 
 
-def _check_finite(u, e0):
-    """ValueError naming the first u at which E0 is not finite: np.argmin would
-    read a nan or an infinity as a minimum."""
+def _check_finite(u, e0, column=None):
+    """ValueError naming the first u at which E0 is not finite: in the named
+    column of a sweep, or else at a point of the minimum search, where np.argmin
+    would read a nan or an infinity as a minimum."""
     bad = ~np.isfinite(e0)
     if bad.any():
-        raise ValueError(f"E0(u) is not finite at u = {float(u[bad][0])!r} "
-                         f"(E0 = {float(e0[bad][0])!r}), so no minimum can be located")
+        raise ValueError(f"{column or 'E0(u)'} is not finite at u = {float(u[bad][0])!r} "
+                         f"(E0 = {float(e0[bad][0])!r})"
+                         + ("" if column else ", so no minimum can be located"))
 
 
 def ground_state_energy(p: SshParams, q: float, u_grid) -> GroundStateCurve:

@@ -175,11 +175,12 @@ def test_ssh_solve_makes_no_quadrature_call(tmp_path, capsys, monkeypatch):
 
 
 def test_ssh_sweep_makes_one_quadrature_call_per_sweep(tmp_path, capsys, monkeypatch):
-    # the E0_quadrature column is one array call over the whole u grid
+    # the E0_quadrature column is one array call over the distinct |u| of the
+    # grid: linspace(-0.3, 0.3, 25) has 21 of them
     calls = _count_quadrature_calls(monkeypatch)
     summary, _ = _sweep_columns(tmp_path, [-0.3, 0.3, 25])
     capsys.readouterr()
-    assert summary["points"] == 25 and [np.shape(zeta) for zeta in calls] == [(25,)]
+    assert summary["points"] == 25 and [np.shape(zeta) for zeta in calls] == [(21,)]
 
 
 @pytest.mark.parametrize("command", ["ssh-solve", "ssh-sweep"])
@@ -270,12 +271,12 @@ def test_unconverged_gap_root_exits_1_naming_the_bracket(tmp_path, capsys, t0):
 def test_verify_all_refines_quadrature_only_on_elliptic_brackets(tmp_path, capsys, monkeypatch):
     # gap_method_agreement evaluates the quadrature route at one Q per brentq step
     # (63 calls at seed 42), never on the 600-point scan; the ground-state
-    # check takes its 25-point curve in one call
+    # check takes its 25-point curve in one call over its 21 distinct |u|
     calls = _count_quadrature_calls(monkeypatch)
     assert main(["verify-all", "--seed", "42", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     sizes = [np.size(zeta) for zeta in calls]
-    assert 0 < len(calls) <= 100 and sorted(set(sizes)) == [1, 25] and sizes.count(25) == 1
+    assert 0 < len(calls) <= 100 and sorted(set(sizes)) == [1, 21] and sizes.count(21) == 1
 
 
 def test_resonance_fit_inline_data(tmp_path, capsys):
@@ -878,19 +879,41 @@ def test_currents_names_a_charge_overflow(tmp_path, capsys):
     assert "overflow" in err and not (tmp_path / "summary.json").exists()
 
 
-@pytest.mark.parametrize("command, u_scan", [
-    ("ssh-solve", [-0.3, 0.3, 7]), ("ssh-sweep", [-0.3, 0.3, 7]),
-    # no minimum search on a grid not symmetric about 0: the sweep checks its columns
-    ("ssh-sweep", [0, 1, 5]),
+@pytest.mark.parametrize("command, u_scan, message", [
+    # the minimum search reads E0(0) first
+    ("ssh-solve", [-0.3, 0.3, 7], "E0(u) is not finite at u = 0.0 (E0 = nan), "
+                                  "so no minimum can be located"),
+    # the sweep checks its columns, in the order of ground_state.csv, before it
+    # seeks a minimum, and on a grid not symmetric about 0, where it seeks none
+    ("ssh-sweep", [-0.3, 0.3, 7], "E0_quadrature is not finite at u = -0.3 (E0 = inf)\n"),
+    ("ssh-sweep", [0, 1, 5], "E0_quadrature is not finite at u = 0.0 (E0 = nan)\n"),
 ], ids=["ssh-solve", "ssh-sweep", "ssh-sweep-asymmetric"])
-def test_non_finite_ground_energy_exits_1(tmp_path, capsys, command, u_scan):
-    # 2 N K overflows: E0(0) = inf * 0 is nan, which np.argmin read as a flat curve
+def test_non_finite_ground_energy_exits_1(tmp_path, capsys, command, u_scan, message):
+    # 2 N K overflows: E0(0) = inf * 0 is nan, which np.argmin read as a flat curve;
+    # ground_energy silences the overflow, so the error line is all of stderr
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"K_spring": 1e308, "u_scan": u_scan}))
-    with np.errstate(all="ignore"):
-        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
-    assert "E0(u) is not finite at u = 0.0" in capsys.readouterr().err
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, cfg, reason", [
+    ("ssh-solve", {"t0": 1e-30}, "brentq did not converge on the elliptic residual"),
+    ("ssh-solve", {"form": "reduced", "u": -0.1, "u_scan": [-0.4, 0.4, 41]}, "edge |u| = 0.4 "),
+    ("ssh-sweep", {"form": "reduced", "u": -0.1, "u_scan": [-0.4, 0.4, 41]}, "edge |u| = 0.4 "),
+], ids=["brentq", "well-edge-solve", "well-edge-sweep"])
+def test_failed_gap_solve_prints_its_reason_to_stderr(tmp_path, capsys, command, cfg, reason):
+    # as every other exit-1 path: "error: <reason>" on stderr, and the same
+    # reason in summary.json
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    error = json.loads((out / "summary.json").read_text())["error"]
+    assert reason in error
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_config_docs_name_the_schema_keys():

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from duplexem import sshliquid
@@ -567,6 +569,34 @@ def test_array_energies_match_pointwise():
     small = ground_energy_smallz(p, q, u)
     assert small.tolist() == [ground_energy_smallz(p, q, x) for x in u.tolist()]
     assert small[24] == 4 * p.n_sites * p.t0 / math.pi      # u = 0
+    # below |u| ~ 1e-308 the log overflows, but the -u^2 log u term is 0 in double
+    tiny = ground_energy_smallz(p, q, np.array([5e-324, -2.2e-313, 1e-200]))
+    assert tiny == pytest.approx(small[24], rel=1e-15)
+
+
+@st.composite
+def _u_grids(draw):
+    """u grids of odd and even count, mirrored or not, either way round, with
+    repeated points and +-0.0; zeta = 2 u Q reaches both sides of 1."""
+    grid = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=12))
+    if draw(st.booleans()):   # an exact mirror, with or without a centre
+        grid = [-u for u in reversed(grid)] + draw(st.sampled_from([[], [0.0], [-0.0]])) + grid
+    grid += draw(st.lists(st.sampled_from(grid + [0.0, -0.0]), max_size=4))
+    return np.array(grid[::-1] if draw(st.booleans()) else grid)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(u_grid=_u_grids(), q=st.sampled_from([1.0, 0.93, -1.07]))
+def test_curve_columns_match_pointwise_energies_bit_for_bit(u_grid, q):
+    # each column is computed on the distinct |u| and read back per point
+    p = base_params(k_spring=2.0)
+    curve = GroundStateCurve(p, q, u_grid)
+    points = u_grid.tolist()
+    for column, pointwise in [
+            (curve.e0, [ground_energy(p, q, u, "elliptic") for u in points]),
+            (curve.e0_quadrature, [ground_energy(p, q, u, "quadrature") for u in points]),
+            (curve.e0_smallz, [ground_energy_smallz(p, q, u) for u in points])]:
+        assert column.tobytes() == np.array(pointwise).tobytes()
 
 
 def test_small_gap_expansion_accuracy():
