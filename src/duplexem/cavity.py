@@ -105,9 +105,10 @@ def _expand(vec, ndim):
 
 
 def _inside(z, length) -> np.ndarray:
-    """z as a float array; ValueError if a point lies outside [0, L] beyond rounding."""
+    """z as a float array; ValueError if a point lies outside [0, L] beyond
+    rounding, or is NaN."""
     z = np.asarray(z, dtype=float)
-    if z.size and (z.min() < -1e-12 or z.max() > length * (1 + 1e-12)):
+    if z.size and not (z.min() >= -1e-12 and z.max() <= length * (1 + 1e-12)):
         raise ValueError("z outside the cavity [0, L]")
     return z
 

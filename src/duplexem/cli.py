@@ -4,8 +4,10 @@ Subcommands exchange JSON configs and CSV/JSON outputs meant for plotting
 and regression fixtures.  Numbers are written with 17 significant digits,
 '.' decimal separator, so reruns with the same seed are byte-identical.
 
-Exit codes: 0 success, 1 validation failure (a check exceeded its bound),
-2 config error.  Set DUPLEX_EM_LOG=DEBUG|INFO|... for logging verbosity.
+Exit codes: 0 success, 1 a check exceeded its bound (summary.json holds
+passed: false) or the run failed (summary.json holds the error), 2 config
+error (nothing written).  Set DUPLEX_EM_LOG=DEBUG|INFO|... for logging
+verbosity.
 """
 
 from __future__ import annotations
@@ -84,13 +86,12 @@ _TYPE_WORDS = {float: "a finite number", int: "an integer", str: "a string", lis
 
 def _has_type(value, kind: type) -> bool:
     """Whether a JSON value has type kind: a float key takes any finite number
-    (json reads NaN, Infinity and 1e999 as floats; the comparison also keeps
-    out an integer beyond the float range), an int key an integer, and
-    neither takes a bool."""
+    (json reads NaN, Infinity and 1e999 as floats), an int key an integer;
+    neither takes a bool or an integer beyond the float range."""
     if isinstance(value, bool):
         return False
-    if kind is float:
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind in (int, float):
+        return isinstance(value, (int, kind)) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 
@@ -153,7 +154,7 @@ def _load_config(path, schema: dict) -> dict:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:   # ValueError: bad JSON, or bad UTF-8
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
@@ -166,14 +167,16 @@ def _load_config(path, schema: dict) -> dict:
             if value is None and spec.default is None:
                 continue
             if not (_has_type(value, kind) and (spec.test is None or spec.test(value))):
+                got = repr(value)
+                if type(value) is int and abs(value) > sys.float_info.max:
+                    got = f"an integer of {len(got.lstrip('-'))} digits, out of the float range"
                 raise ConfigError(f"config key {key!r} must be "
-                                  f"{spec.words or _TYPE_WORDS[kind]}, got {value!r}")
+                                  f"{spec.words or _TYPE_WORDS[kind]}, got {got}")
             cfg[key] = float(value) if kind is float else value
     return cfg
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
+def _make_outdir(out: Path):
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
@@ -181,19 +184,12 @@ def _outdir(args) -> Path:
         probe.unlink()
     except OSError as exc:
         raise ConfigError(f"output directory not writable: {exc}") from exc
-    return out
 
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _verdict(out: Path, summary: dict, passed: bool, bound: float) -> int:
-    """Write summary.json with the bound and whether the checks passed; the exit code."""
-    _write_json(out / "summary.json", {**summary, "bound": bound, "passed": bool(passed)})
-    return 0 if passed else 1
 
 
 def _cavity_model(cfg) -> cav.CavityModel:
@@ -249,7 +245,7 @@ def _oscillator_defects(dim: int, action: float, omega: float) -> tuple:
     return float(comm), float(spectrum)
 
 
-def cmd_dual_invariants(args, cfg, out: Path) -> int:
+def cmd_dual_invariants(args, cfg, out: Path) -> tuple:
     count = args.random
     rng = np.random.default_rng(args.seed)
     theta, k_ref, k_rot, drift = _rotation_drift(rng, count)
@@ -258,15 +254,15 @@ def cmd_dual_invariants(args, cfg, out: Path) -> int:
                ["index", "theta", "k_reference", "k_rotated", "relative_drift"],
                [np.arange(count, dtype=float), theta, k_ref, k_rot, drift])
     log.info("dual-invariants: max drift %.3e over %d samples", worst, count)
-    return _verdict(out, {
+    return {
         "quantity": "mixing-angle invariant drift",
         "formula": "K = I1'^2 + I2'^2",
         "samples": count,
         "max_relative_drift": worst,
-    }, worst <= args.tol, args.tol)
+    }, worst <= args.tol
 
 
-def cmd_cavity_field(args, cfg, out: Path) -> int:
+def cmd_cavity_field(args, cfg, out: Path) -> tuple:
     model, state = _model_from_cfg(cfg)
     family = cav.FirstSolution if cfg["solution"] == "first" else cav.SecondSolution
     sol = family(model, state)
@@ -278,15 +274,15 @@ def cmd_cavity_field(args, cfg, out: Path) -> int:
     cav.dump_field_csv(sol, z, t, out / "field.csv")
     # relative: each residual against the largest term its equation cancels
     passed = all(r <= args.tol * scale for r, scale in zip(residuals, residuals.scales))
-    return _verdict(out, {
+    return {
         "quantity": "generalized-equation residuals",
         "formula": "curl E + mu0 dH/dt; curl H - eps0 dE/dt; div E; div H",
         "residuals": list(residuals),
         "scales": list(residuals.scales),
-    }, passed, args.tol)
+    }, passed
 
 
-def cmd_quantize(args, cfg, out: Path) -> int:
+def cmd_quantize(args, cfg, out: Path) -> tuple:
     model = _cavity_model(cfg)
     cst = model.constants
     dim, z = cfg["dim"], cfg["z"]
@@ -314,14 +310,14 @@ def cmd_quantize(args, cfg, out: Path) -> int:
     for idx in range(model.n_modes):
         with open(out / f"operator_e_mode{idx + 1}.json", "w") as fh:
             fq.dump_operator_json(field.e_matrix(idx, z, t), kind, idx + 1, fh)
-    return _verdict(out, {
+    return {
         "quantity": "quantization checks",
         "formula": "[a, a+] = 1 (safe block); H = action * w * (n + 1/2)",
         "checks": checks,
-    }, all(v <= args.tol for v in checks.values()), args.tol)
+    }, all(v <= args.tol for v in checks.values())
 
 
-def cmd_currents(args, cfg, out: Path) -> int:
+def cmd_currents(args, cfg, out: Path) -> tuple:
     model, state = _model_from_cfg(cfg)
     current = cur.ClassicalFourCurrent(model, state, coupling=cfg["coupling"])
     field, c = cur.charge_field(model, state), model.constants.c
@@ -339,15 +335,15 @@ def cmd_currents(args, cfg, out: Path) -> int:
                [np.tile(z, t.size), np.repeat(t, z.size), j3.real, j3.imag,
                 j4.real, j4.imag, *(np.repeat(col, z.size) for col in per_t)])
     drift = cur.relative_drift(charges)
-    return _verdict(out, {
+    return {
         "quantity": "current checks",
         "formula": "d j3/dz + d j4/dx4 = 0; dQ/dt = 0",
         "continuity_residual": cont,
         "charge_drift": list(drift),
-    }, all(v <= args.tol for v in (cont, *drift)), args.tol)
+    }, all(v <= args.tol for v in (cont, *drift))
 
 
-def cmd_resonance_fit(args, cfg, out: Path) -> int:
+def cmd_resonance_fit(args, cfg, out: Path) -> tuple:
     if cfg["input"]:
         ns, nus = [], []
         try:
@@ -367,14 +363,13 @@ def cmd_resonance_fit(args, cfg, out: Path) -> int:
     nu0, a_param, residuals = res.fit_dispersion(ns, nus)
     _write_csv(out / "dispersion_fit.csv", ["n", "nu_n", "residual"],
                [np.asarray(ns, dtype=float), np.asarray(nus, dtype=float), residuals])
-    _write_json(out / "summary.json", {
+    return {
         "quantity": "dispersion fit",
         "formula": "nu_n = nu0 - A n^2",
         "nu0": nu0,
         "curvature": a_param,
         "max_residual": float(np.max(np.abs(residuals))),
-    })
-    return 0
+    }, None
 
 
 def _solve_ssh(cfg) -> tuple:
@@ -389,17 +384,7 @@ def _solve_ssh(cfg) -> tuple:
     return params, occ, ssh.solve_gap(params, occ, form=cfg["form"])
 
 
-def _ssh_failure(out: Path, exc: RuntimeError) -> int:
-    """Record a failed solve: its message on stderr and in summary.json and,
-    when the gap scan found no root, the scanned residual curve; exit code 1."""
-    print(f"error: {exc}", file=sys.stderr)
-    _write_json(out / "summary.json", {"error": str(exc)})
-    if getattr(exc, "residual_curve", None) is not None:   # a GapSolverError's scan
-        _write_csv(out / "residual_curve.csv", ["q", "residual"], list(exc.residual_curve))
-    return 1
-
-
-def cmd_ssh_solve(args, cfg, out: Path) -> int:
+def cmd_ssh_solve(args, cfg, out: Path) -> tuple:
     ssh = _gap_solver()
     if cfg["u_scan"] is not None:
         u_grid = np.linspace(*cfg["u_scan"])
@@ -423,7 +408,7 @@ def cmd_ssh_solve(args, cfg, out: Path) -> int:
                 *(ssh.band_energies(params, sol.q, k, branch)[0] for branch in branches),
                 *codes])
     curve = ssh.ground_state_energy(params, sol.q, u_grid)
-    return _verdict(out, {
+    return {
         "quantity": "self-consistent gap factor",
         "formula": "Q = 1 + coupling-sum / sqrt(eps^2 + Q^2 gap^2)",
         "q": sol.q,
@@ -434,10 +419,10 @@ def cmd_ssh_solve(args, cfg, out: Path) -> int:
         "u0": curve.u0,
         "well_depth": curve.well_depth,
         "double_well": curve.double_well,
-    }, sol.residual <= args.tol, args.tol)
+    }, sol.residual <= args.tol
 
 
-def cmd_ssh_sweep(args, cfg, out: Path) -> int:
+def cmd_ssh_sweep(args, cfg, out: Path) -> tuple:
     ssh = _gap_solver()
     if cfg["u_scan"] is None:
         raise ConfigError("ssh-sweep needs u_scan: [min, max, steps]")
@@ -459,8 +444,7 @@ def cmd_ssh_sweep(args, cfg, out: Path) -> int:
         curve.locate_minimum()
         summary.update(u0=curve.u0, well_depth=curve.well_depth,
                        double_well=curve.double_well)
-    _write_json(out / "summary.json", summary)
-    return 0
+    return summary, None
 
 
 def _verify_checks(seed: int):
@@ -592,31 +576,32 @@ def _verify_checks(seed: int):
     return checks
 
 
-def cmd_verify_all(args, cfg, out: Path) -> int:
+def cmd_verify_all(args, cfg, out: Path) -> tuple:
     checks = _verify_checks(args.seed)
     names, values, bounds, oks = zip(*checks)
     _write_csv(out / "verify.csv", ["check", "value", "bound", "status"],
                [names, values, bounds, ["pass" if ok else "FAIL" for ok in oks]])
-    _write_json(out / "summary.json", {
-        "seed": args.seed,
-        "checks": {name: {"value": value, "bound": bound, "passed": bool(ok)}
-                   for name, value, bound, ok in checks},
-        "passed": bool(all(ok for *_, ok in checks)),
-    })
     width = max(len(name) for name, *_ in checks)
     for name, value, bound, ok in checks:
         print(f"{name:<{width}}  {value:12.3e}  <= {bound:8.1e}  "
               f"{'pass' if ok else 'FAIL'}")
     n_fail = sum(not ok for *_, ok in checks)
     print(f"{len(checks) - n_fail}/{len(checks)} checks passed")
-    return 0 if n_fail == 0 else 1
+    return {
+        "seed": args.seed,
+        "checks": {name: {"value": value, "bound": bound, "passed": bool(ok)}
+                   for name, value, bound, ok in checks},
+    }, n_fail == 0
 
 
 class Command(NamedTuple):
     """One subcommand: the name of its handler in this module, looked up when
     the subcommand runs (so a wrapper set on the module runs instead), its
     help text, the default of its --tol (None: it has no --tol) and whether
-    it takes --seed.  It takes --config when SCHEMAS has its keys."""
+    it takes --seed.  It takes --config when SCHEMAS has its keys.  The
+    handler, called with (args, config, output directory), writes its tables
+    and returns (summary, passed): the summary.json record, and whether its
+    checks passed (None: it has no verdict)."""
 
     handler: str
     help: str
@@ -700,27 +685,42 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    """Run one parsed subcommand; its exit code."""
+    """Run one parsed subcommand and write its summary.json; its exit code.
+
+    0: the checks passed, or there are none.  1: a check failed (the summary
+    holds passed: false) or the run raised a ValueError or an OSError (the
+    summary is {"error": reason}, next to residual_curve.csv when the error
+    carries a gap scan's curve).  2: a config error, and nothing is written.
+    """
+    command, out = COMMANDS[args.command], Path(args.out)
     try:
-        out = _outdir(args)
+        _make_outdir(out)
         schema = SCHEMAS.get(args.command)
         cfg = None if schema is None else _load_config(args.config, schema)
         log.debug("%s: arguments %s, config %s", args.command, vars(args), cfg)
         try:
-            return globals()[COMMANDS[args.command].handler](args, cfg, out)
+            summary, passed = globals()[command.handler](args, cfg, out)
         except cav.SamplingError as exc:
             raise _coarse_grid(exc, cfg) from exc
-        except RuntimeError as exc:
-            # a gap-solver failure; only a loaded gap solver can have raised one
-            ssh = sys.modules.get(_GAP_SOLVER)
-            if ssh is None or not isinstance(exc, (ssh.GapSolverError, ssh.WellEdgeError)):
-                raise
-            return _ssh_failure(out, exc)
+        if command.tol is not None:
+            summary["bound"] = args.tol
+        if passed is not None:
+            summary["passed"] = bool(passed)
+        _write_json(out / "summary.json", summary)
+        return 0 if passed is None or passed else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        try:
+            _write_json(out / "summary.json", {"error": str(exc)})
+            curve = getattr(exc, "residual_curve", None)   # a gap scan that found no root
+            if curve is not None:
+                _write_csv(out / "residual_curve.csv", ["q", "residual"], list(curve))
+        except OSError as err:
+            print(f"error: the failure could not be recorded in {out}: {err}",
+                  file=sys.stderr)
         return 1
 
 

@@ -36,6 +36,6 @@ class PhysicalConstants:
         )
 
     @classmethod
-    def symmetric(cls, hbar: float = 1.0, lambda0: float = None) -> "PhysicalConstants":
-        """Unit system with c, eps0 and mu0 absorbed (all equal to 1)."""
-        return cls(c=1.0, eps0=1.0, mu0=1.0, hbar=hbar, lambda0=lambda0)
+    def symmetric(cls) -> "PhysicalConstants":
+        """Unit system with c, eps0, mu0 and hbar (so also lambda0) all equal to 1."""
+        return cls(c=1.0, eps0=1.0, mu0=1.0, hbar=1.0)

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cavity import CavityModel
+from .cavity import CavityModel, _inside
 
 _JSON_PAIRS = 4096   # matrix entries per json.dumps call of dump_operator_json
 
@@ -67,11 +67,6 @@ def tensor_safe_block(m: np.ndarray, dim: int) -> np.ndarray:
     keep = np.arange(dim) < dim - 1
     mask = np.kron(keep, keep).astype(bool)
     return m[..., mask, :][..., mask]
-
-
-def _check_inside(model: CavityModel, z: float):
-    if not 0.0 <= z <= model.length:
-        raise ValueError("z outside the cavity")
 
 
 def mode_hamiltonian_matrix(dim: int, action: float, omega: float) -> np.ndarray:
@@ -120,7 +115,7 @@ def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
     """
     if dim < 3:
         raise ValueError("dim < 3 leaves no informative safe block")
-    _check_inside(model, z)
+    _inside(z, model.length)
     if not 0.0 <= t <= model.period * (1 + 1e-12):
         raise ValueError("t outside [0, T]")
     hbar, lambda0 = model.constants.hbar, model.constants.lambda0
@@ -174,7 +169,7 @@ class OperatorField:
         """The (2, modes, n, n) array of the E and the H stack at (z, t)."""
         if self._point != (z, t):
             md = self.model
-            _check_inside(md, z)
+            _inside(z, md.length)
             if self.kind is SchemeKind.SPACETIME_LOCAL:
                 a, ad, deviation = spacetime_local_operators(md, self.dim, z, t)
                 self._g_deviation = float(np.max(deviation))

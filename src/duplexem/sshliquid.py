@@ -94,13 +94,13 @@ class Occupation:
         return self.n_c - self.n_v
 
 
-class GapSolverError(RuntimeError):
+class GapSolverError(ValueError):
     def __init__(self, message, residual_curve=None):
         super().__init__(message)
         self.residual_curve = residual_curve
 
 
-class WellEdgeError(RuntimeError):
+class WellEdgeError(ValueError):
     """The minimum of E0(u) lies beyond the u grid: E0 still falls at its edge."""
 
 
@@ -432,10 +432,7 @@ def solve_gap_discrete(p: SshParams, occ: Occupation = None, n_k: int = 64) -> f
 class GapApproximations:
     q_small: float          # None when the radicand is negative
     q_small_valid: bool
-    q_large_pair: tuple     # (plus, minus) or None
-    q_large_valid: bool
-    small_radicand: float
-    large_radicand: float
+    q_large_pair: tuple     # (plus, minus), or None when the radicand is negative
 
 
 def gap_approximations(p: SshParams) -> GapApproximations:
@@ -455,15 +452,12 @@ def gap_approximations(p: SshParams) -> GapApproximations:
     else:
         q_small, small_valid = None, False
     large_rad = 1.0 + 80.0 * p.alpha1 * p.t0 / (9.0 * p.n_sites * p.u * p.alpha2)
+    q_large = None
     if large_rad >= 0.0:
         root = math.sqrt(large_rad)
         base = -3.0 * p.alpha2 * p.n_sites / 16.0
         q_large = (base * (1.0 + root), base * (1.0 - root))
-        large_valid = True
-    else:
-        q_large, large_valid = None, False
-    return GapApproximations(q_small, small_valid, q_large, large_valid,
-                             small_rad, large_rad)
+    return GapApproximations(q_small, small_valid, q_large)
 
 
 def band_energies(p: SshParams, q: float, k, branch: str):

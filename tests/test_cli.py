@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from duplexem import cli
 from duplexem import currents as cur
 from duplexem import fockquant as fq
 from duplexem import sshliquid as ssh
 from duplexem.cavity import CavityModel, FirstSolution, ModeState, maxwell_residual
-from duplexem.cli import SCHEMAS, build_parser, main
+from duplexem.cli import COMMANDS, SCHEMAS, build_parser, main
 from duplexem.constants import PhysicalConstants
 from duplexem.currents import ClassicalFourCurrent
 
@@ -301,9 +303,13 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 def test_malformed_json_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
-    cfg.write_text("{not json")
-    assert main(["cavity-field", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    capsys.readouterr()
+    # json's own error, then two that json.load raises as a bare ValueError: a
+    # number past int's 4300-digit limit, and bytes that are not UTF-8
+    for text in (b"{not json", b'{"nz": 1' + b"0" * 5000 + b"}", b'{"theta": "\xff"}'):
+        cfg.write_bytes(text)
+        assert main(["cavity-field", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+        assert not (tmp_path / "summary.json").exists()
 
 
 def test_cavity_field_and_quantize_and_currents(tmp_path, capsys):
@@ -332,13 +338,18 @@ DEFAULT_TOL = {"dual-invariants": 1e-12, "cavity-field": 1e-12, "quantize": 1e-1
                "currents": 1e-8, "ssh-solve": 1e-10}
 
 
+def _small_argv(tmp_path, command) -> list:
+    """command with its config of SMALL_CONFIGS, if it has one."""
+    if SMALL_CONFIGS[command] is None:
+        return [command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_CONFIGS[command]))
+    return [command, "--config", str(cfg)]
+
+
 @pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
 def test_same_seed_gives_identical_files(tmp_path, capsys, command):
-    argv = [command] + (["--seed", "11"] if command in SEEDED else [])
-    if SMALL_CONFIGS[command] is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(SMALL_CONFIGS[command]))
-        argv += ["--config", str(cfg)]
+    argv = _small_argv(tmp_path, command) + (["--seed", "11"] if command in SEEDED else [])
     runs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -690,6 +701,9 @@ def test_log_level_follows_the_variable_on_every_call(tmp_path, capsys, monkeypa
     # not symmetric about 0: these exited 1 from the minimum search
     ("ssh-solve", {"u_scan": [0, 1, 11]}, "'u_scan'"),
     ("ssh-solve", {"u_scan": [-1, 1, 1]}, "'u_scan'"),
+    # an integer beyond the float range: N crashed in 2.0 * N, nz exited 1
+    ("ssh-solve", {"N": 10**309}, "'N'"),
+    ("cavity-field", {"nz": 10**400}, "'nz'"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "bad.json"
@@ -876,7 +890,9 @@ def test_currents_names_a_charge_overflow(tmp_path, capsys):
         assert main(["currents", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the charge scale") and "is inf at t = 0.0" in err
-    assert "overflow" in err and not (tmp_path / "summary.json").exists()
+    assert "overflow" in err
+    assert json.loads((tmp_path / "summary.json").read_text()) == \
+        {"error": err.removeprefix("error: ").removesuffix("\n")}
 
 
 @pytest.mark.parametrize("command, u_scan, message", [
@@ -896,7 +912,8 @@ def test_non_finite_ground_energy_exits_1(tmp_path, capsys, command, u_scan, mes
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
-    assert not (tmp_path / "summary.json").exists()
+    assert json.loads((tmp_path / "summary.json").read_text()) == \
+        {"error": err.removeprefix("error: ").removesuffix("\n")}
 
 
 @pytest.mark.parametrize("command, cfg, reason", [
@@ -948,6 +965,75 @@ def test_quantize_default_point_lies_inside_si_cavity(tmp_path, capsys, scheme):
     assert main(["quantize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert json.loads((tmp_path / "summary.json").read_text())["passed"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_exit_leaves_its_one_record(tmp_path, capsys, monkeypatch, command):
+    # exit 0 or 1 leaves one summary.json: passed (where there is a verdict),
+    # passed false from a failed check, or the error of a run that raised;
+    # exit 2 leaves none
+    name, tol = COMMANDS[command].handler, COMMANDS[command].tol
+    real = getattr(cli, name)
+    argv = _small_argv(tmp_path, command)
+
+    def failed_check(*args):
+        summary, passed = real(*args)
+        return summary, None if passed is None else False
+
+    def raising(*args):
+        real(*args)
+        raise ValueError("planted after the tables")
+
+    records = {}
+    for run, handler in (("pass", real), ("check", failed_check), ("raise", raising)):
+        monkeypatch.setattr(cli, name, handler)
+        out = tmp_path / run
+        code = main(argv + ["--out", str(out)])
+        assert [p.name for p in out.rglob("summary.json")] == ["summary.json"]
+        records[run] = code, json.loads((out / "summary.json").read_text())
+    err = capsys.readouterr().err
+    verdict = command not in ("resonance-fit", "ssh-sweep")
+    code, summary = records["pass"]
+    assert code == 0 and "error" not in summary
+    assert summary.get("passed") is (True if verdict else None)
+    assert summary.get("bound") == tol
+    code, summary = records["check"]
+    assert (code, summary.get("passed")) == ((1, False) if verdict else (0, None))
+    assert records["raise"] == (1, {"error": "planted after the tables"})
+    assert err.endswith("error: planted after the tables\n")
+
+    # a config error: a key the subcommand does not read, or a flag it rejects
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"no_such_key": 1}')
+    argv = [command, "--config", str(bad)] if command in SCHEMAS else [command, "--seed", "-1"]
+    assert main(argv + ["--out", str(tmp_path / "config")]) == 2
+    capsys.readouterr()
+    assert not (tmp_path / "config" / "summary.json").exists()
+
+
+def test_a_failure_that_cannot_be_recorded_still_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(args, cfg, out):
+        shutil.rmtree(out)
+        raise OSError("planted: the output directory is gone")
+
+    monkeypatch.setattr("duplexem.cli.cmd_cavity_field", fail)
+    out = tmp_path / "out"
+    assert main(["cavity-field", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: planted: the output directory is gone\n")
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_an_integer_beyond_the_float_range_is_named_out_of_range(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    for cfg, words in (({"N": -10**309}, "a positive even integer"),
+                       ({"u": 10**309}, "a finite number")):
+        path.write_text(json.dumps(cfg))
+        assert main(["ssh-solve", "--config", str(path), "--out", str(tmp_path)]) == 2
+        key = next(iter(cfg))
+        assert capsys.readouterr().err == (
+            f"config error: config key {key!r} must be {words}, got an integer of 310 "
+            "digits, out of the float range\n")
 
 
 def test_runner_reraises_a_runtime_error_not_from_the_gap_solver(tmp_path, monkeypatch):

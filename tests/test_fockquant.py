@@ -79,9 +79,13 @@ def test_space_local_bare_at_origin():
 
 
 def test_space_local_rejects_outside_cavity():
-    model = make_model()
-    with pytest.raises(ValueError):
-        OperatorField(model, SchemeKind.SPACE_LOCAL, 6).e_matrix(0, 1.5, 0.0)
+    # the cavity module's rule, in every scheme: [0, L] up to rounding, and never NaN
+    for kind in (SchemeKind.SPACE_LOCAL, SchemeKind.SPACETIME_LOCAL):
+        field = OperatorField(make_model(), kind, 4)
+        for z in (1.5, -0.01, math.nan):
+            with pytest.raises(ValueError, match="outside the cavity"):
+                field.e_matrix(0, z, 0.0)
+        assert np.all(np.isfinite(field.e_matrix(0, 1.0 + 1e-13, 0.0)))
 
 
 def test_position_hamiltonian_spectrum():
