@@ -186,10 +186,27 @@ def _make_outdir(out: Path):
         raise ConfigError(f"output directory not writable: {exc}") from exc
 
 
+def _non_finite(value, key=""):
+    """(key path, value) of each number in a JSON payload that is not finite."""
+    if isinstance(value, dict):
+        return [bad for name, item in value.items()
+                for bad in _non_finite(item, f"{key}.{name}" if key else name)]
+    if isinstance(value, (list, tuple)):
+        return [bad for i, item in enumerate(value) for bad in _non_finite(item, f"{key}[{i}]")]
+    return [(key, float(value))] if isinstance(value, float) and not math.isfinite(value) else []
+
+
 def _write_json(path, payload):
+    """Write payload as JSON; a ValueError naming the key path of a number that
+    is not finite (strict JSON has no NaN or Infinity), before the file opens."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        key, value = _non_finite(payload)[0]
+        raise ValueError(f"{key} = {value!r} is not a finite number, which JSON "
+                         f"cannot hold") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _cavity_model(cfg) -> cav.CavityModel:
@@ -407,7 +424,7 @@ def cmd_ssh_solve(args, cfg, out: Path) -> tuple:
                [k, alpha, beta,
                 *(ssh.band_energies(params, sol.q, k, branch)[0] for branch in branches),
                 *codes])
-    curve = ssh.ground_state_energy(params, sol.q, u_grid)
+    well = ssh.ground_state_energy(params, sol.q, u_grid)
     return {
         "quantity": "self-consistent gap factor",
         "formula": "Q = 1 + coupling-sum / sqrt(eps^2 + Q^2 gap^2)",
@@ -416,9 +433,9 @@ def cmd_ssh_solve(args, cfg, out: Path) -> tuple:
         "residual": sol.residual,
         "regime": sol.regime,
         "z_scale": sol.zeta,
-        "u0": curve.u0,
-        "well_depth": curve.well_depth,
-        "double_well": curve.double_well,
+        "u0": well.u0,
+        "well_depth": well.well_depth,
+        "double_well": well.double_well,
     }, sol.residual <= args.tol
 
 
@@ -428,9 +445,10 @@ def cmd_ssh_sweep(args, cfg, out: Path) -> tuple:
         raise ConfigError("ssh-sweep needs u_scan: [min, max, steps]")
     u_grid = np.linspace(*cfg["u_scan"])
     params, _, sol = _solve_ssh(cfg)
-    curve = ssh.GroundStateCurve(params, sol.q, u_grid)
     names = ["E0_quadrature", "E0_elliptic", "E0_smallz"]
-    columns = [curve.e0_quadrature, curve.e0, curve.e0_smallz]
+    columns = [ssh.energy_curve(ssh.ground_energy, params, sol.q, u_grid, "quadrature"),
+               ssh.energy_curve(ssh.ground_energy, params, sol.q, u_grid, "elliptic"),
+               ssh.energy_curve(ssh.ground_energy_smallz, params, sol.q, u_grid)]
     _write_csv(out / "ground_state.csv", ["u", *names], [u_grid, *columns])
     for name, e0 in zip(names, columns):
         ssh._check_finite(u_grid, e0, name)
@@ -441,9 +459,8 @@ def cmd_ssh_sweep(args, cfg, out: Path) -> tuple:
         "points": len(u_grid),
     }
     if ssh.symmetric_about_zero(u_grid):
-        curve.locate_minimum()
-        summary.update(u0=curve.u0, well_depth=curve.well_depth,
-                       double_well=curve.double_well)
+        well = ssh.locate_minimum(params, sol.q, u_grid, columns[1])
+        summary.update(u0=well.u0, well_depth=well.well_depth, double_well=well.double_well)
     return summary, None
 
 
@@ -562,11 +579,11 @@ def _verify_checks(seed: int):
     params = ssh.SshParams(t0=1.0, alpha1=1.0, alpha2=0.1, u=0.1,
                            n_sites=100, k_spring=2.0)
     ug = np.linspace(-0.3, 0.3, 25)
-    curve = ssh.GroundStateCurve(params, 1.0, ug)
-    add("ground_state_symmetry", float(np.max(np.abs(curve.e0 - curve.e0[::-1]))),
-        1e-12 * float(np.max(np.abs(curve.e0))))
-    add("ground_state_route_agreement",
-        float(np.max(np.abs(curve.e0 - curve.e0_quadrature))), 1e-8)
+    e0 = ssh.energy_curve(ssh.ground_energy, params, 1.0, ug, "elliptic")
+    add("ground_state_symmetry", float(np.max(np.abs(e0 - e0[::-1]))),
+        1e-12 * float(np.max(np.abs(e0))))
+    add("ground_state_route_agreement", float(np.max(np.abs(
+        e0 - ssh.energy_curve(ssh.ground_energy, params, 1.0, ug, "quadrature")))), 1e-8)
 
     # special functions
     add("elliptic_first_at_zero", abs(elliptic_K(0.0) - 0.5 * math.pi), 1e-15)
@@ -622,19 +639,23 @@ COMMANDS = {
 }
 
 
-def _at_least(kind: type, low, words: str) -> Callable:
-    """An argparse type: a value of kind that is at least low (NaN is not)."""
+def _in_range(kind: type, low, words: str, high=math.inf) -> Callable:
+    """An argparse type: a value of kind from low to high (NaN is not)."""
 
     def parse(text):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not value >= low:
+        if value is None or not low <= value <= high:
             raise argparse.ArgumentTypeError(f"must be {words}, got {text!r}")
         return value
 
     return parse
+
+
+# the most samples whose (count, 3) float array numpy can size: 24 bytes a sample
+_MAX_SAMPLES = int(np.iinfo(np.intp).max) // 24
 
 
 @functools.cache
@@ -651,15 +672,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         if command.seeded:
-            p.add_argument("--seed", type=_at_least(int, 0, "a non-negative integer"),
+            p.add_argument("--seed", type=_in_range(int, 0, "a non-negative integer"),
                            default=0, help="RNG seed")
         if command.tol is not None:
-            p.add_argument("--tol", type=_at_least(float, 0.0, "a non-negative number"),
+            p.add_argument("--tol", type=_in_range(float, 0.0, "a non-negative number"),
                            default=command.tol,
                            help="bound of the checks (default %(default)g)")
     sub.choices["dual-invariants"].add_argument(
-        "--random", type=_at_least(int, 1, "a positive sample count"), default=1000,
-        help="number of samples")
+        "--random", type=_in_range(int, 1, f"a sample count from 1 to {_MAX_SAMPLES}",
+                                   _MAX_SAMPLES),
+        default=1000, help="number of samples")
     return parser
 
 
@@ -688,9 +710,10 @@ def _run(args) -> int:
     """Run one parsed subcommand and write its summary.json; its exit code.
 
     0: the checks passed, or there are none.  1: a check failed (the summary
-    holds passed: false) or the run raised a ValueError or an OSError (the
-    summary is {"error": reason}, next to residual_curve.csv when the error
-    carries a gap scan's curve).  2: a config error, and nothing is written.
+    holds passed: false) or the run raised a ValueError, an OSError or a
+    MemoryError (the summary is {"error": reason}, next to residual_curve.csv
+    when the error carries a gap scan's curve; a summary value that is not
+    finite is such an error).  2: a config error, and nothing is written.
     """
     command, out = COMMANDS[args.command], Path(args.out)
     try:
@@ -711,7 +734,7 @@ def _run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         try:
             _write_json(out / "summary.json", {"error": str(exc)})

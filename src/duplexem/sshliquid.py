@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import integrate, optimize  # noqa: F401
@@ -578,90 +577,65 @@ def symmetric_about_zero(u_grid) -> bool:
                 <= 1e-12 * max(1.0, np.max(np.abs(u_grid))))
 
 
-@dataclass
-class GroundStateCurve:
-    """E0(u) of the near-equilibrium branch on a u grid at fixed Q.
+def energy_curve(energy, p: SshParams, q: float, u_grid, *route) -> np.ndarray:
+    """The column energy(p, q, u, *route) over a u grid, in one call over its
+    distinct |u|: u enters E0 only as |zeta| and u * u, so E0(-u) is E0(u)
+    bit for bit, and a mirrored grid costs half."""
+    magnitudes, inverse = np.unique(np.abs(u_grid), return_inverse=True)
+    return energy(p, q, magnitudes, *route)[inverse]
 
-    Each column is computed once, when first read, in one call over the
-    distinct |u| of the grid: `e0` by the elliptic route, `e0_quadrature` by
-    the trapezoid rule (the oracle of the elliptic route), `e0_smallz` by the
-    small-gap expansion.  u enters E0 only as |zeta| and u * u, so E0(-u) is
-    E0(u) bit for bit, and a mirrored grid costs half.  `locate_minimum`
-    sets `u0`, `well_depth` and `double_well`.
+
+@dataclass(frozen=True)
+class Well:
+    """The minimum +-u0 of E0(u) and its depth below E0(0); a flat curve: 0, 0, False."""
+    u0: float
+    well_depth: float
+    double_well: bool
+
+
+def locate_minimum(p: SshParams, q: float, u_grid: np.ndarray, e0: np.ndarray) -> Well:
+    """The minimum of E0(u) on a grid symmetric about 0, from its elliptic column e0.
+
+    The curve is even in u (u enters through zeta^2 and u^2), so the
+    points at or above 0 are taken in increasing order, with u = 0 put
+    in front when no point lies there (a grid of even count).  A minimum
+    at the first of them is a flat curve, reported with double_well =
+    False; one at the last raises WellEdgeError; any other is refined
+    by golden-section search between its neighbours.  An E0 that is not
+    finite, at those points or at the refined minimum, raises ValueError.
     """
-    params: SshParams
-    q: float
-    u_grid: np.ndarray
-    u0: float = None
-    well_depth: float = None
-    double_well: bool = None
-
-    @cached_property
-    def _distinct(self) -> tuple:
-        """(the distinct |u| of the grid, the index of each grid point among them)."""
-        return np.unique(np.abs(self.u_grid), return_inverse=True)
-
-    def _column(self, energy, *method) -> np.ndarray:
-        magnitudes, inverse = self._distinct
-        return energy(self.params, self.q, magnitudes, *method)[inverse]
-
-    @cached_property
-    def e0(self) -> np.ndarray:
-        return self._column(ground_energy, "elliptic")
-
-    @cached_property
-    def e0_quadrature(self) -> np.ndarray:
-        return self._column(ground_energy, "quadrature")
-
-    @cached_property
-    def e0_smallz(self) -> np.ndarray:
-        return self._column(ground_energy_smallz)
-
-    def locate_minimum(self) -> "GroundStateCurve":
-        """Find the dimerization minimum +-u0 of a grid symmetric about 0.
-
-        The curve is even in u (u enters through zeta^2 and u^2), so the
-        points at or above 0 are taken in increasing order, with u = 0 put
-        in front when no point lies there (a grid of even count).  A minimum
-        at the first of them is a flat curve, reported with double_well =
-        False; one at the last raises WellEdgeError; any other is refined
-        by golden-section search between its neighbours.  An E0 that is not
-        finite, at those points or at the refined minimum, raises ValueError.
-        """
-        p, q, u_grid = self.params, self.q, self.u_grid
-        if not symmetric_about_zero(u_grid):
-            raise ValueError("u grid must be symmetric about 0")
-        tol = 1e-12 * max(1.0, np.max(np.abs(u_grid)))
-        e_at_zero = ground_energy(p, q, 0.0, "elliptic")
-        order = np.argsort(u_grid, kind="stable")
-        # np.linspace(-U, U, n) can leave its centre at -4e-16; keeping it gives
-        # a minimum at the first positive point a bracket to refine in
-        pos = order[u_grid[order] >= -tol]
-        u_pos, e_pos = u_grid[pos], self.e0[pos]
-        if u_pos[0] > tol:
-            u_pos, e_pos = np.insert(u_pos, 0, 0.0), np.insert(e_pos, 0, e_at_zero)
-        _check_finite(np.append(u_pos, 0.0), np.append(e_pos, e_at_zero))
-        i_min = int(np.argmin(e_pos))
-        u0 = float(u_pos[i_min])
-        if 0 < i_min == len(u_pos) - 1:
-            raise WellEdgeError(f"E0(u) is still falling at the edge |u| = {u0!r} of the "
-                                f"u grid; widen u_scan past it")
-        if i_min > 0:
-            res = optimize.minimize_scalar(
-                lambda u: ground_energy(p, q, u, "elliptic"),
-                bracket=(u_pos[i_min - 1], u_pos[i_min], u_pos[i_min + 1]),
-                method="golden", options={"xtol": 1e-12})
-            u0 = float(abs(res.x))
-        e_at_min = ground_energy(p, q, u0, "elliptic")
-        _check_finite(np.array([u0]), np.array([e_at_min]))
-        well_depth = e_at_zero - e_at_min
-        double = bool(u0 > 1e-9 * max(1.0, np.max(np.abs(u_grid)))
-                      and well_depth > 1e-12 * max(1.0, abs(e_at_zero)))
-        if not double:
-            u0 = 0.0
-            well_depth = 0.0
-        self.u0, self.well_depth, self.double_well = u0, well_depth, double
-        return self
+    if not symmetric_about_zero(u_grid):
+        raise ValueError("u grid must be symmetric about 0")
+    tol = 1e-12 * max(1.0, np.max(np.abs(u_grid)))
+    e_at_zero = ground_energy(p, q, 0.0, "elliptic")
+    order = np.argsort(u_grid, kind="stable")
+    # np.linspace(-U, U, n) can leave its centre at -4e-16; keeping it gives
+    # a minimum at the first positive point a bracket to refine in
+    pos = order[u_grid[order] >= -tol]
+    u_pos, e_pos = u_grid[pos], e0[pos]
+    if u_pos[0] > tol:
+        u_pos, e_pos = np.insert(u_pos, 0, 0.0), np.insert(e_pos, 0, e_at_zero)
+    _check_finite(np.append(u_pos, 0.0), np.append(e_pos, e_at_zero))
+    i_min = int(np.argmin(e_pos))
+    u0 = float(u_pos[i_min])
+    if 0 < i_min == len(u_pos) - 1:
+        raise WellEdgeError(f"E0(u) is still falling at the edge |u| = {u0!r} of the "
+                            f"u grid; widen u_scan past it")
+    if i_min > 0:
+        res = optimize.minimize_scalar(
+            lambda u: ground_energy(p, q, u, "elliptic"),
+            bracket=(u_pos[i_min - 1], u_pos[i_min], u_pos[i_min + 1]),
+            method="golden", options={"xtol": 1e-12})
+        u0 = float(abs(res.x))
+    e_at_min = ground_energy(p, q, u0, "elliptic")
+    _check_finite(np.array([u0]), np.array([e_at_min]))
+    well_depth = e_at_zero - e_at_min
+    double = bool(u0 > 1e-9 * max(1.0, np.max(np.abs(u_grid)))
+                  and well_depth > 1e-12 * max(1.0, abs(e_at_zero)))
+    if not double:
+        u0 = 0.0
+        well_depth = 0.0
+    return Well(u0, well_depth, double)
 
 
 def _check_finite(u, e0, column=None):
@@ -675,6 +649,7 @@ def _check_finite(u, e0, column=None):
                          + ("" if column else ", so no minimum can be located"))
 
 
-def ground_state_energy(p: SshParams, q: float, u_grid) -> GroundStateCurve:
-    """E0 over a symmetric u grid with the dimerization minimum located."""
-    return GroundStateCurve(p, q, np.asarray(u_grid, dtype=float)).locate_minimum()
+def ground_state_energy(p: SshParams, q: float, u_grid) -> Well:
+    """The dimerization minimum of E0 over a symmetric u grid."""
+    u_grid = np.asarray(u_grid, dtype=float)
+    return locate_minimum(p, q, u_grid, energy_curve(ground_energy, p, q, u_grid, "elliptic"))

@@ -206,18 +206,20 @@ def test_criterion_09_ground_state():
                       n_sites=100, k_spring=2.0)
     q = 1.0
     grid = np.linspace(-0.45, 0.45, 31)
-    curve = ssh.ground_state_energy(p, q, grid)
-    sym = float(np.max(np.abs(curve.e0 - curve.e0[::-1])))
-    route = float(np.max(np.abs(curve.e0 - curve.e0_quadrature)))
+    e0 = ssh.energy_curve(ssh.ground_energy, p, q, grid, "elliptic")
+    well = ssh.locate_minimum(p, q, grid, e0)
+    sym = float(np.max(np.abs(e0 - e0[::-1])))
+    route = float(np.max(np.abs(e0 - ssh.energy_curve(ssh.ground_energy, p, q, grid,
+                                                       "quadrature"))))
     assert all(abs(ssh.zeta_of(dataclasses.replace(p, u=u), q)) < 1.0 for u in grid)
     u_small = 0.05  # zeta = 0.1
     expansion = abs(ssh.ground_energy(p, q, u_small)
                     - ssh.ground_energy_smallz(p, q, u_small)) \
         / abs(ssh.ground_energy(p, q, u_small))
-    ok = (sym <= 1e-12 and route <= 1e-8 and curve.double_well
-          and curve.u0 > 0.0 and expansion <= 0.01)
+    ok = (sym <= 1e-12 and route <= 1e-8 and well.double_well
+          and well.u0 > 0.0 and expansion <= 0.01)
     _report("9 double-well ground state", ok,
-            f"symmetry {sym:.2e}, routes {route:.2e}, u0 {curve.u0:.4f}, "
+            f"symmetry {sym:.2e}, routes {route:.2e}, u0 {well.u0:.4f}, "
             f"small-gap error {expansion:.4f}")
 
 

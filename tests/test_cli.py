@@ -92,12 +92,23 @@ def test_ssh_sweep_columns_match_pointwise_routes(tmp_path, capsys, u_scan):
 
 
 def test_ssh_sweep_and_solve_share_one_symmetry_rule(tmp_path, capsys):
-    # 1e-11 off at |u| = 300 is within the relative rounding allowance of the
-    # minimum search; ssh-sweep's absolute 1e-12 once read it as asymmetric
-    summary, _ = _sweep_columns(tmp_path, [-300.0, 300.0 + 1e-11, 25])
-    assert "u0" in summary
-    assert main(["ssh-solve", "--config", str(tmp_path / "params.json"),
-                 "--out", str(tmp_path / "solve")]) == 0
+    # both commands report one well, bit for bit.  1e-11 off at |u| = 300 is
+    # within the relative rounding allowance of the minimum search (ssh-sweep's
+    # absolute 1e-12 once read it as asymmetric), a flat curve there; the
+    # reduced exact case has a double well
+    path = tmp_path / "params.json"
+    for cfg, double_well in (
+            ({"alpha2": 0.15, "K_spring": 2.0, "u_scan": [-300.0, 300.0 + 1e-11, 25]}, False),
+            ({"form": "reduced", "u": -0.25, "alpha2": 0.08, "u_scan": [-4, 4, 81]}, True)):
+        path.write_text(json.dumps(cfg))
+        wells = []
+        for command in ("ssh-solve", "ssh-sweep"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            wells.append([repr(summary[key]) for key in ("q", "u0", "well_depth", "double_well")])
+        assert wells[0] == wells[1]
+        assert wells[0][3] == repr(double_well)
     capsys.readouterr()
 
 
@@ -626,10 +637,14 @@ def test_ssh_rejects_unknown_choice(tmp_path, capsys, command, key, value, allow
     assert not (tmp_path / "summary.json").exists()
 
 
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_dual_invariants_rejects_nonpositive_count(tmp_path, capsys, count):
+# both big counts are past numpy's array limit, np.iinfo(np.intp).max bytes, for
+# the (count, 3) float array of the samples; a count below it is not tried here,
+# as numpy might allocate it
+@pytest.mark.parametrize("count", ["0", "-3", pytest.param(str(2**62), id="2**62"),
+                                   pytest.param("1" + "0" * 400, id="401-digits")])
+def test_dual_invariants_rejects_out_of_range_count(tmp_path, capsys, count):
     assert main(["dual-invariants", "--random", count, "--out", str(tmp_path)]) == 2
-    assert "--random" in capsys.readouterr().err
+    assert "argument --random: must be a sample count from 1 to " in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
 
 
@@ -871,15 +886,16 @@ def test_resonance_fit_rejects_a_non_finite_input_row(tmp_path, capsys, value):
     ("quantize", {"t": 1e308}, ("checks", "hermiticity_defect")),
 ])
 def test_a_nan_check_fails(tmp_path, capsys, command, cfg, check):
-    # max() kept the first value when a later one was nan, so such a check passed
+    # max() kept the first value when a later one was nan, so such a check
+    # passed; strict JSON has no nan, so the run records an error naming the key
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     with np.errstate(all="ignore"):
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
-    capsys.readouterr()
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    group, name = check
-    assert math.isnan(summary[group][name]) and not summary["passed"]
+    reason = f"{'.'.join(check)} = nan is not a finite number, which JSON cannot hold"
+    assert capsys.readouterr().err.endswith(f"error: {reason}\n")
+    assert json.loads((tmp_path / "summary.json").read_text(),
+                      parse_constant=pytest.fail) == {"error": reason}
 
 
 def test_currents_names_a_charge_overflow(tmp_path, capsys):
@@ -1022,6 +1038,17 @@ def test_a_failure_that_cannot_be_recorded_still_exits_1(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith("error: planted: the output directory is gone\n")
     assert "Traceback" not in err and not out.exists()
+
+
+def test_a_run_out_of_memory_exits_1_with_its_error(tmp_path, capsys, monkeypatch):
+    def fail(args, cfg, out):
+        raise MemoryError("planted: unable to allocate")
+
+    monkeypatch.setattr("duplexem.cli.cmd_quantize", fail)
+    assert main(["quantize", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: planted: unable to allocate\n"
+    assert json.loads((tmp_path / "summary.json").read_text()) == \
+        {"error": "planted: unable to allocate"}
 
 
 def test_an_integer_beyond_the_float_range_is_named_out_of_range(tmp_path, capsys):

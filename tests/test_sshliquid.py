@@ -13,14 +13,14 @@ from scipy import integrate
 from duplexem import sshliquid
 from duplexem.cli import _verify_checks
 from duplexem.sshliquid import (BRANCH_NEAR_EQ, BRANCH_SSH, GapSolverError,
-                                GroundStateCurve, Occupation, SshParams, _band_kernel,
+                                Occupation, SshParams, _band_kernel,
                                 _scan_roots,
-                                band_energies, bogoliubov_coeffs,
+                                band_energies, bogoliubov_coeffs, energy_curve,
                                 gap_approximations, gap_kernel, gap_residual,
                                 gap_residual_discrete, ground_energy,
                                 ground_energy_smallz, ground_state_energy,
                                 solve_gap, solve_gap_discrete,
-                                stability_classify, WellEdgeError, zeta_of)
+                                stability_classify, Well, WellEdgeError, zeta_of)
 
 
 def base_params(**kw):
@@ -544,8 +544,8 @@ def test_energy_at_undimerized_point():
 def test_energy_symmetric_in_u():
     p = base_params(k_spring=2.0)
     grid = np.linspace(-0.3, 0.3, 31)
-    curve = GroundStateCurve(p, 1.0, grid)
-    assert np.max(np.abs(curve.e0 - curve.e0[::-1])) <= 1e-12 * np.max(np.abs(curve.e0))
+    e0 = energy_curve(ground_energy, p, 1.0, grid, "elliptic")
+    assert np.max(np.abs(e0 - e0[::-1])) <= 1e-12 * np.max(np.abs(e0))
 
 
 def test_elliptic_route_matches_quadrature():
@@ -590,13 +590,11 @@ def _u_grids(draw):
 def test_curve_columns_match_pointwise_energies_bit_for_bit(u_grid, q):
     # each column is computed on the distinct |u| and read back per point
     p = base_params(k_spring=2.0)
-    curve = GroundStateCurve(p, q, u_grid)
     points = u_grid.tolist()
-    for column, pointwise in [
-            (curve.e0, [ground_energy(p, q, u, "elliptic") for u in points]),
-            (curve.e0_quadrature, [ground_energy(p, q, u, "quadrature") for u in points]),
-            (curve.e0_smallz, [ground_energy_smallz(p, q, u) for u in points])]:
-        assert column.tobytes() == np.array(pointwise).tobytes()
+    for energy, *route in [(ground_energy, "elliptic"), (ground_energy, "quadrature"),
+                           (ground_energy_smallz,)]:
+        assert energy_curve(energy, p, q, u_grid, *route).tobytes() == \
+            np.array([energy(p, q, u, *route) for u in points]).tobytes()
 
 
 def test_small_gap_expansion_accuracy():
@@ -613,11 +611,11 @@ def test_double_well_detected():
     # the -u^2 log u band term beats the elastic term at small u
     p = base_params(k_spring=2.0, n_sites=100)
     grid = np.linspace(-0.4, 0.4, 41)
-    curve = ground_state_energy(p, 1.0, grid)
-    assert curve.double_well
-    assert curve.u0 > 0.0
-    assert curve.well_depth > 0.0
-    assert ground_energy(p, 1.0, curve.u0) < ground_energy(p, 1.0, 0.0)
+    well = ground_state_energy(p, 1.0, grid)
+    assert well.double_well
+    assert well.u0 > 0.0
+    assert well.well_depth > 0.0
+    assert ground_energy(p, 1.0, well.u0) < ground_energy(p, 1.0, 0.0)
 
 
 def test_minimum_next_to_inexact_grid_centre_is_refined():
@@ -628,10 +626,10 @@ def test_minimum_next_to_inexact_grid_centre_is_refined():
     q = solve_gap(p, Occupation.inverted()).q
     grid = np.linspace(-3.7697658239079703, 3.7697658239079703, 41)
     assert -1e-15 < grid[20] < 0.0
-    curve = ground_state_energy(p, q, grid)
-    assert curve.double_well
-    assert curve.u0 == pytest.approx(0.186834, abs=1e-6)
-    assert curve.u0 != pytest.approx(grid[21], abs=1e-4)
+    well = ground_state_energy(p, q, grid)
+    assert well.double_well
+    assert well.u0 == pytest.approx(0.186834, abs=1e-6)
+    assert well.u0 != pytest.approx(grid[21], abs=1e-4)
 
 
 def test_minimum_beyond_grid_edge_is_an_error():
@@ -650,9 +648,7 @@ def test_flat_curve_reports_no_well():
     # a stiff lattice keeps the minimum at u = 0
     p = base_params(k_spring=500.0)
     grid = np.linspace(-0.2, 0.2, 21)
-    curve = ground_state_energy(p, 0.2, grid)
-    assert not curve.double_well
-    assert curve.u0 == 0.0
+    assert ground_state_energy(p, 0.2, grid) == Well(0.0, 0.0, False)
 
 
 def test_asymmetric_grid_rejected():
