@@ -307,6 +307,10 @@ def cmd_quantize(args, cfg, out: Path) -> tuple:
     t = 0.1 * model.period if cfg["t"] is None else cfg["t"]
     if not 0.0 <= z <= model.length:
         raise ConfigError(f"config key 'z' = {z!r} lies outside the cavity [0, {model.length!r}]")
+    w_top = float(model.omegas[-1])
+    if cfg["t"] is not None and not math.isfinite(w_top * t):
+        raise ConfigError(f"config key 't' = {t!r} times the highest mode frequency "
+                          f"{w_top!r} is not finite, so the phase exp(-i w t) is not defined")
     if kind is fq.SchemeKind.SPACETIME_LOCAL:
         if not 0.0 <= t <= model.period * (1 + 1e-12):
             raise ConfigError(f"config key 't' = {t!r} lies outside [0, L/c] = "
@@ -618,25 +622,39 @@ class Command(NamedTuple):
     it takes --seed.  It takes --config when SCHEMAS has its keys.  The
     handler, called with (args, config, output directory), writes its tables
     and returns (summary, passed): the summary.json record, and whether its
-    checks passed (None: it has no verdict)."""
+    checks passed (None: it has no verdict).  outputs holds the glob
+    patterns of every file but summary.json that a run may write (the gap
+    solvers' residual_curve.csv, when a scan finds no root); a run removes
+    those files of an earlier run before its handler starts."""
 
     handler: str
     help: str
+    outputs: tuple
     tol: float = None
     seeded: bool = False
 
 
 COMMANDS = {
     "dual-invariants": Command("cmd_dual_invariants", "invariant drift over random fields",
-                               1e-12, seeded=True),
-    "cavity-field": Command("cmd_cavity_field", "cavity solutions and residuals", 1e-12),
-    "quantize": Command("cmd_quantize", "ladder operators and scheme checks", 1e-12),
-    "currents": Command("cmd_currents", "4-currents, charges, spirality", 1e-8),
-    "resonance-fit": Command("cmd_resonance_fit", "dispersion-law fit"),
-    "ssh-solve": Command("cmd_ssh_solve", "self-consistent gap factor", 1e-10),
-    "ssh-sweep": Command("cmd_ssh_sweep", "ground-state energy sweep"),
-    "verify-all": Command("cmd_verify_all", "run the full invariant suite", seeded=True),
+                               ("dual_invariants.csv",), 1e-12, seeded=True),
+    "cavity-field": Command("cmd_cavity_field", "cavity solutions and residuals",
+                            ("field.csv",), 1e-12),
+    "quantize": Command("cmd_quantize", "ladder operators and scheme checks",
+                        ("operator_e_mode*.json",), 1e-12),
+    "currents": Command("cmd_currents", "4-currents, charges, spirality",
+                        ("currents.csv",), 1e-8),
+    "resonance-fit": Command("cmd_resonance_fit", "dispersion-law fit", ("dispersion_fit.csv",)),
+    "ssh-solve": Command("cmd_ssh_solve", "self-consistent gap factor",
+                         ("gap_solution.csv", "residual_curve.csv"), 1e-10),
+    "ssh-sweep": Command("cmd_ssh_sweep", "ground-state energy sweep",
+                         ("ground_state.csv", "residual_curve.csv")),
+    "verify-all": Command("cmd_verify_all", "run the full invariant suite", ("verify.csv",),
+                          seeded=True),
 }
+
+
+# a rejected integer flag beyond this is named by its digit count, not echoed
+_ECHO_LIMIT = 2**64
 
 
 def _in_range(kind: type, low, words: str, high=math.inf) -> Callable:
@@ -648,7 +666,10 @@ def _in_range(kind: type, low, words: str, high=math.inf) -> Callable:
         except ValueError:
             value = None
         if value is None or not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"must be {words}, got {text!r}")
+            got = repr(text)
+            if type(value) is int and abs(value) > _ECHO_LIMIT:
+                got = f"an integer of {len(str(abs(value)))} digits"
+            raise argparse.ArgumentTypeError(f"must be {words}, got {got}")
         return value
 
     return parse
@@ -713,7 +734,9 @@ def _run(args) -> int:
     holds passed: false) or the run raised a ValueError, an OSError or a
     MemoryError (the summary is {"error": reason}, next to residual_curve.csv
     when the error carries a gap scan's curve; a summary value that is not
-    finite is such an error).  2: a config error, and nothing is written.
+    finite is such an error).  2: a config error, and nothing is written or
+    removed.  A run that gets past its config first removes the outputs of
+    an earlier run of the command in its directory.
     """
     command, out = COMMANDS[args.command], Path(args.out)
     try:
@@ -721,6 +744,8 @@ def _run(args) -> int:
         schema = SCHEMAS.get(args.command)
         cfg = None if schema is None else _load_config(args.config, schema)
         log.debug("%s: arguments %s, config %s", args.command, vars(args), cfg)
+        for stale in [path for pattern in command.outputs for path in out.glob(pattern)]:
+            stale.unlink()
         try:
             summary, passed = globals()[command.handler](args, cfg, out)
         except cav.SamplingError as exc:

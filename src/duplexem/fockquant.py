@@ -24,8 +24,9 @@ from enum import Enum
 import numpy as np
 
 from .cavity import CavityModel, _inside
+from .tables import gather_lines
 
-_JSON_PAIRS = 4096   # matrix entries per json.dumps call of dump_operator_json
+_JSON_PAIRS = 4096   # matrix entries gathered and written at a time by dump_operator_json
 
 
 class SchemeKind(Enum):
@@ -209,12 +210,20 @@ def dump_operator_json(matrix: np.ndarray, scheme: SchemeKind, mode: int, fh):
     """Serialize one operator: dim, scheme, mode, row-major (re, im) pairs.
 
     The bytes are those of one sorted-key, compact ``json.dumps`` of the
-    object; the entries are written in chunks of _JSON_PAIRS pairs, so no
-    Python list or string of the whole matrix is built."""
-    pairs = np.ascontiguousarray(matrix, dtype=complex).view(float).reshape(-1, 2)
+    object.  Each distinct number (compared bit for bit, so -0.0 and 0.0
+    stay apart) is rendered once, by one ``json.dumps`` of them all, so
+    NaN, Infinity and every repr keep json's exact text; the pairs are then
+    gathered from those records _JSON_PAIRS at a time, so no Python float
+    or string per entry is built."""
+    values = np.ascontiguousarray(matrix, dtype=complex).view(float)
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = json.dumps(bits.view(float).tolist(), separators=(",", ":"))[1:-1].split(",")
+    records = np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)  # NUL-padded
+    pairs = index.reshape(-1, 2)
     fh.write(f'{{"dim":{int(matrix.shape[0])},"entries":[')
     for start in range(0, len(pairs), _JSON_PAIRS):
-        # json.dumps, not json.dump(fh): that always takes the pure-Python encoder
-        text = json.dumps(pairs[start:start + _JSON_PAIRS].tolist(), separators=(",", ":"))
-        fh.write(("," if start else "") + text[1:-1])
+        chunk = pairs[start:start + _JSON_PAIRS]
+        text = gather_lines(len(chunk), [b",[", (records, chunk[:, 0]), b",",
+                                         (records, chunk[:, 1]), b"]"])
+        fh.write(text[0 if start else 1:].tobytes().decode())   # no comma before the first
     fh.write(f'],"mode":{int(mode)},"scheme":{json.dumps(scheme.value)}}}')

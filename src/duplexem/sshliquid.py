@@ -34,6 +34,7 @@ units per length of u.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -173,6 +174,19 @@ def _carlson(zeta, body, below, above):
 # The trapezoid oracle's step in s and reach past s = ln(2/w), where its integrands
 # fall as e^{-3s} and e^{-s}; blocks of at most _BLOCK (zeta, node) cells bound its memory.
 _STEP, _REACH, _BLOCK = 0.15, 40.0, 8192
+# from y = 40 on, logaddexp(0, y) = y + log1p(e^-y) is y bit for bit: e^-40 < 4.3e-18
+# lies below half an ulp of y
+_SOFT_EXACT = 40.0
+
+
+@functools.lru_cache(maxsize=64)
+def _ln_sinh_nodes(n: int) -> np.ndarray:
+    """ln sinh s at the n trapezoid nodes s = _STEP, 2 _STEP, ..., n _STEP."""
+    s = _STEP * np.arange(1, n + 1)
+    # ln sinh s = s - ln 2 + ln(1 - e^{-2s}), whose last term rounds away past s = 30
+    row = np.where(s < 30.0, np.log(np.sinh(np.minimum(s, 30.0))), s - _LN2)
+    row.flags.writeable = False         # cached: shared by every call
+    return row
 
 
 def _trapezoid_kernels(zeta):
@@ -194,14 +208,14 @@ def _trapezoid_kernels(zeta):
         ln_w = -np.abs(np.log(flat))
     counts = 16.0 * np.ceil((_LN2 + _REACH - ln_w) / (16.0 * _STEP))
     a, c = np.full(flat.shape, math.inf), np.ones(flat.shape)
-    for n in np.unique(counts[np.isfinite(counts)]).astype(int).tolist():
-        s = _STEP * np.arange(1, n + 1)
-        # ln sinh s = s - ln 2 + ln(1 - e^{-2s}), whose last term rounds away past s = 30
-        ln_sinh = np.where(s < 30.0, np.log(np.sinh(np.minimum(s, 30.0))), s - _LN2)
+    for n in set(counts[np.isfinite(counts)].astype(int).tolist()):
+        ln_sinh = _ln_sinh_nodes(n)
         rows, per = np.flatnonzero(counts == n), max(1, _BLOCK // n)
         for block in (rows[i:i + per] for i in range(0, rows.size, per)):
             ln_x2 = 2.0 * (ln_w[block, None] + ln_sinh)
-            ln_a = -1.5 * np.logaddexp(0.0, ln_x2)   # ln (1 + x^2)^(-3/2)
+            soft = ln_x2.copy()   # ln(1 + x^2), which is ln x^2 to the bit from _SOFT_EXACT on
+            np.logaddexp(0.0, ln_x2, out=soft, where=ln_x2 < _SOFT_EXACT)
+            ln_a = -1.5 * soft   # ln (1 + x^2)^(-3/2)
             a[block] = _STEP * (0.5 + np.sum(np.exp(ln_a), axis=-1))   # s = 0 adds 1/2
             c[block] = _STEP * np.sum(np.exp(ln_x2 + ln_a), axis=-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in branches discarded

@@ -37,7 +37,9 @@ fixed slots of a _WIDTH-byte record, with NUL in the slots a value does
 not use.  Each block of _BLOCK_ROWS rows deduplicates its numeric cells
 (compared bit for bit, so -0.0 and 0.0 stay apart), formats each distinct
 value once, gathers the records and separators into one byte array, drops
-its NULs and writes it in one call.
+its NULs and writes it in one call.  That last step is ``gather_lines``,
+which also lays out the [re,im] pairs of ``fockquant.dump_operator_json``
+from records of json's own text of each distinct number.
 """
 
 from __future__ import annotations
@@ -201,6 +203,25 @@ def _strings(name: str, column: np.ndarray) -> np.ndarray:
     return np.array(cells, dtype=bytes).view(np.uint8).reshape(len(cells), -1)
 
 
+def gather_lines(rows: int, pieces) -> np.ndarray:
+    """The bytes of rows lines, each the pieces side by side, with every NUL
+    byte dropped.  A piece is bytes, the same in every line, or a pair
+    (records, index) of a (k, width) uint8 array of NUL-padded records and
+    the rows indices of the record that each line takes."""
+    widths = [len(piece) if isinstance(piece, bytes) else piece[0].shape[1]
+              for piece in pieces]
+    line = np.zeros((rows, sum(widths)), np.uint8)
+    end = 0
+    for piece, width in zip(pieces, widths):
+        end += width
+        slot = line[:, end - width:end]
+        if isinstance(piece, bytes):
+            slot[:] = np.frombuffer(piece, np.uint8)
+        else:
+            slot[:] = np.take(piece[0], piece[1], axis=0)
+    return line[line != 0]
+
+
 def _block(header, columns) -> np.ndarray:
     """The bytes of the CSV lines of equal-length column slices."""
     rows = len(columns[0])
@@ -214,16 +235,12 @@ def _block(header, columns) -> np.ndarray:
         rec = _records(bits.view(float))
         del bits
         index = index.reshape(rows, -1)
-    ends = np.cumsum([_WIDTH + 1 if field is None else field.shape[1] + 1
-                      for field in fields])
-    line = np.zeros((rows, ends[-1] + 1), np.uint8)
-    for i, (field, end) in enumerate(zip(fields, ends.tolist())):
-        if field is None:
-            field = np.take(rec, index[:, numeric.index(i)], axis=0)
-        line[:, end - 1 - field.shape[1]:end - 1] = field
-    line[:, ends - 1] = 44
-    line[:, -2:] = (13, 10)
-    return line[line != 0]
+    pieces = []
+    for i, field in enumerate(fields):
+        cell = (rec, index[:, numeric.index(i)]) if field is None else (field, np.arange(rows))
+        pieces += [cell, b","]
+    pieces[-1] = b"\r\n"
+    return gather_lines(rows, pieces)
 
 
 def write_csv(path, header, columns) -> None:

@@ -1,4 +1,5 @@
 import contextlib
+import fnmatch
 import hashlib
 import io
 import json
@@ -265,6 +266,48 @@ def test_failed_gap_solve_keeps_residual_curve(tmp_path, capsys, command):
     params = ssh.SshParams(t0=1.0, alpha1=1.0, alpha2=0.2, u=0.1)
     assert residual.tolist() == [ssh.gap_residual(params, x, form="reduced") for x in q]
     assert np.all(residual < -1.0)
+
+
+def test_a_passing_rerun_removes_the_residual_curve_of_a_failed_run(tmp_path, capsys):
+    cfg = tmp_path / "noroot.json"
+    cfg.write_text('{"form": "reduced", "u": 0.1, "alpha2": 0.2, "u_scan": [-0.2, 0.2, 9]}')
+    out = tmp_path / "out"
+    assert main(["ssh-solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert (out / "residual_curve.csv").exists()
+    assert main(["ssh-solve", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["gap_solution.csv", "summary.json"]
+
+
+def test_quantize_with_fewer_modes_removes_the_operators_of_the_others(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for n_modes in (3, 1):
+        cfg.write_text(json.dumps({"n_modes": n_modes}))
+        assert main(["quantize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "operator_e_mode1.json", "summary.json"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_run_removes_every_output_of_an_earlier_one(tmp_path, capsys, monkeypatch, command):
+    # a passing run writes only files of its command's outputs; a rerun that
+    # fails before writing leaves its summary.json alone
+    argv, out = _small_argv(tmp_path, command) + ["--out", str(tmp_path / "out")], tmp_path / "out"
+    assert main(argv) == 0
+    written = sorted(p.name for p in out.iterdir() if p.name != "summary.json")
+    patterns = COMMANDS[command].outputs
+    assert written and all(any(fnmatch.fnmatch(name, pattern) for pattern in patterns)
+                           for name in written)
+
+    def raising(*args):
+        raise ValueError("planted before the tables")
+
+    monkeypatch.setattr(cli, COMMANDS[command].handler, raising)
+    (out / "notes.txt").write_text("not an output")
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "summary.json"]
 
 
 @pytest.mark.parametrize("t0", [1e-30, 1e-300])
@@ -637,14 +680,19 @@ def test_ssh_rejects_unknown_choice(tmp_path, capsys, command, key, value, allow
     assert not (tmp_path / "summary.json").exists()
 
 
-# both big counts are past numpy's array limit, np.iinfo(np.intp).max bytes, for
+# the big counts are past numpy's array limit, np.iinfo(np.intp).max bytes, for
 # the (count, 3) float array of the samples; a count below it is not tried here,
-# as numpy might allocate it
-@pytest.mark.parametrize("count", ["0", "-3", pytest.param(str(2**62), id="2**62"),
-                                   pytest.param("1" + "0" * 400, id="401-digits")])
-def test_dual_invariants_rejects_out_of_range_count(tmp_path, capsys, count):
+# as numpy might allocate it.  One beyond 2**64 is named by its digit count
+@pytest.mark.parametrize("count, shown", [
+    pytest.param("0", "'0'", id="0"), pytest.param("-3", "'-3'", id="-3"),
+    pytest.param(str(2**62), f"'{2**62}'", id="2**62"),
+    pytest.param(str(2**64 + 1), "an integer of 20 digits", id="2**64+1"),
+    pytest.param("1" + "0" * 400, "an integer of 401 digits", id="401-digits"),
+    pytest.param("-" + "9" * 30, "an integer of 30 digits", id="negative-30-digits")])
+def test_dual_invariants_rejects_out_of_range_count(tmp_path, capsys, count, shown):
     assert main(["dual-invariants", "--random", count, "--out", str(tmp_path)]) == 2
-    assert "argument --random: must be a sample count from 1 to " in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        f"argument --random: must be a sample count from 1 to {cli._MAX_SAMPLES}, got {shown}\n")
     assert not (tmp_path / "summary.json").exists()
 
 
@@ -882,8 +930,9 @@ def test_resonance_fit_rejects_a_non_finite_input_row(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("command, cfg, check", [
-    # exp(i w t) of t = 1e308 is nan: the hermiticity defect reads nan
-    ("quantize", {"t": 1e308}, ("checks", "hermiticity_defect")),
+    # L = 1e-300: sqrt(hbar w / (L eps0)) overflows, and at z = 0 it multiplies
+    # sin(k z) = 0, so the field coefficient and the hermiticity defect read nan
+    ("quantize", {"length": 1e-300, "z": 0.0}, ("checks", "hermiticity_defect")),
 ])
 def test_a_nan_check_fails(tmp_path, capsys, command, cfg, check):
     # max() kept the first value when a later one was nan, so such a check
@@ -896,6 +945,19 @@ def test_a_nan_check_fails(tmp_path, capsys, command, cfg, check):
     assert capsys.readouterr().err.endswith(f"error: {reason}\n")
     assert json.loads((tmp_path / "summary.json").read_text(),
                       parse_constant=pytest.fail) == {"error": reason}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1e308, -1e308, 1e307])
+def test_quantize_rejects_a_time_whose_phase_overflows(tmp_path, capsys, t):
+    # w t is not finite: the phases exp(-i w t) were nan, with numpy warnings
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"t": t, "n_modes": 30}))
+    assert main(["quantize", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config key 't' = {t!r} times the highest mode "
+                          f"frequency") and err.count("\n") == 1
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_currents_names_a_charge_overflow(tmp_path, capsys):

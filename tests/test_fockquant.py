@@ -253,6 +253,40 @@ def test_operator_json_matches_one_dumps_call(tmp_path, monkeypatch, chunk):
         separators=(",", ":"), sort_keys=True)
 
 
+def _one_dumps_call(mat, scheme, mode):
+    pairs = np.ascontiguousarray(mat).view(float).reshape(-1, 2).tolist()
+    return json.dumps({"dim": mat.shape[0], "scheme": scheme.value, "mode": mode,
+                       "entries": pairs}, separators=(",", ":"), sort_keys=True)
+
+
+def test_operator_json_keeps_the_text_of_every_special_number(tmp_path):
+    special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 1e-5, 0.1]
+    values = np.array(special + special[::-1] + [-x for x in special])
+    mat = np.empty((5, 5), complex)   # set by parts: 1j * inf would make a nan real part
+    mat.real, mat.imag = values[:25].reshape(5, 5), values[2:].reshape(5, 5)
+    path = tmp_path / "op.json"
+    with open(path, "w") as fh:
+        dump_operator_json(mat, SchemeKind.SPACE_LOCAL, 7, fh)
+    expected = _one_dumps_call(mat, SchemeKind.SPACE_LOCAL, 7)
+    assert path.read_text() == expected
+    for text in ("NaN", "-Infinity", "[Infinity,", "-0.0", "5e-324", "1e+16", "1e-05", "0.1"):
+        assert text in expected
+
+
+def test_operator_json_shares_distinct_numbers_across_chunks(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 70   # 4900 entries, more than one chunk
+    assert n * n > fq._JSON_PAIRS
+    pool = rng.normal(size=40)   # each value in both chunks, next to ones drawn once
+    mat = rng.choice(pool, (n, n)) + 1j * rng.normal(size=(n, n))
+    first, rest = np.split(mat.real.ravel(), [fq._JSON_PAIRS])
+    assert set(first) == set(rest) == set(pool)
+    path = tmp_path / "op.json"
+    with open(path, "w") as fh:
+        dump_operator_json(mat, SchemeKind.SPACETIME_LOCAL, 1, fh)
+    assert path.read_text() == _one_dumps_call(mat, SchemeKind.SPACETIME_LOCAL, 1)
+
+
 def test_operator_json_dump_peaks_below_the_operator_build(tmp_path):
     # the quantize config of the cavity-fields benchmark: 3 modes, dim 14
     tracemalloc.start()

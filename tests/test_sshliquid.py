@@ -142,6 +142,16 @@ def test_array_kernels_match_mpmath_table():
             assert np.max(np.abs(values_j - big_j) / np.maximum(1.0, np.abs(big_j))) <= bound
 
 
+def test_soft_plus_is_its_argument_from_the_threshold_on():
+    # the trapezoid oracle skips logaddexp(0, y) at y >= _SOFT_EXACT, where it is y
+    # bit for bit; its ln x^2 stays below 2 (ln 2 + _REACH + 745) < 1600
+    start = sshliquid._SOFT_EXACT
+    y = np.concatenate([np.linspace(start, 1600.0, 1_000_001),
+                        start + np.arange(10_000) * np.spacing(start),
+                        np.geomspace(start, 1e308, 10_000)])
+    assert np.array_equal(np.logaddexp(0.0, y), y)
+
+
 @pytest.mark.parametrize("zeta, reference", [
     # 40-digit mpmath values of (K(m) - E(m)) / m^2, m = sqrt(1 - zeta^2)
     (1.01e-5, 11.889269496121067),
