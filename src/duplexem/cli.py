@@ -301,36 +301,43 @@ def cmd_cavity_field(args, cfg, out: Path) -> tuple:
 
 def cmd_quantize(args, cfg, out: Path) -> tuple:
     model = _cavity_model(cfg)
-    cst = model.constants
     dim, z = cfg["dim"], cfg["z"]
     kind = fq.SchemeKind(cfg["scheme"])
     t = 0.1 * model.period if cfg["t"] is None else cfg["t"]
     if not 0.0 <= z <= model.length:
         raise ConfigError(f"config key 'z' = {z!r} lies outside the cavity [0, {model.length!r}]")
-    w_top = float(model.omegas[-1])
-    if cfg["t"] is not None and not math.isfinite(w_top * t):
-        raise ConfigError(f"config key 't' = {t!r} times the highest mode frequency "
-                          f"{w_top!r} is not finite, so the phase exp(-i w t) is not defined")
-    if kind is fq.SchemeKind.SPACETIME_LOCAL:
-        if not 0.0 <= t <= model.period * (1 + 1e-12):
-            raise ConfigError(f"config key 't' = {t!r} lies outside [0, L/c] = "
-                              f"[0, {model.period!r}], where the space-time scheme is defined")
-        if dim < 3:
-            raise ConfigError(f"config key 'dim' = {dim!r} must be at least 3 "
-                              f"for the space-time scheme")
-    field = fq.OperatorField(model, kind, dim)
-    action = cst.lambda0 if kind is fq.SchemeKind.SPACE_LOCAL else cst.hbar
-    comm_defect, spec_defect = _oscillator_defects(dim, action, model.omegas[0])
+    # a length so small that the mode frequencies or the field coefficients
+    # overflow is named once the field is built, with no warning before
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_top = float(model.omegas[-1])
+        if cfg["t"] is not None and math.isfinite(w_top) and not math.isfinite(w_top * t):
+            raise ConfigError(f"config key 't' = {t!r} times the highest mode frequency "
+                              f"{w_top!r} is not finite, so the phase exp(-i w t) is not "
+                              f"defined")
+        if kind is fq.SchemeKind.SPACETIME_LOCAL:
+            if not 0.0 <= t <= model.period * (1 + 1e-12):
+                raise ConfigError(f"config key 't' = {t!r} lies outside [0, L/c] = [0, "
+                                  f"{model.period!r}], where the space-time scheme is defined")
+            if dim < 3:
+                raise ConfigError(f"config key 'dim' = {dim!r} must be at least 3 "
+                                  f"for the space-time scheme")
+        field = fq.OperatorField(model, kind, dim, z, t)
+        hermiticity = field.hermiticity_defect()   # finite only where every entry is
+    if not math.isfinite(hermiticity):
+        raise ConfigError(f"config key 'length' = {model.length!r} is too small for n_modes = "
+                          f"{model.n_modes}: the mode frequencies or the field coefficients "
+                          f"overflow")
+    comm_defect, spec_defect = _oscillator_defects(dim, field.action, model.omegas[0])
     checks = {
         "ladder_commutator_defect": comm_defect,
         "spectrum_defect": spec_defect,
-        "hermiticity_defect": field.hermiticity_defect(z, t),
+        "hermiticity_defect": hermiticity,
     }
-    if kind is fq.SchemeKind.SPACETIME_LOCAL:
-        checks["g_symmetrized_deviation"] = field.g_deviation(z, t)
+    if field.g_deviation is not None:
+        checks["g_symmetrized_deviation"] = field.g_deviation
     for idx in range(model.n_modes):
         with open(out / f"operator_e_mode{idx + 1}.json", "w") as fh:
-            fq.dump_operator_json(field.e_matrix(idx, z, t), kind, idx + 1, fh)
+            fq.dump_operator_json(field.e_matrix(idx), kind, idx + 1, fh)
     return {
         "quantity": "quantization checks",
         "formula": "[a, a+] = 1 (safe block); H = action * w * (n + 1/2)",
@@ -625,7 +632,7 @@ class Command(NamedTuple):
     checks passed (None: it has no verdict).  outputs holds the glob
     patterns of every file but summary.json that a run may write (the gap
     solvers' residual_curve.csv, when a scan finds no root); a run removes
-    those files of an earlier run before its handler starts."""
+    those files of an earlier run, unless its handler finds a config error."""
 
     handler: str
     help: str
@@ -735,8 +742,9 @@ def _run(args) -> int:
     MemoryError (the summary is {"error": reason}, next to residual_curve.csv
     when the error carries a gap scan's curve; a summary value that is not
     finite is such an error).  2: a config error, and nothing is written or
-    removed.  A run that gets past its config first removes the outputs of
-    an earlier run of the command in its directory.
+    removed.  A run that gets past its config sets aside the outputs of an
+    earlier run of the command in its directory before its handler starts,
+    and removes them unless the handler finds a config error.
     """
     command, out = COMMANDS[args.command], Path(args.out)
     try:
@@ -744,12 +752,27 @@ def _run(args) -> int:
         schema = SCHEMAS.get(args.command)
         cfg = None if schema is None else _load_config(args.config, schema)
         log.debug("%s: arguments %s, config %s", args.command, vars(args), cfg)
-        for stale in [path for pattern in command.outputs for path in out.glob(pattern)]:
-            stale.unlink()
+        # an earlier run's outputs, set aside under hidden names: put back if the
+        # handler finds a config error, removed once it gets past its checks
+        stale = {path: path.with_name(f".{path.name}.stale")
+                 for pattern in command.outputs for path in out.glob(pattern)}
+        for path, hidden in stale.items():
+            path.rename(hidden)
+        restore = False
         try:
-            summary, passed = globals()[command.handler](args, cfg, out)
-        except cav.SamplingError as exc:
-            raise _coarse_grid(exc, cfg) from exc
+            try:
+                summary, passed = globals()[command.handler](args, cfg, out)
+            except cav.SamplingError as exc:
+                raise _coarse_grid(exc, cfg) from exc
+        except ConfigError:
+            restore = True
+            raise
+        finally:
+            for path, hidden in stale.items():
+                if restore:
+                    hidden.rename(path)
+                else:
+                    hidden.unlink()
         if command.tol is not None:
             summary["bound"] = args.tol
         if passed is not None:

@@ -134,75 +134,62 @@ def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
     return (qzt + pzt) / norm, (qzt - pzt) / norm, g_deviation
 
 
-def _field_terms(model: CavityModel, kind: SchemeKind, z: float, t: float):
-    """(coefficient, ladder sum) of E and of H at (z, t): each coefficient an
-    array over the modes, each sum np.add (a+ + a) or np.subtract (a+ - a)."""
+def _field_terms(model: CavityModel, kind: SchemeKind, dim: int, z: float, t: float):
+    """The one dispatch on the scheme, at (z, t): the (modes, n, n) ladder
+    stacks a and adag, the scheme's action constant, the largest g deviation
+    over the modes (None outside the space-time scheme), and the (coefficient,
+    ladder sum) of E and of H: each coefficient an array over the modes, each
+    sum np.add (a+ + a) or np.subtract (a+ - a)."""
     cst, w, k = model.constants, model.omegas, model.wavenumbers
+    if kind is SchemeKind.SPACETIME_LOCAL:
+        a, ad, deviation = spacetime_local_operators(model, dim, z, t)
+        w2 = np.float_power(w, 2)   # libm pow, as a scalar w**2; w * w differs in the last bit
+        scale = np.sqrt(cst.hbar * cst.lambda0 / (2 * w))
+        amp_e = np.sqrt(2.0 * w2 / (cst.eps0 * model.length * model.period))
+        amp_h = np.sqrt(2.0 * w2 / (cst.mu0 * model.length * model.period))
+        return (a, ad, cst.hbar, float(np.max(deviation)),
+                ((amp_e * scale, np.add), (1j * (amp_h * scale), np.subtract)))
+    _inside(z, model.length)
     if kind is SchemeKind.TIME_LOCAL:
-        return ((np.sqrt(cst.hbar * w / (model.length * cst.eps0)) * np.sin(k * z), np.add),
-                (1j * np.sqrt(cst.hbar * w / (model.length * cst.mu0)) * np.cos(k * z),
-                 np.subtract))
-    if kind is SchemeKind.SPACE_LOCAL:
-        return ((1j * np.sqrt(cst.lambda0 * w / (model.period * cst.eps0)) * np.sin(w * t),
-                 np.subtract),
-                (-np.sqrt(cst.lambda0 * w / (model.period * cst.mu0)) * np.cos(w * t), np.add))
-    w2 = np.float_power(w, 2)   # libm pow, as a scalar w**2; w * w differs in the last bit
-    scale = np.sqrt(cst.hbar * cst.lambda0 / (2 * w))
-    amp_e = np.sqrt(2.0 * w2 / (cst.eps0 * model.length * model.period))
-    amp_h = np.sqrt(2.0 * w2 / (cst.mu0 * model.length * model.period))
-    return (amp_e * scale, np.add), (1j * (amp_h * scale), np.subtract)
+        return (*phased_ladders(w, t, dim), cst.hbar, None,
+                ((np.sqrt(cst.hbar * w / (model.length * cst.eps0)) * np.sin(k * z), np.add),
+                 (1j * np.sqrt(cst.hbar * w / (model.length * cst.mu0)) * np.cos(k * z),
+                  np.subtract)))
+    return (*phased_ladders(k, z, dim), cst.lambda0, None,
+            ((1j * np.sqrt(cst.lambda0 * w / (model.period * cst.eps0)) * np.sin(w * t),
+              np.subtract),
+             (-np.sqrt(cst.lambda0 * w / (model.period * cst.mu0)) * np.cos(w * t), np.add)))
 
 
 class OperatorField:
-    """Hermitian operator-valued E and H fields for one quantization scheme.
+    """Hermitian operator-valued E and H fields of one quantization scheme at
+    one point (z, t).
 
     Modes are independent (delta_ab commutators), so no cross-mode tensor
-    products are formed.  E and H are read-only (modes, n, n) stacks,
-    coef * (a+ + a) and coef * (a+ - a) (swapped in the space-local scheme),
-    built once per (z, t) and reused until another point is asked for.
+    products are formed.  The constructor builds E and H once, as one
+    read-only (2, modes, n, n) array of the stacks coef * (a+ + a) and
+    coef * (a+ - a) (swapped in the space-local scheme).  action is the
+    scheme's action constant; g_deviation the largest g deviation over the
+    modes in the space-time scheme, None in the others.
     """
 
-    def __init__(self, model: CavityModel, kind: SchemeKind, dim: int):
-        self.model, self.kind, self.dim = model, kind, dim
-        self._point, self._fields, self._g_deviation = None, None, None
+    def __init__(self, model: CavityModel, kind: SchemeKind, dim: int, z: float, t: float):
+        a, ad, self.action, self.g_deviation, terms = _field_terms(model, kind, dim, z, t)
+        self._fields = np.empty((2,) + a.shape, dtype=complex)
+        for out, (coef, ladder_sum) in zip(self._fields, terms):
+            np.multiply(coef[:, None, None], ladder_sum(ad, a), out=out)
+        self._fields.flags.writeable = False
 
-    def _stacks(self, z: float, t: float) -> np.ndarray:
-        """The (2, modes, n, n) array of the E and the H stack at (z, t)."""
-        if self._point != (z, t):
-            md = self.model
-            _inside(z, md.length)
-            if self.kind is SchemeKind.SPACETIME_LOCAL:
-                a, ad, deviation = spacetime_local_operators(md, self.dim, z, t)
-                self._g_deviation = float(np.max(deviation))
-            else:
-                rates, x = (md.omegas, t) if self.kind is SchemeKind.TIME_LOCAL \
-                    else (md.wavenumbers, z)
-                a, ad = phased_ladders(rates, x, self.dim)
-            fields = np.empty((2,) + a.shape, dtype=complex)
-            for out, (coef, ladder_sum) in zip(fields, _field_terms(md, self.kind, z, t)):
-                np.multiply(coef[:, None, None], ladder_sum(ad, a), out=out)
-            fields.flags.writeable = False
-            self._point, self._fields = (z, t), fields
-        return self._fields
+    def e_matrix(self, alpha_idx: int) -> np.ndarray:
+        return self._fields[0, alpha_idx]
 
-    def g_deviation(self, z: float, t: float) -> float:
-        """Space-time scheme: the largest g deviation over the modes at (z, t)."""
-        if self.kind is not SchemeKind.SPACETIME_LOCAL:
-            raise ValueError("g_deviation needs the space-time scheme")
-        self._stacks(z, t)
-        return self._g_deviation
+    def h_matrix(self, alpha_idx: int) -> np.ndarray:
+        return self._fields[1, alpha_idx]
 
-    def e_matrix(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        return self._stacks(z, t)[0, alpha_idx]
-
-    def h_matrix(self, alpha_idx: int, z: float, t: float) -> np.ndarray:
-        return self._stacks(z, t)[1, alpha_idx]
-
-    def hermiticity_defect(self, z: float, t: float) -> float:
+    def hermiticity_defect(self) -> float:
         """The largest entry of X - X+ over every mode's E and H."""
-        fields = self._stacks(z, t)
-        defect = fields.conj().swapaxes(-1, -2)
-        defect -= fields
+        defect = self._fields.conj().swapaxes(-1, -2)
+        defect -= self._fields
         return float(np.max(np.abs(defect)))
 
 

@@ -310,6 +310,35 @@ def test_a_run_removes_every_output_of_an_earlier_one(tmp_path, capsys, monkeypa
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "summary.json"]
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("quantize", {"z": 5.0}),
+    ("quantize", {"t": 1e308}),
+    ("quantize", {"scheme": "spacetime_local", "t": 5.0}),
+    ("quantize", {"scheme": "spacetime_local", "dim": 2}),
+    ("quantize", {"length": 1e-300, "z": 0.0}),
+    ("cavity-field", {"c1": [[0.5, 0.0]]}),
+    ("currents", {"c2": [[0.5, 0.0]]}),
+    ("cavity-field", {"nz": 2}),
+    ("currents", {"nz": 11}),
+    ("resonance-fit", {"n": [1, 2], "nu": [1.0]}),
+    ("resonance-fit", {"input": "no_such.csv"}),
+    ("ssh-solve", {"u_scan": [0, 1, 11]}),
+    ("ssh-sweep", {}),
+], ids=["z", "t-phase", "t-spacetime", "dim", "length", "c1-count", "c2-count", "nz", "nz-currents",
+        "fit-lists", "fit-input", "u_scan-asymmetric", "u_scan-missing"])
+def test_a_config_error_found_by_a_handler_leaves_the_directory_as_it_was(tmp_path, capsys,
+                                                                          command, cfg):
+    out = tmp_path / "out"
+    assert main(_small_argv(tmp_path, command) + ["--out", str(out)]) == 0
+    (out / "notes.txt").write_text("not an output")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("t0", [1e-30, 1e-300])
 def test_unconverged_gap_root_exits_1_naming_the_bracket(tmp_path, capsys, t0):
     # brentq stops at its iteration cap on the bracket around Q = 0
@@ -930,17 +959,16 @@ def test_resonance_fit_rejects_a_non_finite_input_row(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("command, cfg, check", [
-    # L = 1e-300: sqrt(hbar w / (L eps0)) overflows, and at z = 0 it multiplies
-    # sin(k z) = 0, so the field coefficient and the hermiticity defect read nan
-    ("quantize", {"length": 1e-300, "z": 0.0}, ("checks", "hermiticity_defect")),
+    # a nan planted in the spectrum check of the space-local scheme
+    ("quantize", {"scheme": "space_local"}, ("checks", "spectrum_defect")),
 ])
-def test_a_nan_check_fails(tmp_path, capsys, command, cfg, check):
+def test_a_nan_check_fails(tmp_path, capsys, monkeypatch, command, cfg, check):
     # max() kept the first value when a later one was nan, so such a check
     # passed; strict JSON has no nan, so the run records an error naming the key
+    monkeypatch.setattr(cli, "_oscillator_defects", lambda *args: (0.0, math.nan))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    with np.errstate(all="ignore"):
-        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
     reason = f"{'.'.join(check)} = nan is not a finite number, which JSON cannot hold"
     assert capsys.readouterr().err.endswith(f"error: {reason}\n")
     assert json.loads((tmp_path / "summary.json").read_text(),
@@ -957,6 +985,21 @@ def test_quantize_rejects_a_time_whose_phase_overflows(tmp_path, capsys, t):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config key 't' = {t!r} times the highest mode "
                           f"frequency") and err.count("\n") == 1
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("units", ["symmetric", "si"])
+@pytest.mark.parametrize("scheme", [kind.value for kind in fq.SchemeKind])
+def test_quantize_names_a_length_whose_field_overflows(tmp_path, capsys, scheme, units):
+    # L = 1e-300: sqrt(hbar w / (L eps0)) overflows (in SI units w itself), and at
+    # z = 0 it met sin(k z) = 0, so the hermiticity defect read nan, with numpy warnings
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"length": 1e-300, "z": 0.0, "scheme": scheme, "units": units}))
+    assert main(["quantize", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config key 'length' = 1e-300 is too small for n_modes = 2: the mode "
+        "frequencies or the field coefficients overflow\n")
     assert not (tmp_path / "summary.json").exists()
 
 

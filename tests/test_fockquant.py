@@ -80,12 +80,12 @@ def test_space_local_bare_at_origin():
 
 def test_space_local_rejects_outside_cavity():
     # the cavity module's rule, in every scheme: [0, L] up to rounding, and never NaN
-    for kind in (SchemeKind.SPACE_LOCAL, SchemeKind.SPACETIME_LOCAL):
-        field = OperatorField(make_model(), kind, 4)
+    for kind in SchemeKind:
         for z in (1.5, -0.01, math.nan):
             with pytest.raises(ValueError, match="outside the cavity"):
-                field.e_matrix(0, z, 0.0)
-        assert np.all(np.isfinite(field.e_matrix(0, 1.0 + 1e-13, 0.0)))
+                OperatorField(make_model(), kind, 4, z, 0.0)
+        field = OperatorField(make_model(), kind, 4, 1.0 + 1e-13, 0.0)
+        assert np.all(np.isfinite(field.e_matrix(0)))
 
 
 def test_position_hamiltonian_spectrum():
@@ -152,30 +152,30 @@ def test_spacetime_domain_checks():
 @pytest.mark.parametrize("kind", list(SchemeKind))
 def test_field_operators_hermitian(kind):
     model = make_model()
-    field = OperatorField(model, kind, 8)
-    assert field.hermiticity_defect(0.37, 0.21) <= 1e-14
+    field = OperatorField(model, kind, 8, 0.37, 0.21)
+    assert field.hermiticity_defect() <= 1e-14
 
 
 def test_time_local_electric_coefficient():
     model = make_model()
-    field = OperatorField(model, SchemeKind.TIME_LOCAL, 6)
     z = 0.3
+    field = OperatorField(model, SchemeKind.TIME_LOCAL, 6, z, 0.0)
     w, k = model.omegas[0], model.wavenumbers[0]
     a, ad = make_ladder(6)
     coef = math.sqrt(CST.hbar * w / (model.length * CST.eps0)) * math.sin(k * z)
-    assert np.allclose(field.e_matrix(0, z, 0.0), coef * (ad + a), atol=1e-14)
+    assert np.allclose(field.e_matrix(0), coef * (ad + a), atol=1e-14)
 
 
 def test_vacuum_expectations():
     model = make_model(3)
-    field = OperatorField(model, SchemeKind.TIME_LOCAL, 8)
     z = 0.29
     modes = range(model.n_modes)
-    assert abs(sum(field.e_matrix(idx, z, 0.13)[0, 0] for idx in modes)) == 0.0
+    later = OperatorField(model, SchemeKind.TIME_LOCAL, 8, z, 0.13)
+    assert abs(sum(later.e_matrix(idx)[0, 0] for idx in modes)) == 0.0
     expected = sum(CST.hbar * w / (model.length * CST.eps0) * math.sin(k * z) ** 2
                    for w, k in zip(model.omegas, model.wavenumbers))
-    squares = sum((field.e_matrix(idx, z, 0.0) @ field.e_matrix(idx, z, 0.0))[0, 0].real
-                  for idx in modes)
+    field = OperatorField(model, SchemeKind.TIME_LOCAL, 8, z, 0.0)
+    squares = sum((field.e_matrix(idx) @ field.e_matrix(idx))[0, 0].real for idx in modes)
     assert squares == pytest.approx(expected, rel=1e-12)
 
 
@@ -217,8 +217,7 @@ def test_scheme_parameter_swap_symmetry():
 
 def test_operator_json_dump(tmp_path):
     model = make_model()
-    field = OperatorField(model, SchemeKind.SPACE_LOCAL, 4)
-    mat = field.h_matrix(0, 0.2, 0.1)
+    mat = OperatorField(model, SchemeKind.SPACE_LOCAL, 4, 0.2, 0.1).h_matrix(0)
     path = tmp_path / "op.json"
     with open(path, "w") as fh:
         dump_operator_json(mat, SchemeKind.SPACE_LOCAL, 1, fh)
@@ -243,7 +242,7 @@ def test_operator_json_round_trips_every_bit(tmp_path):
 @pytest.mark.parametrize("chunk", [1, 3, fq._JSON_PAIRS])
 def test_operator_json_matches_one_dumps_call(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(fq, "_JSON_PAIRS", chunk)
-    mat = OperatorField(make_model(), SchemeKind.TIME_LOCAL, 3).e_matrix(1, 0.2, 0.1)
+    mat = OperatorField(make_model(), SchemeKind.TIME_LOCAL, 3, 0.2, 0.1).e_matrix(1)
     path = tmp_path / "op.json"
     with open(path, "w") as fh:
         dump_operator_json(mat, SchemeKind.TIME_LOCAL, 2, fh)
@@ -291,38 +290,16 @@ def test_operator_json_dump_peaks_below_the_operator_build(tmp_path):
     # the quantize config of the cavity-fields benchmark: 3 modes, dim 14
     tracemalloc.start()
     try:
-        field = OperatorField(make_model(3), SchemeKind.SPACETIME_LOCAL, 14)
-        field.hermiticity_defect(0.3, 0.2)
+        field = OperatorField(make_model(3), SchemeKind.SPACETIME_LOCAL, 14, 0.3, 0.2)
         build = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         # one mode of three: each dump's memory is freed before the next
         with open(tmp_path / "operator_e_mode1.json", "w") as fh:
-            dump_operator_json(field.e_matrix(0, 0.3, 0.2), SchemeKind.SPACETIME_LOCAL, 1, fh)
+            dump_operator_json(field.e_matrix(0), SchemeKind.SPACETIME_LOCAL, 1, fh)
         dump = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert dump < build
-
-
-def test_operator_field_builds_all_modes_once_per_point(monkeypatch):
-    calls = []
-    build = fq.spacetime_local_operators
-
-    def counted(*args, **kwargs):
-        calls.append(args[2:4])
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(fq, "spacetime_local_operators", counted)
-    model = make_model(3)
-    field = OperatorField(model, SchemeKind.SPACETIME_LOCAL, 4)
-    field.hermiticity_defect(0.3, 0.2)
-    for idx in range(3):
-        field.e_matrix(idx, 0.3, 0.2)
-    assert calls == [(0.3, 0.2)]
-    moved = field.h_matrix(1, 0.4, 0.2)
-    assert calls == [(0.3, 0.2), (0.4, 0.2)]
-    fresh = OperatorField(model, SchemeKind.SPACETIME_LOCAL, 4).h_matrix(1, 0.4, 0.2)
-    assert np.array_equal(moved, fresh)
 
 
 def _closed_form_fields(model, kind, dim, z, t):
@@ -358,18 +335,18 @@ def test_field_matrices_match_closed_forms(kind):
     cst = PhysicalConstants(c=1.0, eps0=0.5, mu0=2.0, hbar=0.7, lambda0=1.3)
     model = CavityModel(length=1.0, n_modes=3, constants=cst)
     dim, z, t = 5, 0.37, 0.21
-    field = OperatorField(model, kind, dim)
+    field = OperatorField(model, kind, dim, z, t)
     for idx, (e, h) in enumerate(_closed_form_fields(model, kind, dim, z, t)):
-        for got, expect in ((field.e_matrix(idx, z, t), e), (field.h_matrix(idx, z, t), h)):
+        for got, expect in ((field.e_matrix(idx), e), (field.h_matrix(idx), h)):
             assert got.shape == expect.shape
             assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 def test_field_stacks_are_read_only():
-    # e_matrix and h_matrix are views of the stacks cached for the point: a
+    # e_matrix and h_matrix are views of the stacks built for the point: a
     # write through one would change what the next call returns
-    field = OperatorField(make_model(), SchemeKind.TIME_LOCAL, 4)
-    for mat in (field.e_matrix(1, 0.3, 0.2), field.h_matrix(0, 0.3, 0.2)):
+    field = OperatorField(make_model(), SchemeKind.TIME_LOCAL, 4, 0.3, 0.2)
+    for mat in (field.e_matrix(1), field.h_matrix(0)):
         with pytest.raises(ValueError):
             mat[0, 1] = 0.0
 
@@ -411,9 +388,21 @@ def test_spacetime_stacks_match_the_per_mode_build_bit_for_bit(cst, length):
     model = CavityModel(length=length, n_modes=3, constants=cst)
     z, t = 0.41, 0.37 * model.period
     a, adag, g_deviation = spacetime_local_operators(model, 6, z, t)
-    field = OperatorField(model, SchemeKind.SPACETIME_LOCAL, 6)
+    field = OperatorField(model, SchemeKind.SPACETIME_LOCAL, 6, z, t)
+    assert field.g_deviation == np.max(g_deviation)
     for i, ref in enumerate(_spacetime_reference(model, 6, z, t)):
-        got = a[i], adag[i], field.e_matrix(i, z, t), field.h_matrix(i, z, t)
+        got = a[i], adag[i], field.e_matrix(i), field.h_matrix(i)
         for mat, expect in zip(got, ref[:2] + ref[3:]):
             assert np.array_equal(mat.view(np.int64), expect.view(np.int64))
         assert repr(float(g_deviation[i])) == repr(ref[2])
+
+
+@pytest.mark.parametrize("kind, action, has_g", [
+    (SchemeKind.TIME_LOCAL, "hbar", False), (SchemeKind.SPACE_LOCAL, "lambda0", False),
+    (SchemeKind.SPACETIME_LOCAL, "hbar", True)])
+def test_field_carries_its_scheme_action_and_g_deviation(kind, action, has_g):
+    # hbar and lambda0 unequal, so the wrong constant shows
+    cst = PhysicalConstants(c=1.0, eps0=0.5, mu0=2.0, hbar=0.7, lambda0=1.3)
+    field = OperatorField(CavityModel(length=1.0, n_modes=2, constants=cst), kind, 4, 0.3, 0.2)
+    assert field.action == getattr(cst, action)
+    assert (field.g_deviation is not None) is has_g
