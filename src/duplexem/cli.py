@@ -221,6 +221,13 @@ def _coarse_grid(exc: cav.SamplingError, cfg) -> ConfigError:
                        f"{cfg['n_modes']}: it needs at least {exc.minimum} points")
 
 
+def _finite_coefficients(keys: str, *coeffs):
+    """ConfigError naming keys if a coefficient built from their values is not finite."""
+    if not all(np.isfinite(c).all() for c in coeffs):
+        raise ConfigError(f"config keys {keys} give coefficients that are not finite: the "
+                          f"mode amplitudes times their mode weights overflow")
+
+
 def _model_from_cfg(cfg) -> tuple:
     if not len(cfg["c1"]) == len(cfg["c2"]) == cfg["n_modes"]:
         raise ConfigError(f"config keys 'c1' and 'c2' must hold n_modes = {cfg['n_modes']} "
@@ -282,9 +289,11 @@ def cmd_dual_invariants(args, cfg, out: Path) -> tuple:
 def cmd_cavity_field(args, cfg, out: Path) -> tuple:
     model, state = _model_from_cfg(cfg)
     family = cav.FirstSolution if cfg["solution"] == "first" else cav.SecondSolution
-    sol = family(model, state)
-    if cfg["theta"]:
-        sol = sol.rotated(cfg["theta"])
+    with np.errstate(all="ignore"):   # an overflow is named below, with no warning
+        sol = family(model, state)
+        if cfg["theta"]:
+            sol = sol.rotated(cfg["theta"])
+    _finite_coefficients("'c1' and 'c2'", sol.coeffs)
     z = np.linspace(0.0, model.length, cfg["nz"])
     t = np.linspace(0.0, model.period, cfg["nt"])
     residuals = cav.maxwell_residual(sol, z, t, model.constants)
@@ -307,8 +316,9 @@ def cmd_quantize(args, cfg, out: Path) -> tuple:
     if not 0.0 <= z <= model.length:
         raise ConfigError(f"config key 'z' = {z!r} lies outside the cavity [0, {model.length!r}]")
     # a length so small that the mode frequencies or the field coefficients
-    # overflow is named once the field is built, with no warning before
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow, or so large that the level spacing underflows, is named once the
+    # field is built, with no warning before
+    with np.errstate(all="ignore"):
         w_top = float(model.omegas[-1])
         if cfg["t"] is not None and math.isfinite(w_top) and not math.isfinite(w_top * t):
             raise ConfigError(f"config key 't' = {t!r} times the highest mode frequency "
@@ -323,11 +333,15 @@ def cmd_quantize(args, cfg, out: Path) -> tuple:
                                   f"for the space-time scheme")
         field = fq.OperatorField(model, kind, dim, z, t)
         hermiticity = field.hermiticity_defect()   # finite only where every entry is
-    if not math.isfinite(hermiticity):
-        raise ConfigError(f"config key 'length' = {model.length!r} is too small for n_modes = "
-                          f"{model.n_modes}: the mode frequencies or the field coefficients "
-                          f"overflow")
-    comm_defect, spec_defect = _oscillator_defects(dim, field.action, model.omegas[0])
+        w_low = float(model.omegas[0])
+        spacing = field.action * w_low   # the unit of the spectrum defect
+    if not (math.isfinite(hermiticity) and sys.float_info.min <= spacing < math.inf):
+        end, cause = (("large", "the level spacing or the ladder normalization underflows")
+                      if w_low < 1.0 else
+                      ("small", "the mode frequencies or the field coefficients overflow"))
+        raise ConfigError(f"config key 'length' = {model.length!r} is too {end} for n_modes = "
+                          f"{model.n_modes}: {cause}")
+    comm_defect, spec_defect = _oscillator_defects(dim, field.action, w_low)
     checks = {
         "ladder_commutator_defect": comm_defect,
         "spectrum_defect": spec_defect,
@@ -347,14 +361,16 @@ def cmd_quantize(args, cfg, out: Path) -> tuple:
 
 def cmd_currents(args, cfg, out: Path) -> tuple:
     model, state = _model_from_cfg(cfg)
-    current = cur.ClassicalFourCurrent(model, state, coupling=cfg["coupling"])
-    field, c = cur.charge_field(model, state), model.constants.c
+    with np.errstate(all="ignore"):   # an overflow is named below, with no warning
+        current = cur.ClassicalFourCurrent(model, state, coupling=cfg["coupling"])
+        field, c = cur.charge_field(model, state), model.constants.c
+    _finite_coefficients("'c1', 'c2' and 'coupling'", current.coeffs, current.j4_constants[0],
+                         field.coeffs)
     z = np.linspace(0.0, model.length, cfg["nz"])
     t = np.linspace(0.0, model.period, cfg["nt"])
     cont = cur.continuity_residual(current, z, t)
-    charges = [cur.noether_charge(field, c, tj) for tj in t]  # the table's and the drift's
-    per_t = [[q.q1 for q in charges], [q.q2 for q in charges],
-             [cur.spirality(field, c, tj) for tj in t]]
+    charge = cur.noether_charge(field, c, t)   # the table's and the drift's
+    per_t = [charge.q1, charge.q2, cur.spirality(field, c, t)]
     # rows are t-major: transpose the (z, t) grids before flattening
     j3 = (current.j3(z, t, 1) + 1j * current.j3(z, t, 2)).T.ravel()
     j4 = (current.j4(z, t, 1) + 1j * current.j4(z, t, 2)).T.ravel()
@@ -362,7 +378,7 @@ def cmd_currents(args, cfg, out: Path) -> tuple:
                ["z", "t", "re_j3", "im_j3", "re_j4", "im_j4", "q1", "q2", "spirality"],
                [np.tile(z, t.size), np.repeat(t, z.size), j3.real, j3.imag,
                 j4.real, j4.imag, *(np.repeat(col, z.size) for col in per_t)])
-    drift = cur.relative_drift(charges)
+    drift = cur.relative_drift(charge)
     return {
         "quantity": "current checks",
         "formula": "d j3/dz + d j4/dx4 = 0; dQ/dt = 0",

@@ -152,22 +152,24 @@ def charge_field(model: CavityModel, state: ModeState) -> SpectralField:
                                               math.sqrt(cst.mu0) * complex(1.0, 1.0))
 
 
-def _pair_terms(field: SpectralField, t: float):
-    """Quadrature weights on [0, L], and u = (E_x, H_y) and du/dt per mode on their
-    nodes: shape (2, 2, n_modes, N_QUAD), [u or du/dt, u1 or u2, mode, node]."""
+def _pair_terms(field: SpectralField, t):
+    """Quadrature weights on [0, L], and u = (E_x, H_y) and du/dt per mode on their nodes
+    at each time of t: shape (n_t, 2, 2, n_modes, N_QUAD), [time, u or du/dt, u1 or u2,
+    mode, node], each time's block contiguous so that it sums as it would alone."""
     zq, wq = _gauss_legendre(0.0, field.length, N_QUAD)
     pair = field.coeffs[[0, 1], [0, 1]]
-    return wq, _mode_terms(np.array([pair, _d_dt(pair, field.omegas)]), field.wavenumbers,
-                           field.omegas, zq, t)
+    terms = _mode_terms(np.array([pair, _d_dt(pair, field.omegas)]), field.wavenumbers,
+                        field.omegas, zq, np.ravel(t))
+    return wq, np.ascontiguousarray(np.moveaxis(terms, -1, 0))
 
 
 @dataclass(frozen=True)
 class NoetherCharge:
-    """The gauge charges q1 and q2 and the size of what they integrate."""
+    """The gauge charges q1 and q2 and the size of what they integrate, per time."""
 
-    q1: float
-    q2: float
-    scale: float
+    q1: np.ndarray
+    q2: np.ndarray
+    scale: np.ndarray
 
 
 def _ordered_sum(values):
@@ -175,63 +177,62 @@ def _ordered_sum(values):
     return np.cumsum(np.insert(values, 0, 0.0, axis=0), axis=0)[-1]
 
 
-def noether_charge(field: SpectralField, c: float, t: float) -> NoetherCharge:
+def noether_charge(field: SpectralField, c: float, t) -> NoetherCharge:
     """Gauge charges of the pair (u1, u2) = (E_x, H_y) of ``field`` by quadrature
-    over z in [0, L].
+    over z in [0, L], at each time of t.
 
     q1 (phase-gauge charge) integrates 2 Im(du/dt conj(u)) / c; q2 (the
     scaling-gauge charge, a purely imaginary quantity i*q2) integrates
     -2 Re(du/dt conj(u)) / c.  ``scale`` integrates 2 |du/dt conj(u)| / c
     the same way, term by term: it bounds |q1| and |q2|, and their rounding
-    error is a few ulps of it.  ValueError if ``scale`` is not finite, which
-    it is whenever a product du/dt conj(u) is not or their sum overflows.
+    error is a few ulps of it.  ValueError naming the first time whose ``scale``
+    is not finite, as when a product du/dt conj(u) is not or their sum overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        wq, (u, du_dt) = _pair_terms(field, t)
-        w_bar = du_dt * np.conj(u)
-        scale = (2.0 / c) * float(np.sum(wq * np.abs(w_bar)))
-    if not math.isfinite(scale):
+        wq, terms = _pair_terms(field, t)
+        # np.multiply, not *: numpy may reuse a large temporary operand of * as
+        # its output, and then rounds a complex product differently
+        w_bar = np.multiply(terms[:, 1], np.conj(terms[:, 0]))
+        scale = (2.0 / c) * np.sum((wq * np.abs(w_bar)).reshape(len(terms), -1), axis=-1)
+    bad = np.flatnonzero(~np.isfinite(scale))
+    if bad.size:
         raise ValueError(f"the charge scale (2/c) sum |du/dt conj(u)| over [0, L] is "
-                         f"{scale!r} at t = {float(t)!r}: the charge integrals overflow, "
-                         f"or the field is not finite")
+                         f"{float(scale[bad[0]])!r} at t = {float(np.ravel(t)[bad[0]])!r}: "
+                         f"the charge integrals overflow, or the field is not finite")
+    sums = np.sum(wq * np.stack([w_bar.imag, -w_bar.real]), axis=-1)  # [q, time, u, mode]
     # one quadrature per component, added in the order u1_0, u2_0, u1_1, u2_1, ...
-    im_sum = float(_ordered_sum(np.sum(wq * w_bar.imag, axis=-1).T.ravel()))
-    re_sum = float(_ordered_sum(np.sum(wq * w_bar.real, axis=-1).T.ravel()))
-    return NoetherCharge(q1=(2.0 / c) * im_sum, q2=-(2.0 / c) * re_sum, scale=scale)
+    q1, q2 = (2.0 / c) * _ordered_sum(sums.transpose(3, 2, 0, 1).reshape(-1, 2, len(terms)))
+    return NoetherCharge(q1=q1, q2=q2, scale=scale)
 
 
 def charge_drift(field: SpectralField, c: float, times):
     """Max relative drift of (q1, q2) over the given time samples."""
-    return relative_drift([noether_charge(field, c, t) for t in times])
+    return relative_drift(noether_charge(field, c, times))
 
 
-def relative_drift(charges) -> tuple:
-    """Max spreads of q1 and q2 over a sequence of NoetherCharge, relative to
-    the largest ``scale``, so that charges which are rounding noise (a
-    standing wave's) read as small as conserved ones."""
-    q1s = np.array([c.q1 for c in charges])
-    q2s = np.array([c.q2 for c in charges])
-
+def relative_drift(charge: NoetherCharge) -> tuple:
+    """Spreads of q1 and q2 over the times of ``charge``, relative to its largest ``scale``,
+    so that charges of rounding noise (a standing wave's) read as small as conserved ones."""
     # one common scale: a component sitting at 0 must not divide by its own noise
-    scale = max(max(c.scale for c in charges), 1e-300)
-    span1 = float(np.max(q1s) - np.min(q1s)) / scale
-    span2 = float(np.max(q2s) - np.min(q2s)) / scale
-    return span1, span2
+    scale = max(float(np.max(charge.scale)), 1e-300)
+    return float(np.ptp(charge.q1)) / scale, float(np.ptp(charge.q2)) / scale
 
 
-def spirality(field: SpectralField, c: float, t: float) -> float:
-    """Spirality: the integral over [0, L] of the spin density of the dual
-    rotation in the (u1, u2) = (E_x, H_y) functional plane of ``field``,
+def spirality(field: SpectralField, c: float, t) -> np.ndarray:
+    """Spirality at each time of t: the integral over [0, L] of the spin density
+    of the dual rotation in the (u1, u2) = (E_x, H_y) functional plane of ``field``,
 
         density(z) = (2/c) Im sum_modes [conj(du1/dt) u2 - conj(du2/dt) u1].
 
     Additive over modes and exactly invariant under a simultaneous dual
     rotation of every pair.
     """
-    wq, ((u1, u2), (du1_dt, du2_dt)) = _pair_terms(field, t)
-    pairs = np.imag(np.conj(du1_dt) * u2 - np.conj(du2_dt) * u1)
-    density = (2.0 / c) * _ordered_sum(pairs)
-    return float(np.sum(wq * density))
+    wq, terms = _pair_terms(field, t)
+    (u1, u2), (du1_dt, du2_dt) = np.moveaxis(terms, 0, 2)   # each [time, mode, node]
+    # np.multiply: see noether_charge
+    pairs = np.imag(np.multiply(np.conj(du1_dt), u2) - np.multiply(np.conj(du2_dt), u1))
+    density = (2.0 / c) * _ordered_sum(np.moveaxis(pairs, 1, 0))
+    return np.sum(wq * density, axis=-1)
 
 
 def charge_ratio_estimate(j_e: float, j_h: float) -> float:

@@ -518,7 +518,7 @@ def test_currents_computes_each_charge_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     model = CavityModel(math.pi, 3, PhysicalConstants.symmetric())
     times = np.linspace(0.0, model.period, 5)
-    assert calls == list(times)
+    assert len(calls) == 1 and np.array_equal(calls[0], times)   # one call, the whole grid
     # the drift comes from the same charges as the table, and equals a fresh computation
     state = ModeState(*([complex(*pair) for pair in SCHEMAS["currents"][key].default]
                         for key in ("c1", "c2")))
@@ -1003,12 +1003,55 @@ def test_quantize_names_a_length_whose_field_overflows(tmp_path, capsys, scheme,
     assert not (tmp_path / "summary.json").exists()
 
 
-def test_currents_names_a_charge_overflow(tmp_path, capsys):
-    # |C1|^2 ~ 1e308: the products du/dt conj(u) are finite, their sum is not
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("length, end", [(1e-300, "small"), (1e300, "large")])
+@pytest.mark.parametrize("scheme", [kind.value for kind in fq.SchemeKind])
+def test_quantize_names_a_length_at_either_end(tmp_path, capsys, scheme, length, end):
+    # in SI units, L = 1e300 makes w ~ 1e-291, so the level spacing hbar w underflows
+    # to 0: the spectrum defect read nan, with a numpy warning
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"c1": [[1e154, 0.0], [0.2, 0.0], [0.1, 0.0]]}))
-    with np.errstate(all="ignore"):
-        assert main(["currents", "--config", str(path), "--out", str(tmp_path)]) == 1
+    path.write_text(json.dumps({"length": length, "z": 0.0, "scheme": scheme, "units": "si"}))
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config key 'length' = {length!r} is too {end} for "
+                          f"n_modes = 2: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, c1, keys", [
+    ("cavity-field", [[1e308, 0.0]] + [[0.5, 0.0]] * 3, "'c1' and 'c2'"),
+    ("currents", [[1e308, 0.0], [0.2, 0.0], [0.1, -0.2]], "'c1', 'c2' and 'coupling'"),
+], ids=["cavity-field", "currents"])
+def test_amplitudes_that_overflow_name_c1_and_c2(tmp_path, capsys, command, c1, keys):
+    # the field coefficients (cavity-field) or the current's scaling amplitudes
+    # (currents) overflowed: nan residuals or a charge-scale error, with numpy warnings
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c1": c1}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: config keys {keys} give coefficients "
+                                       f"that are not finite: the mode amplitudes times their "
+                                       f"mode weights overflow\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_cavity_field_keeps_a_large_finite_amplitude(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c1": [[1e307, 0.0]] + [[0.5, 0.0]] * 3}))
+    assert main(["cavity-field", "--config", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
+def test_currents_names_a_charge_overflow(tmp_path, capsys):
+    # |C1|^2 ~ 1e308: the products du/dt conj(u) are finite, their sum is not; the
+    # small coupling keeps the current's gauge constant, coupling w^3 |C1|^2, finite
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c1": [[1e154, 0.0], [0.2, 0.0], [0.1, 0.0]], "coupling": 1e-3}))
+    assert main(["currents", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the charge scale") and "is inf at t = 0.0" in err
     assert "overflow" in err

@@ -219,9 +219,10 @@ def test_longitudinal_phase_current_vanishes_generally():
 
 def test_zero_field_zero_charge():
     field = _pair_field(np.zeros((2, 2, 2, 1)), [1.0], [1.0], 1.0)
-    charge = noether_charge(field, 1.0, 0.3)
-    assert charge.q1 == 0.0 and charge.q2 == 0.0 and charge.scale == 0.0
-    assert relative_drift([charge, charge]) == (0.0, 0.0)
+    charge = noether_charge(field, 1.0, [0.3, 1.1])
+    for values in (charge.q1, charge.q2, charge.scale):
+        assert values.tolist() == [0.0, 0.0]
+    assert relative_drift(charge) == (0.0, 0.0)
 
 
 def _lagrange_residual(field, c, z, t) -> float:
@@ -267,6 +268,40 @@ def test_non_integrable_set_rejected():
     pair[:, :, 0] = np.inf
     with pytest.raises(ValueError, match="charge scale .* is nan at t = 0.0"):
         noether_charge(_pair_field(pair, [1.0], [1.0], 1.0), 1.0, 0.0)
+
+
+def test_non_finite_scale_names_its_first_time():
+    # a standing wave u1 = 2A sin(z) cos(t): du/dt conj(u) is 0 at t = 0 and overflows
+    # wherever sin(t) cos(t) is not small
+    pair = np.zeros((2, 2, 2, 1), dtype=complex)
+    pair[0, 0, :, 0] = 1e154
+    field = _pair_field(pair, [1.0], [1.0], math.pi)
+    assert noether_charge(field, 1.0, 0.0).scale.tolist() == [0.0]
+    with pytest.raises(ValueError, match=r"charge scale .* is inf at t = 0\.5:"):
+        noether_charge(field, 1.0, [0.0, 0.5, 1.0])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), si=st.booleans(), standing=st.booleans(),
+       n_modes=st.integers(1, 6), n_t=st.integers(1, 48))
+def test_time_grid_sums_each_time_as_alone(seed, si, standing, n_modes, n_t):
+    # the charges and the spirality over a grid equal those of each time alone, bit
+    # for bit; t = 0 comes first, where a standing wave (C1 = C2) has a charge scale of 0
+    rng = np.random.default_rng(seed)
+    model = CavityModel(length=math.pi, n_modes=n_modes, constants=SI if si else CST)
+    c1 = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+    c2 = c1 if standing else rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+    field, c = charge_field(model, ModeState(c1, c2)), model.constants.c
+    t = np.concatenate([[0.0], rng.uniform(0.0, 3.0 * model.period, n_t - 1)])
+
+    def values(times):
+        charge = noether_charge(field, c, times)
+        return np.stack([charge.q1, charge.q2, charge.scale, spirality(field, c, times)])
+
+    alone = np.concatenate([values(tj) for tj in t], axis=1)
+    assert np.array_equal(values(t).view(np.int64), alone.view(np.int64))
+    if standing:
+        assert values(0.0)[2].tolist() == [0.0]
 
 
 def _plane_wave(energy, hbar, length, amplitude, wavenumber):
