@@ -486,12 +486,19 @@ def mode_hamiltonian(model: CavityModel, state: ModeState, t) -> complex:
 
 
 def dump_field_csv(field, z, t, path):
-    """Field samples as CSV: z, t, Re/Im of all six components per row."""
+    """Field samples as CSV: z, t, Re/Im of all six components per row.
+
+    Raises OverflowError, and writes nothing, if a sample is not finite.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    with np.errstate(all="ignore"):     # an overflow is raised below, with no warning
+        e, h = field.e(z, t), field.h(z, t)
+    if not (np.isfinite(e).all() and np.isfinite(h).all()):
+        raise OverflowError("a field sample is not finite: the mode sum overflows")
     names = ["z", "t"]
     columns = [np.repeat(z, t.size), np.tile(t, z.size)]
-    for label, vec in (("e", field.e(z, t)), ("h", field.h(z, t))):
+    for label, vec in (("e", e), ("h", h)):
         for comp, axis in enumerate("xyz"):
             val = np.asarray(vec[comp], dtype=complex).ravel()
             names += [f"re_{label}{axis}", f"im_{label}{axis}"]

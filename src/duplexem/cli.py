@@ -296,8 +296,15 @@ def cmd_cavity_field(args, cfg, out: Path) -> tuple:
     _finite_coefficients("'c1' and 'c2'", sol.coeffs)
     z = np.linspace(0.0, model.length, cfg["nz"])
     t = np.linspace(0.0, model.period, cfg["nt"])
-    residuals = cav.maxwell_residual(sol, z, t, model.constants)
-    cav.dump_field_csv(sol, z, t, out / "field.csv")
+    try:
+        with np.errstate(all="ignore"):   # an overflow is named below, with no warning
+            residuals = cav.maxwell_residual(sol, z, t, model.constants)
+        if not np.isfinite([*residuals, *residuals.scales]).all():
+            raise OverflowError("a residual is not finite")
+        cav.dump_field_csv(sol, z, t, out / "field.csv")   # writes no non-finite sample
+    except OverflowError as exc:
+        raise ConfigError("config keys 'c1' and 'c2' give a field that is not finite: the mode "
+                          "sum of the field or of its derivatives overflows") from exc
     # relative: each residual against the largest term its equation cancels
     passed = all(r <= args.tol * scale for r, scale in zip(residuals, residuals.scales))
     return {

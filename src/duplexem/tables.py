@@ -3,8 +3,8 @@
 Byte contract: a file holds exactly what ``csv.writer`` writes to a text
 file for the header and for rows of ``f"{x:.17g}"`` number cells: ','
 between cells, '\\r\\n' after every line, and a string cell quoted only
-when it holds ',', '"', '\\r' or '\\n'.  Text is UTF-8, and a string cell
-may not hold a NUL.
+when it holds ',', '"', '\\r' or '\\n', or is empty and alone in its line.
+Text is UTF-8, and a string cell may not hold a NUL.
 
 Numbers (bool, int and real float columns, each taken as float64) get
 their digits from one generator on whole numpy arrays.  For a finite
@@ -34,12 +34,14 @@ The digits, sign, point and exponent are laid out by the ``g`` rules
 (fixed notation for decimal exponents -4 to 16, scientific otherwise,
 trailing zeros and a bare point dropped, at least two exponent digits) in
 fixed slots of a _WIDTH-byte record, with NUL in the slots a value does
-not use.  Each block of _BLOCK_ROWS rows deduplicates its numeric cells
-(compared bit for bit, so -0.0 and 0.0 stay apart), formats each distinct
-value once, gathers the records and separators into one byte array, drops
-its NULs and writes it in one call.  That last step is ``gather_lines``,
-which also lays out the [re,im] pairs of ``fockquant.dump_operator_json``
-from records of json's own text of each distinct number.
+not use.  Each block of _BLOCK_ROWS rows sorts each numeric column's bit
+patterns (so -0.0 and 0.0, and nan payloads, stay apart) and formats, in one
+_records call, one record of a constant column, each cell of one with more
+distinct values than half its rows and each distinct value of any other.
+It gathers the records and separators into one byte array, drops its NULs
+and writes it in one call.  That last step is ``gather_lines``, which also
+lays out the [re,im] pairs of ``fockquant.dump_operator_json`` from records
+of json's own text of each distinct number.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ import numpy as np
 _BLOCK_ROWS = 1024   # rows formatted and written per block, to bound memory
 _WIDTH = 29          # record bytes: sign, "0.000", 17 digits and a point, "e+308"
 _TIE = 1e-9          # rounded-off fractions this close to 1/2 take the fallback
+_SCALES, _KNOWN = np.zeros((4, 2098)), np.zeros(2098, bool)   # _scale(e2) at e2 + 1073, if known
 
 
-def _quote(text: str) -> str:
-    if any(ch in text for ch in ',"\r\n'):
+def _quote(text: str, alone: bool) -> str:
+    if any(ch in text for ch in ',"\r\n') or (alone and not text):   # "" alone: not a blank line
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -66,7 +69,6 @@ def _split(a):
     return hi, a - hi
 
 
-@functools.cache
 def _scale(e2: int) -> list:
     """[h1, h2, lo, k] of mantissas in [0.5, 1) of binary exponent e2: h1 + h2
     is the double nearest C = 2**e2 * 10**k, split in halves, and lo the
@@ -121,12 +123,13 @@ def _decimal(x: np.ndarray) -> tuple:
     a = np.abs(x)
     fast = np.isfinite(a) & (a != 0)
     mant, e2 = np.frexp(np.where(fast, a, 1.0))
-    idx = e2.astype(np.intp) + 1074     # e2 runs from -1073 (5e-324) to 1024
-    used = np.flatnonzero(np.bincount(idx))
-    table = np.zeros((4, used[-1] + 1))
-    table[:, used] = np.array([_scale(i - 1074) for i in used.tolist()]).T
-    n, frac = _round_product(mant, *(row[idx] for row in table[:3]))
-    dec = (16 - table[3][idx]).astype(np.int16)
+    idx = e2 + 1073                     # e2 runs from -1073 (5e-324) to 1024
+    if not _KNOWN[idx].all():           # an e2 seen for the first time
+        for i in np.unique(idx[~_KNOWN[idx]]).tolist():
+            _SCALES[:, i], _KNOWN[i] = _scale(i - 1073), True
+    h1, h2, lo, k = np.take(_SCALES, idx, axis=1)
+    n, frac = _round_product(mant, h1, h2, lo)
+    dec = (16 - k).astype(np.int16)
     over = np.flatnonzero(n >= 10**17)
     tail = (n[over] % 10 + frac[over]) / 10   # n % 10 + frac is exact
     up = tail >= 0.5
@@ -195,9 +198,9 @@ def _numbers(name: str, column: np.ndarray) -> np.ndarray:
     return column.astype(float)
 
 
-def _strings(name: str, column: np.ndarray) -> np.ndarray:
+def _strings(name: str, column: np.ndarray, alone: bool) -> np.ndarray:
     """The quoted UTF-8 cells of a string column, as rows of bytes."""
-    cells = [_quote(text).encode() for text in column.tolist()]
+    cells = [_quote(text, alone).encode() for text in column.tolist()]
     if any(b"\0" in cell for cell in cells):
         raise ValueError(f"column {name!r} holds a NUL character")
     return np.array(cells, dtype=bytes).view(np.uint8).reshape(len(cells), -1)
@@ -207,10 +210,11 @@ def gather_lines(rows: int, pieces) -> np.ndarray:
     """The bytes of rows lines, each the pieces side by side, with every NUL
     byte dropped.  A piece is bytes, the same in every line, or a pair
     (records, index) of a (k, width) uint8 array of NUL-padded records and
-    the rows indices of the record that each line takes."""
+    the rows indices of the record that each line takes (None: line i takes
+    record i)."""
     widths = [len(piece) if isinstance(piece, bytes) else piece[0].shape[1]
               for piece in pieces]
-    line = np.zeros((rows, sum(widths)), np.uint8)
+    line = np.empty((rows, sum(widths)), np.uint8)
     end = 0
     for piece, width in zip(pieces, widths):
         end += width
@@ -218,29 +222,40 @@ def gather_lines(rows: int, pieces) -> np.ndarray:
         if isinstance(piece, bytes):
             slot[:] = np.frombuffer(piece, np.uint8)
         else:
-            slot[:] = np.take(piece[0], piece[1], axis=0)
+            slot[:] = piece[0] if piece[1] is None else np.take(*piece, axis=0)
     return line[line != 0]
 
 
 def _block(header, columns) -> np.ndarray:
     """The bytes of the CSV lines of equal-length column slices."""
     rows = len(columns[0])
-    fields = [_strings(name, col) if col.dtype.kind == "U" else None
-              for name, col in zip(header, columns)]
-    numeric = [i for i, field in enumerate(fields) if field is None]
+    cells = [(_strings(name, col, len(columns) == 1), None) if col.dtype.kind == "U" else None
+             for name, col in zip(header, columns)]
+    numeric = [i for i, cell in enumerate(cells) if cell is None]
     if numeric:
-        cells = np.stack([_numbers(header[i], columns[i]) for i in numeric], axis=1)
-        bits, index = np.unique(cells.view(np.int64), return_inverse=True)
-        del cells
-        rec = _records(bits.view(float))
-        del bits
-        index = index.reshape(rows, -1)
-    pieces = []
-    for i, field in enumerate(fields):
-        cell = (rec, index[:, numeric.index(i)]) if field is None else (field, np.arange(rows))
-        pieces += [cell, b","]
-    pieces[-1] = b"\r\n"
-    return gather_lines(rows, pieces)
+        bits = np.stack([_numbers(header[i], columns[i]) for i in numeric]).view(np.int64)
+        ordered = np.sort(bits, axis=1)             # each column's bit patterns in order
+        first = np.ones_like(ordered, bool)
+        first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        count = first.sum(axis=1)
+        dense = 2 * count > rows
+        # every cell of a dense column, the distinct values of any other
+        values = np.where(dense[:, None], bits, ordered)[dense[:, None] | first]
+        rec = _records(values.view(float))
+        ends = np.cumsum(np.where(dense, rows, count)).tolist()
+        for i, start, end, col, whole in zip(numeric, [0] + ends, ends, bits, dense):
+            own = rec[start:end]
+            if end - start == 1:                    # constant: one record for every line
+                cells[i] = bytes(own[0][own[0] != 0])
+            else:
+                cells[i] = own, None if whole else np.searchsorted(values[start:end], col)
+    pieces, text = [], b""                          # bytes side by side make one piece
+    for cell in cells:
+        if isinstance(cell, bytes):
+            text += cell + b","
+        else:
+            pieces, text = pieces + [text, cell], b","
+    return gather_lines(rows, pieces + [text[:-1] + b"\r\n"])
 
 
 def write_csv(path, header, columns) -> None:
@@ -256,6 +271,6 @@ def write_csv(path, header, columns) -> None:
     if any(col.shape != (n_rows,) for col in columns):
         raise ValueError("columns must be one-dimensional and of equal length")
     with open(path, "wb") as fh:
-        fh.write((",".join(map(_quote, header)) + "\r\n").encode())
+        fh.write((",".join(_quote(name, len(header) == 1) for name in header) + "\r\n").encode())
         for start in range(0, n_rows, _BLOCK_ROWS):
             fh.write(_block(header, [col[start:start + _BLOCK_ROWS] for col in columns]))

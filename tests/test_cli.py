@@ -319,12 +319,14 @@ def test_a_run_removes_every_output_of_an_earlier_one(tmp_path, capsys, monkeypa
     ("cavity-field", {"c1": [[0.5, 0.0]]}),
     ("currents", {"c2": [[0.5, 0.0]]}),
     ("cavity-field", {"nz": 2}),
+    ("cavity-field", {"c1": [[1e307, 0.0]] * 4}),
     ("currents", {"nz": 11}),
     ("resonance-fit", {"n": [1, 2], "nu": [1.0]}),
     ("resonance-fit", {"input": "no_such.csv"}),
     ("ssh-solve", {"u_scan": [0, 1, 11]}),
     ("ssh-sweep", {}),
-], ids=["z", "t-phase", "t-spacetime", "dim", "length", "c1-count", "c2-count", "nz", "nz-currents",
+], ids=["z", "t-phase", "t-spacetime", "dim", "length", "c1-count", "c2-count", "nz",
+         "mode-sum", "nz-currents",
         "fit-lists", "fit-input", "u_scan-asymmetric", "u_scan-missing"])
 def test_a_config_error_found_by_a_handler_leaves_the_directory_as_it_was(tmp_path, capsys,
                                                                           command, cfg):
@@ -1034,6 +1036,24 @@ def test_amplitudes_that_overflow_name_c1_and_c2(tmp_path, capsys, command, c1, 
     assert capsys.readouterr().err == (f"config error: config keys {keys} give coefficients "
                                        f"that are not finite: the mode amplitudes times their "
                                        f"mode weights overflow\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg", [
+    # finite coefficients whose mode sums overflow: the residuals read nan
+    {"c1": [[1e307, 0.0]] * 4},
+    # in a longer cavity k, w < 1: the derivatives stay finite, the field does not
+    {"length": 12.0, "c1": [[1.7e308, 0.0]] * 4},
+], ids=["residuals", "field"])
+def test_cavity_field_names_a_mode_sum_overflow(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["cavity-field", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: config keys 'c1' and 'c2' give a field "
+                                       "that is not finite: the mode sum of the field or of "
+                                       "its derivatives overflows\n")
     assert list(out.iterdir()) == []
 
 

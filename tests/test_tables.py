@@ -1,6 +1,8 @@
 import csv
 import math
+import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,6 +63,63 @@ def test_write_csv_matches_csv_writer(tmp_path, monkeypatch, block_rows):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -1.7976931348623157e308, 0.1]),
+    st.tuples(st.integers(0, 1), st.integers(1, 2**52 - 1)).map(   # nans, payload and sign kept
+        lambda sign_payload: double(sign_payload[0] << 63 | 0x7FF << 52 | sign_payload[1])),
+    st.integers(0, 2**64 - 1).map(double),                          # any bit pattern
+)
+TEXT = st.text(st.sampled_from(list(',"\r\n aé€')), max_size=3)
+
+
+@st.composite
+def mixed_tables(draw):
+    """(header, columns) of 1 to 30 rows: constant, few-distinct, all-distinct,
+    integer, bool and string columns, and columns constant over their first
+    three rows only, so constant in one 3-row block and not in the next."""
+    rows = draw(st.integers(1, 30))
+    cells = {
+        "constant": NUMBERS.map(lambda x: [x] * rows),
+        "few": st.lists(NUMBERS, min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)),
+        "distinct": st.lists(NUMBERS, min_size=rows, max_size=rows,
+                             unique_by=lambda x: struct.pack("<d", x)),
+        "first-block": st.tuples(NUMBERS, st.lists(NUMBERS, min_size=rows, max_size=rows)).map(
+            lambda head_rest: ([head_rest[0]] * 3 + head_rest[1])[:rows]),
+        "int": st.lists(st.integers(-2**63, 2**63 - 1), min_size=rows, max_size=rows),
+        "bool": st.lists(st.booleans(), min_size=rows, max_size=rows),
+        "text": st.lists(TEXT, min_size=rows, max_size=rows),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=6))
+    return draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds))), \
+        [draw(cells[kind]) for kind in kinds]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mixed_tables())
+def test_write_csv_matches_csv_writer_on_mixed_tables(tmp_path_factory, table):
+    header, columns = table
+    folder = tmp_path_factory.mktemp("mixed")
+    reference_csv(folder / "ref.csv", header, zip(*columns))
+    expected = (folder / "ref.csv").read_bytes()
+    for block_rows in (1, 3, tables._BLOCK_ROWS):
+        with mock.patch.object(tables, "_BLOCK_ROWS", block_rows):
+            write_csv(folder / "new.csv", header, columns)
+        assert (folder / "new.csv").read_bytes() == expected, block_rows
+
+
+def test_write_csv_quotes_an_empty_cell_alone_in_its_line(tmp_path):
+    # csv.writer writes "" for a lone empty field, which would otherwise read as a blank line
+    write_csv(tmp_path / "new.csv", [""], [["", "a", ""]])
+    reference_csv(tmp_path / "ref.csv", [""], [[""], ["a"], [""]])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes() \
+        == b'""\r\n""\r\na\r\n""\r\n'
+
+
 def test_write_csv_header_only(tmp_path):
     write_csv(tmp_path / "new.csv", ["a", "b"], [[], []])
     reference_csv(tmp_path / "ref.csv", ["a", "b"], [])
@@ -85,8 +144,12 @@ def test_write_csv_rejects_nul_in_strings(tmp_path):
         write_csv(tmp_path / "bad.csv", ["x", "label"], [[0.0], ["a\0b"]])
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.7])
-def test_field_csv_matches_cell_by_cell_dump(tmp_path, theta):
+@pytest.mark.parametrize("theta, block_rows", [
+    (0.0, tables._BLOCK_ROWS), (0.7, tables._BLOCK_ROWS), (0.0, 4), (0.7, 4),
+], ids=["0.0", "0.7", "0.0-block4", "0.7-block4"])
+def test_field_csv_matches_cell_by_cell_dump(tmp_path, monkeypatch, theta, block_rows):
+    # 5 times per z: 4-row blocks end inside a z run, so z is constant in some blocks
+    monkeypatch.setattr(tables, "_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(5)
     model = CavityModel(1.0, 3, PhysicalConstants.symmetric())
     state = ModeState(rng.normal(size=3) + 1j * rng.normal(size=3),
