@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fnmatch
 import functools
 import importlib
 import json
@@ -177,11 +178,13 @@ def _load_config(path, schema: dict) -> dict:
 
 
 def _make_outdir(out: Path):
+    """Create out, or a ConfigError; whether this process may create files in
+    it is read from its permissions, so no probe file is written and removed."""
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
+        if not os.access(out, os.W_OK | os.X_OK,
+                         effective_ids=os.access in os.supports_effective_ids):
+            raise PermissionError(f"no permission to create files in {out}")
     except OSError as exc:
         raise ConfigError(f"output directory not writable: {exc}") from exc
 
@@ -244,13 +247,12 @@ def _model_from_cfg(cfg) -> tuple:
 def _rotation_drift(rng, count: int) -> tuple:
     """(theta, K before, K after, relative drift of K) for count random real
     field pairs, each dual-rotated by its own angle; drawn sample by sample:
-    normal(3), normal(3), uniform(0, 2 pi)."""
-    e, h, theta = np.empty((count, 3)), np.empty((count, 3)), np.empty(count)
+    normal(6) for E then H, uniform(0, 2 pi)."""
+    eh, theta = np.empty((count, 6)), np.empty(count)
     for i in range(count):
-        e[i] = rng.normal(size=3)
-        h[i] = rng.normal(size=3)
+        eh[i] = rng.normal(size=6)
         theta[i] = rng.uniform(0.0, 2 * math.pi)
-    pairs = ds.FieldPair(e, h)
+    pairs = ds.FieldPair(eh[:, :3], eh[:, 3:])
     k_ref = ds.invariants(pairs).k_inv
     k_rot = ds.invariants(ds.dual_rotate(pairs, theta)).k_inv
     return theta, k_ref, k_rot, np.abs(k_rot - k_ref) / np.maximum(np.abs(k_ref), 1e-300)
@@ -653,9 +655,10 @@ class Command(NamedTuple):
     handler, called with (args, config, output directory), writes its tables
     and returns (summary, passed): the summary.json record, and whether its
     checks passed (None: it has no verdict).  outputs holds the glob
-    patterns of every file but summary.json that a run may write (the gap
+    patterns of the files besides summary.json that a run may write (the gap
     solvers' residual_curve.csv, when a scan finds no root); a run removes
-    those files of an earlier run, unless its handler finds a config error."""
+    those files and summary.json of an earlier run, unless its handler finds
+    a config error, and so writes each of its files anew."""
 
     handler: str
     help: str
@@ -765,9 +768,10 @@ def _run(args) -> int:
     MemoryError (the summary is {"error": reason}, next to residual_curve.csv
     when the error carries a gap scan's curve; a summary value that is not
     finite is such an error).  2: a config error, and nothing is written or
-    removed.  A run that gets past its config sets aside the outputs of an
-    earlier run of the command in its directory before its handler starts,
-    and removes them unless the handler finds a config error.
+    removed.  A run that gets past its config sets aside summary.json and
+    the outputs of an earlier run of the command in its directory before its
+    handler starts, and removes them unless the handler finds a config error:
+    no file is rewritten in place.
     """
     command, out = COMMANDS[args.command], Path(args.out)
     try:
@@ -775,10 +779,13 @@ def _run(args) -> int:
         schema = SCHEMAS.get(args.command)
         cfg = None if schema is None else _load_config(args.config, schema)
         log.debug("%s: arguments %s, config %s", args.command, vars(args), cfg)
-        # an earlier run's outputs, set aside under hidden names: put back if the
-        # handler finds a config error, removed once it gets past its checks
-        stale = {path: path.with_name(f".{path.name}.stale")
-                 for pattern in command.outputs for path in out.glob(pattern)}
+        # an earlier run's summary.json and outputs, set aside under hidden names:
+        # put back if the handler finds a config error, else removed.  No file is
+        # rewritten in place, which on ext4 forces its writeback when it closes
+        names = os.listdir(out)
+        stale = {out / name: out / f".{name}.stale"
+                 for pattern in ("summary.json", *command.outputs)
+                 for name in fnmatch.filter(names, pattern)}
         for path, hidden in stale.items():
             path.rename(hidden)
         restore = False

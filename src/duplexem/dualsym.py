@@ -59,12 +59,11 @@ def bilinear_dot(a, b):
     return np.sum(np.asarray(a) * np.asarray(b), axis=-1)
 
 
-def _snap(x: float) -> float:
+def _snap(x: np.ndarray) -> np.ndarray:
     # quarter-turn angles land within one trig ulp of {0, +-1}; snapping
     # there makes the field exchange at theta = pi/2 exact
     for target in (0.0, 1.0, -1.0):
-        if abs(x - target) <= 4e-16:
-            return target
+        x = np.where(np.abs(x - target) <= 4e-16, target, x)
     return x
 
 
@@ -78,8 +77,8 @@ def dual_rotate(f: FieldPair, theta) -> FieldPair:
     if theta.ndim and theta.shape != f.e.shape[:-1]:
         raise ValueError("dual_rotate takes one angle or one per row of the batch")
     angles = theta.ravel().tolist()
-    c = np.array([_snap(math.cos(x)) for x in angles]).reshape(theta.shape + (1,))
-    s = np.array([_snap(math.sin(x)) for x in angles]).reshape(theta.shape + (1,))
+    c = _snap(np.array([math.cos(x) for x in angles])).reshape(theta.shape + (1,))
+    s = _snap(np.array([math.sin(x) for x in angles])).reshape(theta.shape + (1,))
     return FieldPair(c * f.e + s * f.h, c * f.h - s * f.e)
 
 

@@ -180,12 +180,15 @@ def _records(x: np.ndarray) -> np.ndarray:
     body[q[at] + 1, at] = (sig[at] > q[at] + 1) * np.uint8(46)
     rec = np.zeros((x.size, _WIDTH), np.uint8)
     out = rec.T
-    out[0] = (x < 0) * np.uint8(45)
+    out[0] = np.signbit(x) * np.uint8(45)
     out[1:6] = affix[:5]
     out[6:24] = body
     out[24:29] = affix[5:10]
+    zero = np.flatnonzero(x == 0)                    # "0" and "-0": no digits to round
+    rec[zero, 1:] = 0
+    rec[zero, 1] = 48
 
-    slow = np.flatnonzero(~fast)
+    slow = np.flatnonzero(~fast & (x != 0))
     text = np.array([f"{v:.17g}" for v in x[slow].tolist()], dtype=f"S{_WIDTH}")
     rec[slow] = text.view(np.uint8).reshape(-1, _WIDTH)   # NUL-padded, as the rows
     return rec

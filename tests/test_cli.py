@@ -341,6 +341,84 @@ def test_a_config_error_found_by_a_handler_leaves_the_directory_as_it_was(tmp_pa
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+# the configs of a second run whose tables differ from those of SMALL_CONFIGS;
+# its summary.json differs also by its --seed and --tol, where the command has them
+OTHER_CONFIGS = {
+    "cavity-field": {"nz": 17, "nt": 16},
+    "quantize": {"scheme": "spacetime_local", "dim": 5, "n_modes": 2},
+    "currents": {"nz": 17, "nt": 4},
+    "resonance-fit": {"n": [0, 1, 2, 3], "nu": [5.0, 4.98, 4.96, 4.91]},
+    "ssh-solve": {"u_scan": [-0.2, 0.2, 9], "N": 50},
+    "ssh-sweep": {"u_scan": [-0.2, 0.2, 11]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_rerun_writes_every_file_anew(tmp_path, capsys, command):
+    # hard links keep the first run's bytes: the rerun removes summary.json and
+    # the tables of the first and writes new files, rewriting none in place
+    out, links = tmp_path / "out", tmp_path / "links"
+    assert main(_small_argv(tmp_path, command) + ["--out", str(out)]) == 0
+    table = min(p.name for p in out.iterdir() if p.name != "summary.json")
+    first = {name: (out / name).read_bytes() for name in ("summary.json", table)}
+    links.mkdir()
+    for name in first:
+        os.link(out / name, links / name)
+    argv = [command, "--out", str(out)]
+    if command in OTHER_CONFIGS:
+        (tmp_path / "other.json").write_text(json.dumps(OTHER_CONFIGS[command]))
+        argv += ["--config", str(tmp_path / "other.json")]
+    argv += ["--seed", "1"] if COMMANDS[command].seeded else []
+    argv += ["--tol", "0.001"] if COMMANDS[command].tol is not None else []
+    assert main(argv) == 0
+    capsys.readouterr()
+    for name, data in first.items():
+        assert (links / name).read_bytes() == data
+        assert (out / name).read_bytes() != data
+        assert (out / name).stat().st_nlink == 1
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_run_leaves_a_hidden_file(tmp_path, capsys, monkeypatch, command):
+    # neither a probe of the directory nor a file set aside outlives a run
+    # that exits 0, 1 (a run that raised) or 2 (a config error in the handler)
+    name = COMMANDS[command].handler
+    real = getattr(cli, name)
+
+    def raising(*args):
+        real(*args)
+        raise ValueError("planted after the tables")
+
+    def config_error(*args):
+        raise cli.ConfigError("planted in the handler")
+
+    out = tmp_path / "out"
+    argv = _small_argv(tmp_path, command) + ["--out", str(out)]
+    for handler, code in ((real, 0), (raising, 1), (real, 0), (config_error, 2)):
+        monkeypatch.setattr(cli, name, handler)
+        assert main(argv) == code
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+    capsys.readouterr()
+
+
+RUN_AS_ROOT = hasattr(os, "geteuid") and os.geteuid() == 0
+
+
+@pytest.mark.parametrize("where", ["file", "below_a_file", pytest.param(
+    "read_only", marks=pytest.mark.skipif(RUN_AS_ROOT, reason="root writes into any directory"))])
+def test_an_unusable_out_exits_2_and_creates_nothing(tmp_path, capsys, where):
+    (tmp_path / "file").write_text("kept")
+    out = {"file": tmp_path / "file", "below_a_file": tmp_path / "file" / "out",
+           "read_only": tmp_path / "read_only"}[where]
+    if where == "read_only":
+        out.mkdir(mode=0o555)
+    assert main(["cavity-field", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: output directory not writable")
+    left = ["file", "read_only"] if where == "read_only" else ["file"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == left
+    assert (tmp_path / "file").read_text() == "kept"
+
+
 @pytest.mark.parametrize("t0", [1e-30, 1e-300])
 def test_unconverged_gap_root_exits_1_naming_the_bracket(tmp_path, capsys, t0):
     # brentq stops at its iteration cap on the bracket around Q = 0
