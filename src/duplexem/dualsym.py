@@ -67,24 +67,34 @@ def _snap(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _per_row(f: FieldPair, param, what: str, *fns) -> list:
+    """Each fn, through math, of one parameter or of one per row of the batch
+    f, as arrays that broadcast against f.e and f.h."""
+    param = np.asarray(param, dtype=float)
+    if param.ndim and param.shape != f.e.shape[:-1]:
+        raise ValueError(f"{what} or one per row of the batch")
+    values = param.ravel().tolist()
+    return [np.array([fn(x) for x in values]).reshape(param.shape + (1,)) for fn in fns]
+
+
 def dual_rotate(f: FieldPair, theta) -> FieldPair:
     """Circular mix: (E cos + H sin, H cos - E sin).
 
     theta is one angle, or for a batch an (n,) array of one angle per row;
     cos and sin of each angle go through math and _snap.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim and theta.shape != f.e.shape[:-1]:
-        raise ValueError("dual_rotate takes one angle or one per row of the batch")
-    angles = theta.ravel().tolist()
-    c = _snap(np.array([math.cos(x) for x in angles])).reshape(theta.shape + (1,))
-    s = _snap(np.array([math.sin(x) for x in angles])).reshape(theta.shape + (1,))
+    c, s = map(_snap, _per_row(f, theta, "dual_rotate takes one angle", math.cos, math.sin))
     return FieldPair(c * f.e + s * f.h, c * f.h - s * f.e)
 
 
-def hyperbolic_dual(f: FieldPair, vartheta: float) -> FieldPair:
-    """Hyperbolic mix: (E cosh + iH sinh, -iE sinh + H cosh)."""
-    ch, sh = math.cosh(vartheta), math.sinh(vartheta)
+def hyperbolic_dual(f: FieldPair, vartheta) -> FieldPair:
+    """Hyperbolic mix: (E cosh + iH sinh, -iE sinh + H cosh).
+
+    vartheta is one rapidity, or for a batch an (n,) array of one rapidity
+    per row; cosh and sinh of each go through math, so each row comes out
+    as the one pair mixed alone.
+    """
+    ch, sh = _per_row(f, vartheta, "hyperbolic_dual takes one rapidity", math.cosh, math.sinh)
     e = ch * np.asarray(f.e, dtype=complex) + 1j * sh * np.asarray(f.h, dtype=complex)
     h = -1j * sh * np.asarray(f.e, dtype=complex) + ch * np.asarray(f.h, dtype=complex)
     return FieldPair(e, h)

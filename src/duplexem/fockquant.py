@@ -104,16 +104,10 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(prod.shape[:-4] + (size, size))
 
 
-def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
-    """Every mode's space-time ladder pair on the (z-factor) x (t-factor) space.
-
-    Returns ``(a, adag, g_deviation)``: the ladders as two (modes, dim^2,
-    dim^2) stacks and, per mode, the largest deviation on the safe block of
-    the average of the ordered canonical products g1, g2 (the index-swapped
-    pair g3, g4 coincides with them) from the scalar -hbar*lambda0, relative
-    to hbar*lambda0 so that it reads the same in any unit system.  The literal
-    tensor-product commutator of a and adag stays operator-valued.
-    """
+def _spacetime_factors(model: CavityModel, dim: int, z: float, t: float):
+    """The factor quadratures (qz, pz, qt, pt) of every mode at (z, t), each a
+    (modes, dim, dim) stack, and the g deviation of spacetime_g_deviation;
+    the g products are freed on return, before any ladder stack is built."""
     if dim < 3:
         raise ValueError("dim < 3 leaves no informative safe block")
     _inside(z, model.length)
@@ -128,7 +122,28 @@ def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
     g2 = 1j * (hbar * _kron(qz @ pz, eye) + lambda0 * _kron(eye, qt @ pt))
     dev = 0.25 * (g1 + g2 + g1 + g2) + hbar * lambda0 * np.eye(dim * dim)
     g_deviation = np.max(np.abs(tensor_safe_block(dev, dim)), axis=(1, 2)) / (hbar * lambda0)
-    del g1, g2, dev   # freed before the ladder stacks are built
+    return (qz, pz, qt, pt), g_deviation
+
+
+def spacetime_g_deviation(model: CavityModel, dim: int, z: float, t: float) -> np.ndarray:
+    """Per mode, the largest deviation on the safe block of the average of the
+    ordered canonical products g1, g2 (the index-swapped pair g3, g4 coincides
+    with them) from the scalar -hbar*lambda0, relative to hbar*lambda0 so that
+    it reads the same in any unit system.  Builds no ladder stack."""
+    return _spacetime_factors(model, dim, z, t)[1]
+
+
+def spacetime_local_operators(model: CavityModel, dim: int, z: float, t: float):
+    """Every mode's space-time ladder pair on the (z-factor) x (t-factor) space.
+
+    Returns ``(a, adag, g_deviation)``: the ladders as two (modes, dim^2,
+    dim^2) stacks and the spacetime_g_deviation array, from one build of the
+    factor quadratures.  The literal tensor-product commutator of a and adag
+    stays operator-valued.
+    """
+    (qz, pz, qt, pt), g_deviation = _spacetime_factors(model, dim, z, t)
+    hbar, lambda0 = model.constants.hbar, model.constants.lambda0
+    w = model.omegas[:, None, None]
     qzt, pzt = w * _kron(qz, qt), 1j * _kron(pz, pt)
     norm = np.sqrt(2.0 * hbar * lambda0 * w)
     return (qzt + pzt) / norm, (qzt - pzt) / norm, g_deviation
@@ -201,10 +216,15 @@ def dump_operator_json(matrix: np.ndarray, scheme: SchemeKind, mode: int, fh):
     stay apart) is rendered once, by one ``json.dumps`` of them all, so
     NaN, Infinity and every repr keep json's exact text; the pairs are then
     gathered from those records _JSON_PAIRS at a time, so no Python float
-    or string per entry is built."""
-    values = np.ascontiguousarray(matrix, dtype=complex).view(float)
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    texts = json.dumps(bits.view(float).tolist(), separators=(",", ":"))[1:-1].split(",")
+    or string per entry is built.  +0.0, bit pattern 0 and most of a sparse
+    operator, has the fixed record 0; only the other patterns are sorted."""
+    bits = np.ascontiguousarray(matrix, dtype=complex).view(float).view(np.int64).ravel()
+    nonzero = np.flatnonzero(bits)
+    distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
+    index = np.zeros(bits.size, dtype=np.intp)
+    index[nonzero] = inverse + 1
+    numbers = [0.0] + distinct.view(float).tolist()
+    texts = json.dumps(numbers, separators=(",", ":"))[1:-1].split(",")
     records = np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)  # NUL-padded
     pairs = index.reshape(-1, 2)
     fh.write(f'{{"dim":{int(matrix.shape[0])},"entries":[')

@@ -16,6 +16,7 @@ import pytest
 
 from duplexem import cli
 from duplexem import currents as cur
+from duplexem import dualsym as ds
 from duplexem import fockquant as fq
 from duplexem import sshliquid as ssh
 from duplexem.cavity import CavityModel, FirstSolution, ModeState, maxwell_residual
@@ -50,6 +51,38 @@ def test_dual_invariants_outputs(tmp_path, capsys):
     assert summary["passed"]
     body = (out / "dual_invariants.csv").read_text().splitlines()
     assert len(body) == 51
+
+
+def _rotation_drift_by_calls(rng, count):
+    """The reference of cli._rotation_drift: one normal(size=6) and one
+    uniform(0, 2 pi) call per sample."""
+    eh, theta = np.empty((count, 6)), np.empty(count)
+    for i in range(count):
+        eh[i] = rng.normal(size=6)
+        theta[i] = rng.uniform(0.0, 2 * math.pi)
+    pairs = ds.FieldPair(eh[:, :3], eh[:, 3:])
+    k_ref = ds.invariants(pairs).k_inv
+    k_rot = ds.invariants(ds.dual_rotate(pairs, theta)).k_inv
+    return theta, k_ref, k_rot, np.abs(k_rot - k_ref) / np.maximum(np.abs(k_ref), 1e-300)
+
+
+@pytest.mark.parametrize("count", [1, 2, 300, 10_000])
+@pytest.mark.parametrize("seed", [0, 5, 42, 7919])
+def test_rotation_drift_draws_the_doubles_of_normal_and_uniform(seed, count):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, expected = cli._rotation_drift(rng, count), _rotation_drift_by_calls(ref_rng, count)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_dual_invariants_first_rows_do_not_depend_on_the_count(tmp_path, capsys):
+    heads = []
+    for count in ("3", "10000"):
+        assert main(["dual-invariants", "--random", count, "--seed", "7",
+                     "--out", str(tmp_path / count)]) == 0
+        heads.append((tmp_path / count / "dual_invariants.csv").read_bytes().split(b"\n")[:4])
+    capsys.readouterr()
+    assert heads[0] == heads[1]
 
 
 def test_ssh_solve_happy_path(tmp_path, capsys):
@@ -724,6 +757,18 @@ def test_quantize_builds_spacetime_operators_once(tmp_path, capsys, monkeypatch)
     *_, g_deviation = build(CavityModel(1.0, 2, cst), 6, 0.3, 0.2)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["checks"]["g_symmetrized_deviation"] == np.max(g_deviation)
+
+
+def test_verify_all_builds_no_spacetime_ladders(tmp_path, capsys, monkeypatch):
+    calls = {"spacetime_local_operators": [], "spacetime_g_deviation": []}
+    for name, log in calls.items():
+        def counted(*args, _build=getattr(fq, name), _log=log, **kwargs):
+            _log.append(args[1:4])
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(fq, name, counted)
+    assert main(["verify-all", "--seed", "42", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == {"spacetime_local_operators": [], "spacetime_g_deviation": [(8, 0.3, 0.2)]}
 
 
 @pytest.mark.parametrize("planted", ["off_diagonal", "no_zero_point"])

@@ -268,6 +268,26 @@ def test_batch_rotation_matches_single_pairs_bit_for_bit():
                           dual_rotate(pairs, np.full(len(theta), 0.7)).e)
 
 
+def test_batch_hyperbolic_mix_matches_single_pairs_bit_for_bit():
+    rng = np.random.default_rng(12)
+    e, h = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
+    vartheta = np.concatenate([[0.0, 2.0, -2.0], rng.uniform(-2.0, 2.0, 37)])
+    for pairs in (FieldPair(e, h), FieldPair(e + 1j * rng.normal(size=(40, 3)),
+                                             h - 1j * rng.normal(size=(40, 3)))):
+        mixed = hyperbolic_dual(pairs, vartheta)
+        for i, vt in enumerate(vartheta.tolist()):
+            one = hyperbolic_dual(FieldPair(pairs.e[i], pairs.h[i]), vt)
+            # the mix with Python-float cosh and sinh, as one pair alone
+            ch, sh = math.cosh(vt), math.sinh(vt)
+            ei, hi = pairs.e[i].astype(complex), pairs.h[i].astype(complex)
+            for got in (mixed.e[i], one.e, ch * ei + 1j * sh * hi), \
+                    (mixed.h[i], one.h, -1j * sh * ei + ch * hi):
+                assert len({x.tobytes() for x in got}) == 1
+    # one rapidity for the whole batch
+    assert np.array_equal(hyperbolic_dual(pairs, 0.7).e,
+                          hyperbolic_dual(pairs, np.full(40, 0.7)).e)
+
+
 def test_batch_field_pair_validation():
     for e, h in ((np.ones((2, 2)), np.ones((2, 2))), (np.ones((2, 3)), np.ones((3, 3))),
                  (np.ones((2, 3)), np.ones(3)), (np.ones((1, 2, 3)), np.ones((1, 2, 3)))):
@@ -283,6 +303,10 @@ def test_batch_field_pair_validation():
         dual_rotate(pairs, np.zeros(3))
     with pytest.raises(ValueError, match="angle"):
         dual_rotate(FieldPair(np.ones(3), np.ones(3)), np.zeros(1))
+    with pytest.raises(ValueError, match="rapidity"):
+        hyperbolic_dual(pairs, np.zeros(3))
+    with pytest.raises(ValueError, match="rapidity"):
+        hyperbolic_dual(FieldPair(np.ones(3), np.ones(3)), np.zeros(1))
     # three rows would broadcast against the boost axis without an error
     with pytest.raises(ValueError, match="one pair"):
         lorentz_boost_fields(FieldPair(np.ones((3, 3)), np.ones((3, 3))), 0.5)

@@ -10,8 +10,8 @@ from duplexem.cavity import CavityModel
 from duplexem.constants import PhysicalConstants
 from duplexem.fockquant import (OperatorField, SchemeKind, commutator, dump_operator_json,
                                 make_ladder, mode_hamiltonian_matrix, phased_ladders,
-                                safe_block, spacetime_local_operators, tensor_safe_block,
-                                trig_ansatz_consistency)
+                                safe_block, spacetime_g_deviation, spacetime_local_operators,
+                                tensor_safe_block, trig_ansatz_consistency)
 
 CST = PhysicalConstants.symmetric()
 
@@ -135,18 +135,28 @@ def test_spacetime_formal_commutator():
     assert np.min(np.max(np.abs(literal), axis=(1, 2))) > 0.1
 
 
+def test_g_deviation_alone_equals_the_ladder_build():
+    for model, dim, z, t in ((make_model(), 8, 0.3, 0.2), (make_model(3), 14, 0.0, 0.0),
+                             (CavityModel(2.0, 4, PhysicalConstants.si()), 5, 1.3, 1e-9)):
+        assert t <= model.period
+        expected = spacetime_local_operators(model, dim, z, t)[2]
+        assert spacetime_g_deviation(model, dim, z, t).tobytes() == expected.tobytes()
+
+
 def test_spacetime_requires_dim3():
     model = make_model()
-    with pytest.raises(ValueError):
-        spacetime_local_operators(model, 2, 0.1, 0.1)
+    for build in (spacetime_local_operators, spacetime_g_deviation):
+        with pytest.raises(ValueError):
+            build(model, 2, 0.1, 0.1)
 
 
 def test_spacetime_domain_checks():
     model = make_model()
-    with pytest.raises(ValueError):
-        spacetime_local_operators(model, 4, 2.0, 0.1)
-    with pytest.raises(ValueError):
-        spacetime_local_operators(model, 4, 0.1, 5.0)
+    for build in (spacetime_local_operators, spacetime_g_deviation):
+        with pytest.raises(ValueError):
+            build(model, 4, 2.0, 0.1)
+        with pytest.raises(ValueError):
+            build(model, 4, 0.1, 5.0)
 
 
 @pytest.mark.parametrize("kind", list(SchemeKind))
@@ -270,6 +280,18 @@ def test_operator_json_keeps_the_text_of_every_special_number(tmp_path):
     assert path.read_text() == expected
     for text in ("NaN", "-Infinity", "[Infinity,", "-0.0", "5e-324", "1e+16", "1e-05", "0.1"):
         assert text in expected
+
+
+@pytest.mark.parametrize("mat", [
+    pytest.param(np.zeros((4, 4), complex), id="all-plus-zero"),
+    pytest.param(np.arange(1, 17).reshape(4, 4) * (0.3 - 1.7j), id="no-plus-zero"),
+    pytest.param(np.array([[complex(-0.0, 1.5), complex(2.0, -0.0)],
+                           [complex(-0.0, -0.0), 3 + 4j]]), id="minus-zero-only")])
+def test_operator_json_keeps_plus_zero_apart(tmp_path, mat):
+    path = tmp_path / "op.json"
+    with open(path, "w") as fh:
+        dump_operator_json(mat, SchemeKind.TIME_LOCAL, 3, fh)
+    assert path.read_text() == _one_dumps_call(mat, SchemeKind.TIME_LOCAL, 3)
 
 
 def test_operator_json_shares_distinct_numbers_across_chunks(tmp_path):
