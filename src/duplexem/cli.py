@@ -452,17 +452,21 @@ def cmd_ssh_solve(args, cfg, out: Path) -> tuple:
         u_grid = np.linspace(-span, span, 41)
     params, occ, sol = _solve_ssh(cfg)
     # the quasiparticle table at the primary root, on 201 points of [0, pi / 2a]
-    k = np.linspace(0.0, 0.5 * math.pi / params.a_lattice, 201)
-    alpha, beta, _ = ssh.bogoliubov_coeffs(params, sol.q, k)
     branches = (ssh.BRANCH_NEAR_EQ, ssh.BRANCH_SSH)
+    names = ["k", "alpha_k", "beta_k", "E_c_near_equilibrium", "E_c_ssh_like"]
+    with np.errstate(over="ignore", invalid="ignore"):   # a column that overflows fails below
+        k = np.linspace(0.0, 0.5 * math.pi / params.a_lattice, 201)
+        columns = [k, *ssh.bogoliubov_coeffs(params, sol.q, k)[:2],
+                   *(ssh.band_energies(params, sol.q, k, branch)[0] for branch in branches)]
+    for name, column in zip(names, columns):   # before the stability codes, built on them
+        bad = ~np.isfinite(column)
+        if bad.any():
+            raise ValueError(f"{name} is not finite at k = {float(k[bad][0])!r} "
+                             f"({name} = {float(column[bad][0])!r})")
     codes = [100 * c1 + 10 * c2 + c3 for c1, c2, c3 in
              (ssh.stability_classify(params, sol.q, k, occ, branch) for branch in branches)]
     _write_csv(out / "gap_solution.csv",
-               ["k", "alpha_k", "beta_k", "E_c_near_equilibrium", "E_c_ssh_like",
-                "stability_near_equilibrium", "stability_ssh_like"],
-               [k, alpha, beta,
-                *(ssh.band_energies(params, sol.q, k, branch)[0] for branch in branches),
-                *codes])
+               [*names, "stability_near_equilibrium", "stability_ssh_like"], [*columns, *codes])
     well = ssh.ground_state_energy(params, sol.q, u_grid)
     return {
         "quantity": "self-consistent gap factor",

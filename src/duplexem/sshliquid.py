@@ -16,10 +16,10 @@ is Carlson's symmetric integral R_D(0, zeta^2, 1) / 3 on both sides of
 |zeta| = 1 (DLMF 19.25.1), and so is the band kernel J of the ground-state
 energy; one body over scipy's elliprd ufunc serves a number and an array.
 The quadrature route, its independent oracle, takes both kernels by the
-trapezoid rule in s, cot y = w sinh s, on whole arrays.  The solver scans
-for sign changes on the elliptic route and refines each bracket it finds
-with brentq on the chosen route's own residual, so the quadrature route
-still yields its own roots.
+trapezoid rule in s, cot y = w sinh s, on whole arrays, and on one row of
+nodes for a number.  The solver scans for sign changes on the elliptic
+route and refines each bracket it finds with brentq on the chosen route's
+own residual, so the quadrature route still yields its own roots.
 
 Two quasiparticle branches come out of the extremum conditions:
 "ssh_like" with energies +-sqrt(eps^2 + Q^2 Delta^2) (stable only under
@@ -189,6 +189,16 @@ def _ln_sinh_nodes(n: int) -> np.ndarray:
     return row
 
 
+def _node_sums(ln_w, ln_sinh):
+    """(A, C) on one row of nodes, for one ln w or a column of them."""
+    ln_x2 = 2.0 * (ln_w + ln_sinh)
+    soft = ln_x2.copy()   # ln(1 + x^2), which is ln x^2 to the bit from _SOFT_EXACT on
+    np.logaddexp(0.0, ln_x2, out=soft, where=ln_x2 < _SOFT_EXACT)
+    ln_a = -1.5 * soft   # ln (1 + x^2)^(-3/2)
+    return (_STEP * (0.5 + np.sum(np.exp(ln_a), axis=-1)),   # s = 0 adds 1/2
+            _STEP * np.sum(np.exp(ln_x2 + ln_a), axis=-1))
+
+
 def _trapezoid_kernels(zeta):
     """(I, J) for a number or an array by the trapezoid rule, the oracle that
     shares no code with the elliptic route.
@@ -200,11 +210,22 @@ def _trapezoid_kernels(zeta):
     the rule converges geometrically (Trefethen & Weideman, SIAM Rev. 56:385,
     2014); they are computed in ln x, so nothing overflows down to 5e-324.
     Each point's node count, a multiple of 16 past ln(2/w) + _REACH, depends
-    on its own w only: a number gives the same bits alone as in an array.
+    on its own w only: a number gives the same bits alone as in an array.  A
+    finite nonzero number takes its one row of nodes directly, and its I and J
+    in floats, where an overflow of J is inf without a warning.
     """
+    if isinstance(zeta, float) and 0.0 < abs(zeta) < math.inf:
+        za = abs(float(zeta))
+        ln_w = -abs(float(np.log(za)))   # np.log, as on arrays: math.log may differ by an ulp
+        n = 16 * math.ceil((_LN2 + _REACH - ln_w) / (16.0 * _STEP))
+        a, c = map(float, _node_sums(ln_w, _ln_sinh_nodes(n)))
+        if za > 1.0:
+            return c / za, za * c - float(np.exp(ln_w)) * a
+        return a, za * za * a - c
     za = np.abs(np.asarray(zeta, dtype=float))
     flat = za.ravel()
-    with np.errstate(divide="ignore"):   # zeta = 0: ln w = -inf, no nodes, A = inf, C = 1
+    # zeta = 0: ln w = -inf, no nodes, A = inf, C = 1; a signalling nan raises invalid
+    with np.errstate(divide="ignore", invalid="ignore"):
         ln_w = -np.abs(np.log(flat))
     counts = 16.0 * np.ceil((_LN2 + _REACH - ln_w) / (16.0 * _STEP))
     a, c = np.full(flat.shape, math.inf), np.ones(flat.shape)
@@ -212,12 +233,7 @@ def _trapezoid_kernels(zeta):
         ln_sinh = _ln_sinh_nodes(n)
         rows, per = np.flatnonzero(counts == n), max(1, _BLOCK // n)
         for block in (rows[i:i + per] for i in range(0, rows.size, per)):
-            ln_x2 = 2.0 * (ln_w[block, None] + ln_sinh)
-            soft = ln_x2.copy()   # ln(1 + x^2), which is ln x^2 to the bit from _SOFT_EXACT on
-            np.logaddexp(0.0, ln_x2, out=soft, where=ln_x2 < _SOFT_EXACT)
-            ln_a = -1.5 * soft   # ln (1 + x^2)^(-3/2)
-            a[block] = _STEP * (0.5 + np.sum(np.exp(ln_a), axis=-1))   # s = 0 adds 1/2
-            c[block] = _STEP * np.sum(np.exp(ln_x2 + ln_a), axis=-1)
+            a[block], c[block] = _node_sums(ln_w[block, None], ln_sinh)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in branches discarded
         big_i = np.where(flat > 1.0, c / flat, a)
         big_j = np.where(flat > 1.0, flat * c - np.exp(ln_w) * a,

@@ -468,8 +468,8 @@ def test_unconverged_gap_root_exits_1_naming_the_bracket(tmp_path, capsys, t0):
 
 def test_verify_all_refines_quadrature_only_on_elliptic_brackets(tmp_path, capsys, monkeypatch):
     # gap_method_agreement evaluates the quadrature route at one Q per brentq step
-    # (63 calls at seed 42), never on the 600-point scan; the ground-state
-    # check takes its 25-point curve in one call over its 21 distinct |u|
+    # (65 calls at seed 42, 66 with the curve), never on the 600-point scan; the
+    # ground-state check takes its 25-point curve in one call over its 21 distinct |u|
     calls = _count_quadrature_calls(monkeypatch)
     assert main(["verify-all", "--seed", "42", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -1221,6 +1221,27 @@ def test_non_finite_ground_energy_exits_1(tmp_path, capsys, command, u_scan, mes
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert json.loads((tmp_path / "summary.json").read_text()) == \
         {"error": err.removeprefix("error: ").removesuffix("\n")}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg, message", [
+    # eps^2 overflows: the near-equilibrium energy (Q^2 Delta^2 - eps^2) / E is -inf
+    ({"t0": 1e300}, "E_c_near_equilibrium is not finite at k = 0.0 "
+                    "(E_c_near_equilibrium = -inf)"),
+    # pi / 2a overflows: the k grid itself is nan
+    ({"a": 1e-310}, "k is not finite at k = nan (k = nan)"),
+], ids=["t0", "a"])
+def test_non_finite_k_grid_exits_1(tmp_path, capsys, cfg, message):
+    # ssh-solve exited 0 with passed: true, wrote the non-finite column into
+    # gap_solution.csv and printed numpy warnings; it now checks the float
+    # columns of the k grid in order before it writes any of them
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["ssh-solve", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert json.loads((out / "summary.json").read_text()) == {"error": message}
+    assert [entry.name for entry in out.iterdir()] == ["summary.json"]
 
 
 @pytest.mark.parametrize("command, cfg, reason", [

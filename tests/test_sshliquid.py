@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -78,13 +78,39 @@ def test_kernel_elliptic_matches_quadrature():
             gap_kernel(zeta, "quadrature"), rel=1e-11)
 
 
+def _from_bits(bits):
+    """The float64 whose bit pattern is the integer bits."""
+    return np.array(bits, dtype=np.uint64).view(float).tolist()
+
+
+def _node_count_switches():
+    """|zeta| on both sides of three steps of the trapezoid node count, at
+    w = min(|zeta|, 1/|zeta|) where (ln 2 + 40 - ln w) / 2.4 crosses m: the
+    three largest bit patterns of one count and the three smallest of the next."""
+    def steps(z):
+        return math.ceil((sshliquid._LN2 + sshliquid._REACH + abs(float(np.log(z))))
+                         / (16.0 * sshliquid._STEP))
+
+    zetas = []
+    for m, side in itertools.product((17, 18, 290), (-1.0, 1.0)):   # w, then 1 / w
+        guess = math.exp(side * (2.4 * m - math.log(2.0) - 40.0))   # 0.8986, 0.0815, ...
+        lo, hi = np.array([guess * (1.0 - 1e-9), guess * (1.0 + 1e-9)]).view(np.int64).tolist()
+        assert steps(_from_bits(lo)) != steps(_from_bits(hi))
+        while hi - lo > 1:   # bisect the bit patterns, which order positive floats
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if steps(_from_bits(mid)) == steps(_from_bits(lo)) else (lo, mid)
+        zetas += _from_bits(np.arange(lo - 2, hi + 3))
+    return zetas
+
+
 def _branch_switch_zetas():
-    """zeta at 0, at 1 and on both sides of each edge past which the Carlson body
-    hands over to the asymptotes, and negated."""
+    """zeta at 0, at 1, on both sides of each edge past which the Carlson body
+    hands over to the asymptotes and of three steps of the trapezoid node
+    count, and negated."""
     zetas = [0.0, 5e-324, 1e-160, 1e-3, 0.5, 2.0, 1e4, 1e8, 1e160, 1.7e308]
     for z in (1e-150, 1.0, 1e150):
         zetas += [z * (1.0 + e) for e in (-1e-6, -1e-12, -2.0**-52, 0.0, 2.0**-52, 1e-12, 1e-6)]
-    zetas = np.array(zetas)
+    zetas = np.array(zetas + _node_count_switches())
     return np.concatenate([zetas, -zetas])
 
 
@@ -111,6 +137,33 @@ def test_array_kernels_match_scalar_bit_for_bit():
     for method in ("elliptic", "quadrature"):
         assert gap_kernel(0.0, method) == math.inf and _band_kernel(0.0, method) == -1.0
     assert gap_kernel(1.0) == 0.25 * math.pi and _band_kernel(1.0) == 0.0
+
+
+_ANY_FLOAT = st.integers(0, 2**64 - 1).map(_from_bits)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(x=_ANY_FLOAT, y=_ANY_FLOAT)
+@example(x=0.0, y=-0.0)
+@example(x=-0.0, y=math.inf)
+@example(x=5e-324, y=math.nan)
+@example(x=-2.2250738585072e-308, y=1.0)
+@example(x=math.inf, y=1e300)
+@example(x=-math.inf, y=1e-300)
+@example(x=math.nan, y=0.0)
+@example(x=_from_bits(0x7FF0000000000001), y=2.0)   # a signalling nan
+@example(x=_from_bits(0xFFF800000000BEEF), y=0.5)   # a negative quiet nan with a payload
+@example(x=1e300, y=5e-324)
+@example(x=-1e-300, y=1.7976931348623157e308)
+@example(x=1.7976931348623157e308, y=0.8986)
+def test_one_number_takes_the_bits_of_its_array_row(x, y):
+    # a finite nonzero number takes its own row of nodes, and 0, +-inf and nan
+    # the array code: I and J are those of its row in an array, bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = sshliquid._trapezoid_kernels(x)
+        pair = sshliquid._trapezoid_kernels(np.array([x, y]))
+    assert [np.float64(value).tobytes() for value in one] == [row[:1].tobytes() for row in pair]
 
 
 # each kernel route and its bound against the 40-digit table: relative for I,
