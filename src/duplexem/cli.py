@@ -5,14 +5,15 @@ and regression fixtures.  Numbers are written with 17 significant digits,
 '.' decimal separator, so reruns with the same seed are byte-identical.
 
 Exit codes: 0 success, 1 a check exceeded its bound (summary.json holds
-passed: false) or the run failed (summary.json holds the error), 2 config
-error (nothing written).  Set DUPLEX_EM_LOG=DEBUG|INFO|... for logging
-verbosity.
+passed: false) or the run failed, as on a numpy overflow (summary.json
+holds the error), 2 config error (nothing written).  Set
+DUPLEX_EM_LOG=DEBUG|INFO|... for logging verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import fnmatch
 import functools
@@ -224,11 +225,14 @@ def _coarse_grid(exc: cav.SamplingError, cfg) -> ConfigError:
                        f"{cfg['n_modes']}: it needs at least {exc.minimum} points")
 
 
-def _finite_coefficients(keys: str, *coeffs):
-    """ConfigError naming keys if a coefficient built from their values is not finite."""
-    if not all(np.isfinite(c).all() for c in coeffs):
-        raise ConfigError(f"config keys {keys} give coefficients that are not finite: the "
-                          f"mode amplitudes times their mode weights overflow")
+@contextlib.contextmanager
+def _overflow_names(keys: str, result: str = "coefficients that are not finite: the mode "
+                    "amplitudes times their mode weights overflow"):
+    """A FloatingPointError of the block as the ConfigError naming keys and what they give."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise ConfigError(f"config keys {keys} give {result}") from exc
 
 
 def _model_from_cfg(cfg) -> tuple:
@@ -294,22 +298,16 @@ def cmd_dual_invariants(args, cfg, out: Path) -> tuple:
 def cmd_cavity_field(args, cfg, out: Path) -> tuple:
     model, state = _model_from_cfg(cfg)
     family = cav.FirstSolution if cfg["solution"] == "first" else cav.SecondSolution
-    with np.errstate(all="ignore"):   # an overflow is named below, with no warning
+    with _overflow_names("'c1' and 'c2'"):
         sol = family(model, state)
         if cfg["theta"]:
             sol = sol.rotated(cfg["theta"])
-    _finite_coefficients("'c1' and 'c2'", sol.coeffs)
     z = np.linspace(0.0, model.length, cfg["nz"])
     t = np.linspace(0.0, model.period, cfg["nt"])
-    try:
-        with np.errstate(all="ignore"):   # an overflow is named below, with no warning
-            residuals = cav.maxwell_residual(sol, z, t, model.constants)
-        if not np.isfinite([*residuals, *residuals.scales]).all():
-            raise OverflowError("a residual is not finite")
+    with _overflow_names("'c1' and 'c2'", "a field that is not finite: the mode sum of the "
+                                          "field or of its derivatives overflows"):
+        residuals = cav.maxwell_residual(sol, z, t, model.constants)
         cav.dump_field_csv(sol, z, t, out / "field.csv")   # writes no non-finite sample
-    except OverflowError as exc:
-        raise ConfigError("config keys 'c1' and 'c2' give a field that is not finite: the mode "
-                          "sum of the field or of its derivatives overflows") from exc
     # relative: each residual against the largest term its equation cancels
     passed = all(r <= args.tol * scale for r, scale in zip(residuals, residuals.scales))
     return {
@@ -327,9 +325,9 @@ def cmd_quantize(args, cfg, out: Path) -> tuple:
     t = 0.1 * model.period if cfg["t"] is None else cfg["t"]
     if not 0.0 <= z <= model.length:
         raise ConfigError(f"config key 'z' = {z!r} lies outside the cavity [0, {model.length!r}]")
-    # a length so small that the mode frequencies or the field coefficients
-    # overflow, or so large that the level spacing underflows, is named once the
-    # field is built, with no warning before
+    # a length so small that the mode frequencies or the field coefficients overflow,
+    # or so large that the level spacing underflows, is named below as too small or
+    # too large, which a FloatingPointError could not tell apart
     with np.errstate(all="ignore"):
         w_top = float(model.omegas[-1])
         if cfg["t"] is not None and math.isfinite(w_top) and not math.isfinite(w_top * t):
@@ -373,11 +371,9 @@ def cmd_quantize(args, cfg, out: Path) -> tuple:
 
 def cmd_currents(args, cfg, out: Path) -> tuple:
     model, state = _model_from_cfg(cfg)
-    with np.errstate(all="ignore"):   # an overflow is named below, with no warning
+    with _overflow_names("'c1', 'c2' and 'coupling'"):
         current = cur.ClassicalFourCurrent(model, state, coupling=cfg["coupling"])
         field, c = cur.charge_field(model, state), model.constants.c
-    _finite_coefficients("'c1', 'c2' and 'coupling'", current.coeffs, current.j4_constants[0],
-                         field.coeffs)
     z = np.linspace(0.0, model.length, cfg["nz"])
     t = np.linspace(0.0, model.period, cfg["nt"])
     cont = cur.continuity_residual(current, z, t)
@@ -454,7 +450,7 @@ def cmd_ssh_solve(args, cfg, out: Path) -> tuple:
     # the quasiparticle table at the primary root, on 201 points of [0, pi / 2a]
     branches = (ssh.BRANCH_NEAR_EQ, ssh.BRANCH_SSH)
     names = ["k", "alpha_k", "beta_k", "E_c_near_equilibrium", "E_c_ssh_like"]
-    with np.errstate(over="ignore", invalid="ignore"):   # a column that overflows fails below
+    with np.errstate(over="ignore", invalid="ignore"):   # named below by column and k
         k = np.linspace(0.0, 0.5 * math.pi / params.a_lattice, 201)
         columns = [k, *ssh.bogoliubov_coeffs(params, sol.q, k)[:2],
                    *(ssh.band_energies(params, sol.q, k, branch)[0] for branch in branches)]
@@ -771,14 +767,16 @@ def _run(args) -> int:
     """Run one parsed subcommand and write its summary.json; its exit code.
 
     0: the checks passed, or there are none.  1: a check failed (the summary
-    holds passed: false) or the run raised a ValueError, an OSError or a
-    MemoryError (the summary is {"error": reason}, next to residual_curve.csv
-    when the error carries a gap scan's curve; a summary value that is not
-    finite is such an error).  2: a config error, and nothing is written or
-    removed.  A run that gets past its config sets aside summary.json and
-    the outputs of an earlier run of the command in its directory before its
-    handler starts, and removes them unless the handler finds a config error:
-    no file is rewritten in place.
+    holds passed: false) or the run raised a ValueError, an OSError, a
+    MemoryError or a FloatingPointError, which the handler raises on a numpy
+    overflow, division by zero or invalid value (not an underflow) outside a
+    block with its own errstate (the summary is {"error": reason}, next to
+    residual_curve.csv when the error carries a gap scan's curve; a summary
+    value that is not finite is such an error).  2: a config error, and
+    nothing is written or removed.  A run that gets past its config sets
+    aside summary.json and the outputs of an earlier run of the command in
+    its directory before its handler starts, and removes them unless the
+    handler finds a config error: no file is rewritten in place.
     """
     command, out = COMMANDS[args.command], Path(args.out)
     try:
@@ -798,7 +796,8 @@ def _run(args) -> int:
         restore = False
         try:
             try:
-                summary, passed = globals()[command.handler](args, cfg, out)
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    summary, passed = globals()[command.handler](args, cfg, out)
             except cav.SamplingError as exc:
                 raise _coarse_grid(exc, cfg) from exc
         except ConfigError:
@@ -819,7 +818,7 @@ def _run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         try:
             _write_json(out / "summary.json", {"error": str(exc)})

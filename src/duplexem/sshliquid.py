@@ -224,20 +224,21 @@ def _trapezoid_kernels(zeta):
         return a, za * za * a - c
     za = np.abs(np.asarray(zeta, dtype=float))
     flat = za.ravel()
-    # zeta = 0: ln w = -inf, no nodes, A = inf, C = 1; a signalling nan raises invalid
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # zeta = 0, +-inf (w = 0) and nan get no nodes: C = 1, and A = inf below |zeta| = 1
+    # but 0 above, where it enters only as w A -> 0; nan takes the branch above 1
+    with np.errstate(divide="ignore", invalid="ignore"):   # log 0; a signalling nan
         ln_w = -np.abs(np.log(flat))
     counts = 16.0 * np.ceil((_LN2 + _REACH - ln_w) / (16.0 * _STEP))
-    a, c = np.full(flat.shape, math.inf), np.ones(flat.shape)
+    a, c = np.where(flat > 1.0, 0.0, math.inf), np.ones(flat.shape)
     for n in set(counts[np.isfinite(counts)].astype(int).tolist()):
         ln_sinh = _ln_sinh_nodes(n)
         rows, per = np.flatnonzero(counts == n), max(1, _BLOCK // n)
         for block in (rows[i:i + per] for i in range(0, rows.size, per)):
             a[block], c[block] = _node_sums(ln_w[block, None], ln_sinh)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in branches discarded
-        big_i = np.where(flat > 1.0, c / flat, a)
-        big_j = np.where(flat > 1.0, flat * c - np.exp(ln_w) * a,
-                         np.where(flat == 0.0, -1.0, flat * flat * a - c))
+        big_i = np.where(flat <= 1.0, a, c / flat)
+        big_j = np.where(flat <= 1.0, np.where(flat == 0.0, -1.0, flat * flat * a - c),
+                         flat * c - np.exp(ln_w) * a)
     return big_i.reshape(za.shape)[()], big_j.reshape(za.shape)[()]
 
 

@@ -1244,6 +1244,41 @@ def test_non_finite_k_grid_exits_1(tmp_path, capsys, cfg, message):
     assert [entry.name for entry in out.iterdir()] == ["summary.json"]
 
 
+# zeta 0.83, Q = 1: the k grid is finite, but gap^2 is near the float maximum
+STABILITY_OVERFLOW = {"t0": 6e153, "alpha1": 2.5e154, "u_scan": [-1e-154, 1e-154, 41]}
+
+
+@pytest.mark.filterwarnings("error")
+def test_stability_conditions_that_overflow_exit_1(tmp_path, capsys):
+    # the stability conditions square eps^2 / E - 2 gap^2 / E and scale gap^2 past
+    # the float range: the run exited 0 with passed: true, printed numpy warnings
+    # and wrote stability codes built from inf and nan
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(STABILITY_OVERFLOW))
+    out = tmp_path / "out"
+    assert main(["ssh-solve", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: overflow encountered in ") and err.count("\n") == 1
+    assert json.loads((out / "summary.json").read_text()) == \
+        {"error": err.removeprefix("error: ").removesuffix("\n")}
+    assert [entry.name for entry in out.iterdir()] == ["summary.json"]
+
+
+def test_main_leaves_the_floating_point_state_as_it_found_it(tmp_path, capsys):
+    # the handlers run under errstate raising on overflow; a caller that runs
+    # main round after round keeps its own state, whatever the exit
+    (tmp_path / "found.json").write_text(json.dumps(STABILITY_OVERFLOW))
+    (tmp_path / "huge.json").write_text(json.dumps({"c1": [[1e308, 0.0]] + [[0.5, 0.0]] * 3}))
+    runs = [(["dual-invariants", "--random", "10"], 0),
+            (["ssh-solve", "--config", str(tmp_path / "found.json")], 1),
+            (["cavity-field", "--config", str(tmp_path / "huge.json")], 2)]
+    with np.errstate(all="ignore"):
+        for argv, code in runs:
+            assert main([*argv, "--out", str(tmp_path / argv[0])]) == code
+            assert np.geterr() == dict.fromkeys(["divide", "over", "under", "invalid"], "ignore")
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command, cfg, reason", [
     ("ssh-solve", {"t0": 1e-30}, "brentq did not converge on the elliptic residual"),
     ("ssh-solve", {"form": "reduced", "u": -0.1, "u_scan": [-0.4, 0.4, 41]}, "edge |u| = 0.4 "),

@@ -166,6 +166,21 @@ def test_one_number_takes_the_bits_of_its_array_row(x, y):
     assert [np.float64(value).tobytes() for value in one] == [row[:1].tobytes() for row in pair]
 
 
+def test_both_routes_take_the_limits_at_zero_infinite_and_nan_zeta():
+    # the quadrature route gave I(nan) = inf and J(+-inf) = nan: it started A at
+    # inf, and w A was 0 * inf at w = 0
+    zetas = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    limits = {gap_kernel: [math.inf, math.inf, 0.0, 0.0, math.nan],
+              _band_kernel: [-1.0, -1.0, math.inf, math.inf, math.nan]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (kernel, expected), method in itertools.product(limits.items(),
+                                                            ("elliptic", "quadrature")):
+            numbers = [kernel(zeta, method) for zeta in zetas]
+            assert np.array_equal(numbers, expected, equal_nan=True)
+            assert np.array_equal(kernel(np.array(zetas), method), expected, equal_nan=True)
+
+
 # each kernel route and its bound against the 40-digit table: relative for I,
 # relative to max(1, |J|) for J
 ROUTE_BOUNDS = (("elliptic", 1e-15), ("quadrature", 4e-15))
