@@ -235,13 +235,27 @@ def _overflow_names(keys: str, result: str = "coefficients that are not finite: 
         raise ConfigError(f"config keys {keys} give {result}") from exc
 
 
+def _length_error(model: cav.CavityModel, small: bool) -> ConfigError:
+    """The config error of a length too small or too large for the cavity's modes."""
+    end, cause = (("small", "the mode frequencies or the field coefficients overflow") if small
+                  else ("large", "the level spacing or the ladder normalization underflows"))
+    return ConfigError(f"config key 'length' = {model.length!r} is too {end} for n_modes = "
+                       f"{model.n_modes}: {cause}")
+
+
 def _model_from_cfg(cfg) -> tuple:
+    """The cavity and mode state of cavity-field and currents."""
     if not len(cfg["c1"]) == len(cfg["c2"]) == cfg["n_modes"]:
         raise ConfigError(f"config keys 'c1' and 'c2' must hold n_modes = {cfg['n_modes']} "
                           f"pairs each, got {len(cfg['c1'])} and {len(cfg['c2'])}")
     c1 = np.array([complex(re, im) for re, im in cfg["c1"]])
     c2 = np.array([complex(re, im) for re, im in cfg["c2"]])
-    return _cavity_model(cfg), cav.ModeState(c1, c2)
+    model = _cavity_model(cfg)
+    try:
+        model.amp_e, model.amp_h   # the mode weights overflow in a cavity too short
+    except FloatingPointError as exc:
+        raise _length_error(model, small=True) from exc
+    return model, cav.ModeState(c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -325,32 +339,28 @@ def cmd_quantize(args, cfg, out: Path) -> tuple:
     t = 0.1 * model.period if cfg["t"] is None else cfg["t"]
     if not 0.0 <= z <= model.length:
         raise ConfigError(f"config key 'z' = {z!r} lies outside the cavity [0, {model.length!r}]")
-    # a length so small that the mode frequencies or the field coefficients overflow,
-    # or so large that the level spacing underflows, is named below as too small or
-    # too large, which a FloatingPointError could not tell apart
-    with np.errstate(all="ignore"):
-        w_top = float(model.omegas[-1])
-        if cfg["t"] is not None and math.isfinite(w_top) and not math.isfinite(w_top * t):
-            raise ConfigError(f"config key 't' = {t!r} times the highest mode frequency "
-                              f"{w_top!r} is not finite, so the phase exp(-i w t) is not "
-                              f"defined")
-        if kind is fq.SchemeKind.SPACETIME_LOCAL:
-            if not 0.0 <= t <= model.period * (1 + 1e-12):
-                raise ConfigError(f"config key 't' = {t!r} lies outside [0, L/c] = [0, "
-                                  f"{model.period!r}], where the space-time scheme is defined")
-            if dim < 3:
-                raise ConfigError(f"config key 'dim' = {dim!r} must be at least 3 "
-                                  f"for the space-time scheme")
+    with np.errstate(over="ignore"):   # w is inf at a length that the field build names
+        w_top, w_low = float(model.omegas[-1]), float(model.omegas[0])
+    if cfg["t"] is not None and math.isfinite(w_top) and not math.isfinite(w_top * t):
+        raise ConfigError(f"config key 't' = {t!r} times the highest mode frequency "
+                          f"{w_top!r} is not finite, so the phase exp(-i w t) is not defined")
+    if kind is fq.SchemeKind.SPACETIME_LOCAL:
+        if not 0.0 <= t <= model.period * (1 + 1e-12):
+            raise ConfigError(f"config key 't' = {t!r} lies outside [0, L/c] = [0, "
+                              f"{model.period!r}], where the space-time scheme is defined")
+        if dim < 3:
+            raise ConfigError(f"config key 'dim' = {dim!r} must be at least 3 "
+                              f"for the space-time scheme")
+    # a field that overflows, or a level spacing that underflows (which raises nothing),
+    # names the length: too small where w_low >= 1, else too large
+    try:
         field = fq.OperatorField(model, kind, dim, z, t)
         hermiticity = field.hermiticity_defect()   # finite only where every entry is
-        w_low = float(model.omegas[0])
-        spacing = field.action * w_low   # the unit of the spectrum defect
+    except FloatingPointError as exc:
+        raise _length_error(model, small=w_low >= 1.0) from exc
+    spacing = field.action * w_low   # the unit of the spectrum defect
     if not (math.isfinite(hermiticity) and sys.float_info.min <= spacing < math.inf):
-        end, cause = (("large", "the level spacing or the ladder normalization underflows")
-                      if w_low < 1.0 else
-                      ("small", "the mode frequencies or the field coefficients overflow"))
-        raise ConfigError(f"config key 'length' = {model.length!r} is too {end} for n_modes = "
-                          f"{model.n_modes}: {cause}")
+        raise _length_error(model, small=w_low >= 1.0)
     comm_defect, spec_defect = _oscillator_defects(dim, field.action, w_low)
     checks = {
         "ladder_commutator_defect": comm_defect,

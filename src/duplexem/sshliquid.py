@@ -324,20 +324,23 @@ class GapSolution:
     zeta: float
 
 
-def _scan_roots(fn, grid, vals, route):
-    """Roots of fn over the brackets where vals, a scan of grid, vanishes or
+def _scan_roots(fn, scan, grid, route, missing):
+    """Roots of fn over the brackets where vals = scan(grid) vanishes or
     changes sign between finite neighbours, each refined by brentq to a
     tolerance relative to the root alone, so that a root of 1e-303 or of 1e-10
     is fixed as well as one of 1; a subnormal root, below 2.2e-308, only to
     the spacing 4.9e-324 of the subnormal numbers.
 
-    vals may come from another route than fn; a bracket over which fn keeps
-    its sign raises GapSolverError naming the route, the bracket and fn at
-    both ends, and one on which brentq does not converge raises it naming
-    the route and the bracket, each with (grid, vals) as its residual curve.
+    scan may be another route than fn; its overflows, divisions by zero and
+    invalid values stay in vals as non-finite points, which bound no
+    bracket.  GapSolverError, with (grid, vals) as its residual curve, says
+    missing when no root is found, names the route, the bracket and fn at
+    both ends for a bracket over which fn keeps its sign, and the route and
+    the bracket where brentq does not converge.
     """
-    fa, fb = vals[:-1], vals[1:]
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite pairs are masked out
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = scan(grid)   # non-finite values belong to the curve, and are masked out
+        fa, fb = vals[:-1], vals[1:]
         hits = np.flatnonzero(np.isfinite(fa) & np.isfinite(fb)
                               & ((fa == 0.0) | (fa * fb < 0.0)))
     roots = []
@@ -367,6 +370,8 @@ def _scan_roots(fn, grid, vals, route):
                 f"[{float(a)!r}, {float(b)!r}]: {exc}", residual_curve=(grid, vals)) from None
     if len(grid) and vals[-1] == 0.0:
         roots.append(grid[-1])
+    if not roots:
+        raise GapSolverError(missing, residual_curve=(grid, vals))
     # deduplicate nearby refinements
     out = []
     for r in sorted(roots):
@@ -427,15 +432,11 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
     def fn(q):
         return gap_residual(p, q, occ, method, form)
 
-    grid = _scan_grid(p, form, coef)
-    vals = gap_residual(p, grid, occ, "elliptic", form)
-    mirrored = form == "reduced" and coef > 0.0
-    roots = _scan_roots(fn, grid, vals, method)
-    if mirrored:
+    roots = _scan_roots(fn, lambda grid: gap_residual(p, grid, occ, "elliptic", form),
+                        _scan_grid(p, form, coef), method,
+                        "no root of the gap equation inside the bracket")
+    if form == "reduced" and coef > 0.0:   # one root in |Q|, and its mirror
         roots = [-r for r in reversed(roots)] + roots
-    if not roots:
-        raise GapSolverError("no root of the gap equation inside the bracket",
-                             residual_curve=(grid, vals))
     if form == "full":
         primary = min(roots, key=lambda r: abs(r - 1.0))
     else:
@@ -448,13 +449,9 @@ def solve_gap(p: SshParams, occ: Occupation = None, method: str = "elliptic",
 def solve_gap_discrete(p: SshParams, occ: Occupation = None, n_k: int = 64) -> float:
     """Root of the Brillouin-sum residual (oracle for the continuum solver)."""
     occ = occ or Occupation.ground()
-    grid = _scan_grid(p, "full", 0.0)
-    vals = gap_residual_discrete(p, grid, occ, n_k)
-    roots = _scan_roots(lambda q: gap_residual_discrete(p, q, occ, n_k), grid, vals,
-                        "discrete-sum")
-    if not roots:
-        raise GapSolverError("no discrete-sum root inside the bracket",
-                             residual_curve=(grid, vals))
+    fn = functools.partial(gap_residual_discrete, p, occ=occ, n_k=n_k)
+    roots = _scan_roots(fn, fn, _scan_grid(p, "full", 0.0), "discrete-sum",
+                        "no discrete-sum root inside the bracket")
     return min(roots, key=lambda r: abs(r - 1.0))
 
 
@@ -566,16 +563,16 @@ def ground_energy(p: SshParams, q: float, u, method: str = "elliptic"):
     """E0(u) of the near-equilibrium branch at fixed Q, plus elastic energy.
 
     u may be an array, on which both routes evaluate J whole; a number u
-    gives a float.  Where 2 N K u^2 overflows, E0 is inf (nan at u = 0),
+    gives a float.  Where zeta or 2 N K u^2 overflows, E0 is inf or nan,
     without a numpy warning: the callers check that E0 is finite.
     """
     u = np.asarray(u, dtype=float)[()]   # a number: a numpy scalar, cheaper than 0-d
-    zeta = 2.0 * p.alpha1 * u * q / p.t0   # zeta_of at dimerization u
-    band = _band_kernel(zeta, method)
     if not u.ndim:   # float arithmetic warns of nothing, and costs no errstate per call
-        return _plus_elastic(p, float(band), float(u))
-    with np.errstate(over="ignore", invalid="ignore"):   # 2 N K may overflow: inf * 0 at u = 0
-        return _plus_elastic(p, band, u)
+        u = float(u)
+        band = _band_kernel(2.0 * p.alpha1 * u * float(q) / p.t0, method)   # zeta_of at u
+        return _plus_elastic(p, float(band), u)
+    with np.errstate(over="ignore", invalid="ignore"):   # zeta or 2 N K u^2 overflow
+        return _plus_elastic(p, _band_kernel(2.0 * p.alpha1 * u * q / p.t0, method), u)
 
 
 def _plus_elastic(p: SshParams, band, u):

@@ -301,6 +301,33 @@ def test_failed_gap_solve_keeps_residual_curve(tmp_path, capsys, command):
     assert np.all(residual < -1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, cfg, params", [
+    # the coupling term C Q I(zeta) overflows: -inf below Q = 0, inf above
+    ("ssh-sweep", {"alpha2": 1e200, "u_scan": [-0.4, 0.4, 9]}, {"alpha2": 1e200}),
+    # zeta = 2 alpha1 u Q / t0 overflows: every residual is nan
+    ("ssh-solve", {"t0": 5e-324, "K_spring": 1e-310}, {"t0": 5e-324, "k_spring": 1e-310}),
+], ids=["alpha2", "t0"])
+def test_a_gap_scan_that_overflows_keeps_its_residual_curve(tmp_path, capsys, command, cfg,
+                                                            params):
+    # the run stopped at the scan's first overflow, with numpy's reason and no curve
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    message = "no root of the gap equation inside the bracket"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert json.loads((out / "summary.json").read_text()) == {"error": message}
+    lines = (out / "residual_curve.csv").read_text().splitlines()
+    assert lines[0] == "q,residual" and len(lines) == 1 + 600
+    q, residual = np.loadtxt(out / "residual_curve.csv", delimiter=",", skiprows=1).T
+    assert not np.isfinite(residual).any()
+    with np.errstate(all="ignore"):
+        scan = ssh.gap_residual(ssh.SshParams(**{"t0": 1.0, "alpha1": 1.0, "alpha2": 0.2,
+                                                 "u": 0.1, **params}), q)
+    np.testing.assert_array_equal(residual, scan)
+
+
 def test_a_passing_rerun_removes_the_residual_curve_of_a_failed_run(tmp_path, capsys):
     cfg = tmp_path / "noroot.json"
     cfg.write_text('{"form": "reduced", "u": 0.1, "alpha2": 0.2, "u_scan": [-0.2, 0.2, 9]}')
@@ -1163,6 +1190,36 @@ def test_amplitudes_that_overflow_name_c1_and_c2(tmp_path, capsys, command, c1, 
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, length, n_modes", [
+    ("cavity-field", 1e-310, 4), ("currents", 5e-324, 3)], ids=["cavity-field", "currents"])
+def test_a_cavity_too_short_for_its_modes_names_length(tmp_path, capsys, command, length,
+                                                       n_modes):
+    # the mode frequencies n pi c / L overflow: the error named 'c1' and 'c2'
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"length": length}))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_text("an earlier run's\n")
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config key 'length' = {length!r} is too small for n_modes = "
+        f"{n_modes}: the mode frequencies or the field coefficients overflow\n")
+    assert [(p.name, p.read_text()) for p in out.iterdir()] == \
+        [("summary.json", "an earlier run's\n")]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme", ["time_local", "space_local"])
+def test_quantize_keeps_a_short_cavity_whose_field_stays_finite(tmp_path, capsys, scheme):
+    # at L = 1e-120 the cavity's mode weight sqrt(2 w^2 / (L eps0)) overflows, but
+    # not the field coefficients of these schemes, so the length is not named
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"length": 1e-120, "z": 0.0, "scheme": scheme}))
+    assert main(["quantize", "--config", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("cfg", [
     # finite coefficients whose mode sums overflow: the residuals read nan
     {"c1": [[1e307, 0.0]] * 4},
@@ -1221,6 +1278,18 @@ def test_non_finite_ground_energy_exits_1(tmp_path, capsys, command, u_scan, mes
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert json.loads((tmp_path / "summary.json").read_text()) == \
         {"error": err.removeprefix("error: ").removesuffix("\n")}
+
+
+@pytest.mark.filterwarnings("error")
+def test_ground_energy_where_zeta_overflows_names_its_u(tmp_path, capsys):
+    # zeta = 2 alpha1 u Q / t0 overflows at |u| = 5e298: the run stopped there with
+    # numpy's "overflow encountered in multiply", before the check that names u
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"alpha1": 1e154, "u_scan": [-1e300, 1e300, 41]}))
+    assert main(["ssh-solve", "--config", str(path), "--out", str(tmp_path)]) == 1
+    message = "E0(u) is not finite at u = 5e+298 (E0 = nan), so no minimum can be located"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert json.loads((tmp_path / "summary.json").read_text()) == {"error": message}
 
 
 @pytest.mark.filterwarnings("error")

@@ -323,7 +323,7 @@ def _full_quadrature_scan_roots(p, occ, form, monkeypatch):
     (grid,) = grids
     vals = gap_residual(p, grid, occ, "quadrature", form)
     scanned = _scan_roots(lambda q: gap_residual(p, q, occ, "quadrature", form),
-                          grid, vals, "quadrature")
+                          lambda grid: vals, grid, "quadrature", "no root")
     if form == "reduced":   # one root in |Q| and its mirror
         scanned = [-r for r in reversed(scanned)] + scanned
     return roots, tuple(scanned)
@@ -406,6 +406,46 @@ def test_reduced_form_reports_missing_root():
     grid, vals = err.value.residual_curve
     assert len(grid) == len(vals) > 0
     assert vals.tolist() == [gap_residual(p, q, form="reduced") for q in grid.tolist()]
+
+
+def test_scan_roots_takes_exact_zeros_of_the_scan():
+    # the scan q (q - 2) (q + 0.75) is exactly 0 at the grid points 0 and 2, the
+    # last, which are roots as they stand; fn, 1e-3 above it, refines only the
+    # bracket of -0.75 (a refinement on [0, 0.5] would find fn's root near 7e-4)
+    def scan(q):
+        return q * (q - 2.0) * (q + 0.75)
+
+    roots = _scan_roots(lambda q: scan(q) + 1e-3, scan, np.linspace(-1.0, 2.0, 7), "test",
+                        "no root")
+    assert roots[1:] == [0.0, 2.0]
+    assert roots[0] == pytest.approx(-0.75, abs=1e-3)
+    assert scan(roots[0]) + 1e-3 == pytest.approx(0.0, abs=1e-15)
+
+
+def test_scan_roots_keeps_non_finite_scan_values_in_its_curve():
+    # under the command line's policy: (-1e200)^3 overflows, 1/0 divides by zero and
+    # sqrt(-0.5) is invalid; the pair (-inf, inf) bounds no bracket, and the one
+    # finite value has no neighbour to change sign against
+    grid = np.array([-1e200, 0.0, 1.0, 3.0])
+
+    def scan(q):
+        return 1.0 / q + q ** 3 + np.sqrt(2.5 - q)
+
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with pytest.raises(GapSolverError, match="^no root$") as err:
+            _scan_roots(scan, scan, grid, "test", "no root")
+    curve_grid, vals = err.value.residual_curve
+    assert curve_grid is grid
+    np.testing.assert_array_equal(vals, [-math.inf, math.inf, 2.0 + math.sqrt(1.5), math.nan])
+
+
+def test_discrete_solver_reports_missing_root(monkeypatch):
+    monkeypatch.setattr(sshliquid, "gap_residual_discrete",
+                        lambda p, q, occ=None, n_k=64: 1.0 + q * q)
+    with pytest.raises(GapSolverError, match="^no discrete-sum root inside the bracket$") as err:
+        solve_gap_discrete(base_params())
+    grid, vals = err.value.residual_curve
+    assert len(grid) == 600 and vals.tolist() == (1.0 + grid * grid).tolist()
 
 
 def test_gap_kernel_lies_above_its_log_floor():
